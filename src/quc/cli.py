@@ -1,9 +1,9 @@
 """Command-line front end: validate configs, analyze integrands, solve
 Dirichlet problems, tabulate gauges, verify estimates, iterate De Giorgi.
 
-Every artifact is a CSV with one provenance comment line (config hash,
-package version, kernel backend, seed); no timestamps, so identical configs
-give byte-identical outputs.
+Every artifact is a CSV with one provenance comment line (package version,
+config hash, seed); no timestamps, so identical configs give byte-identical
+outputs.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ import sys
 
 import numpy as np
 
-from . import __version__, _kernels
+from . import __version__
 from . import dual_geometry as dg
 from . import estimates as est
 from . import qc_analysis as qa
@@ -29,8 +29,7 @@ SOLUTION_FIELDS = ["x", "y", "u", "du1", "du2", "v1", "v2",
 
 
 def _provenance(cfg, seed):
-    return (f"quc-version={__version__} config-sha256={cfg.sha256()} "
-            f"kernels={_kernels.backend()} seed={seed}")
+    return f"quc-version={__version__} config-sha256={cfg.sha256()} seed={seed}"
 
 
 def _make_problem(cfg, F, n=None):
@@ -333,8 +332,6 @@ def _build_parser():
     ap = argparse.ArgumentParser(prog="quc", description=__doc__)
     ap.add_argument("--out-dir", default=None, help="output directory (default: config)")
     ap.add_argument("--seed", type=int, default=None, help="override config seed")
-    ap.add_argument("--reproducible", action="store_true",
-                    help="force sequential deterministic evaluation")
     sub = ap.add_subparsers(dest="command", required=True)
 
     for name in ("validate", "analyze"):

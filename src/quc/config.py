@@ -182,7 +182,7 @@ def build_integrand(spec, path="integrand"):
 # experiment config
 # ---------------------------------------------------------------------------
 
-_TOP_KEYS = {"integrand", "problem", "solver", "checks", "seed", "reproducible", "out_dir"}
+_TOP_KEYS = {"integrand", "problem", "solver", "checks", "seed", "out_dir"}
 _PROBLEM_KEYS = {"n", "domain", "boundary", "mask"}
 _SOLVER_KEYS = {"method", "tol_rel", "max_iter", "gd_max_iter"}
 
@@ -204,7 +204,6 @@ class ExperimentConfig:
     checks: list
     solver: dict = field(default_factory=dict)
     seed: int = 0
-    reproducible: bool = False
     out_dir: str = "."
     source_text: str = ""
     path: str = ""
@@ -293,7 +292,6 @@ def parse_config(path):
         integrand_spec=raw["integrand"], integrand=F,
         problem_spec=raw["problem"], boundary=boundary,
         checks=checks, solver=dict(solver),
-        seed=seed, reproducible=bool(raw.get("reproducible", False)),
-        out_dir=str(raw.get("out_dir", ".")),
+        seed=seed, out_dir=str(raw.get("out_dir", ".")),
         source_text=text, path=str(path),
     )

@@ -15,8 +15,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from . import _kernels
-
 
 class IntegrandError(ValueError):
     """Invalid integrand parameters or failed validation."""
@@ -87,7 +85,7 @@ class Integrand:
     def hess_eig_bounds(self, z):
         """(lmin, lmax) of the Hessian at each point, closed form in 2-D."""
         zz, single = as_points(z)
-        lo, hi = _kernels.sym2_eig_bounds(np.ascontiguousarray(self._hess(zz)))
+        lo, hi = sym2_eig_bounds(self._hess(zz))
         if single:
             return float(lo[0]), float(hi[0])
         return lo, hi
@@ -97,6 +95,14 @@ class Integrand:
 
     def __repr__(self):
         return f"<{type(self).__name__} {self.describe()}>"
+
+
+def sym2_eig_bounds(h):
+    """(lmin, lmax) of a batch of 2x2 matrices' symmetric parts, in closed form."""
+    mid = 0.5 * (h[:, 0, 0] + h[:, 1, 1])
+    rad = np.hypot(0.5 * (h[:, 0, 0] - h[:, 1, 1]),
+                   0.5 * (h[:, 0, 1] + h[:, 1, 0]))
+    return mid - rad, mid + rad
 
 
 # ---------------------------------------------------------------------------
@@ -164,6 +170,36 @@ def power_sum_profile(terms):
 # catalogue kinds
 # ---------------------------------------------------------------------------
 
+def _power_eval(z, p):
+    r2 = z[:, 0] ** 2 + z[:, 1] ** 2
+    return r2 ** (p / 2.0) / p
+
+
+def _power_grad(z, p):
+    r2 = z[:, 0] ** 2 + z[:, 1] ** 2
+    with np.errstate(divide="ignore", invalid="ignore"):
+        s = np.where(r2 > 0.0, r2 ** ((p - 2.0) / 2.0), 0.0)
+    return s[:, None] * z
+
+
+def _power_hess(z, p):
+    # r^{p-2} (Id + (p-2) zhat zhat^T); zero matrix at the origin except p = 2.
+    r2 = z[:, 0] ** 2 + z[:, 1] ** 2
+    out = np.zeros((z.shape[0], 2, 2))
+    nz = r2 > 0.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        s = np.where(nz, r2 ** ((p - 2.0) / 2.0), 0.0)
+        c = np.where(nz, (p - 2.0) * s / r2, 0.0)
+    out[:, 0, 0] = s + c * z[:, 0] * z[:, 0]
+    out[:, 0, 1] = c * z[:, 0] * z[:, 1]
+    out[:, 1, 0] = out[:, 0, 1]
+    out[:, 1, 1] = s + c * z[:, 1] * z[:, 1]
+    if p == 2.0 and not nz.all():
+        out[~nz, 0, 0] = 1.0
+        out[~nz, 1, 1] = 1.0
+    return out
+
+
 class PowerIntegrand(Integrand):
     """F(z) = |z|^p / p with exact derivatives.
 
@@ -186,13 +222,13 @@ class PowerIntegrand(Integrand):
             self.singular_points = (np.zeros(2),)
 
     def _eval(self, z):
-        return _kernels.power_eval(np.ascontiguousarray(z), self.p)
+        return _power_eval(z, self.p)
 
     def _grad(self, z):
-        return _kernels.power_grad(np.ascontiguousarray(z), self.p)
+        return _power_grad(z, self.p)
 
     def _hess(self, z):
-        return _kernels.power_hess(np.ascontiguousarray(z), self.p)
+        return _power_hess(z, self.p)
 
     def describe(self):
         return f"power(p={self.p:g})"
@@ -430,13 +466,13 @@ class BlendIntegrand(Integrand):
         return psi, d1, d2
 
     def _eval(self, z):
-        base = _kernels.power_eval(np.ascontiguousarray(z), self.p)
+        base = _power_eval(z, self.p)
         rho = np.hypot(z[:, 0] - self.w[0], z[:, 1] - self.w[1])
         psi, _, _ = self._phi_parts(rho)
         return base + self.eps * psi
 
     def _grad(self, z):
-        out = _kernels.power_grad(np.ascontiguousarray(z), self.p)
+        out = _power_grad(z, self.p)
         d = z - self.w
         rho = np.hypot(d[:, 0], d[:, 1])
         _, d1, _ = self._phi_parts(rho)
@@ -445,7 +481,7 @@ class BlendIntegrand(Integrand):
         return out + self.eps * s[:, None] * d
 
     def _hess(self, z):
-        out = _kernels.power_hess(np.ascontiguousarray(z), self.p)
+        out = _power_hess(z, self.p)
         d = z - self.w
         rho = np.hypot(d[:, 0], d[:, 1])
         _, d1, d2 = self._phi_parts(rho)
@@ -834,16 +870,6 @@ def normalise(F, *, n_angles=720):
 
 def shifted_needed(F):
     return abs(F.eval(np.zeros(2))) > 0.0
-
-
-def is_normalised(F, tol=1e-8):
-    """Cheap check of the normalisation contract F(0) = 0, DF(0) = 0, i_F ~ 1."""
-    if abs(F.eval(np.zeros(2))) > tol:
-        return False
-    g0 = F.grad(np.zeros(2))
-    if np.hypot(g0[0], g0[1]) > np.sqrt(tol):
-        return False
-    return abs(gradient_infimum_on_circle(F, n_angles=180) - 1.0) < 1e-2
 
 
 # ---------------------------------------------------------------------------

@@ -14,8 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.optimize import minimize
 
-from . import _kernels
-from .integrand import as_points
+from .integrand import as_points, sym2_eig_bounds
 
 
 # ---------------------------------------------------------------------------
@@ -82,40 +81,54 @@ class EtaIdentityReport:
     first_violation: tuple | None = None
 
 
+def _log_gap(gap, *logs):
+    """A gap between log-profile values, relative to the summed size of the
+    logs it compares (which sets the rounding of each a log t); a non-finite
+    gap is a violation of infinite size."""
+    scale = sum(np.abs(x) for x in logs)
+    rel = np.divide(gap, scale, out=np.zeros_like(gap), where=gap != 0.0)
+    return np.where(np.isfinite(rel), rel, np.inf)
+
+
 def eta_identities_check(profile, s, t, tol=1e-12):
     """Verify submultiplicativity, the reflection identity and self-composition.
 
-    All comparisons are relative; the report carries the worst violation per
-    identity and, when failing, the first offending inputs.
+    Inputs are positive.  Every identity is compared in log space, where
+    log eta_{a,b}(t) = max(a log t, b log t), so no product or composition
+    overflows; gaps are relative to the size of the logs compared and a
+    non-finite gap counts as a violation.  The report carries the worst
+    violation per identity and, when failing, the first offending inputs.
     """
     s = np.asarray(s, dtype=float)
     t = np.asarray(t, dtype=float)
-    viol = {}
-    first = None
+    ls, lt = np.log(s), np.log(t)
 
-    prod_gap = profile(s * t) / (profile(s) * profile(t)) - 1.0
-    viol["submultiplicative"] = float(np.max(prod_gap))
-    inv_gap = 1.0 - profile.inv(s * t) / (profile.inv(s) * profile.inv(t))
-    viol["inverse_supermultiplicative"] = float(np.max(inv_gap))
+    def log_eta(prof, x):
+        return np.maximum(prof.a * x, prof.b * x)
 
-    refl = profile.inv(t) * profile.reciprocal()(1.0 / t)
-    viol["reflection"] = float(np.max(np.abs(refl - 1.0)))
+    def log_inv(prof, x):
+        return np.minimum(x / prof.a, x / prof.b)
 
+    e_st, e_s, e_t = log_eta(profile, ls + lt), log_eta(profile, ls), log_eta(profile, lt)
+    i_st, i_s, i_t = log_inv(profile, ls + lt), log_inv(profile, ls), log_inv(profile, lt)
+    r = log_eta(profile.reciprocal(), -lt)
     po = profile.ordered()
-    comp = compose_profiles(profile, profile)
-    comp_gap = np.abs(po(po(t)) / comp(t) - 1.0)
-    viol["composition"] = float(np.max(comp_gap))
-
-    for name, arr, inputs in (
-        ("submultiplicative", prod_gap, (s, t)),
-        ("inverse_supermultiplicative", inv_gap, (s, t)),
-        ("reflection", np.abs(refl - 1.0), (t,)),
-        ("composition", comp_gap, (t,)),
-    ):
+    c_twice = log_eta(po, log_eta(po, lt))
+    c_comp = log_eta(compose_profiles(profile, profile), lt)
+    gaps = {
+        "submultiplicative": (_log_gap(e_st - e_s - e_t, e_st, e_s, e_t), (s, t)),
+        "inverse_supermultiplicative": (_log_gap(i_s + i_t - i_st, i_st, i_s, i_t), (s, t)),
+        "reflection": (np.abs(_log_gap(i_t + r, i_t, r)), (t,)),
+        "composition": (np.abs(_log_gap(c_twice - c_comp, c_twice, c_comp)), (t,)),
+    }
+    viol = {name: float(np.max(arr)) for name, (arr, _) in gaps.items()}
+    first = None
+    for name, (arr, inputs) in gaps.items():
         bad = arr > tol
-        if bad.any() and first is None:
+        if bad.any():
             k = int(np.argmax(bad))
             first = (name, tuple(float(x.ravel()[min(k, x.size - 1)]) for x in inputs))
+            break
     return EtaIdentityReport(ok=first is None, max_violation=viol, first_violation=first)
 
 
@@ -191,7 +204,7 @@ def estimate_H(F, points=None, rng=None, *, exclude_radius=1e-8):
     points = _exclude_singular(np.asarray(points, dtype=float), F.singular_points,
                                exclude_radius)
     H = F._hess(points)
-    lo, hi = _kernels.sym2_eig_bounds(np.ascontiguousarray(H))
+    lo, hi = sym2_eig_bounds(H)
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = hi / lo
     good = np.isfinite(ratio) & (lo > 0.0)
@@ -357,7 +370,7 @@ def sym_eig_bounds(M):
     if single:
         M = M[None]
     if M.shape[-1] == 2:
-        lo, hi = _kernels.sym2_eig_bounds(np.ascontiguousarray(M))
+        lo, hi = sym2_eig_bounds(M)
     else:
         lam = np.linalg.eigvalsh(M)
         lo, hi = lam[:, 0], lam[:, -1]

@@ -15,7 +15,6 @@ the bump exactly, unlike a tensor rule on the bounding square.
 from __future__ import annotations
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .integrand import Integrand, IntegrandError, _solve2x2
 
@@ -68,8 +67,8 @@ class MollifierSpec:
 
 def _prox_solve(part, delta, Z, W0, *, grad_tol=1e-11, max_iter=80):
     """Batched Newton with Armijo backtracking for the proximal problem
-    w -> F(w) + |w - z|^2 / (2 delta).  The inner Hessian is bounded below
-    by Id/delta, so convergence is quadratic from any warm start."""
+    w -> F(w) + |w - z|^2 / (2 delta), started at W0.  The inner Hessian is
+    bounded below by Id/delta, so convergence is quadratic from any start."""
     Z = np.ascontiguousarray(Z, dtype=float)
     W = W0.copy()
     inv_delta = 1.0 / delta
@@ -128,17 +127,13 @@ class MoreauIntegrand(Integrand):
     The envelope keeps the ellipticity bound of F and satisfies
     lmax(D2 F_delta) <= 1/delta.  Gradients come from the proximal point,
     DF_delta(z) = (z - prox(z)) / delta; Hessians from central differences
-    of the gradient with step 1e-5 (1 + |z|).
-
-    Proximal points are cached; queries warm-start from the nearest cached
-    prox (KD-tree lookup).  The cache is append-only under the GIL (safe for
-    concurrent readers with a single writer); pass ``cache=False`` to
-    disable it entirely for free-threaded use.
+    of the gradient with step 1e-5 (1 + |z|).  Every ``prox`` call solves
+    from scratch, so results do not depend on earlier calls.
     """
 
     kind = "moreau"
 
-    def __init__(self, part, delta, *, cache=True, cache_cap=8192):
+    def __init__(self, part, delta):
         delta = float(delta)
         if delta <= 0.0:
             raise IntegrandError(f"moreau parameter delta must be positive, got {delta}")
@@ -146,39 +141,12 @@ class MoreauIntegrand(Integrand):
         self.delta = delta
         self.analytic_H = part.analytic_H
         self.minimum = part.minimum
-        self._cache_enabled = cache
-        self._cache_cap = cache_cap
-        self._cache_z = None
-        self._cache_w = None
-        self._tree = None
-
-    def _warm_start(self, Z):
-        if self._cache_z is None:
-            return Z.copy()
-        if self._tree is None:
-            self._tree = cKDTree(self._cache_z)
-        _, idx = self._tree.query(Z, k=1)
-        return self._cache_w[idx].copy()
-
-    def _remember(self, Z, W):
-        if not self._cache_enabled:
-            return
-        if self._cache_z is None:
-            self._cache_z, self._cache_w = Z.copy(), W.copy()
-        else:
-            self._cache_z = np.concatenate([self._cache_z, Z])
-            self._cache_w = np.concatenate([self._cache_w, W])
-        if self._cache_z.shape[0] > self._cache_cap:
-            self._cache_z = self._cache_z[-self._cache_cap // 2:]
-            self._cache_w = self._cache_w[-self._cache_cap // 2:]
-        self._tree = None
 
     def prox(self, z):
         zz = np.asarray(z, dtype=float)
         single = zz.ndim == 1
         Z = zz.reshape(-1, 2)
-        W = _prox_solve(self.part, self.delta, Z, self._warm_start(Z))
-        self._remember(Z, W)
+        W = _prox_solve(self.part, self.delta, Z, Z)
         return W[0] if single else W
 
     def _eval(self, z):
@@ -202,9 +170,9 @@ class MoreauIntegrand(Integrand):
         return f"moreau({self.part.describe()}, delta={self.delta:g})"
 
 
-def moreau_yosida(F, delta, **kw):
+def moreau_yosida(F, delta):
     """The Moreau-Yosida envelope of F at parameter delta > 0."""
-    return MoreauIntegrand(F, delta, **kw)
+    return MoreauIntegrand(F, delta)
 
 
 # ---------------------------------------------------------------------------

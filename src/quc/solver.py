@@ -17,8 +17,6 @@ import numpy as np
 from scipy import sparse
 from scipy.sparse.linalg import spsolve
 
-from . import _kernels
-
 
 class SolverError(RuntimeError):
     pass
@@ -213,16 +211,21 @@ def assemble_energy(F, mesh, u, *, want_grad=True):
     energy = float(mesh.areas @ fvals)
     if not want_grad:
         return energy, None
-    df = F._grad(du)
-    contrib = np.ascontiguousarray(mesh.areas[:, None]
-                                   * np.einsum("tak,tk->ta", mesh.grads, df))
-    g = _kernels.scatter_add3(mesh.tris, contrib, np.zeros(mesh.n_nodes))
-    return energy, g
+    return energy, _pair_with_hats(mesh, F._grad(du))
+
+
+def _pair_with_hats(mesh, v):
+    """Nodal vector sum_T area_T v_T . D(phi_a)|_T over the hat functions phi_a."""
+    contrib = mesh.areas[:, None] * np.einsum("tak,tk->ta", mesh.grads, v)
+    out = np.zeros(mesh.n_nodes)
+    np.add.at(out, mesh.tris.ravel(), contrib.ravel())
+    return out
 
 
 def _assemble_hessian(F, mesh, du):
     hz = np.ascontiguousarray(F._hess(du))
-    entries = _kernels.tri_local_hess(mesh.grads, hz, mesh.areas)
+    entries = (np.einsum("tak,tkl,tbl->tab", mesh.grads, hz, mesh.grads)
+               * mesh.areas[:, None, None])
     K = sparse.coo_matrix((entries.ravel(), (mesh._coo_rows, mesh._coo_cols)),
                           shape=(mesh.n_nodes, mesh.n_nodes)).tocsr()
     return K
@@ -280,7 +283,7 @@ def _bb_step(s, y, fallback):
 
 
 def solve(problem, *, method="newton", tol_rel=1e-9, max_iter=60,
-          gd_max_iter=50000, allow_fallback=True):
+          gd_max_iter=50000):
     """Minimise the discrete energy with the prescribed boundary values.
 
     Newton directions use the assembled per-triangle Hessian with a tiny
@@ -331,8 +334,6 @@ def solve(problem, *, method="newton", tol_rel=1e-9, max_iter=60,
                     d[ii] = step
                     slope = sl
         if slope is None:
-            if newton and not allow_fallback:
-                raise SolverError("Newton direction failed and fallback is disabled")
             step = -g[ii]
             if u_prev is not None:
                 alpha_gd = _bb_step(u[ii] - u_prev, g[ii] - g_prev, alpha_gd)
@@ -416,9 +417,7 @@ def stress_field(solution):
     v = solution.v
     dv_nodes = _recover_dv(mesh, v)
     dv_tri = dv_nodes[mesh.tris].mean(axis=1)
-    contrib = np.ascontiguousarray(mesh.areas[:, None]
-                                   * np.einsum("tak,tk->ta", mesh.grads, v))
-    pair = _kernels.scatter_add3(mesh.tris, contrib, np.zeros(mesh.n_nodes))
+    pair = _pair_with_hats(mesh, v)
     div = float(np.abs(pair[mesh.interior_idx]).max()) if mesh.interior_idx.size else 0.0
     solution._stress = StressField(v=v, dv_nodes=dv_nodes, dv_tri=dv_tri, divergence=div)
     return solution._stress

@@ -263,7 +263,7 @@ def test_criterion_11_reproducibility(tmp_path):
     outs = []
     for run_dir in ("a", "b"):
         d = tmp_path / run_dir
-        code = main(["--out-dir", str(d), "--reproducible", "verify", str(path)])
+        code = main(["--out-dir", str(d), "verify", str(path)])
         assert code == 0
         outs.append({name: (d / name).read_bytes()
                      for name in ("analyze.csv", "solution.csv", "lip.csv", "dg.csv")})

@@ -218,6 +218,6 @@ def test_cli_reproducible_bytes(tmp_path):
     ])
     d1, d2 = tmp_path / "r1", tmp_path / "r2"
     for d in (d1, d2):
-        assert main(["--out-dir", str(d), "--reproducible", "verify", str(cfg)]) == 0
+        assert main(["--out-dir", str(d), "verify", str(cfg)]) == 0
     for name in ("analyze.csv", "solution.csv", "lip.csv"):
         assert (d1 / name).read_bytes() == (d2 / name).read_bytes()

@@ -49,9 +49,11 @@ def test_eta_reflection_example():
 def test_eta_identities_check_passes(rng):
     s = np.exp(rng.uniform(np.log(1e-6), np.log(1e6), 10**4))
     t = np.exp(rng.uniform(np.log(1e-6), np.log(1e6), 10**4))
-    for a, b in [(1.0, 1.0), (2.0, 0.5), (4.0, 0.25), (3.0, 2.0), (0.5, 1.0 / 3.0)]:
+    for a, b in [(1.0, 1.0), (2.0, 0.5), (4.0, 0.25), (3.0, 2.0), (0.5, 1.0 / 3.0),
+                 (10.0, 0.1), (30.0, 1.0 / 30.0)]:
         rep = quc.eta_identities_check(quc.EtaProfile(a, b), s, t)
         assert rep.ok, rep.first_violation
+        assert all(np.isfinite(v) for v in rep.max_violation.values()), rep.max_violation
 
 
 def test_eta_identities_reports_violation(rng):

@@ -88,12 +88,13 @@ def test_moreau_hessian_fd_symmetry(rng):
     assert np.abs(H - np.transpose(H, (0, 2, 1))).max() <= 1e-4
 
 
-def test_moreau_warm_cache_consistency(rng):
-    M = quc.moreau_yosida(quc.make_power(3.0), 0.5)
+def test_moreau_prox_independent_of_call_history(rng):
     z = rng.uniform(-3, 3, (100, 2))
-    first = M.prox(z).copy()
-    again = M.prox(z)  # cache now warm-starts at the solution
-    np.testing.assert_allclose(first, again, atol=1e-9)
+    for p in (3.0, 1.5):
+        fresh = quc.moreau_yosida(quc.make_power(p), 0.5).prox(z)
+        used = quc.moreau_yosida(quc.make_power(p), 0.5)
+        used.eval(z + 1e-3 * rng.standard_normal(z.shape))
+        assert np.array_equal(fresh, used.prox(z)), p
 
 
 def test_prox_nonconvergence_raises():

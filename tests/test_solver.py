@@ -186,7 +186,7 @@ def test_newton_and_gradient_agree():
 def test_iteration_cap_flags_nonconverged():
     prob = quc.GridProblem(integrand=quc.make_power(3.0), n=17,
                            boundary=compile_boundary_expression("x*y + x^3"))
-    sol = quc.solve(prob, max_iter=1, allow_fallback=False)
+    sol = quc.solve(prob, max_iter=1)
     assert not sol.converged
 
 
