@@ -15,6 +15,7 @@ from __future__ import annotations
 import ast
 import hashlib
 import json
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -25,6 +26,20 @@ from . import regularize as rg
 
 class ConfigError(ValueError):
     pass
+
+
+@contextmanager
+def _at(path):
+    """Report a missing key, or a value that fails conversion or validation
+    (TypeError, ValueError, IntegrandError), as one ConfigError at ``path``."""
+    try:
+        yield
+    except KeyError as e:
+        raise ConfigError(f"{path}: missing required key {e.args[0]!r}") from e
+    except ConfigError:
+        raise
+    except (TypeError, ValueError) as e:
+        raise ConfigError(f"{path}: {e}") from e
 
 
 # ---------------------------------------------------------------------------
@@ -135,7 +150,7 @@ def build_integrand(spec, path="integrand"):
     if kind not in _KIND_KEYS:
         raise ConfigError(f"{path}.kind: unknown integrand kind {kind!r}")
     _check_keys(base, _KIND_KEYS[kind], path)
-    try:
+    with _at(path):
         if kind == "power":
             out = ig.make_power(float(base["p"]))
         elif kind == "anisotropic_quadratic":
@@ -169,10 +184,6 @@ def build_integrand(spec, path="integrand"):
         else:
             out = rg.mollify_plus_quadratic(build_integrand(base["part"], f"{path}.part"),
                                             float(base["eps"]), float(base["mu"]))
-    except KeyError as e:
-        raise ConfigError(f"{path}: missing required key {e.args[0]!r}")
-    except ig.IntegrandError as e:
-        raise ConfigError(f"{path}: {e}")
     if derivatives == "finite_difference":
         out = ig.with_fd_derivatives(out)
     return out
@@ -220,7 +231,8 @@ def _validate_problem(spec):
     if not isinstance(n, int) or n < 9:
         raise ConfigError(f"problem.n: need an integer >= 9, got {n!r}")
     domain = spec.get("domain", [[0.0, 1.0], [0.0, 1.0]])
-    d = np.asarray(domain, dtype=float)
+    with _at("problem.domain"):
+        d = np.asarray(domain, dtype=float)
     if d.shape != (2, 2) or not (d[0, 1] > d[0, 0] and d[1, 1] > d[1, 0]):
         raise ConfigError(f"problem.domain: need [[x0,x1],[y0,y1]] increasing, got {domain!r}")
     if "boundary" not in spec:
@@ -229,8 +241,9 @@ def _validate_problem(spec):
     if mask is not None:
         if not isinstance(mask, dict) or set(mask) != {"center", "radius"}:
             raise ConfigError("problem.mask: need {'center': [x,y], 'radius': r}")
-        if not float(mask["radius"]) > 0:
-            raise ConfigError("problem.mask.radius: must be positive")
+        with _at("problem.mask.radius"):
+            if not float(mask["radius"]) > 0:
+                raise ConfigError("problem.mask.radius: must be positive")
 
 
 def _validate_check(spec, i):
@@ -282,7 +295,8 @@ def parse_config(path):
     if not isinstance(checks, list):
         raise ConfigError("config.checks: expected a list")
     for i, c in enumerate(checks):
-        _validate_check(c, i)
+        with _at(f"checks[{i}]"):
+            _validate_check(c, i)
     solver = raw.get("solver", {})
     _check_keys(solver, _SOLVER_KEYS, "solver")
     seed = raw.get("seed", 0)

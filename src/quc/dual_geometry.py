@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .integrand import _solve2x2, isotropic_envelope
+from .integrand import isotropic_envelope, newton_minimise
 
 
 class DfInverseError(RuntimeError):
@@ -45,12 +45,11 @@ def df_inverse(F, y, *, tol=1e-10, max_iter=100, x0=None):
     yy = np.asarray(y, dtype=float)
     single = yy.ndim == 1
     Y = np.ascontiguousarray(yy.reshape(-1, 2))
-    m = Y.shape[0]
     ny = np.hypot(Y[:, 0], Y[:, 1])
     target = tol * (1.0 + ny)
 
     if x0 is not None:
-        W = np.array(x0, dtype=float).reshape(-1, 2).copy()
+        W = np.asarray(x0, dtype=float).reshape(-1, 2)
     else:
         env = _envelope_of(F)
         r0 = env.a_inv(np.maximum(ny, 1e-300))
@@ -58,43 +57,8 @@ def df_inverse(F, y, *, tol=1e-10, max_iter=100, x0=None):
             W = np.where(ny[:, None] > 0.0, r0[:, None] * Y / np.where(ny > 0, ny, 1.0)[:, None],
                          0.0)
 
-    def objective(w):
-        return F._eval(w) - (w * Y).sum(axis=1)
-
-    obj = objective(W)
-    for _ in range(max_iter):
-        G = F._grad(W) - Y
-        res = np.hypot(G[:, 0], G[:, 1])
-        active = np.where(res > target)[0]
-        if active.size == 0:
-            break
-        Ga = G[active]
-        H = F._hess(W[active])
-        scale = 1e-13 * (1.0 + np.abs(H[:, 0, 0]) + np.abs(H[:, 1, 1]))
-        H[:, 0, 0] += scale
-        H[:, 1, 1] += scale
-        step = -_solve2x2(H, Ga)
-        slope = (Ga * step).sum(axis=1)
-        bad = ~np.isfinite(step).all(axis=1) | (slope >= 0.0)
-        if bad.any():
-            step[bad] = -Ga[bad]
-            slope[bad] = -(res[active][bad] ** 2)
-        alpha = np.ones(active.size)
-        Wa = W[active]
-        obj_a = obj[active]
-        floor = 1e-14 * np.abs(obj_a) + 1e-300  # rounding floor near convergence
-        for _ in range(50):
-            trial = Wa + alpha[:, None] * step
-            obj_t = F._eval(trial) - (trial * Y[active]).sum(axis=1)
-            ok = np.isfinite(obj_t) & (obj_t <= obj_a + 1e-4 * alpha * slope + floor)
-            if ok.all():
-                break
-            alpha = np.where(ok, alpha, 0.5 * alpha)
-        W[active] = Wa + alpha[:, None] * step
-        obj[active] = obj_t
-    G = F._grad(W) - Y
-    res = np.hypot(G[:, 0], G[:, 1])
-    if np.any(res > target):
+    W, res = newton_minimise(F, W, target, Y=Y, max_iter=max_iter)
+    if not np.all(res <= target):
         raise DfInverseError(
             f"gradient inversion stalled: worst residual {float(res.max()):g} "
             f"above target {float(target[np.argmax(res)]):g} "

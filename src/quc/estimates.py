@@ -119,13 +119,12 @@ def super_level_mask(solution, ell_c, ell_b, radius, center):
 def _straddling_count(mesh, member, region):
     """Triangles in the region whose membership differs from an edge
     neighbour's; measures how much of the level boundary the ball crosses."""
-    nb = mesh.tri_neighbors()
-    has_nb = nb >= 0
-    differs = np.zeros(mesh.n_tris, dtype=bool)
-    for s in range(3):
-        ok = has_nb[:, s]
-        differs[ok] |= member[nb[ok, s]] != member[ok]
-    return int((differs & region).sum())
+    inc = mesh.node_tris()
+    shared = (inc.T @ inc).tocoo()
+    edge = shared.data == 2
+    t1, t2 = shared.row[edge], shared.col[edge]
+    straddling = t1[(member[t1] != member[t2]) & region[t1]]
+    return int(np.unique(straddling).size)
 
 
 def _h_est(solution, H):

@@ -769,46 +769,87 @@ def _solve2x2(H, rhs):
     return x
 
 
-def find_minimum(F, *, x0=None, tol=None, max_iter=200):
+def newton_minimise(F, W0, tol, *, c=0.0, Z=None, Y=None, max_iter):
+    """Batched damped Newton for w -> F(w) + (c/2)|w - Z|^2 - (Y, w).
+
+    Each row of W0 (m, 2) starts its own 2-D minimisation; a row stops once
+    its gradient norm is at most ``tol`` (scalar or (m,)).  Directions that
+    are not finite or not descent fall back to steepest descent, and steps
+    pass the Armijo test on the objective within 60 halvings (a row whose
+    search fails takes its last trial step).  Returns the iterates and their
+    final gradient norms; judging those is left to the caller.
+    """
+    W = W0.copy()
+
+    def objective(w, z, y):
+        out = F._eval(w)
+        if c:
+            d = w - z
+            out = out + 0.5 * c * (d[:, 0] ** 2 + d[:, 1] ** 2)
+        if y is not None:
+            out = out - (w * y).sum(axis=1)
+        return out
+
+    def gradient(w):
+        g = F._grad(w)
+        if c:
+            g = g + c * (w - Z)
+        if Y is not None:
+            g = g - Y
+        return g
+
+    obj = objective(W, Z, Y)
+    for _ in range(max_iter):
+        G = gradient(W)
+        gn = np.hypot(G[:, 0], G[:, 1])
+        active = np.where(gn > tol)[0]
+        if active.size == 0:
+            return W, gn
+        Ga = G[active]
+        Wa = W[active]
+        H = F._hess(Wa)
+        if c:
+            H[:, 0, 0] += c
+            H[:, 1, 1] += c
+        step = -_solve2x2(H, Ga)
+        slope = (Ga * step).sum(axis=1)
+        bad = ~np.isfinite(step).all(axis=1) | (slope >= 0.0)
+        if bad.any():
+            step[bad] = -Ga[bad]
+            slope[bad] = -(gn[active][bad] ** 2)
+        Za = None if Z is None else Z[active]
+        Ya = None if Y is None else Y[active]
+        obj_a = obj[active]
+        # the rounding floor keeps the Armijo test meaningful once the
+        # attainable decrease falls below float resolution of the objective
+        floor = 1e-14 * np.abs(obj_a) + 1e-300
+        alpha = np.ones(active.size)
+        for _ in range(60):
+            trial = Wa + alpha[:, None] * step
+            obj_t = objective(trial, Za, Ya)
+            ok = np.isfinite(obj_t) & (obj_t <= obj_a + 1e-4 * alpha * slope + floor)
+            if ok.all():
+                break
+            alpha = np.where(ok, alpha, 0.5 * alpha)
+        W[active] = trial
+        obj[active] = obj_t
+    G = gradient(W)
+    return W, np.hypot(G[:, 0], G[:, 1])
+
+
+def find_minimum(F, *, max_iter=200):
     """Argmin of a strictly convex coercive integrand.
 
-    Damped Newton on DF = 0 with Armijo backtracking on F, started at the
-    origin; plain gradient descent with halved steps takes over if a Newton
-    step fails.  Tolerance |DF| <= 1e-12 (1 + |F(0)|).
+    Damped Newton on DF = 0 with Armijo backtracking on F (``newton_minimise``),
+    started at the origin.  Tolerance |DF| <= 1e-12 (1 + |F(0)|); a final
+    |DF| above 100 times that raises ``NormalisationError``.
     """
-    x = np.zeros((1, 2)) if x0 is None else np.asarray(x0, dtype=float).reshape(1, 2)
-    if tol is None:
-        tol = 1e-12 * (1.0 + abs(F.eval(np.zeros(2))))
-    fx = F._eval(x)[0]
-    for _ in range(max_iter):
-        g = F._grad(x)
-        gn = float(np.hypot(g[0, 0], g[0, 1]))
-        if gn <= tol:
-            return x[0].copy()
-        H = F._hess(x)
-        step = -_solve2x2(H + 1e-12 * np.eye(2)[None], g)
-        slope = float((g * step).sum())
-        if not np.isfinite(step).all() or slope >= 0.0:
-            step = -g
-            slope = -gn**2
-        alpha = 1.0
-        floor = 1e-14 * abs(fx) + 1e-300  # rounding floor near convergence
-        for _ in range(60):
-            trial = x + alpha * step
-            ft = F._eval(trial)[0]
-            if np.isfinite(ft) and ft <= fx + 1e-4 * alpha * slope + floor:
-                break
-            alpha *= 0.5
-        else:
-            raise NormalisationError("argmin line search stalled")
-        x = x + alpha * step
-        fx = F._eval(x)[0]
-    g = F._grad(x)
-    if float(np.hypot(g[0, 0], g[0, 1])) <= 100.0 * tol:
-        return x[0].copy()
+    tol = 1e-12 * (1.0 + abs(F.eval(np.zeros(2))))
+    x, gn = newton_minimise(F, np.zeros((1, 2)), tol, max_iter=max_iter)
+    if gn[0] <= 100.0 * tol:
+        return x[0]
     raise NormalisationError(
-        f"argmin search did not reach |DF| <= {tol:g}; final |DF| = "
-        f"{float(np.hypot(g[0,0], g[0,1])):g}")
+        f"argmin search did not reach |DF| <= {tol:g}; final |DF| = {gn[0]:g}")
 
 
 def _golden_min(fun, lo, hi, iters=80):
@@ -977,13 +1018,7 @@ def check_gradient_finite_differences(F, rng, n=10**3, radius=10.0):
     """Max relative mismatch between DF and central differences of F."""
     z = rng.uniform(-radius, radius, (n, 2))
     g = F._grad(z)
-    h = 1e-6 * (1.0 + np.hypot(z[:, 0], z[:, 1]))
-    fd = np.empty_like(g)
-    for i in range(2):
-        e = np.zeros(2)
-        e[i] = 1.0
-        step = h[:, None] * e
-        fd[:, i] = (F._eval(z + step) - F._eval(z - step)) / (2.0 * h)
+    fd = FiniteDifferenceIntegrand(F)._grad(z)
     num = np.hypot(*(g - fd).T)
     den = 1.0 + np.hypot(*g.T)
     return float(np.max(num / den))

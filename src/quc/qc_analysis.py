@@ -334,8 +334,9 @@ def quasisymmetry_check(F, triples=None, rng=None, *, n_triples=10**4,
         w = rng.uniform(-radius, radius, (n_triples, 2))
     else:
         z0, z, w = (np.asarray(t, dtype=float) for t in triples)
-    gz = F._grad(z) - F._grad(z0)
-    gw = F._grad(w) - F._grad(z0)
+    g0 = F._grad(z0)
+    gz = F._grad(z) - g0
+    gw = F._grad(w) - g0
     num = np.hypot(gz[:, 0], gz[:, 1])
     den = np.hypot(gw[:, 0], gw[:, 1])
     dz = np.hypot(z[:, 0] - z0[:, 0], z[:, 1] - z0[:, 1])

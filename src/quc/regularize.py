@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .integrand import Integrand, IntegrandError, _solve2x2
+from .integrand import Integrand, IntegrandError, newton_minimise
 
 
 class ProxError(RuntimeError):
@@ -66,55 +66,13 @@ class MollifierSpec:
 # ---------------------------------------------------------------------------
 
 def _prox_solve(part, delta, Z, W0, *, grad_tol=1e-11, max_iter=80):
-    """Batched Newton with Armijo backtracking for the proximal problem
+    """Newton (``newton_minimise``) for the proximal problem
     w -> F(w) + |w - z|^2 / (2 delta), started at W0.  The inner Hessian is
     bounded below by Id/delta, so convergence is quadratic from any start."""
     Z = np.ascontiguousarray(Z, dtype=float)
-    W = W0.copy()
-    inv_delta = 1.0 / delta
     tol = grad_tol * (1.0 + np.hypot(Z[:, 0], Z[:, 1]))
-
-    def objective(w):
-        d = w - Z
-        return part._eval(w) + 0.5 * inv_delta * (d[:, 0] ** 2 + d[:, 1] ** 2)
-
-    obj = objective(W)
-    for _ in range(max_iter):
-        G = part._grad(W) + inv_delta * (W - Z)
-        gn = np.hypot(G[:, 0], G[:, 1])
-        active = np.where(gn > tol)[0]
-        if active.size == 0:
-            return W
-        Ga = G[active]
-        H = part._hess(W[active])
-        H[:, 0, 0] += inv_delta
-        H[:, 1, 1] += inv_delta
-        step = -_solve2x2(H, Ga)
-        slope = (Ga * step).sum(axis=1)
-        bad = ~np.isfinite(step).all(axis=1) | (slope >= 0.0)
-        if bad.any():
-            step[bad] = -Ga[bad]
-            slope[bad] = -(gn[active][bad] ** 2)
-        alpha = np.ones(active.size)
-        Wa = W[active]
-        Za = Z[active]
-        obj_a = obj[active]
-        # the rounding floor keeps the Armijo test meaningful once the
-        # attainable decrease falls below float resolution of the objective
-        floor = 1e-14 * np.abs(obj_a) + 1e-300
-        for _ in range(40):
-            trial = Wa + alpha[:, None] * step
-            d = trial - Za
-            obj_t = part._eval(trial) + 0.5 * inv_delta * (d[:, 0] ** 2 + d[:, 1] ** 2)
-            ok = np.isfinite(obj_t) & (obj_t <= obj_a + 1e-4 * alpha * slope + floor)
-            if ok.all():
-                break
-            alpha = np.where(ok, alpha, 0.5 * alpha)
-        W[active] = Wa + alpha[:, None] * step
-        obj[active] = obj_t
-    G = part._grad(W) + inv_delta * (W - Z)
-    gn = np.hypot(G[:, 0], G[:, 1])
-    if np.any(gn > 100.0 * tol):
+    W, gn = newton_minimise(part, W0, tol, c=1.0 / delta, Z=Z, max_iter=max_iter)
+    if not np.all(gn <= 100.0 * tol):
         raise ProxError(
             f"proximal Newton stalled at |grad| = {float(gn.max()):g} "
             f"(tolerance {float(tol.max()):g})")

@@ -98,7 +98,6 @@ class Mesh:
         self._coo_cols = np.broadcast_to(self.tris[:, None, :],
                                          (tris.shape[0], 3, 3)).ravel()
         self._node_tris = None
-        self._tri_neighbors = None
 
     @property
     def n_nodes(self):
@@ -109,35 +108,16 @@ class Mesh:
         return self.tris.shape[0]
 
     def node_tris(self):
-        """List of incident triangle indices per node (lazy)."""
-        if self._node_tris is None:
-            lists = [[] for _ in range(self.n_nodes)]
-            for t, tri in enumerate(self.tris):
-                for v in tri:
-                    lists[v].append(t)
-            self._node_tris = lists
-        return self._node_tris
+        """Sparse (N, M) node-triangle incidence matrix, CSR (lazy).
 
-    def tri_neighbors(self):
-        """Edge-adjacent triangle indices, (M, 3) with -1 for boundary edges."""
-        if self._tri_neighbors is None:
+        Row a holds a 1 for each triangle with vertex a; in inc.T @ inc the
+        entry for two distinct triangles counts their shared vertices."""
+        if self._node_tris is None:
             M = self.n_tris
-            edges = np.sort(np.stack([self.tris[:, [0, 1]], self.tris[:, [1, 2]],
-                                      self.tris[:, [2, 0]]], axis=1), axis=2).reshape(-1, 2)
-            owner = np.repeat(np.arange(M), 3)
-            order = np.lexsort((edges[:, 1], edges[:, 0]))
-            es, os_ = edges[order], owner[order]
-            nb = np.full((M, 3), -1, dtype=np.int64)
-            same = (es[:-1] == es[1:]).all(axis=1)
-            slot = np.zeros(M, dtype=np.int64)
-            for k in np.where(same)[0]:
-                t1, t2 = os_[k], os_[k + 1]
-                nb[t1, slot[t1]] = t2
-                nb[t2, slot[t2]] = t1
-                slot[t1] += 1
-                slot[t2] += 1
-            self._tri_neighbors = nb
-        return self._tri_neighbors
+            self._node_tris = sparse.csr_matrix(
+                (np.ones(3 * M, dtype=np.int64), (self.tris.ravel(), np.repeat(np.arange(M), 3))),
+                shape=(self.n_nodes, M))
+        return self._node_tris
 
 
 @dataclass
@@ -390,13 +370,11 @@ def _recover_dv(mesh, v):
         sol = np.linalg.solve(Mn[good], Rn[good])  # (K, 3, 2)
         dv[good] = np.transpose(sol[:, 1:, :], (0, 2, 1)) / h
 
-    node_tris = mesh.node_tris()
-    for nidx in np.where(mesh.used & ~good)[0]:
-        patch = set(node_tris[nidx])
-        ring = {int(vv) for t in patch for vv in mesh.tris[t]}
-        for vv in ring:
-            patch.update(node_tris[vv])
-        patch = sorted(patch)
+    bad = np.where(mesh.used & ~good)[0]
+    inc = mesh.node_tris()
+    rings = (inc[bad] @ inc.T @ inc).sorted_indices()
+    for k, nidx in enumerate(bad):
+        patch = rings.indices[rings.indptr[k]:rings.indptr[k + 1]]
         dxp = (mesh.bary[patch] - mesh.nodes[nidx]) / h
         A = np.stack([np.ones(len(patch)), dxp[:, 0], dxp[:, 1]], axis=1)
         w = np.sqrt(mesh.areas[patch])

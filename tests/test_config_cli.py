@@ -202,6 +202,21 @@ def test_cli_config_error_exit(tmp_path):
     assert main(["validate", str(path)]) == 2
 
 
+@pytest.mark.parametrize("overrides, where", [
+    ({"integrand": {"kind": "power", "p": "three"}}, "integrand"),
+    ({"problem": {"n": 17, "domain": "abc", "boundary": "x"}}, "problem.domain"),
+    ({"problem": {"n": 17, "boundary": "x",
+                  "mask": {"center": [0.5, 0.5], "radius": "r"}}}, "problem.mask.radius"),
+    ({"checks": [{"name": "caccioppoli", "rho": "a", "R": 0.2, "center": [0.5, 0.5],
+                  "k": 0.1}]}, r"checks\[0\]"),
+], ids=["p", "domain", "mask_radius", "rho"])
+def test_cli_malformed_value_is_config_error(tmp_path, capsys, overrides, where):
+    assert main(["validate", str(_config(tmp_path, **overrides))]) == 2
+    assert capsys.readouterr().err.startswith("config error: ")
+    with pytest.raises(ConfigError, match=f"^{where}: "):
+        parse_config(tmp_path / "cfg.json")
+
+
 def test_cli_degiorgi(tmp_path, capsys):
     out = tmp_path / "dg.csv"
     code = main(["degiorgi", "--X0", "0.2", "--C", "1", "--b", "4", "--R", "1",

@@ -3,7 +3,9 @@ import pytest
 
 import quc
 from quc.csvio import read_csv, write_csv
-from quc.estimates import REPORT_FIELDS, VerificationReport, super_level_mask
+from quc.estimates import (REPORT_FIELDS, VerificationReport, _straddling_count,
+                           super_level_mask)
+from quc.solver import Mesh
 
 
 # ---------------------------------------------------------------------------
@@ -50,6 +52,23 @@ def test_super_level_nesting(sol_p3_scaled):
     a_small = super_level_mask(sol, 0.8, np.zeros(2), 0.4, c)
     a_large = super_level_mask(sol, 0.5, np.zeros(2), 0.4, c)
     assert not np.any(a_small & ~a_large)  # A(k, .) shrinks as k grows
+
+
+def test_straddling_count_matches_edge_dictionary(rng):
+    m = Mesh(((0.0, 1.0), (0.0, 1.0)), 17, mask=(np.array([0.5, 0.5]), 0.44))
+    owners = {}
+    for t, tri in enumerate(m.tris.tolist()):
+        for e in ((tri[0], tri[1]), (tri[1], tri[2]), (tri[2], tri[0])):
+            owners.setdefault(tuple(sorted(e)), []).append(t)
+    assert max(len(ts) for ts in owners.values()) == 2
+    for _ in range(5):
+        member = rng.random(m.n_tris) < 0.5
+        region = rng.random(m.n_tris) < 0.7
+        differs = np.zeros(m.n_tris, dtype=bool)
+        for ts in owners.values():
+            if len(ts) == 2 and member[ts[0]] != member[ts[1]]:
+                differs[ts] = True
+        assert _straddling_count(m, member, region) == int((differs & region).sum())
 
 
 # ---------------------------------------------------------------------------

@@ -3,10 +3,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import quc
-from quc.integrand import (IntegrandError, RadialProfile,
+from quc.integrand import (IntegrandError, NormalisationError, RadialProfile,
                            check_gradient_finite_differences,
                            check_hessian_symmetry, check_midpoint_convexity,
-                           gradient_infimum_on_circle)
+                           find_minimum, gradient_infimum_on_circle)
 from conftest import catalogue
 
 
@@ -193,6 +193,15 @@ def test_normalise_shifted_quadratic(rng):
     np.testing.assert_allclose(Fn.normalisation["zbar"], [1.0, 1.0], atol=1e-10)
     z = rng.uniform(-3, 3, (100, 2))
     np.testing.assert_allclose(Fn.eval(z), 0.5 * (z**2).sum(axis=1), atol=1e-10)
+
+
+def test_find_minimum_reports_nonconvergence():
+    # |z - (1,1)|^2 / 2 + const: |DF(0)| = sqrt(2), so no step means no argmin
+    F = quc.combine("affine_add", [quc.make_power(2.0)],
+                    w=np.array([-1.0, -1.0]), c=1.0)
+    with pytest.raises(NormalisationError, match="final"):
+        find_minimum(F, max_iter=0)
+    np.testing.assert_allclose(find_minimum(F), [1.0, 1.0], atol=1e-12)
 
 
 def test_normalise_fixed_point(rng):

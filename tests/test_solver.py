@@ -3,7 +3,7 @@ import pytest
 
 import quc
 from quc.config import compile_boundary_expression
-from quc.solver import Mesh, SolverError, assemble_energy
+from quc.solver import Mesh, SolverError, _recover_dv, assemble_energy
 
 
 # ---------------------------------------------------------------------------
@@ -227,6 +227,38 @@ def test_stress_harmonic_closed_form(sol_harmonic):
     core = ((np.abs(m.bary[:, 0] - 0.5) < 0.5 - 2.5 * h)
             & (np.abs(m.bary[:, 1] - 0.5) < 0.5 - 2.5 * h))
     np.testing.assert_allclose((st.dv_tri[core]**2).sum(axis=(1, 2)), 8.0, atol=1e-9)
+
+
+@pytest.mark.parametrize("mask", [None, (np.array([0.5, 0.5]), 0.44)])
+def test_stress_recovery_exact_for_affine_stress(mask):
+    # An affine V = A x + b lies in every patch fit's model space, so the
+    # recovered DV equals A up to rounding, on the fallback patches too.
+    m = Mesh(((0.0, 1.0), (0.0, 1.0)), 17, mask=mask)
+    A = np.array([[1.3, -0.7], [0.4, 2.1]])
+    v = m.bary @ A.T + np.array([0.25, -1.5])
+    h = min(m.hx, m.hy)
+    # reference patches: the incident triangles, or the two-ring where those
+    # are at most two (collinear barycenters); the normal equations square
+    # the condition number of the weighted design matrix, lstsq does not
+    kappa = []
+    n_fallback = 0
+    for a in np.where(m.used)[0]:
+        patch = np.where((m.tris == a).any(axis=1))[0]
+        power = 2
+        if patch.size <= 2:
+            patch = np.where(np.isin(m.tris, m.tris[patch]).any(axis=1))[0]
+            power = 1
+            n_fallback += 1
+        dx = (m.bary[patch] - m.nodes[a]) / h
+        design = np.stack([np.ones(patch.size), dx[:, 0], dx[:, 1]], axis=1)
+        kappa.append(np.linalg.cond(design * np.sqrt(m.areas[patch])[:, None]) ** power)
+    assert n_fallback == (4 if mask is None else 16)
+    # a relative rounding error eps in data of size |v| moves the scaled
+    # slope by kappa eps |v|, and DV is that slope divided by h
+    tol = max(kappa) * np.finfo(float).eps * np.abs(v).max() / h
+    dv = _recover_dv(m, v)
+    assert np.abs(dv[m.used] - A).max() <= tol
+    assert not dv[~m.used].any()
 
 
 def test_divergence_pairing_small(sol_harmonic, sol_p3_oracle):
