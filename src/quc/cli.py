@@ -48,30 +48,15 @@ def _make_problem(cfg, F, n=None):
 
 
 def _solve(cfg, F, n=None):
-    kw = {}
-    s = cfg.solver
-    if "method" in s:
-        kw["method"] = s["method"]
-    if "tol_rel" in s:
-        kw["tol_rel"] = float(s["tol_rel"])
-    if "max_iter" in s:
-        kw["max_iter"] = int(s["max_iter"])
-    if "gd_max_iter" in s:
-        kw["gd_max_iter"] = int(s["gd_max_iter"])
-    return solve(_make_problem(cfg, F, n), **kw)
+    return solve(_make_problem(cfg, F, n), **cfg.solver)
 
 
 def _solution_rows(sol):
+    """(M, 11) array of the SOLUTION_FIELDS, one row per triangle."""
     st = stress_field(sol)
     mesh = sol.mesh
-    u_bary = sol.u[mesh.tris].mean(axis=1)
-    rows = []
-    for t in range(mesh.n_tris):
-        rows.append([mesh.bary[t, 0], mesh.bary[t, 1], u_bary[t],
-                     sol.du[t, 0], sol.du[t, 1], st.v[t, 0], st.v[t, 1],
-                     st.dv_tri[t, 0, 0], st.dv_tri[t, 0, 1],
-                     st.dv_tri[t, 1, 0], st.dv_tri[t, 1, 1]])
-    return rows
+    return np.column_stack([mesh.bary, sol.u[mesh.tris].mean(axis=1), sol.du, st.v,
+                            st.dv_tri.reshape(-1, 4)])
 
 
 # ---------------------------------------------------------------------------
@@ -165,7 +150,7 @@ def cmd_solve(cfg, args, out_dir, rng):
           f"iterations={sol.iterations} converged={sol.converged}")
     print(f"solve: wrote {path}")
     if not sol.converged:
-        print("solve: solver non-converged", file=sys.stderr)
+        print(f"solve: solver non-converged ({sol.stop_reason})", file=sys.stderr)
         return 1
     return 0
 
@@ -178,8 +163,7 @@ def cmd_gauge(cfg, args, out_dir, rng):
     ok = True
     for k in levels:
         gs = dg.gauge_bounds(F, k, n_angles=args.angles, H=H)
-        for th, val in zip(gs.angles, gs.values):
-            table_rows.append([k, th, val])
+        table_rows.append(np.column_stack([np.full(gs.angles.shape, k), gs.angles, gs.values]))
         check_rows.append({
             "k": k, "sup": gs.sup, "inf": gs.inf, "lipschitz": gs.lipschitz,
             "lip_bound": gs.checks.get("lipschitz_bound"),
@@ -191,7 +175,7 @@ def cmd_gauge(cfg, args, out_dir, rng):
               f"lip={gs.lipschitz:.6g} {'PASS' if lip_ok else 'FAIL'}")
     prov = _provenance(cfg, args.seed)
     write_csv(os.path.join(out_dir, "gauge_table.csv"), ["k", "angle", "g"],
-              table_rows, prov)
+              np.concatenate(table_rows), prov)
     write_csv(os.path.join(out_dir, "gauge_checks.csv"),
               ["k", "sup", "inf", "lipschitz", "lip_bound", "sup_inf_ratio", "H"],
               check_rows, prov)
@@ -255,7 +239,7 @@ def run(cfg, out_dir=".", seed=None, checks=None):
         print(f"solve: energy={sol.energy:.12g} residual={sol.residual:.3g} "
               f"converged={sol.converged}")
         if not sol.converged:
-            failures.append("solver non-converged")
+            failures.append(f"solver non-converged ({sol.stop_reason})")
 
     H = qa.estimate_H(F, rng=np.random.default_rng(seed + 1)).H_est if needs_solve else None
     reports = []
@@ -315,7 +299,7 @@ def cmd_degiorgi(args, out_dir):
     print(f"degiorgi threshold={res.threshold:.17g} X0={res.X0:.17g} "
           f"verdict={res.verdict} steps={res.steps}")
     if args.out:
-        rows = [[n, x] for n, x in enumerate(res.sequence)]
+        rows = np.column_stack([np.arange(res.sequence.size), res.sequence])
         write_csv(args.out, ["step", "X"], rows,
                   f"quc-version={__version__} degiorgi X0={res.X0:.17g} "
                   f"C={args.C:.17g} b={args.b:.17g} R={args.R:.17g} N={args.N} "

@@ -1,9 +1,12 @@
 """Experiment configuration: JSON schema, validation, boundary expressions.
 
 A config is one integrand plus one grid problem plus a list of checks.
-Unknown keys are rejected with their full key path, and numeric parameters
-are validated against the module preconditions at parse time by actually
-constructing the integrand.
+Unknown keys are rejected with their full key path.  Every value is checked
+at parse time: integrand parameters by actually constructing the
+integrand, check, mask and solver values by converting them as the
+pipeline will (and the De Giorgi parameters against
+``estimates.degiorgi_iterate``'s preconditions), so a bad value is a
+``ConfigError`` naming its key path, never a failure after the solve.
 
 Boundary data is a tiny arithmetic expression over x and y supporting
 +, -, *, /, ** (also ^), abs and sqrt, so oracle solutions such as
@@ -20,6 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import estimates as est
 from . import integrand as ig
 from . import regularize as rg
 
@@ -204,6 +208,65 @@ _CHECK_KEYS = {
     "lipschitz": {"name", "R", "center", "assert_max_ratio", "out"},
     "degiorgi": {"name", "X0", "C", "b", "R", "N", "expect", "out"},
 }
+_CHECK_REQUIRED = {
+    "caccioppoli": ("rho", "R", "center"),
+    "caccioppoli_l1": ("R", "center"),
+    "sobolev": ("R", "center"),
+    "lipschitz": ("R", "center"),
+    "degiorgi": ("X0", "C", "b", "R", "N"),
+}
+
+
+# Value converters: each returns the value the pipeline uses or raises
+# ValueError/TypeError, which ``_at`` reports at the key's path.
+
+def _positive(v):
+    x = float(v)
+    if not 0.0 < x < np.inf:
+        raise ValueError(f"need a positive finite number, got {v!r}")
+    return x
+
+
+def _point(v):
+    a = np.asarray(v, dtype=float)
+    if a.shape != (2,):
+        raise ValueError(f"need a point [x, y], got {v!r}")
+    return a
+
+
+def _count(least):
+    def convert(v):
+        if isinstance(v, bool) or not isinstance(v, int) or v < least:
+            raise ValueError(f"need an integer >= {least}, got {v!r}")
+        return v
+    return convert
+
+
+def _affine(v):
+    if not isinstance(v, dict) or set(v) != {"c", "b"}:
+        raise ValueError(f"need {{'c': c, 'b': [b1, b2]}}, got {v!r}")
+    return float(v["c"]), _point(v["b"])
+
+
+def _filename(v):
+    if not isinstance(v, str) or not v:
+        raise ValueError(f"need a file name, got {v!r}")
+    return v
+
+
+def _method(v):
+    if v not in ("newton", "gradient"):
+        raise ValueError(f"need 'newton' or 'gradient', got {v!r}")
+    return v
+
+
+_CHECK_VALUES = {
+    "rho": _positive, "R": _positive, "center": _point, "k": float, "ell": _affine,
+    "assert_max_ratio": float, "X0": float, "C": float, "b": float, "N": _count(2),
+    "out": _filename,
+}
+_SOLVER_VALUES = {"method": _method, "tol_rel": _positive,
+                  "max_iter": _count(0), "gd_max_iter": _count(0)}
 
 
 @dataclass
@@ -241,9 +304,10 @@ def _validate_problem(spec):
     if mask is not None:
         if not isinstance(mask, dict) or set(mask) != {"center", "radius"}:
             raise ConfigError("problem.mask: need {'center': [x,y], 'radius': r}")
+        with _at("problem.mask.center"):
+            _point(mask["center"])
         with _at("problem.mask.radius"):
-            if not float(mask["radius"]) > 0:
-                raise ConfigError("problem.mask.radius: must be positive")
+            _positive(mask["radius"])
 
 
 def _validate_check(spec, i):
@@ -255,22 +319,34 @@ def _validate_check(spec, i):
         raise ConfigError(f"{path}.name: unknown check {name!r} "
                           f"(known: {sorted(_CHECK_KEYS)})")
     _check_keys(spec, _CHECK_KEYS[name], path)
+    for key in _CHECK_REQUIRED[name]:
+        if key not in spec:
+            raise ConfigError(f"{path}: {name} needs {key!r}")
+    vals = {}
+    for key, convert in _CHECK_VALUES.items():
+        if key in spec:
+            with _at(f"{path}.{key}"):
+                vals[key] = convert(spec[key])
     if name == "caccioppoli":
-        for key in ("rho", "R", "center"):
-            if key not in spec:
-                raise ConfigError(f"{path}: caccioppoli needs {key!r}")
-        if not float(spec["rho"]) < float(spec["R"]):
+        if not vals["rho"] < vals["R"]:
             raise ConfigError(f"{path}: need rho < R")
         if "k" not in spec and "ell" not in spec:
             raise ConfigError(f"{path}: caccioppoli needs 'k' or 'ell'")
-    elif name in ("caccioppoli_l1", "sobolev", "lipschitz"):
-        for key in ("R", "center"):
-            if key not in spec:
-                raise ConfigError(f"{path}: {name} needs {key!r}")
-    else:
-        for key in ("X0", "C", "b", "R", "N"):
-            if key not in spec:
-                raise ConfigError(f"{path}: degiorgi needs {key!r}")
+    elif name == "degiorgi":
+        with _at(path):
+            est.degiorgi_iterate(vals["X0"], vals["C"], vals["b"], vals["R"], vals["N"],
+                                 max_steps=0)
+
+
+def _validate_solver(spec):
+    if not isinstance(spec, dict):
+        raise ConfigError("solver: expected a mapping")
+    _check_keys(spec, _SOLVER_KEYS, "solver")
+    out = {}
+    for key, value in spec.items():
+        with _at(f"solver.{key}"):
+            out[key] = _SOLVER_VALUES[key](value)
+    return out
 
 
 def parse_config(path):
@@ -297,15 +373,14 @@ def parse_config(path):
     for i, c in enumerate(checks):
         with _at(f"checks[{i}]"):
             _validate_check(c, i)
-    solver = raw.get("solver", {})
-    _check_keys(solver, _SOLVER_KEYS, "solver")
+    solver = _validate_solver(raw.get("solver", {}))
     seed = raw.get("seed", 0)
     if not isinstance(seed, int):
         raise ConfigError(f"config.seed: need an integer, got {seed!r}")
     return ExperimentConfig(
         integrand_spec=raw["integrand"], integrand=F,
         problem_spec=raw["problem"], boundary=boundary,
-        checks=checks, solver=dict(solver),
+        checks=checks, solver=solver,
         seed=seed, out_dir=str(raw.get("out_dir", ".")),
         source_text=text, path=str(path),
     )

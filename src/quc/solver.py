@@ -248,6 +248,7 @@ class GridSolution:
     iterations: int
     converged: bool
     method: str
+    stop_reason: str         # "tol", "max_iter" or "line_search_stalled"
     _stress: StressField | None = field(default=None, repr=False, compare=False)
 
     def stress(self):
@@ -272,13 +273,20 @@ def solve(problem, *, method="newton", tol_rel=1e-9, max_iter=60,
     nonincreasing.  ``method="gradient"`` forces the Barzilai-Borwein
     fallback throughout.  Terminates when the interior gradient max-norm
     drops below tol_rel (1 + initial residual); hitting the iteration cap
-    returns the best iterate flagged ``converged=False``.
+    or an Armijo search that finds no decrease returns the best iterate
+    flagged ``converged=False``, and ``stop_reason`` says which.
+
+    The initial guess is the Coons interpolation of the outer-edge data;
+    interior nodes where it is not finite (the outer edges of a masked
+    domain may lie where the boundary expression is undefined) start at
+    the mean of the Dirichlet data.
     """
     F = problem.integrand
     mesh = problem.mesh()
     data = problem.boundary_values(mesh)
     u = _coons_init(mesh, data)
     u[mesh.dirichlet] = data[mesh.dirichlet]
+    u[mesh.interior & ~np.isfinite(u)] = data[mesh.dirichlet].mean()
     ii = mesh.interior_idx
 
     energy, g = assemble_energy(F, mesh, u)
@@ -294,8 +302,11 @@ def solve(problem, *, method="newton", tol_rel=1e-9, max_iter=60,
     g_prev = None
     alpha_gd = 1.0
     cap = max_iter if newton else gd_max_iter
+    stop_reason = "max_iter"
 
-    while res > tol and iterations < cap:
+    # "not <=" keeps iterating on a NaN residual, so that case ends with a
+    # failed line search instead of passing as an untried iteration cap.
+    while not res <= tol and iterations < cap:
         d = np.zeros_like(u)
         slope = None
         if newton:
@@ -326,18 +337,20 @@ def solve(problem, *, method="newton", tol_rel=1e-9, max_iter=60,
         u_prev, g_prev = u[ii].copy(), g[ii].copy()
         alpha, e_trial = _armijo(F, mesh, u, d, energy, slope)
         if alpha is None:
+            stop_reason = "line_search_stalled"
             break
         u = u + alpha * d
         energy, g = assemble_energy(F, mesh, u)
         res = float(np.abs(g[ii]).max()) if ii.size else 0.0
         iterations += 1
 
+    converged = bool(res <= tol)
     du = _tri_gradients(mesh, u)
     v = F._grad(np.ascontiguousarray(du))
     return GridSolution(
         problem=problem, mesh=mesh, u=u, du=du, v=v, energy=energy,
-        residual=res, iterations=iterations, converged=bool(res <= tol),
-        method=method,
+        residual=res, iterations=iterations, converged=converged,
+        method=method, stop_reason="tol" if converged else stop_reason,
     )
 
 

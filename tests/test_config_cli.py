@@ -193,7 +193,7 @@ def test_cli_nonconverged_exit(tmp_path, capsys):
                   problem={"n": 17, "boundary": "x*y + x^3"})
     code = main(["--out-dir", str(tmp_path), "verify", str(cfg)])
     assert code == 1
-    assert "non-converged" in capsys.readouterr().err
+    assert "non-converged (max_iter)" in capsys.readouterr().err
 
 
 def test_cli_config_error_exit(tmp_path):
@@ -202,14 +202,49 @@ def test_cli_config_error_exit(tmp_path):
     assert main(["validate", str(path)]) == 2
 
 
-@pytest.mark.parametrize("overrides, where", [
-    ({"integrand": {"kind": "power", "p": "three"}}, "integrand"),
-    ({"problem": {"n": 17, "domain": "abc", "boundary": "x"}}, "problem.domain"),
-    ({"problem": {"n": 17, "boundary": "x",
-                  "mask": {"center": [0.5, 0.5], "radius": "r"}}}, "problem.mask.radius"),
-    ({"checks": [{"name": "caccioppoli", "rho": "a", "R": 0.2, "center": [0.5, 0.5],
-                  "k": 0.1}]}, r"checks\[0\]"),
-], ids=["p", "domain", "mask_radius", "rho"])
+def _check(base, **changes):
+    return {"checks": [{**base, **changes}]}
+
+
+_CAC = {"name": "caccioppoli", "rho": 0.1, "R": 0.2, "center": [0.5, 0.5], "k": 0.1}
+_LIP = {"name": "lipschitz", "R": 0.2, "center": [0.5, 0.5]}
+_DG = {"name": "degiorgi", "X0": 0.2, "C": 1.0, "b": 4.0, "R": 1.0, "N": 2}
+_MALFORMED = {
+    "p": ({"integrand": {"kind": "power", "p": "three"}}, "integrand"),
+    "domain": ({"problem": {"n": 17, "domain": "abc", "boundary": "x"}}, "problem.domain"),
+    "mask_radius": ({"problem": {"n": 17, "boundary": "x",
+                                 "mask": {"center": [0.5, 0.5], "radius": "r"}}},
+                    "problem.mask.radius"),
+    "rho": (_check(_CAC, rho="a"), r"checks\[0\]\.rho"),
+    "R": (_check(_LIP, R="a"), r"checks\[0\]\.R"),
+    "R_negative": (_check(_LIP, R=-0.2), r"checks\[0\]\.R"),
+    "center": (_check(_LIP, center="ab"), r"checks\[0\]\.center"),
+    "center_length": (_check(_LIP, center=[0.5]), r"checks\[0\]\.center"),
+    "k": (_check(_CAC, k="a"), r"checks\[0\]\.k"),
+    "ell": (_check(_CAC, ell={"c": 0.1, "b": "ab"}), r"checks\[0\]\.ell"),
+    "ell_keys": (_check(_CAC, ell={"c": 0.1}), r"checks\[0\]\.ell"),
+    "assert_max_ratio": (_check(_LIP, assert_max_ratio="big"),
+                         r"checks\[0\]\.assert_max_ratio"),
+    "out": (_check(_LIP, out=5), r"checks\[0\]\.out"),
+    "X0": (_check(_DG, X0="a"), r"checks\[0\]\.X0"),
+    "C": (_check(_DG, C=[1]), r"checks\[0\]\.C"),
+    "b": (_check(_DG, b=None), r"checks\[0\]\.b"),
+    "degiorgi_R": (_check(_DG, R="a"), r"checks\[0\]\.R"),
+    "N": (_check(_DG, N=2.5), r"checks\[0\]\.N"),
+    "degiorgi_range": (_check(_DG, C=-1.0), r"checks\[0\]"),
+    "mask_center": ({"problem": {"n": 17, "boundary": "x",
+                                 "mask": {"center": "ab", "radius": 0.4}}},
+                    "problem.mask.center"),
+    "method": ({"solver": {"method": "bfgs"}}, "solver.method"),
+    "tol_rel": ({"solver": {"tol_rel": "tiny"}}, "solver.tol_rel"),
+    "tol_rel_zero": ({"solver": {"tol_rel": 0}}, "solver.tol_rel"),
+    "max_iter": ({"solver": {"max_iter": 2.5}}, "solver.max_iter"),
+    "max_iter_negative": ({"solver": {"max_iter": -1}}, "solver.max_iter"),
+    "gd_max_iter": ({"solver": {"gd_max_iter": "many"}}, "solver.gd_max_iter"),
+}
+
+
+@pytest.mark.parametrize("overrides, where", list(_MALFORMED.values()), ids=list(_MALFORMED))
 def test_cli_malformed_value_is_config_error(tmp_path, capsys, overrides, where):
     assert main(["validate", str(_config(tmp_path, **overrides))]) == 2
     assert capsys.readouterr().err.startswith("config error: ")

@@ -190,6 +190,38 @@ def test_iteration_cap_flags_nonconverged():
     assert not sol.converged
 
 
+def test_stop_reason(monkeypatch):
+    def problem():
+        return quc.GridProblem(integrand=quc.make_power(3.0), n=17,
+                               boundary=compile_boundary_expression("x*y + x^3"))
+
+    capped = quc.solve(problem(), max_iter=1)
+    assert (capped.converged, capped.stop_reason) == (False, "max_iter")
+    done = quc.solve(problem())
+    assert (done.converged, done.stop_reason) == (True, "tol")
+    monkeypatch.setattr(quc.solver, "_armijo", lambda *a, **k: (None, None))
+    stalled = quc.solve(problem())
+    assert (stalled.converged, stalled.stop_reason, stalled.iterations) == (
+        False, "line_search_stalled", 0)
+
+
+def test_masked_solve_where_coons_guess_is_undefined():
+    # 0.2 - r^2 < 0 on the outer square's edges, so the Coons interpolation
+    # of their data is NaN on every used node, while the data are finite on
+    # the disk's Dirichlet nodes (r <= 0.44).
+    prob = quc.GridProblem(
+        integrand=quc.make_power(3.0), n=33,
+        boundary=compile_boundary_expression("1/sqrt(0.2 - (x-0.5)^2 - (y-0.5)^2)"),
+        mask=(np.array([0.5, 0.5]), 0.44))
+    with np.errstate(invalid="ignore"):
+        sol = quc.solve(prob)
+        data = prob.boundary_values(sol.mesh)
+    assert (sol.converged, sol.stop_reason) == (True, "tol")
+    m = sol.mesh
+    assert np.isfinite(sol.u[m.used]).all()
+    np.testing.assert_array_equal(sol.u[m.dirichlet], data[m.dirichlet])
+
+
 def test_masked_solve_smoke():
     prob = quc.GridProblem(integrand=quc.make_power(2.0), n=33,
                            boundary=compile_boundary_expression("x^2 - y^2"),
