@@ -18,7 +18,7 @@ from . import __version__
 from . import dual_geometry as dg
 from . import estimates as est
 from . import qc_analysis as qa
-from .config import ConfigError, parse_config
+from .config import ConfigError, _at, _validate_check, parse_config
 from .csvio import write_csv
 from .integrand import (check_gradient_finite_differences, check_hessian_symmetry,
                         check_midpoint_convexity, isotropic_envelope, normalise)
@@ -282,12 +282,15 @@ def cmd_verify(cfg, args, out_dir, rng):
         if args.k is not None:
             spec["k"] = args.k
         if args.ell is not None:
-            c, b1, b2 = (float(v) for v in args.ell.split(","))
+            with _at("--ell"):
+                c, b1, b2 = (float(v) for v in args.ell.split(","))
             spec["ell"] = {"c": c, "b": [b1, b2]}
         if args.center is not None:
-            spec["center"] = [float(v) for v in args.center.split(",")]
+            with _at("--center"):
+                spec["center"] = [float(v) for v in args.center.split(",")]
         if args.out:
             spec["out"] = args.out
+        _validate_check(spec, "--check")
         checks = [spec]
     code, _ = run(cfg, out_dir=out_dir, seed=args.seed, checks=checks)
     return code
@@ -373,6 +376,9 @@ def main(argv=None):
                "solve": cmd_solve, "gauge": cmd_gauge, "verify": cmd_verify}
     try:
         return handler[args.command](cfg, args, out_dir, rng)
+    except ConfigError as e:
+        print(f"config error: {e}", file=sys.stderr)
+        return 2
     except (SolverError, ValueError, RuntimeError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1

@@ -310,8 +310,7 @@ def _validate_problem(spec):
             _positive(mask["radius"])
 
 
-def _validate_check(spec, i):
-    path = f"checks[{i}]"
+def _validate_check(spec, path):
     if not isinstance(spec, dict) or "name" not in spec:
         raise ConfigError(f"{path}: each check needs a 'name'")
     name = spec["name"]
@@ -372,7 +371,7 @@ def parse_config(path):
         raise ConfigError("config.checks: expected a list")
     for i, c in enumerate(checks):
         with _at(f"checks[{i}]"):
-            _validate_check(c, i)
+            _validate_check(c, f"checks[{i}]")
     solver = _validate_solver(raw.get("solver", {}))
     seed = raw.get("seed", 0)
     if not isinstance(seed, int):

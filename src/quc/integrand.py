@@ -37,6 +37,13 @@ def as_points(z):
 class Integrand:
     """Base class: convex integrand with batched eval / grad / hess.
 
+    ``derivs(z, order)`` returns (F, DF, D2F) at an (m, 2) batch in one
+    pass, with None for the derivatives above ``order``.  The default calls
+    ``_eval``/``_grad``/``_hess`` in turn; kinds whose derivatives share
+    work (the Moreau envelope's proximal points, the mollifier's shifted
+    samples) override it, and the combinators forward it to their parts.
+    Its results equal those of the separate calls bit for bit.
+
     Attributes
     ----------
     kind : str
@@ -66,6 +73,11 @@ class Integrand:
 
     def _hess(self, z):
         raise NotImplementedError
+
+    def derivs(self, z, order=2):
+        return (self._eval(z),
+                self._grad(z) if order >= 1 else None,
+                self._hess(z) if order >= 2 else None)
 
     def eval(self, z):
         zz, single = as_points(z)
@@ -534,6 +546,10 @@ class SumIntegrand(Integrand):
     def _hess(self, z):
         return sum(f._hess(z) for f in self.parts)
 
+    def derivs(self, z, order=2):
+        parts = [f.derivs(z, order) for f in self.parts]
+        return tuple(sum(d[k] for d in parts) if k <= order else None for k in range(3))
+
     def describe(self):
         return "sum(" + ", ".join(f.describe() for f in self.parts) + ")"
 
@@ -563,6 +579,9 @@ class ScaledIntegrand(Integrand):
     def _hess(self, z):
         return self.lam * self.part._hess(z)
 
+    def derivs(self, z, order=2):
+        return tuple(None if d is None else self.lam * d for d in self.part.derivs(z, order))
+
     def describe(self):
         return f"scaled({self.lam:g} * {self.part.describe()})"
 
@@ -591,6 +610,10 @@ class ShiftedIntegrand(Integrand):
     def _hess(self, z):
         return self.part._hess(z + self.zbar)
 
+    def derivs(self, z, order=2):
+        f, g, h = self.part.derivs(z + self.zbar, order)
+        return f - self._offset, g, h
+
     def describe(self):
         return f"shifted({self.part.describe()}, zbar=({self.zbar[0]:g},{self.zbar[1]:g}))"
 
@@ -616,6 +639,10 @@ class AffineAddIntegrand(Integrand):
 
     def _hess(self, z):
         return self.part._hess(z)
+
+    def derivs(self, z, order=2):
+        f, g, h = self.part.derivs(z, order)
+        return f + z @ self.w + self.c, None if g is None else g + self.w, h
 
     def describe(self):
         return f"affine_add({self.part.describe()}, w=({self.w[0]:g},{self.w[1]:g}))"

@@ -83,10 +83,13 @@ class MoreauIntegrand(Integrand):
     """Moreau-Yosida envelope F_delta(z) = inf_w F(w) + |w - z|^2 / (2 delta).
 
     The envelope keeps the ellipticity bound of F and satisfies
-    lmax(D2 F_delta) <= 1/delta.  Gradients come from the proximal point,
-    DF_delta(z) = (z - prox(z)) / delta; Hessians from central differences
-    of the gradient with step 1e-5 (1 + |z|).  Every ``prox`` call solves
-    from scratch, so results do not depend on earlier calls.
+    lmax(D2 F_delta) <= 1/delta.  Value and gradient come from the same
+    proximal point p = prox(z): F_delta(z) = F(p) + |p - z|^2 / (2 delta)
+    and DF_delta(z) = (z - p) / delta, so ``derivs`` solves one proximal
+    problem per point for both; Hessians come from central differences of
+    the gradient with step 1e-5 (1 + |z|), four more proximal solves.
+    Every ``prox`` call solves from scratch, so results do not depend on
+    earlier calls.
     """
 
     kind = "moreau"
@@ -108,9 +111,7 @@ class MoreauIntegrand(Integrand):
         return W[0] if single else W
 
     def _eval(self, z):
-        W = self.prox(z)
-        d = W - z
-        return self.part._eval(W) + 0.5 / self.delta * (d[:, 0] ** 2 + d[:, 1] ** 2)
+        return self.derivs(z, 0)[0]
 
     def _grad(self, z):
         return (z - self.prox(z)) / self.delta
@@ -123,6 +124,14 @@ class MoreauIntegrand(Integrand):
             step = h[:, None] * eye[i]
             out[:, :, i] = (self._grad(z + step) - self._grad(z - step)) / (2.0 * h[:, None])
         return out
+
+    def derivs(self, z, order=2):
+        W = self.prox(z)
+        d = W - z
+        f = self.part._eval(W) + 0.5 / self.delta * (d[:, 0] ** 2 + d[:, 1] ** 2)
+        return (f,
+                (z - W) / self.delta if order >= 1 else None,
+                self._hess(z) if order >= 2 else None)
 
     def describe(self):
         return f"moreau({self.part.describe()}, delta={self.delta:g})"
@@ -145,7 +154,9 @@ class MollifiedIntegrand(Integrand):
 
     Values and gradients integrate F and DF against phi_eps; Hessians use
     integration by parts, pairing DF with the bump's gradient, so only first
-    derivatives of F are ever needed.  Jensen gives F * phi_eps >= F
+    derivatives of F are ever needed.  ``derivs`` therefore takes value,
+    gradient and Hessian from one ``part.derivs`` pass of order at most 1
+    over the shifted quadrature points.  Jensen gives F * phi_eps >= F
     pointwise, and the quadratic term pins lmin >= mu.
     """
 
@@ -172,35 +183,46 @@ class MollifiedIntegrand(Integrand):
         for lo in range(0, m, rows):
             yield lo, min(lo + rows, m)
 
+    def _convolve(self, z, orders, sample):
+        """Value (order 0), gradient (1) and Hessian (2) for each order in
+        ``orders``, the others None; ``sample(pts)`` returns the part's
+        (F, DF) at the shifted points, None where no order needs it."""
+        m, k = z.shape[0], self._nodes.shape[0]
+        f = np.empty(m) if 0 in orders else None
+        g = np.empty_like(z) if 1 in orders else None
+        h = np.empty((m, 2, 2)) if 2 in orders else None
+        for lo, hi in self._chunks(m):
+            vals, grads = sample(self._shifted(z[lo:hi]))
+            if f is not None:
+                f[lo:hi] = vals.reshape(-1, k) @ self.spec.weights
+            if grads is not None:
+                grads = grads.reshape(-1, k, 2)
+            if g is not None:
+                g[lo:hi] = np.einsum("mki,k->mi", grads, self.spec.weights)
+            if h is not None:
+                h[lo:hi] = np.einsum("mki,kj->mij", grads, self.spec.grad_weights) / self.eps
+        if f is not None:
+            f += 0.5 * self.mu * (z[:, 0] ** 2 + z[:, 1] ** 2)
+        if g is not None:
+            g += self.mu * z
+        if h is not None:
+            h = 0.5 * (h + np.transpose(h, (0, 2, 1)))
+            h[:, 0, 0] += self.mu
+            h[:, 1, 1] += self.mu
+        return f, g, h
+
     def _eval(self, z):
-        out = np.empty(z.shape[0])
-        w = self.spec.weights
-        k = self._nodes.shape[0]
-        for lo, hi in self._chunks(z.shape[0]):
-            vals = self.part._eval(self._shifted(z[lo:hi])).reshape(-1, k)
-            out[lo:hi] = vals @ w
-        return out + 0.5 * self.mu * (z[:, 0] ** 2 + z[:, 1] ** 2)
+        return self._convolve(z, (0,), lambda pts: (self.part._eval(pts), None))[0]
 
     def _grad(self, z):
-        out = np.empty_like(z)
-        w = self.spec.weights
-        k = self._nodes.shape[0]
-        for lo, hi in self._chunks(z.shape[0]):
-            g = self.part._grad(self._shifted(z[lo:hi])).reshape(-1, k, 2)
-            out[lo:hi] = np.einsum("mki,k->mi", g, w)
-        return out + self.mu * z
+        return self._convolve(z, (1,), lambda pts: (None, self.part._grad(pts)))[1]
 
     def _hess(self, z):
-        out = np.empty((z.shape[0], 2, 2))
-        gw = self.spec.grad_weights
-        k = self._nodes.shape[0]
-        for lo, hi in self._chunks(z.shape[0]):
-            g = self.part._grad(self._shifted(z[lo:hi])).reshape(-1, k, 2)
-            out[lo:hi] = np.einsum("mki,kj->mij", g, gw) / self.eps
-        out = 0.5 * (out + np.transpose(out, (0, 2, 1)))
-        out[:, 0, 0] += self.mu
-        out[:, 1, 1] += self.mu
-        return out
+        return self._convolve(z, (2,), lambda pts: (None, self.part._grad(pts)))[2]
+
+    def derivs(self, z, order=2):
+        return self._convolve(z, range(order + 1),
+                              lambda pts: self.part.derivs(pts, min(order, 1))[:2])
 
     def describe(self):
         return f"mollified({self.part.describe()}, eps={self.eps:g}, mu={self.mu:g})"

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import sparse
-from scipy.sparse.linalg import spsolve
+from scipy.sparse.linalg import splu
 
 
 class SolverError(RuntimeError):
@@ -177,21 +177,25 @@ def _tri_gradients(mesh, u):
     return np.einsum("tak,ta->tk", mesh.grads, u[mesh.tris])
 
 
-def assemble_energy(F, mesh, u, *, want_grad=True):
-    """Discrete energy and (optionally) its nodal gradient.
+def assemble_energy(F, mesh, u, *, want_grad=True, order=None):
+    """Discrete energy and (optionally) its nodal gradient from one
+    ``F.derivs`` pass over the triangle gradients Du.
 
     Energy is sum_T area_T F(Du_T); the gradient follows by the chain rule
-    through the per-triangle linear interpolation.
+    through the per-triangle linear interpolation.  Without ``order`` the
+    result is (energy, gradient), the gradient None when ``want_grad`` is
+    False.  With ``order`` 1 or 2 it is (energy, gradient, DF(Du),
+    D2F(Du) or None): the per-triangle derivatives that the Newton matrix
+    and the stress V = DF(Du) need.
     """
     du = np.ascontiguousarray(_tri_gradients(mesh, u))
-    fvals = F._eval(du)
+    fvals, v, hz = F.derivs(du, (1 if want_grad else 0) if order is None else order)
     if not np.isfinite(fvals).all():
         t = int(np.argmax(~np.isfinite(fvals)))
         raise AssemblyError(f"non-finite integrand value at triangle {t}, Du = {du[t]}")
     energy = float(mesh.areas @ fvals)
-    if not want_grad:
-        return energy, None
-    return energy, _pair_with_hats(mesh, F._grad(du))
+    g = None if v is None else _pair_with_hats(mesh, v)
+    return (energy, g) if order is None else (energy, g, v, hz)
 
 
 def _pair_with_hats(mesh, v):
@@ -202,13 +206,25 @@ def _pair_with_hats(mesh, v):
     return out
 
 
-def _assemble_hessian(F, mesh, du):
-    hz = np.ascontiguousarray(F._hess(du))
+def _assemble_hessian(mesh, hz):
+    hz = np.ascontiguousarray(hz)
     entries = (np.einsum("tak,tkl,tbl->tab", mesh.grads, hz, mesh.grads)
                * mesh.areas[:, None, None])
     K = sparse.coo_matrix((entries.ravel(), (mesh._coo_rows, mesh._coo_cols)),
                           shape=(mesh.n_nodes, mesh.n_nodes)).tocsr()
     return K
+
+
+def spsolve(A, b):
+    """Solve A x = b for a sparse matrix with a symmetric pattern.
+
+    SuperLU with Liu's multiple minimum degree ordering of A + A^T (ACM TOMS
+    1985) in symmetric mode, which prefers diagonal pivots.  On the Newton
+    matrices this factor has a third less fill than a COLAMD ordering.  A
+    singular matrix raises RuntimeError.
+    """
+    return splu(A.tocsc(), permc_spec="MMD_AT_PLUS_A",
+                options=dict(SymmetricMode=True)).solve(b)
 
 
 def _armijo(F, mesh, u, d, energy, slope, *, c1=1e-4, max_halvings=60):
@@ -269,18 +285,26 @@ def solve(problem, *, method="newton", tol_rel=1e-9, max_iter=60,
 
     Newton directions use the assembled per-triangle Hessian with a tiny
     Levenberg shift (keeps the factorisation stable where the integrand
-    degenerates); steps are accepted under the Armijo rule, so the energy is
-    nonincreasing.  ``method="gradient"`` forces the Barzilai-Borwein
-    fallback throughout.  Terminates when the interior gradient max-norm
-    drops below tol_rel (1 + initial residual); hitting the iteration cap
-    or an Armijo search that finds no decrease returns the best iterate
-    flagged ``converged=False``, and ``stop_reason`` says which.
+    degenerates), factored by ``spsolve`` (minimum degree ordering); steps
+    are accepted under the Armijo rule, so the energy is nonincreasing.
+    Each accepted iterate gets one integrand pass (``F.derivs`` of order 2
+    for Newton, 1 for BB): it gives the energy, the nodal gradient, the
+    D2F(Du) of the next Newton matrix and, at the last iterate, the stress
+    V = DF(Du).  Armijo trials evaluate the energy only.
+    ``method="gradient"`` forces the Barzilai-Borwein fallback throughout.
+    Terminates when the interior gradient max-norm drops below
+    tol_rel (1 + initial residual); hitting the iteration cap or an Armijo
+    search that finds no decrease returns the best iterate flagged
+    ``converged=False``, and ``stop_reason`` says which.
 
     The initial guess is the Coons interpolation of the outer-edge data;
     interior nodes where it is not finite (the outer edges of a masked
     domain may lie where the boundary expression is undefined) start at
     the mean of the Dirichlet data.
     """
+    if method not in ("newton", "gradient"):
+        raise SolverError(f"unknown method {method!r}")
+    newton = method == "newton"
     F = problem.integrand
     mesh = problem.mesh()
     data = problem.boundary_values(mesh)
@@ -289,15 +313,12 @@ def solve(problem, *, method="newton", tol_rel=1e-9, max_iter=60,
     u[mesh.interior & ~np.isfinite(u)] = data[mesh.dirichlet].mean()
     ii = mesh.interior_idx
 
-    energy, g = assemble_energy(F, mesh, u)
+    order = 2 if newton else 1
+    energy, g, v, hz = assemble_energy(F, mesh, u, order=order)
     res0 = float(np.abs(g[ii]).max()) if ii.size else 0.0
     tol = tol_rel * (1.0 + res0)
     res = res0
     iterations = 0
-    newton = method == "newton"
-    if method not in ("newton", "gradient"):
-        raise SolverError(f"unknown method {method!r}")
-
     u_prev = None
     g_prev = None
     alpha_gd = 1.0
@@ -310,8 +331,7 @@ def solve(problem, *, method="newton", tol_rel=1e-9, max_iter=60,
         d = np.zeros_like(u)
         slope = None
         if newton:
-            du = np.ascontiguousarray(_tri_gradients(mesh, u))
-            K = _assemble_hessian(F, mesh, du)
+            K = _assemble_hessian(mesh, hz)
             Kii = K[ii][:, ii]
             mu = 1e-10 * (1.0 + res)
             Kii = Kii + mu * sparse.identity(ii.size, format="csr")
@@ -340,13 +360,12 @@ def solve(problem, *, method="newton", tol_rel=1e-9, max_iter=60,
             stop_reason = "line_search_stalled"
             break
         u = u + alpha * d
-        energy, g = assemble_energy(F, mesh, u)
+        energy, g, v, hz = assemble_energy(F, mesh, u, order=order)
         res = float(np.abs(g[ii]).max()) if ii.size else 0.0
         iterations += 1
 
     converged = bool(res <= tol)
     du = _tri_gradients(mesh, u)
-    v = F._grad(np.ascontiguousarray(du))
     return GridSolution(
         problem=problem, mesh=mesh, u=u, du=du, v=v, energy=energy,
         residual=res, iterations=iterations, converged=converged,

@@ -252,6 +252,22 @@ def test_cli_malformed_value_is_config_error(tmp_path, capsys, overrides, where)
         parse_config(tmp_path / "cfg.json")
 
 
+_BAD_CHECK_FLAGS = {
+    "caccioppoli_without_rho_or_k": ["--check", "caccioppoli", "--R", "0.4",
+                                     "--center", "1.5,1.5"],
+    "lipschitz_negative_R": ["--check", "lipschitz", "--R", "-0.4", "--center", "0.5,0.5"],
+}
+
+
+@pytest.mark.parametrize("flags", list(_BAD_CHECK_FLAGS.values()), ids=list(_BAD_CHECK_FLAGS))
+def test_cli_verify_check_flags_are_config_error(tmp_path, capsys, flags):
+    # checked before the solve: no traceback, exit code 2 and no CSV written
+    out = tmp_path / "out"
+    assert main(["--out-dir", str(out), "verify", str(_config(tmp_path))] + flags) == 2
+    assert capsys.readouterr().err.startswith("config error: --check")
+    assert not list(out.glob("*.csv"))
+
+
 def test_cli_degiorgi(tmp_path, capsys):
     out = tmp_path / "dg.csv"
     code = main(["degiorgi", "--X0", "0.2", "--C", "1", "--b", "4", "--R", "1",

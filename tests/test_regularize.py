@@ -4,6 +4,7 @@ import pytest
 import quc
 from quc.integrand import IntegrandError
 from quc.regularize import MoreauIntegrand, ProxError, _prox_solve
+from conftest import catalogue
 
 
 # ---------------------------------------------------------------------------
@@ -192,3 +193,39 @@ def test_ladder_eigenvalue_bounds(n, rng):
 def test_ladder_index_validation():
     with pytest.raises(IntegrandError):
         quc.strongly_elliptic_approx(quc.make_power(2.0), 0)
+
+
+# ---------------------------------------------------------------------------
+# fused derivatives
+# ---------------------------------------------------------------------------
+
+def _derivs_cases():
+    power3 = quc.make_power(3.0)
+    moreau = quc.moreau_yosida(power3, 0.25)
+    return catalogue() + [
+        ("scaled", quc.combine("scaled", [moreau], scale=2.5)),
+        ("shifted", quc.combine("shifted", [quc.make_blend(3.0, 1.5, (0.5, 0.0))],
+                                shift=(0.2, -0.1))),
+        ("affine_add", quc.combine("affine_add", [moreau], w=(0.3, -0.2), c=0.1)),
+        ("sum_moreau", quc.combine("sum", [moreau, quc.make_anisotropic_quadratic(
+            [[2.0, 0.0], [0.0, 1.0]])])),
+        ("moreau", moreau),
+        ("moreau_blend", quc.moreau_yosida(quc.make_blend(3.0, 1.5, (0.5, 0.0)), 0.5)),
+        ("mollified", quc.mollify_plus_quadratic(power3, 0.25, 0.25)),
+        ("ladder", quc.normalise(quc.strongly_elliptic_approx(power3, 2))),
+        ("fd", quc.with_fd_derivatives(quc.make_power(2.5))),
+    ]
+
+
+@pytest.mark.parametrize("order", [0, 1, 2])
+@pytest.mark.parametrize("name,F", _derivs_cases(), ids=[n for n, _ in _derivs_cases()])
+def test_derivs_equals_separate_calls(name, F, order, rng):
+    z = np.concatenate([np.zeros((1, 2)), rng.uniform(-2.0, 2.0, (40, 2))])
+    got = F.derivs(z, order)
+    want = (F._eval(z), F._grad(z), F._hess(z))
+    assert len(got) == 3
+    for k in range(3):
+        if k <= order:
+            assert np.array_equal(got[k], want[k]), (name, k)
+        else:
+            assert got[k] is None

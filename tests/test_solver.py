@@ -3,7 +3,9 @@ import pytest
 
 import quc
 from quc.config import compile_boundary_expression
-from quc.solver import Mesh, SolverError, _recover_dv, assemble_energy
+from quc.regularize import MoreauIntegrand
+from quc.solver import (Mesh, SolverError, _assemble_hessian, _coons_init, _recover_dv,
+                        assemble_energy, spsolve)
 
 
 # ---------------------------------------------------------------------------
@@ -181,6 +183,41 @@ def test_newton_and_gradient_agree():
         b = quc.solve(prob, method="gradient", tol_rel=1e-10)
         assert a.converged and b.converged
         assert abs(a.energy - b.energy) <= 1e-9 * (1.0 + abs(a.energy))
+
+
+def test_newton_solve_takes_one_integrand_pass_per_iterate(monkeypatch):
+    # one order-2 pass per accepted iterate plus one energy-only Armijo trial
+    # per step; each pass through mollify(Moreau(F)) solves its proximal
+    # points once, so the prox count is 1 + 2 * iterations
+    calls = []
+    prox = MoreauIntegrand.prox
+    monkeypatch.setattr(MoreauIntegrand, "prox",
+                        lambda self, z: calls.append(len(z)) or prox(self, z))
+    prob = quc.GridProblem(
+        integrand=quc.strongly_elliptic_approx(quc.make_power(3.0), 2), n=9,
+        boundary=compile_boundary_expression("(x^2+y^2)^0.25"),
+        bounds=((1.0, 2.0), (1.0, 2.0)))
+    sol = quc.solve(prob)
+    assert sol.converged and sol.iterations >= 1
+    assert len(calls) == 1 + 2 * sol.iterations
+
+
+def test_spsolve_matches_scipy_within_conditioning():
+    # a backward-stable solve is within cond(K) eps of the exact solution,
+    # so two of them are within twice that of each other
+    from scipy.sparse.linalg import spsolve as scipy_spsolve
+
+    prob = quc.GridProblem(integrand=quc.make_power(3.0), n=17,
+                           boundary=compile_boundary_expression("3.4*(x^2+y^2)^0.25"),
+                           bounds=((1.0, 2.0), (1.0, 2.0)))
+    m = prob.mesh()
+    u = _coons_init(m, prob.boundary_values(m))
+    _, g, _, hz = assemble_energy(prob.integrand, m, u, order=2)
+    ii = m.interior_idx
+    K = _assemble_hessian(m, hz)[ii][:, ii]
+    x, ref = spsolve(K, -g[ii]), scipy_spsolve(K, -g[ii])
+    bound = 2.0 * np.linalg.cond(K.toarray()) * np.finfo(float).eps
+    assert np.linalg.norm(x - ref) <= bound * np.linalg.norm(ref)
 
 
 def test_iteration_cap_flags_nonconverged():
