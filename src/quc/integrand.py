@@ -24,6 +24,15 @@ class NormalisationError(RuntimeError):
     """The argmin search or gradient-infimum search did not converge."""
 
 
+class ProxError(RuntimeError):
+    """The inner proximal minimisation did not converge."""
+
+
+# proximal points are accepted when the gradient of the proximal objective
+# is at most 100 * PROX_GRAD_TOL * (1 + |z|)
+PROX_GRAD_TOL = 1e-11
+
+
 def as_points(z):
     """Coerce input to an (m, 2) float array; also report if it was a single point."""
     z = np.asarray(z, dtype=float)
@@ -44,6 +53,14 @@ class Integrand:
     samples) override it, and the combinators forward it to their parts.
     Its results equal those of the separate calls bit for bit.
 
+    ``_prox(Z, delta)`` and ``_envelope_hess(W, delta)`` serve the Moreau
+    envelope of F: its proximal points and its Hessian.  The defaults are
+    the batched Newton solve and D2F at the proximal point; radial and
+    quadratic leaves override them with exact maps, and the scaling, shift
+    and affine combinators forward them to their parts.  The proximal
+    point is forwarded only to an exact map: the Newton solve stops on the
+    gradient of its own problem, which these combinators rescale or move.
+
     Attributes
     ----------
     kind : str
@@ -57,6 +74,8 @@ class Integrand:
         where lmax blows up or lmin vanishes.
     constant_hessian : bool
         True when D2F does not depend on z (quadratics).
+    exact_prox : bool
+        True when ``_prox`` is an exact map rather than the Newton solve.
     """
 
     kind = "base"
@@ -64,6 +83,7 @@ class Integrand:
     minimum = None
     singular_points = ()
     constant_hessian = False
+    exact_prox = False
 
     def _eval(self, z):
         raise NotImplementedError
@@ -78,6 +98,39 @@ class Integrand:
         return (self._eval(z),
                 self._grad(z) if order >= 1 else None,
                 self._hess(z) if order >= 2 else None)
+
+    def _prox(self, Z, delta):
+        """argmin_w F(w) + |w - z|^2 / (2 delta) at each row of Z."""
+        return _prox_solve(self, delta, Z, Z)
+
+    def _envelope_hess(self, W, delta):
+        """D2 F_delta at the points whose proximal point is W.
+
+        D2 F_delta = (Id - (Id + delta D2F(W))^{-1}) / delta, computed as
+        D2F(W) (Id + delta D2F(W))^{-1}, which has no cancellation where
+        delta D2F(W) is small.  Rows where D2F(W) is not finite take its
+        limit Id/delta.  At the singular points D2F(W) is not the limit of
+        D2F, so those rows take central differences of the envelope
+        gradient with step 1e-5 (1 + |z|), z = W + delta DF(W).
+        """
+        H = self._hess(W)
+        eye = np.eye(2)
+        out = np.broadcast_to(eye / delta, H.shape).copy()
+        finite = np.isfinite(H).all(axis=(1, 2))
+        out[finite] = np.linalg.solve(eye + delta * H[finite], H[finite])
+        singular = np.zeros(W.shape[0], dtype=bool)
+        for s in self.singular_points:
+            singular |= (W[:, 0] == s[0]) & (W[:, 1] == s[1])
+        if singular.any():
+            Ws = W[singular]
+            Z = Ws + delta * self._grad(Ws)
+            h = 1e-5 * (1.0 + np.hypot(Z[:, 0], Z[:, 1]))
+            for i in range(2):
+                step = h[:, None] * eye[i]
+                up, down = Z + step, Z - step
+                diff = (up - self._prox(up, delta)) - (down - self._prox(down, delta))
+                out[singular, :, i] = diff / (2.0 * delta * h[:, None])
+        return out
 
     def eval(self, z):
         zz, single = as_points(z)
@@ -178,6 +231,82 @@ def power_sum_profile(terms):
     )
 
 
+def radial_prox_radius(profile, r, delta, s0=None, max_iter=100):
+    """s in [0, r] with s + delta G'(s) = r at each radius r >= 0.
+
+    g(s) = s + delta G'(s) - r increases, so the root lies below any s0
+    with g(s0) >= 0 (default s0 = r) and is bracketed by [0, s0]; s = 0
+    where g(0) >= 0 or r is not finite.  Newton steps are taken in t = log s,
+    s <- s exp(-g / (s g')): they keep s > 0 and, where G'' blows up at 0
+    (p < 2), shrink s geometrically instead of crossing 0.  A step that
+    leaves the bracket is replaced by its midpoint.  A row stops once its
+    step moves s by at most 4 ulp; rows still moving after ``max_iter``
+    steps keep their last iterate for the caller to judge.
+    """
+    s = np.zeros_like(r)
+    idx = np.flatnonzero((r > delta * profile.deriv(np.zeros(1))[0]) & (r < np.inf))
+    ra = r[idx]
+    sa = ra.copy() if s0 is None else s0[idx]
+    lo, hi = np.zeros_like(ra), sa.copy()
+    for _ in range(max_iter):
+        if idx.size == 0:
+            break
+        g = sa + delta * profile.deriv(sa) - ra
+        np.copyto(lo, sa, where=g < 0.0)
+        np.copyto(hi, sa, where=g > 0.0)
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            step = g / (sa * (1.0 + delta * profile.second(sa)))
+            new = sa * np.exp(-step)
+        done = np.abs(step) <= 4.0 * np.finfo(float).eps
+        bad = ~(done | ((new > lo) & (new < hi)))
+        if bad.any():
+            new[bad] = 0.5 * (lo[bad] + hi[bad])
+        if done.any():
+            s[idx[done]] = new[done]
+            keep = ~done
+            idx, ra, new, lo, hi = idx[keep], ra[keep], new[keep], lo[keep], hi[keep]
+        sa = new
+    s[idx] = sa
+    return s
+
+
+class RadialIntegrand(Integrand):
+    """F(z) = G(|z|) for a convex profile ``self.profile`` with G(0) = 0.
+
+    The Moreau proximal point lies on the ray of z: prox(z) = s z / |z|
+    with s + delta G'(s) = |z| (``_prox_radius``).  The envelope Hessian at
+    z has the radial eigenvalue G''(s) / (1 + delta G''(s)) and the
+    tangential one (G'(s)/s) / (1 + delta G'(s)/s).  At s = 0 both take
+    G''(0), so the limit is Id/delta where G'' blows up at 0 (p < 2) and 0
+    where it vanishes (p > 2).
+    """
+
+    exact_prox = True
+
+    def _prox_radius(self, r, delta):
+        return radial_prox_radius(self.profile, r, delta)
+
+    def _prox(self, Z, delta):
+        r = np.sqrt(Z[:, 0] ** 2 + Z[:, 1] ** 2)
+        s = self._prox_radius(r, delta)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            scale = np.where(r > 0.0, s / r, 0.0)
+        return scale[:, None] * Z
+
+    def _envelope_hess(self, W, delta):
+        s = np.sqrt(W[:, 0] ** 2 + W[:, 1] ** 2)
+        nz = s > 0.0
+        with np.errstate(divide="ignore", invalid="ignore"):
+            radial = np.asarray(self.profile.second(s), dtype=float)
+            tang = np.where(nz, self.profile.deriv(s) / s, radial)
+            # t / (1 + delta t), written so that t = inf gives 1/delta and t = 0 gives 0
+            er = 1.0 / (delta + 1.0 / radial)
+            et = 1.0 / (delta + 1.0 / tang)
+            u = np.where(nz[:, None], W / s[:, None], 0.0)
+        proj = u[:, :, None] * u[:, None, :]
+        return et[:, None, None] * np.eye(2) + (er - et)[:, None, None] * proj
+
+
 # ---------------------------------------------------------------------------
 # catalogue kinds
 # ---------------------------------------------------------------------------
@@ -212,13 +341,13 @@ def _power_hess(z, p):
     return out
 
 
-class PowerIntegrand(Integrand):
+class PowerIntegrand(RadialIntegrand):
     """F(z) = |z|^p / p with exact derivatives.
 
     Hessian eigenvalues are |z|^{p-2} and (p-1)|z|^{p-2}, so the ellipticity
     ratio is constant: max(p-1, 1/(p-1)).  The gradient extends continuously
     by 0 at the origin; the Hessian there is excluded from sampling unless
-    p = 2.
+    p = 2.  The proximal radius has a closed form for p = 2 and p = 3.
     """
 
     kind = "power"
@@ -228,6 +357,7 @@ class PowerIntegrand(Integrand):
         if not p > 1.0:
             raise IntegrandError(f"power exponent must exceed 1, got {p}")
         self.p = p
+        self.profile = power_profile(p)
         self.analytic_H = max(p - 1.0, 1.0 / (p - 1.0))
         self.minimum = np.zeros(2)
         if p != 2.0:
@@ -242,6 +372,18 @@ class PowerIntegrand(Integrand):
     def _hess(self, z):
         return _power_hess(z, self.p)
 
+    def _prox_radius(self, r, delta):
+        if self.p == 2.0:
+            return r / (1.0 + delta)
+        if self.p == 3.0:
+            # the root of s + delta s^2 = r, in the form free of cancellation
+            return 2.0 * r / (1.0 + np.sqrt(1.0 + 4.0 * delta * r))
+        # both bound the root from above, and the larger term of s + delta s^{p-1}
+        # puts it within a factor max(2, 2^{1/(p-1)}) below their minimum
+        with np.errstate(over="ignore"):
+            s0 = np.minimum(r, (r / delta) ** (1.0 / (self.p - 1.0)))
+        return radial_prox_radius(self.profile, r, delta, s0)
+
     def describe(self):
         return f"power(p={self.p:g})"
 
@@ -251,6 +393,7 @@ class AnisotropicQuadratic(Integrand):
 
     kind = "anisotropic_quadratic"
     constant_hessian = True
+    exact_prox = True
 
     def __init__(self, A):
         A = np.asarray(A, dtype=float)
@@ -275,11 +418,15 @@ class AnisotropicQuadratic(Integrand):
     def _hess(self, z):
         return np.broadcast_to(self.A, (z.shape[0], 2, 2)).copy()
 
+    def _prox(self, Z, delta):
+        # (Id + delta A) w = z
+        return np.linalg.solve(np.eye(2) + delta * self.A, Z.T).T
+
     def describe(self):
         return f"aniso(A={self.A.tolist()})"
 
 
-class UhlenbeckIntegrand(Integrand):
+class UhlenbeckIntegrand(RadialIntegrand):
     """F(z) = G(|z|) for a validated radial profile G.
 
     Hessian eigenvalues are G''(r) (radial direction) and G'(r)/r
@@ -569,6 +716,7 @@ class ScaledIntegrand(Integrand):
         self.minimum = part.minimum
         self.singular_points = part.singular_points
         self.constant_hessian = part.constant_hessian
+        self.exact_prox = part.exact_prox
 
     def _eval(self, z):
         return self.lam * self.part._eval(z)
@@ -581,6 +729,15 @@ class ScaledIntegrand(Integrand):
 
     def derivs(self, z, order=2):
         return tuple(None if d is None else self.lam * d for d in self.part.derivs(z, order))
+
+    # the envelope of lam F at delta is lam times that of F at lam delta
+    def _prox(self, Z, delta):
+        if not self.exact_prox:
+            return super()._prox(Z, delta)
+        return self.part._prox(Z, self.lam * delta)
+
+    def _envelope_hess(self, W, delta):
+        return self.lam * self.part._envelope_hess(W, self.lam * delta)
 
     def describe(self):
         return f"scaled({self.lam:g} * {self.part.describe()})"
@@ -600,6 +757,7 @@ class ShiftedIntegrand(Integrand):
             self.minimum = part.minimum - self.zbar
         self.singular_points = tuple(s - self.zbar for s in part.singular_points)
         self.constant_hessian = part.constant_hessian
+        self.exact_prox = part.exact_prox
 
     def _eval(self, z):
         return self.part._eval(z + self.zbar) - self._offset
@@ -613,6 +771,14 @@ class ShiftedIntegrand(Integrand):
     def derivs(self, z, order=2):
         f, g, h = self.part.derivs(z + self.zbar, order)
         return f - self._offset, g, h
+
+    def _prox(self, Z, delta):
+        if not self.exact_prox:
+            return super()._prox(Z, delta)
+        return self.part._prox(Z + self.zbar, delta) - self.zbar
+
+    def _envelope_hess(self, W, delta):
+        return self.part._envelope_hess(W + self.zbar, delta)
 
     def describe(self):
         return f"shifted({self.part.describe()}, zbar=({self.zbar[0]:g},{self.zbar[1]:g}))"
@@ -630,6 +796,7 @@ class AffineAddIntegrand(Integrand):
         self.analytic_H = part.analytic_H
         self.singular_points = part.singular_points
         self.constant_hessian = part.constant_hessian
+        self.exact_prox = part.exact_prox
 
     def _eval(self, z):
         return self.part._eval(z) + z @ self.w + self.c
@@ -643,6 +810,15 @@ class AffineAddIntegrand(Integrand):
     def derivs(self, z, order=2):
         f, g, h = self.part.derivs(z, order)
         return f + z @ self.w + self.c, None if g is None else g + self.w, h
+
+    # the linear term moves the proximal problem's centre from z to z - delta w
+    def _prox(self, Z, delta):
+        if not self.exact_prox:
+            return super()._prox(Z, delta)
+        return self.part._prox(Z - delta * self.w, delta)
+
+    def _envelope_hess(self, W, delta):
+        return self.part._envelope_hess(W, delta)
 
     def describe(self):
         return f"affine_add({self.part.describe()}, w=({self.w[0]:g},{self.w[1]:g}))"
@@ -864,6 +1040,20 @@ def newton_minimise(F, W0, tol, *, c=0.0, Z=None, Y=None, max_iter):
     return W, np.hypot(G[:, 0], G[:, 1])
 
 
+def _prox_solve(part, delta, Z, W0, *, grad_tol=PROX_GRAD_TOL, max_iter=80):
+    """Newton (``newton_minimise``) for the proximal problem
+    w -> F(w) + |w - z|^2 / (2 delta), started at W0.  The inner Hessian is
+    bounded below by Id/delta, so convergence is quadratic from any start."""
+    Z = np.ascontiguousarray(Z, dtype=float)
+    tol = grad_tol * (1.0 + np.hypot(Z[:, 0], Z[:, 1]))
+    W, gn = newton_minimise(part, W0, tol, c=1.0 / delta, Z=Z, max_iter=max_iter)
+    if not np.all(gn <= 100.0 * tol):
+        raise ProxError(
+            f"proximal Newton stalled at |grad| = {float(gn.max()):g} "
+            f"(tolerance {float(tol.max()):g})")
+    return W
+
+
 def find_minimum(F, *, max_iter=200):
     """Argmin of a strictly convex coercive integrand.
 
@@ -879,43 +1069,32 @@ def find_minimum(F, *, max_iter=200):
         f"argmin search did not reach |DF| <= {tol:g}; final |DF| = {gn[0]:g}")
 
 
-def _golden_min(fun, lo, hi, iters=80):
-    invphi = (np.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = fun(c), fun(d)
-    for _ in range(iters):
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = fun(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = fun(d)
-    return (a + b) / 2.0
-
-
 def gradient_infimum_on_circle(F, *, n_angles=720):
     """i_F = inf over the unit circle of |DF|.
 
-    Equi-angular sweep brackets the minimum (|DF| along the circle is Hoelder
-    continuous), then golden-section refinement pins it down.
+    An equi-angular sweep brackets the minimum (|DF| along the circle is
+    Hoelder continuous).  Batched sweeps of 17 equally spaced angles then
+    recentre the bracket on their best angle and shrink it 8-fold, until
+    its half-width is below the float resolution of the angle.  i_F is the
+    least |DF| sampled.
     """
+    def magnitudes(theta):
+        g = F._grad(np.stack([np.cos(theta), np.sin(theta)], axis=1))
+        return np.hypot(g[:, 0], g[:, 1])
+
     theta = np.linspace(0.0, 2.0 * np.pi, n_angles, endpoint=False)
-    pts = np.stack([np.cos(theta), np.sin(theta)], axis=1)
-    g = F._grad(pts)
-    mags = np.hypot(g[:, 0], g[:, 1])
+    mags = magnitudes(theta)
     k = int(np.argmin(mags))
-    dth = 2.0 * np.pi / n_angles
-
-    def fun(th):
-        gg = F.grad(np.array([np.cos(th), np.sin(th)]))
-        return float(np.hypot(gg[0], gg[1]))
-
-    th_star = _golden_min(fun, theta[k] - dth, theta[k] + dth)
-    return min(float(mags[k]), fun(th_star))
+    best, th = float(mags[k]), theta[k]
+    half = 2.0 * np.pi / n_angles
+    offsets = np.linspace(-1.0, 1.0, 17)
+    while half > np.spacing(abs(th) + 1.0):
+        theta = th + half * offsets
+        mags = magnitudes(theta)
+        k = int(np.argmin(mags))
+        best, th = min(best, float(mags[k])), theta[k]
+        half /= 8.0
+    return best
 
 
 def normalise(F, *, n_angles=720):

@@ -6,6 +6,13 @@ supported bump plus a small quadratic (Hessian bounded below by mu).  Their
 composition with the schedule delta_n = eps_n = mu_n = 2^{-n} gives the
 strongly elliptic ladder approximating any catalogue integrand.
 
+The envelope's proximal points and Hessian are exact for power,
+Uhlenbeck and anisotropic-quadratic parts, bare or behind scaling, shifts
+and affine terms (the radial map s + delta G'(s) = |z| and the linear map
+(Id + delta A)^{-1}); every other part takes a batched 2-D Newton solve per
+point and its own Hessian at the proximal point.  Every proximal point is
+checked against the optimality condition of its problem.
+
 The bump is phi(x) = (5/pi) (1 - |x|^2)^4 on the unit disk.  Convolutions
 use a polar tensor rule (Gauss-Legendre radially, uniform angularly); the
 radial integrand of the bump's mass is a polynomial, so the rule integrates
@@ -16,11 +23,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .integrand import Integrand, IntegrandError, newton_minimise
-
-
-class ProxError(RuntimeError):
-    """The inner proximal minimisation did not converge."""
+from .integrand import PROX_GRAD_TOL, Integrand, IntegrandError, ProxError
 
 
 class MollifierSpec:
@@ -65,31 +68,20 @@ class MollifierSpec:
 # Moreau-Yosida envelope
 # ---------------------------------------------------------------------------
 
-def _prox_solve(part, delta, Z, W0, *, grad_tol=1e-11, max_iter=80):
-    """Newton (``newton_minimise``) for the proximal problem
-    w -> F(w) + |w - z|^2 / (2 delta), started at W0.  The inner Hessian is
-    bounded below by Id/delta, so convergence is quadratic from any start."""
-    Z = np.ascontiguousarray(Z, dtype=float)
-    tol = grad_tol * (1.0 + np.hypot(Z[:, 0], Z[:, 1]))
-    W, gn = newton_minimise(part, W0, tol, c=1.0 / delta, Z=Z, max_iter=max_iter)
-    if not np.all(gn <= 100.0 * tol):
-        raise ProxError(
-            f"proximal Newton stalled at |grad| = {float(gn.max()):g} "
-            f"(tolerance {float(tol.max()):g})")
-    return W
-
-
 class MoreauIntegrand(Integrand):
     """Moreau-Yosida envelope F_delta(z) = inf_w F(w) + |w - z|^2 / (2 delta).
 
     The envelope keeps the ellipticity bound of F and satisfies
-    lmax(D2 F_delta) <= 1/delta.  Value and gradient come from the same
-    proximal point p = prox(z): F_delta(z) = F(p) + |p - z|^2 / (2 delta)
-    and DF_delta(z) = (z - p) / delta, so ``derivs`` solves one proximal
-    problem per point for both; Hessians come from central differences of
-    the gradient with step 1e-5 (1 + |z|), four more proximal solves.
-    Every ``prox`` call solves from scratch, so results do not depend on
-    earlier calls.
+    lmax(D2 F_delta) <= 1/delta.  Value, gradient and Hessian come from the
+    same proximal point p = prox(z): F_delta(z) = F(p) + |p - z|^2 / (2 delta),
+    DF_delta(z) = (z - p) / delta and D2 F_delta(z) = D2F(p) (Id + delta
+    D2F(p))^{-1}, so ``derivs`` solves one proximal problem per point for
+    all three.  The part's ``_prox`` and ``_envelope_hess`` supply p and the
+    Hessian: exact for power, Uhlenbeck and anisotropic-quadratic leaves,
+    also behind scaling, shifts and affine terms; every other part (blend,
+    Finsler, sums, finite differences, nested envelopes and mollifiers)
+    solves the proximal problem by batched Newton.  Every ``prox`` call
+    keeps no state, so results do not depend on earlier calls.
     """
 
     kind = "moreau"
@@ -104,10 +96,24 @@ class MoreauIntegrand(Integrand):
         self.minimum = part.minimum
 
     def prox(self, z):
+        """Proximal points, checked on every path against the optimality
+        condition |DF(p) + (p - z)/delta| <= 100 PROX_GRAD_TOL (1 + |z|):
+        a wrong exact map raises ``ProxError`` as a stalled Newton solve does."""
         zz = np.asarray(z, dtype=float)
         single = zz.ndim == 1
         Z = zz.reshape(-1, 2)
-        W = _prox_solve(self.part, self.delta, Z, Z)
+        W = self.part._prox(Z, self.delta)
+        res = self.part._grad(W) + (W - Z) / self.delta
+        gn = np.sqrt(res[:, 0] ** 2 + res[:, 1] ** 2)
+        zn = np.sqrt(Z[:, 0] ** 2 + Z[:, 1] ** 2)
+        tol = 100.0 * PROX_GRAD_TOL * (1.0 + zn)
+        # a norm that overflows (|z| above about 1e154) gives no test at all
+        bad = ~(gn <= tol) | (zn == np.inf)
+        if bad.any():
+            i = int(np.argmax(bad))
+            raise ProxError(
+                f"proximal point of {self.part.describe()} at z = {Z[i].tolist()} misses "
+                f"its optimality condition: |grad| = {gn[i]:g} (tolerance {tol[i]:g})")
         return W[0] if single else W
 
     def _eval(self, z):
@@ -117,13 +123,7 @@ class MoreauIntegrand(Integrand):
         return (z - self.prox(z)) / self.delta
 
     def _hess(self, z):
-        h = 1e-5 * (1.0 + np.hypot(z[:, 0], z[:, 1]))
-        out = np.empty((z.shape[0], 2, 2))
-        eye = np.eye(2)
-        for i in range(2):
-            step = h[:, None] * eye[i]
-            out[:, :, i] = (self._grad(z + step) - self._grad(z - step)) / (2.0 * h[:, None])
-        return out
+        return self.part._envelope_hess(self.prox(z), self.delta)
 
     def derivs(self, z, order=2):
         W = self.prox(z)
@@ -131,7 +131,7 @@ class MoreauIntegrand(Integrand):
         f = self.part._eval(W) + 0.5 / self.delta * (d[:, 0] ** 2 + d[:, 1] ** 2)
         return (f,
                 (z - W) / self.delta if order >= 1 else None,
-                self._hess(z) if order >= 2 else None)
+                self.part._envelope_hess(W, self.delta) if order >= 2 else None)
 
     def describe(self):
         return f"moreau({self.part.describe()}, delta={self.delta:g})"

@@ -155,6 +155,16 @@ def test_cli_analyze(tmp_path):
     assert any(r["check"] == "H_est_vs_analytic" for r in rows)
 
 
+def test_cli_analyze_small_p_moreau_ladder(tmp_path):
+    # the envelope of |z|^1.5 / 1.5 needs proximal points down to |z| ~ 1e-4,
+    # where the Newton proximal solve stalled
+    integrand = {"kind": "mollified", "eps": 0.25, "mu": 0.25,
+                 "part": {"kind": "moreau", "delta": 0.25,
+                          "part": {"kind": "power", "p": 1.5}}}
+    cfg = _config(tmp_path, integrand=integrand, problem={"n": 17, "boundary": "x"})
+    assert main(["--out-dir", str(tmp_path), "analyze", str(cfg)]) == 0
+
+
 def test_cli_gauge(tmp_path):
     code = main(["--out-dir", str(tmp_path), "gauge", str(_config(tmp_path)),
                  "--k", "0.5,1", "--angles", "64"])

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 import quc
-from quc.integrand import IntegrandError
-from quc.regularize import MoreauIntegrand, ProxError, _prox_solve
+from quc.integrand import IntegrandError, ProxError, _prox_solve
+from quc.regularize import MoreauIntegrand
 from conftest import catalogue
 
 
@@ -108,6 +108,208 @@ def test_prox_nonconvergence_raises():
 def test_moreau_rejects_bad_delta():
     with pytest.raises(IntegrandError):
         quc.moreau_yosida(quc.make_power(2.0), 0.0)
+
+
+# ---------------------------------------------------------------------------
+# exact proximal maps and envelope Hessians
+# ---------------------------------------------------------------------------
+
+def _newton_bound(delta, Z):
+    # the proximal objective is (1/delta)-strongly convex, so a point where
+    # its gradient is at most 100 * 1e-11 (1 + |z|) (the acceptance test of
+    # the Newton solve) lies within delta times that of the proximal point
+    return delta * 100.0 * 1e-11 * (1.0 + np.hypot(Z[:, 0], Z[:, 1]))
+
+
+def _ring(radii, n_angles=7):
+    th = np.linspace(0.1, 2.0 * np.pi + 0.1, n_angles, endpoint=False)
+    return (radii[:, None, None] * np.stack([np.cos(th), np.sin(th)], axis=1)).reshape(-1, 2)
+
+
+@pytest.mark.parametrize("p", [1.25, 1.5])
+def test_moreau_prox_small_p_down_to_tiny_z(p):
+    delta = 0.25
+    Z = _ring(np.geomspace(1e-12, 1e2, 57))
+    M = quc.moreau_yosida(quc.make_power(p), delta)
+    W = M.prox(Z)   # the Newton solve raises ProxError here for small |z|
+    compared = 0
+    for z, w, bound in zip(Z, W, _newton_bound(delta, Z)):
+        try:
+            wn = _prox_solve(M.part, delta, z[None], z[None])[0]
+        except ProxError:
+            continue
+        assert np.hypot(*(w - wn)) <= bound, (p, z)
+        compared += 1
+    assert compared > 0
+
+
+def _forwarding_cases():
+    aniso = quc.make_anisotropic_quadratic([[2.0, 0.5], [0.5, 1.0]])
+    return [
+        ("aniso", aniso),
+        ("power2.5", quc.make_power(2.5)),
+        ("uhlenbeck", quc.make_uhlenbeck(quc.power_sum_profile([(1.0, 1.5), (0.5, 3.0)]))),
+        ("scaled", quc.combine("scaled", [quc.make_power(3.0)], scale=2.5)),
+        ("shifted", quc.combine("shifted", [quc.make_power(2.5)], shift=(0.4, -0.3))),
+        ("affine_add", quc.combine("affine_add", [quc.make_power(3.0)], w=(0.3, -0.2), c=0.1)),
+        ("nested", quc.combine("scaled", [quc.combine("affine_add", [quc.combine(
+            "shifted", [aniso], shift=(1.0, 2.0))], w=(-1.0, 0.5))], scale=0.3)),
+    ]
+
+
+@pytest.mark.parametrize("delta", [0.25, 2.0])
+@pytest.mark.parametrize("name,F", _forwarding_cases(), ids=[n for n, _ in _forwarding_cases()])
+def test_exact_prox_matches_newton(name, F, delta, rng):
+    Z = rng.uniform(-4.0, 4.0, (300, 2))
+    W = quc.moreau_yosida(F, delta).prox(Z)
+    Wn = _prox_solve(F, delta, Z, Z)
+    assert np.all(np.hypot(*(W - Wn).T) <= _newton_bound(delta, Z)), name
+
+
+@pytest.mark.parametrize("delta", [0.25, 2.0])
+@pytest.mark.parametrize("name,F", _forwarding_cases(), ids=[n for n, _ in _forwarding_cases()])
+def test_exact_envelope_hessian_matches_generic_formula(name, F, delta, rng):
+    # the base-class map on the combinator itself: D2F(p) (Id + delta D2F(p))^{-1}
+    # from the combinator's own Hessian; both sides are exact formulas whose
+    # entries, bounded by 1/delta, agree to rounding
+    Z = rng.uniform(-4.0, 4.0, (300, 2))
+    M = quc.moreau_yosida(F, delta)
+    want = quc.Integrand._envelope_hess(F, M.prox(Z), delta)
+    np.testing.assert_allclose(M.hess(Z), want, rtol=0.0, atol=1e-12 / delta)
+
+
+def test_exact_parts_make_no_newton_call(monkeypatch, rng):
+    import quc.integrand as qi
+    calls = []
+    real = qi.newton_minimise
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(qi, "newton_minimise", counting)
+    z = np.concatenate([np.zeros((1, 2)), rng.uniform(-3.0, 3.0, (50, 2))])
+    parts = [quc.make_power(p) for p in (1.5, 2.0, 3.0)] + [
+        part for _, part in _forwarding_cases()]
+    for part in parts:
+        M = quc.moreau_yosida(part, 0.25)
+        M.eval(z), M.grad(z), M.hess(z), M.derivs(z), M.prox(z)
+        assert not calls, part.describe()
+    # the counter sees the Newton solve where no exact map exists
+    quc.moreau_yosida(quc.make_blend(3.0, 1.5, (0.5, 0.0)), 0.25).prox(z)
+    assert calls
+
+
+@pytest.mark.parametrize("lam", [1e-3, 1e3, 1e6])
+def test_newton_prox_behind_scaling_meets_the_envelope_test(lam, rng):
+    # without an exact map the Newton solve runs on lam * F itself: solved on
+    # F at lam * delta, its stopping rule would bound lam times too small a
+    # gradient
+    F = quc.combine("scaled", [quc.make_blend(3.0, 1.5, (0.5, 0.0))], scale=lam)
+    Z = rng.uniform(-3.0, 3.0, (500, 2))
+    W = quc.moreau_yosida(F, 0.25).prox(Z)
+    assert np.all(np.hypot(*(W - _prox_solve(F, 0.25, Z, Z)).T) <= _newton_bound(0.25, Z))
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("z", [[np.nan, 0.0], [np.inf, 1.0], [1e200, 0.0]])
+@pytest.mark.parametrize("p", [1.5, 3.0])
+def test_moreau_prox_rejects_nonfinite_and_overflowing_z(p, z):
+    # |z| = 1e200 overflows |z|^2: the radius, and with it the test's
+    # tolerance, would be inf and pass the point w = 0
+    with pytest.raises(ProxError):
+        quc.moreau_yosida(quc.make_power(p), 0.25).prox(np.array(z))
+
+
+def test_wrong_exact_map_raises(monkeypatch):
+    F = quc.make_power(3.0)
+    monkeypatch.setattr(F, "_prox_radius", lambda r, delta: r / (1.0 + delta))
+    with pytest.raises(ProxError, match="optimality condition"):
+        quc.moreau_yosida(F, 0.25).prox(np.array([2.0, 1.0]))
+
+
+def test_radial_prox_radius_solves_scalar_equation():
+    # G(t) = t + t^2/2 has G'(0) = 1 > 0: the proximal radius is 0 for
+    # r <= delta and (r - delta) / (1 + delta) beyond
+    profile = quc.integrand.RadialProfile(lambda t: t + t**2 / 2, lambda t: 1.0 + t,
+                                          lambda t: np.ones_like(t))
+    r = np.concatenate([[0.0], np.geomspace(1e-3, 1e3, 61)])
+    s = quc.integrand.radial_prox_radius(profile, r, 0.5)
+    want = np.maximum(r - 0.5, 0.0) / 1.5
+    # both sides round r - delta, which is good to eps r and no better
+    assert np.all(np.abs(s - want) <= 4.0 * np.finfo(float).eps * r)
+
+
+@pytest.mark.parametrize("p", [1.25, 1.5, 2.0, 3.0, 4.0])
+def test_moreau_hessian_limit_at_origin(p):
+    delta = 0.25
+    H = quc.moreau_yosida(quc.make_power(p), delta).hess(np.zeros(2))
+    lam = 1.0 / delta if p < 2.0 else (1.0 / (1.0 + delta) if p == 2.0 else 0.0)
+    assert np.array_equal(H, lam * np.eye(2)), (p, H)
+
+
+def test_moreau_hessian_limit_at_origin_uhlenbeck():
+    # G'' blows up at 0 through the t^{1.5} term
+    F = quc.make_uhlenbeck(quc.power_sum_profile([(1.0, 1.5), (0.5, 3.0)]))
+    H = quc.moreau_yosida(F, 0.5).hess(np.zeros(2))
+    assert np.array_equal(H, 2.0 * np.eye(2))
+
+
+def test_moreau_hessian_at_singular_point_of_generic_part():
+    # near 0 the blend is |z|^3/3 plus a constant, so DF_delta(z) = s(|z|)^2 z/|z|
+    # with s(r) <= r: the central difference with step h = 1e-5 that stands in
+    # for the limit 0 is at most h
+    M = quc.moreau_yosida(quc.make_blend(3.0, 1.5, (0.5, 0.0)), 0.25)
+    H = M.hess(np.zeros(2))
+    assert np.all(np.isfinite(H)) and np.abs(H).max() <= 1e-5
+
+
+def test_moreau_quadratic_hessian_closed_form(rng):
+    A = np.array([[2.0, 0.5], [0.5, 1.0]])
+    delta = 0.7
+    H = quc.moreau_yosida(quc.make_anisotropic_quadratic(A), delta).hess(
+        rng.uniform(-3, 3, (20, 2)))
+    want = A @ np.linalg.inv(np.eye(2) + delta * A)
+    np.testing.assert_allclose(H, np.broadcast_to(want, H.shape), rtol=1e-14, atol=0.0)
+
+
+def _central_difference_hess(M, z):
+    # the central-difference Hessian the envelope used before its exact form
+    h = 1e-5 * (1.0 + np.hypot(z[:, 0], z[:, 1]))
+    out = np.empty((z.shape[0], 2, 2))
+    for i in range(2):
+        step = h[:, None] * np.eye(2)[i]
+        out[:, :, i] = (M._grad(z + step) - M._grad(z - step)) / (2.0 * h[:, None])
+    return out, h
+
+
+@pytest.mark.parametrize("p", [2.0, 3.0])
+def test_moreau_hessian_matches_central_differences(p, rng):
+    """The exact envelope Hessian against central differences of DF_delta.
+
+    Truncation: an entry of the central difference with step h is off by at
+    most (h^2 / 6) sup |D^4 F_delta| on the stencil.  With A = (Id + delta
+    D2F(q))^{-1}, |A| <= 1, at the proximal point q, D^3 F_delta is D^3F(q)
+    contracted with A, and D^4 F_delta = D^4F(q)[A.]^4 plus three terms
+    bounded by delta |D^3F(q)|^2, so |D^4 F_delta| <= |D^4F| + 3 delta |D^3F|^2.
+    For |z|^3/3, |D^3F| <= 4 and |D^4F(q)| <= 6/|q|, with |q| = s(|z|) the
+    proximal radius 2r / (1 + sqrt(1 + 4 delta r)); the entry error is then
+    at most h^2 (1/s(|z| - h) + 8 delta).  For |z|^2/2 the third and fourth
+    derivatives vanish.  Rounding: each gradient (z - q)/delta is good to
+    4 eps (|z| + h) / delta, so the difference quotient to that over h.
+    """
+    delta = 0.25
+    r = rng.uniform(0.5, 3.0, 200)
+    th = rng.uniform(0.0, 2.0 * np.pi, 200)
+    z = r[:, None] * np.stack([np.cos(th), np.sin(th)], axis=1)
+    M = quc.moreau_yosida(quc.make_power(p), delta)
+    fd, h = _central_difference_hess(M, z)
+    rmin = r - h
+    s_min = 2.0 * rmin / (1.0 + np.sqrt(1.0 + 4.0 * delta * rmin))
+    trunc = h**2 * (1.0 / s_min + 8.0 * delta) if p == 3.0 else 0.0
+    tol = trunc + 4.0 * np.finfo(float).eps * (r + h) / (delta * h)
+    err = np.abs(M.hess(z) - fd).max(axis=(1, 2))
+    assert np.all(err <= tol)
 
 
 # ---------------------------------------------------------------------------
