@@ -120,10 +120,11 @@ def _straddling_count(mesh, member, region):
     """Triangles in the region whose membership differs from an edge
     neighbour's; measures how much of the level boundary the ball crosses."""
     inc = mesh.node_tris()
-    shared = (inc.T @ inc).tocoo()
+    tris = np.where(region)[0]
+    shared = (inc.tocsc()[:, tris].T @ inc).tocoo()   # region rows only
     edge = shared.data == 2
-    t1, t2 = shared.row[edge], shared.col[edge]
-    straddling = t1[(member[t1] != member[t2]) & region[t1]]
+    t1, t2 = tris[shared.row[edge]], shared.col[edge]
+    straddling = t1[member[t1] != member[t2]]
     return int(np.unique(straddling).size)
 
 

@@ -4,9 +4,17 @@ The domain (an axis-aligned rectangle, optionally cut by a circular mask) is
 triangulated by splitting each grid cell along the lower-left to upper-right
 diagonal, so assembly is deterministic and meshes nest under the refinement
 n -> 2n - 1.  The energy sum_T area_T F(Du_T) over per-triangle constant
-gradients is minimised by damped Newton with Armijo backtracking; a
+gradients is minimised by damped inexact Newton with Armijo backtracking; a
 Barzilai-Borwein gradient method with the same safeguard serves as fallback
 and as an independent cross-check.
+
+The Newton systems are solved by CG preconditioned with a geometric
+multigrid V-cycle over the nested grids n, (n + 1) / 2, ... (Briggs,
+Henson & McCormick, *A Multigrid Tutorial*), stopped at an
+Eisenstat-Walker forcing term (Eisenstat & Walker, SISC 17, 1996), so the
+cost of a Newton step grows linearly with the grid.  Grids that do not
+coarsen (n <= 17 or n even) keep a sparse direct factorisation, which is
+also the fallback when CG fails.
 """
 
 from __future__ import annotations
@@ -98,6 +106,8 @@ class Mesh:
         self._coo_cols = np.broadcast_to(self.tris[:, None, :],
                                          (tris.shape[0], 3, 3)).ravel()
         self._node_tris = None
+        self._newton_pattern = None
+        self._prolongations = None
 
     @property
     def n_nodes(self):
@@ -118,6 +128,84 @@ class Mesh:
                 (np.ones(3 * M, dtype=np.int64), (self.tris.ravel(), np.repeat(np.arange(M), 3))),
                 shape=(self.n_nodes, M))
         return self._node_tris
+
+    def newton_pattern(self):
+        """Fixed CSR pattern of the interior Newton matrix (lazy).
+
+        Returns (indptr, indices, slots, diag): ``slots`` maps each of the
+        9 M local entries (triangle, a, b) to its place in the CSR data
+        array, or to the extra slot nnz when a or b is not interior;
+        ``diag`` holds the places of the diagonal entries.  Two nodes share
+        a triangle iff their offset is in the 7-point stencil, and every
+        triangle at an interior node is kept, so the pattern follows from
+        the stencil without sorting.
+        """
+        if self._newton_pattern is None:
+            n, ii = self.n, self.interior_idx
+            stencil = np.array([-n - 1, -n, -1, 0, 1, n, n + 1])
+            pos = np.full(self.n_nodes, -1, dtype=np.int64)
+            pos[ii] = np.arange(ii.size)
+            neighbours = pos[ii[:, None] + stencil]        # interior nodes: no wrap
+            present = neighbours >= 0
+            indptr = np.concatenate([[0], np.cumsum(present.sum(axis=1))])
+            place = np.where(present, indptr[:-1, None] + np.cumsum(present, axis=1) - 1,
+                             indptr[-1])
+            lookup = np.zeros(2 * n + 3, dtype=np.int64)
+            lookup[stencil + n + 1] = np.arange(stencil.size)
+            rows = pos[self._coo_rows]
+            k = lookup[self._coo_cols - self._coo_rows + n + 1]
+            slots = np.where(rows >= 0, place[rows, k], indptr[-1])
+            self._newton_pattern = (indptr, neighbours[present], slots, place[:, 3])
+        return self._newton_pattern
+
+    def prolongations(self):
+        """Interior P1 prolongations of the nested coarse grids (lazy).
+
+        Entry k maps grid n_{k+1} = (n_k + 1) / 2 to grid n_k, n_0 = n;
+        coarsening continues while n_k is odd and above ``COARSEST_N``.
+        Rows are the interior nodes of the finer grid (n_0: ``interior``),
+        columns the coarse nodes whose fine image is one of them, so a
+        masked domain needs no coarse geometry.  Empty for an even n and
+        for n <= ``COARSEST_N``.
+        """
+        if self._prolongations is None:
+            self._prolongations = []
+            n, keep = self.n, self.interior
+            while n % 2 == 1 and n > COARSEST_N:
+                P, keep = _p1_prolongation(n, keep)
+                self._prolongations.append(P)
+                n = (n + 1) // 2
+        return self._prolongations
+
+
+# Grids at or below this size are not coarsened: their Newton systems are
+# factored directly.
+COARSEST_N = 17
+
+
+def _p1_prolongation(n, fine_keep):
+    """Exact P1 prolongation from grid (n + 1) / 2 to grid n (n odd).
+
+    Fine node (2I, 2J) takes coarse node (I, J); a node on an odd x or odd
+    y line takes the mean of its two neighbours on that line; an odd-odd
+    node takes the mean of (I, J) and (I + 1, J + 1), the ends of the
+    diagonal through it.  Rows are restricted to ``fine_keep``, columns to
+    the coarse nodes whose fine image is kept.  Returns the CSR matrix and
+    the coarse keep mask.
+    """
+    nc = (n + 1) // 2
+    j, i = np.divmod(np.arange(n * n), n)
+    lo = (j // 2) * nc + i // 2
+    hi = lo + (i % 2) + (j % 2) * nc   # == lo on even-even nodes: the halves add to 1
+    coarse_keep = fine_keep.reshape(n, n)[::2, ::2].ravel()
+    col = np.cumsum(coarse_keep) - 1
+    fine = np.where(fine_keep)[0]
+    rows = np.repeat(np.arange(fine.size), 2)
+    cols = np.stack([lo[fine], hi[fine]], axis=1).ravel()
+    kept = coarse_keep[cols]
+    P = sparse.csr_matrix((np.full(kept.sum(), 0.5), (rows[kept], col[cols[kept]])),
+                          shape=(fine.size, int(coarse_keep.sum())))
+    return P, coarse_keep
 
 
 @dataclass
@@ -206,25 +294,133 @@ def _pair_with_hats(mesh, v):
     return out
 
 
+def _element_matrices(mesh, hz):
+    """Per-triangle matrices area_T D(phi_a) . D2F(Du_T) D(phi_b), shape (M, 3, 3)."""
+    return (mesh.grads @ (hz * mesh.areas[:, None, None])) @ mesh.grads.transpose(0, 2, 1)
+
+
 def _assemble_hessian(mesh, hz):
-    hz = np.ascontiguousarray(hz)
-    entries = (np.einsum("tak,tkl,tbl->tab", mesh.grads, hz, mesh.grads)
-               * mesh.areas[:, None, None])
-    K = sparse.coo_matrix((entries.ravel(), (mesh._coo_rows, mesh._coo_cols)),
-                          shape=(mesh.n_nodes, mesh.n_nodes)).tocsr()
-    return K
+    """Hessian of the discrete energy over all nodes, (N, N) CSR."""
+    return sparse.coo_matrix((_element_matrices(mesh, hz).ravel(),
+                              (mesh._coo_rows, mesh._coo_cols)),
+                             shape=(mesh.n_nodes, mesh.n_nodes)).tocsr()
 
 
-def spsolve(A, b):
-    """Solve A x = b for a sparse matrix with a symmetric pattern.
+def _newton_matrix(mesh, hz, mu):
+    """Interior block of the Hessian plus mu Id, in the mesh's fixed CSR
+    pattern: one bincount of the element matrices into the data array."""
+    indptr, indices, slots, diag = mesh.newton_pattern()
+    data = np.bincount(slots, weights=_element_matrices(mesh, hz).ravel(),
+                       minlength=indices.size + 1)[:-1]
+    data[diag] += mu
+    ni = indptr.size - 1
+    return sparse.csr_matrix((data, indices, indptr), shape=(ni, ni))
 
-    SuperLU with Liu's multiple minimum degree ordering of A + A^T (ACM TOMS
-    1985) in symmetric mode, which prefers diagonal pivots.  On the Newton
-    matrices this factor has a third less fill than a COLAMD ordering.  A
-    singular matrix raises RuntimeError.
+
+def _superlu(A):
+    """SuperLU factor of A with Liu's multiple minimum degree ordering of
+    A + A^T (ACM TOMS 1985) in symmetric mode, which prefers diagonal pivots.
+    On the Newton matrices this factor has a third less fill than a COLAMD
+    ordering.  A singular matrix raises RuntimeError."""
+    return splu(A.tocsc(), permc_spec="MMD_AT_PLUS_A", options=dict(SymmetricMode=True))
+
+
+# V(2, 2) cycle with damped Jacobi smoothing
+SMOOTHING_STEPS = 2
+JACOBI_DAMPING = 0.7
+PCG_MAXITER = 50
+
+
+def _vcycle(A, prolongations):
+    """Multigrid V-cycle on the Galerkin operators P^T A P, as a function
+    r -> approximate A^{-1} r; the coarsest operator is factored."""
+    ops = [A]
+    for P in prolongations:
+        ops.append((P.T @ (ops[-1] @ P)).tocsr())
+    weights = [JACOBI_DAMPING / B.diagonal() for B in ops[:-1]]
+    coarsest = _superlu(ops[-1])
+
+    def cycle(b, k=0):
+        if k == len(prolongations):
+            return coarsest.solve(b)
+        B, w, P = ops[k], weights[k], prolongations[k]
+        x = w * b
+        for _ in range(SMOOTHING_STEPS - 1):
+            x += w * (b - B @ x)
+        x += P @ cycle(P.T @ (b - B @ x), k + 1)
+        for _ in range(SMOOTHING_STEPS):
+            x += w * (b - B @ x)
+        return x
+
+    return cycle
+
+
+def _pcg(A, b, precondition, rtol):
+    """Preconditioned CG from x = 0 until |r|_2 <= rtol |b|_2.
+
+    Returns (x, iterations), or None when it hits ``PCG_MAXITER``, meets a
+    curvature p.Ap <= 0 (or r.z <= 0: the preconditioner is not positive
+    on r) or a non-finite value."""
+    x = np.zeros_like(b)
+    r = b.copy()
+    stop = rtol * float(np.linalg.norm(b))
+    if not np.isfinite(stop):
+        return None
+    if stop >= float(np.linalg.norm(b)):
+        return x, 0
+    z = precondition(r)
+    rz = float(r @ z)
+    p = z
+    for it in range(1, PCG_MAXITER + 1):
+        if not rz > 0.0:
+            return None
+        Ap = A @ p
+        pAp = float(p @ Ap)
+        if not pAp > 0.0:
+            return None
+        alpha = rz / pAp
+        x += alpha * p
+        r -= alpha * Ap
+        rnorm = float(np.linalg.norm(r))
+        if not np.isfinite(rnorm):
+            return None
+        if rnorm <= stop:
+            return x, it
+        z = precondition(r)
+        rz_next = float(r @ z)
+        p = z + (rz_next / rz) * p
+        rz = rz_next
+    return None
+
+
+def spsolve(A, b, prolongations=(), *, rtol=1e-8, full_output=False):
+    """Solve A x = b for a symmetric positive definite sparse matrix.
+
+    Without ``prolongations`` the solve is direct: a SuperLU factor with the
+    multiple minimum degree ordering in symmetric mode (``_superlu``).
+    The Newton loop passes none on grids that do not coarsen (n <= 17 or
+    n even).
+
+    With ``prolongations`` (``Mesh.prolongations()``: entry k maps level
+    k + 1 to level k, level 0 being the unknowns of A) it is CG
+    preconditioned by one multigrid V(2, 2) cycle: Galerkin operators
+    P^T A P on the coarser levels, two damped Jacobi sweeps (omega = 0.7)
+    before and after each coarse correction, and a SuperLU factor of the
+    coarsest operator (grid 17 or smaller).  CG starts from zero and stops
+    once |b - A x|_2 <= rtol |b|_2.  If it hits ``PCG_MAXITER`` iterations,
+    meets p.Ap <= 0 (or r.z <= 0) or a non-finite value, SuperLU solves
+    the system instead.  A singular matrix raises RuntimeError from
+    SuperLU.
+
+    With ``full_output`` the result is (x, iterations): the CG iteration
+    count, 0 for a direct solve and -1 where SuperLU took over from CG.
     """
-    return splu(A.tocsc(), permc_spec="MMD_AT_PLUS_A",
-                options=dict(SymmetricMode=True)).solve(b)
+    result = None
+    if prolongations:
+        result = _pcg(A, b, _vcycle(A, prolongations), rtol)
+    if result is None:
+        result = (_superlu(A).solve(b), -1 if prolongations else 0)
+    return result if full_output else result[0]
 
 
 def _armijo(F, mesh, u, d, energy, slope, *, c1=1e-4, max_halvings=60):
@@ -265,6 +461,9 @@ class GridSolution:
     converged: bool
     method: str
     stop_reason: str         # "tol", "max_iter" or "line_search_stalled"
+    # per Newton step: CG iterations, 0 for a direct solve, -1 where a
+    # fallback fired (SuperLU after CG, or a gradient step)
+    linear_iterations: list
     _stress: StressField | None = field(default=None, repr=False, compare=False)
 
     def stress(self):
@@ -279,23 +478,41 @@ def _bb_step(s, y, fallback):
     return fallback
 
 
+# Eisenstat-Walker choice 2 forcing term, capped at ETA_MAX
+ETA_MAX = 1e-2
+EW_GAMMA = 0.9
+EW_ALPHA = 2.0
+
+
 def solve(problem, *, method="newton", tol_rel=1e-9, max_iter=60,
           gd_max_iter=50000):
     """Minimise the discrete energy with the prescribed boundary values.
 
     Newton directions use the assembled per-triangle Hessian with a tiny
-    Levenberg shift (keeps the factorisation stable where the integrand
-    degenerates), factored by ``spsolve`` (minimum degree ordering); steps
-    are accepted under the Armijo rule, so the energy is nonincreasing.
-    Each accepted iterate gets one integrand pass (``F.derivs`` of order 2
-    for Newton, 1 for BB): it gives the energy, the nodal gradient, the
-    D2F(Du) of the next Newton matrix and, at the last iterate, the stress
-    V = DF(Du).  Armijo trials evaluate the energy only.
-    ``method="gradient"`` forces the Barzilai-Borwein fallback throughout.
-    Terminates when the interior gradient max-norm drops below
-    tol_rel (1 + initial residual); hitting the iteration cap or an Armijo
-    search that finds no decrease returns the best iterate flagged
-    ``converged=False``, and ``stop_reason`` says which.
+    Levenberg shift (keeps the system positive definite where the
+    integrand degenerates), assembled into the mesh's fixed interior CSR
+    pattern and solved by ``spsolve``; steps are accepted under the Armijo
+    rule, so the energy is nonincreasing.  Each accepted iterate gets one
+    integrand pass (``F.derivs`` of order 2 for Newton, 1 for BB): it
+    gives the energy, the nodal gradient, the D2F(Du) of the next Newton
+    matrix and, at the last iterate, the stress V = DF(Du).  Armijo trials
+    evaluate the energy only.  ``method="gradient"`` forces the
+    Barzilai-Borwein fallback throughout.  Terminates when the interior
+    gradient max-norm drops below tol_rel (1 + initial residual); hitting
+    the iteration cap or an Armijo search that finds no decrease returns
+    the best iterate flagged ``converged=False``, and ``stop_reason`` says
+    which.
+
+    On grids with coarser levels (``Mesh.prolongations``: n odd and above
+    ``COARSEST_N``) the Newton step is inexact: multigrid-preconditioned
+    CG stops once the linear residual is at most eta_k times the interior
+    gradient g_k in the 2-norm, with the Eisenstat-Walker choice 2 forcing
+    term eta_k = min(ETA_MAX, EW_GAMMA (|g_k| / |g_{k-1}|)^EW_ALPHA) and
+    eta_0 = ETA_MAX.  Other grids solve each step directly.  Where CG fails
+    SuperLU solves the step, and where SuperLU fails or the step is not a
+    descent direction a BB step is taken.  ``linear_iterations`` records,
+    per Newton step, the CG iterations, 0 for a direct solve and -1 where
+    one of these fallbacks fired.
 
     The initial guess is the Coons interpolation of the outer-edge data;
     interior nodes where it is not finite (the outer edges of a masked
@@ -324,6 +541,9 @@ def solve(problem, *, method="newton", tol_rel=1e-9, max_iter=60,
     alpha_gd = 1.0
     cap = max_iter if newton else gd_max_iter
     stop_reason = "max_iter"
+    gnorm = float(np.linalg.norm(g[ii]))
+    eta = ETA_MAX
+    linear_iterations = []
 
     # "not <=" keeps iterating on a NaN residual, so that case ends with a
     # failed line search instead of passing as an untried iteration cap.
@@ -331,12 +551,10 @@ def solve(problem, *, method="newton", tol_rel=1e-9, max_iter=60,
         d = np.zeros_like(u)
         slope = None
         if newton:
-            K = _assemble_hessian(mesh, hz)
-            Kii = K[ii][:, ii]
-            mu = 1e-10 * (1.0 + res)
-            Kii = Kii + mu * sparse.identity(ii.size, format="csr")
+            Kii = _newton_matrix(mesh, hz, 1e-10 * (1.0 + res))
             try:
-                step = spsolve(Kii, -g[ii])
+                step, its = spsolve(Kii, -g[ii], mesh.prolongations(), rtol=eta,
+                                    full_output=True)
             except Exception:
                 step = None
             if step is not None and np.isfinite(step).all():
@@ -344,6 +562,7 @@ def solve(problem, *, method="newton", tol_rel=1e-9, max_iter=60,
                 if sl < 0.0:
                     d[ii] = step
                     slope = sl
+            linear_iterations.append(its if slope is not None else -1)
         if slope is None:
             step = -g[ii]
             if u_prev is not None:
@@ -362,6 +581,8 @@ def solve(problem, *, method="newton", tol_rel=1e-9, max_iter=60,
         u = u + alpha * d
         energy, g, v, hz = assemble_energy(F, mesh, u, order=order)
         res = float(np.abs(g[ii]).max()) if ii.size else 0.0
+        gnorm_prev, gnorm = gnorm, float(np.linalg.norm(g[ii]))
+        eta = min(ETA_MAX, EW_GAMMA * (gnorm / gnorm_prev) ** EW_ALPHA)
         iterations += 1
 
     converged = bool(res <= tol)
@@ -370,6 +591,7 @@ def solve(problem, *, method="newton", tol_rel=1e-9, max_iter=60,
         problem=problem, mesh=mesh, u=u, du=du, v=v, energy=energy,
         residual=res, iterations=iterations, converged=converged,
         method=method, stop_reason="tol" if converged else stop_reason,
+        linear_iterations=linear_iterations,
     )
 
 

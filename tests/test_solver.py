@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
+from scipy import sparse
 
 import quc
 from quc.config import compile_boundary_expression
 from quc.regularize import MoreauIntegrand
-from quc.solver import (Mesh, SolverError, _assemble_hessian, _coons_init, _recover_dv,
-                        assemble_energy, spsolve)
+from quc.solver import (Mesh, SolverError, _assemble_hessian, _coons_init, _newton_matrix,
+                        _recover_dv, assemble_energy, spsolve)
 
 
 # ---------------------------------------------------------------------------
@@ -92,6 +93,144 @@ def test_assembled_gradient_matches_fd(rng):
         em, _ = assemble_energy(F, m, um, want_grad=False)
         fd = (ep - em) / (2 * h)
         assert g[idx] == pytest.approx(fd, rel=1e-5, abs=1e-9)
+
+
+DISK = (np.array([0.5, 0.5]), 0.45)
+
+
+@pytest.mark.parametrize("mask", [None, DISK])
+def test_newton_matrix_matches_coo_path(mask, rng):
+    # Each entry sums at most 6 element terms (7 with the shift on the
+    # diagonal); two orders of summing k terms differ by at most
+    # (k - 1) eps sum|terms| to first order, so by 6 eps sum|terms|.
+    m = Mesh(((0.0, 1.0), (0.0, 1.0)), 33, mask=mask)
+    A = rng.standard_normal((m.n_tris, 2, 2))
+    hz = A @ A.transpose(0, 2, 1)
+    mu = 0.25
+    ii = m.interior_idx
+    shift = mu * sparse.identity(ii.size, format="csr")
+    ref = (_assemble_hessian(m, hz)[ii][:, ii] + shift).toarray()
+    K = _newton_matrix(m, hz, mu)
+    entries = (m.grads @ hz @ m.grads.transpose(0, 2, 1)) * m.areas[:, None, None]
+    terms = sparse.coo_matrix((np.abs(entries).ravel(), (m._coo_rows, m._coo_cols)),
+                              shape=(m.n_nodes, m.n_nodes)).tocsr()[ii][:, ii] + shift
+    assert K.has_sorted_indices
+    assert np.all(np.abs(K.toarray() - ref) <= 6 * np.finfo(float).eps * terms.toarray())
+    assert K.nnz == np.count_nonzero(terms.toarray())
+
+
+def _coarse_p1_values(n, uc):
+    """The coarse P1 function with nodal values uc on grid (n + 1) / 2,
+    evaluated at every node of grid n from its barycentric coordinates."""
+    nc = (n + 1) // 2
+    j, i = np.divmod(np.arange(n * n), n)
+    I, J = np.minimum(i // 2, nc - 2), np.minimum(j // 2, nc - 2)
+    s, t = (i - 2 * I) / 2, (j - 2 * J) / 2
+    g = uc.reshape(nc, nc)
+    a, b, c, d = g[J, I], g[J, I + 1], g[J + 1, I + 1], g[J + 1, I]
+    lower = (1 - s) * a + (s - t) * b + t * c
+    upper = (1 - t) * a + s * c + (t - s) * d
+    return np.where(t <= s, lower, upper)
+
+
+@pytest.mark.parametrize("mask", [None, DISK])
+def test_prolongation_is_the_coarse_p1_interpolant(mask, rng):
+    # Dyadic nodal values and weights 0, 1/2, 1: every sum is exact.
+    m = Mesh(((0.0, 1.0), (0.0, 1.0)), 65, mask=mask)
+    Ps = m.prolongations()
+    assert len(Ps) == 2     # 65 -> 33 -> 17
+    n, keep = m.n, m.interior
+    for P in Ps:
+        nc = (n + 1) // 2
+        coarse_keep = keep.reshape(n, n)[::2, ::2].ravel()
+        uc = np.zeros(nc * nc)
+        uc[coarse_keep] = rng.integers(-2**20, 2**20, int(coarse_keep.sum())) / 2**10
+        assert P.shape == (keep.sum(), coarse_keep.sum())
+        np.testing.assert_array_equal(P @ uc[coarse_keep], _coarse_p1_values(n, uc)[keep])
+        n, keep = nc, coarse_keep
+    if mask is None:
+        np.testing.assert_array_equal(keep, Mesh(((0.0, 1.0), (0.0, 1.0)), 17).interior)
+
+
+def test_galerkin_coarsening_is_exact():
+    # With D2F = Id the Newton matrix is the P1 stiffness matrix, and P1
+    # spaces nest, so P^T K_fine P is the coarse stiffness matrix.  The
+    # product sums at most r terms for K P and c for P^T (K P) (r, c the
+    # largest row count of K and column count of P): the computed entries
+    # lie within gamma_{r+c} (|P|^T |K| |P|) of the exact ones.
+    fine = Mesh(((0.0, 1.0), (0.0, 1.0)), 33)
+    coarse = Mesh(((0.0, 1.0), (0.0, 1.0)), 17)
+    ident = lambda m: np.broadcast_to(np.eye(2), (m.n_tris, 2, 2))
+    K, Kc = _newton_matrix(fine, ident(fine), 0.0), _newton_matrix(coarse, ident(coarse), 0.0)
+    (P,) = fine.prolongations()
+    k = np.diff(K.indptr).max() + np.diff(P.tocsc().indptr).max()
+    gamma = k * np.finfo(float).eps / (1 - k * np.finfo(float).eps)
+    bound = gamma * (abs(P).T @ abs(K) @ abs(P)).toarray()
+    assert np.all(np.abs((P.T @ K @ P).toarray() - Kc.toarray()) <= bound)
+
+
+def _p3_oracle(n):
+    return quc.GridProblem(integrand=quc.make_power(3.0), n=n,
+                           boundary=compile_boundary_expression("3.4*(x^2+y^2)^0.25"),
+                           bounds=((1.0, 2.0), (1.0, 2.0)))
+
+
+def _disk_blend(n):
+    return quc.GridProblem(integrand=quc.normalise(quc.make_blend(3.0, 1.5, (0.5, 0.0))), n=n,
+                           boundary=compile_boundary_expression(
+                               "0.5*(x - 0.25)^2 - 0.5*(y - 0.5)^2"),
+                           mask=(np.array([0.5, 0.5]), 0.49))
+
+
+def _first_newton_system(prob):
+    m = prob.mesh()
+    u = _coons_init(m, prob.boundary_values(m))
+    _, g, _, hz = assemble_energy(prob.integrand, m, u, order=2)
+    return m, _newton_matrix(m, hz, 0.0), -g[m.interior_idx]
+
+
+@pytest.mark.parametrize("make_problem", [_p3_oracle, _disk_blend])
+def test_pcg_iterations_do_not_grow_with_the_grid(make_problem):
+    counts = []
+    for n in (33, 65, 129):
+        m, K, b = _first_newton_system(make_problem(n))
+        x, its = spsolve(K, b, m.prolongations(), rtol=1e-8, full_output=True)
+        assert its > 0 and np.linalg.norm(b - K @ x) <= 1e-8 * np.linalg.norm(b)
+        counts.append(its)
+        sol = quc.solve(make_problem(n))
+        assert sol.converged and len(sol.linear_iterations) == sol.iterations
+        assert min(sol.linear_iterations) > 0        # no fallback fired
+    assert counts[-1] - counts[0] <= 2
+
+
+def test_pcg_failure_falls_back_to_superlu(monkeypatch):
+    from scipy.sparse.linalg import spsolve as scipy_spsolve
+
+    m, K, b = _first_newton_system(_p3_oracle(33))
+    ref = scipy_spsolve(K.tocsc(), b)
+    bound = 2.0 * np.linalg.cond(K.toarray()) * np.finfo(float).eps
+    # a negative definite matrix: r.z < 0 and p.Ap < 0 at the first step
+    x, its = spsolve(-K, b, m.prolongations(), full_output=True)
+    assert its == -1
+    assert np.linalg.norm(x + ref) <= bound * np.linalg.norm(ref)
+    # plain CG would converge on -K within this cap; the curvature test stops it
+    monkeypatch.setattr(quc.solver, "PCG_MAXITER", 10 * K.shape[0])
+    assert quc.solver._pcg(-K, b, lambda r: r, 1e-8) is None
+    # an iteration cap of 0
+    monkeypatch.setattr(quc.solver, "PCG_MAXITER", 0)
+    x, its = spsolve(K, b, m.prolongations(), full_output=True)
+    assert its == -1
+    assert np.linalg.norm(x - ref) <= bound * np.linalg.norm(ref)
+    sol = quc.solve(_p3_oracle(33))
+    assert sol.stop_reason == "tol"
+    assert sol.linear_iterations == [-1] * sol.iterations
+
+
+def test_grids_up_to_the_coarsest_solve_directly():
+    assert Mesh(((0.0, 1.0), (0.0, 1.0)), 17).prolongations() == []
+    assert Mesh(((0.0, 1.0), (0.0, 1.0)), 64).prolongations() == []
+    sol = quc.solve(_p3_oracle(17))
+    assert sol.converged and sol.linear_iterations == [0] * sol.iterations
 
 
 # ---------------------------------------------------------------------------
