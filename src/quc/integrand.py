@@ -43,6 +43,15 @@ def as_points(z):
     raise IntegrandError(f"expected a point of shape (2,) or batch (m, 2), got {z.shape}")
 
 
+def _scale_rows(s, z):
+    """s[:, None] * z for an (m, 2) z, one strided multiply per column so
+    numpy's inner loop runs over the m rows; elementwise the same products."""
+    out = np.empty_like(z)
+    for c in range(z.shape[1]):
+        np.multiply(s, z[:, c], out=out[:, c])
+    return out
+
+
 class Integrand:
     """Base class: convex integrand with batched eval / grad / hess.
 
@@ -291,7 +300,7 @@ class RadialIntegrand(Integrand):
         s = self._prox_radius(r, delta)
         with np.errstate(divide="ignore", invalid="ignore"):
             scale = np.where(r > 0.0, s / r, 0.0)
-        return scale[:, None] * Z
+        return _scale_rows(scale, Z)
 
     def _envelope_hess(self, W, delta):
         s = np.sqrt(W[:, 0] ** 2 + W[:, 1] ** 2)
@@ -320,7 +329,7 @@ def _power_grad(z, p):
     r2 = z[:, 0] ** 2 + z[:, 1] ** 2
     with np.errstate(divide="ignore", invalid="ignore"):
         s = np.where(r2 > 0.0, r2 ** ((p - 2.0) / 2.0), 0.0)
-    return s[:, None] * z
+    return _scale_rows(s, z)
 
 
 def _power_hess(z, p):
@@ -451,7 +460,7 @@ class UhlenbeckIntegrand(RadialIntegrand):
         r = self._radii(z)
         with np.errstate(divide="ignore", invalid="ignore"):
             s = np.where(r > 0.0, self.profile.deriv(r) / np.where(r > 0, r, 1.0), 0.0)
-        return s[:, None] * z
+        return _scale_rows(s, z)
 
     def _hess(self, z):
         r = self._radii(z)
@@ -500,7 +509,7 @@ class FinslerIntegrand(Integrand):
         az = z @ self.A.T
         with np.errstate(divide="ignore", invalid="ignore"):
             s = np.where(h > 0.0, self.profile.deriv(h) / np.where(h > 0, h, 1.0), 0.0)
-        return s[:, None] * az
+        return _scale_rows(s, az)
 
     def _hess(self, z):
         h = self._gauge(z)
@@ -637,7 +646,7 @@ class BlendIntegrand(Integrand):
         _, d1, _ = self._phi_parts(rho)
         with np.errstate(divide="ignore", invalid="ignore"):
             s = np.where(rho > 0.0, d1 / np.where(rho > 0, rho, 1.0), 0.0)
-        return out + self.eps * s[:, None] * d
+        return out + _scale_rows(self.eps * s, d)
 
     def _hess(self, z):
         out = _power_hess(z, self.p)
@@ -1215,8 +1224,9 @@ def check_midpoint_convexity(F, rng, n=10**4, radius=100.0):
     """Worst midpoint-convexity margin over random pairs; >= -tol for convex F."""
     z = rng.uniform(-radius, radius, (n, 2))
     w = rng.uniform(-radius, radius, (n, 2))
-    gap = 0.5 * (F._eval(z) + F._eval(w)) - F._eval(0.5 * (z + w))
-    scale = np.maximum(1.0, np.abs(F._eval(z)) + np.abs(F._eval(w)))
+    fz, fw = F._eval(z), F._eval(w)
+    gap = 0.5 * (fz + fw) - F._eval(0.5 * (z + w))
+    scale = np.maximum(1.0, np.abs(fz) + np.abs(fw))
     return float(np.min(gap / scale))
 
 

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 import quc
-from quc.integrand import IntegrandError, ProxError, _prox_solve
-from quc.regularize import MoreauIntegrand
+from quc.integrand import IntegrandError, ProxError, _prox_solve, _scale_rows
+from quc.regularize import _CHUNK, MoreauIntegrand
 from conftest import catalogue
 
 
@@ -364,6 +364,102 @@ def test_mollified_lower_eigenvalue(rng):
     Mo = quc.mollify_plus_quadratic(F, 0.25, mu)
     lo, _ = Mo.hess_eig_bounds(rng.uniform(-3, 3, (500, 2)))
     assert lo.min() >= mu - 1e-6
+
+
+def _mollified_cases():
+    return [
+        ("power_3", quc.mollify_plus_quadratic(quc.make_power(3.0), 0.25, 0.25)),
+        ("moreau_power_1.5", quc.mollify_plus_quadratic(
+            quc.moreau_yosida(quc.make_power(1.5), 0.25), 0.25, 0.25)),
+    ]
+
+
+@pytest.mark.parametrize("name,Mo", _mollified_cases(), ids=[n for n, _ in _mollified_cases()])
+def test_mollified_point_does_not_depend_on_its_batch(name, Mo, rng):
+    # each point's samples are reduced on their own, so a point alone, in
+    # batches of 7 and in one batch of three convolution chunks gives the
+    # same bits
+    m = 2 * (_CHUNK // len(Mo.spec.nodes)) + 8
+    z = np.concatenate([np.zeros((1, 2)), rng.uniform(-3.0, 3.0, (m - 1, 2))])
+    calls = {"eval": Mo._eval, "grad": Mo._grad, "hess": Mo._hess,
+             "derivs": lambda x: Mo.derivs(x, 2)}
+    for key, fn in calls.items():
+        whole = fn(z)
+        for size in (1, 7):
+            parts = [fn(z[lo:lo + size]) for lo in range(0, m, size)]
+            if key == "derivs":
+                for i in range(3):
+                    assert np.array_equal(np.concatenate([p[i] for p in parts]), whole[i]), \
+                        (key, i, size)
+            else:
+                assert np.array_equal(np.concatenate(parts), whole), (key, size)
+
+
+def _reference_power_grad(z, p):
+    # the leaf gradient with its row scaling written as a broadcast
+    r2 = z[:, 0] ** 2 + z[:, 1] ** 2
+    with np.errstate(divide="ignore", invalid="ignore"):
+        s = np.where(r2 > 0.0, r2 ** ((p - 2.0) / 2.0), 0.0)
+    return s[:, None] * z
+
+
+def _reference_convolution(Mo, z, vals, grads):
+    """Value, gradient and Hessian of Mo at z from the part's samples, reduced
+    as a gemv and two einsums over all rows, with the magnitudes A that bound
+    their rounding error."""
+    k, w, gw = len(Mo.spec.nodes), Mo.spec.weights, Mo.spec.grad_weights
+    vals, grads = vals.reshape(-1, k), grads.reshape(-1, k, 2)
+    q = 0.5 * Mo.mu * (z[:, 0] ** 2 + z[:, 1] ** 2)
+    f = vals @ w + q
+    g = np.einsum("mki,k->mi", grads, w) + Mo.mu * z
+    h = np.einsum("mki,kj->mij", grads, gw) / Mo.eps
+    h = 0.5 * (h + np.transpose(h, (0, 2, 1))) + Mo.mu * np.eye(2)
+    fa = np.abs(vals) @ np.abs(w) + q
+    ga = np.einsum("mki,k->mi", np.abs(grads), np.abs(w)) + Mo.mu * np.abs(z)
+    ha = np.einsum("mki,kj->mij", np.abs(grads), np.abs(gw)) / Mo.eps
+    ha = 0.5 * (ha + np.transpose(ha, (0, 2, 1))) + Mo.mu * np.eye(2)
+    return (f, g, h), (fa, ga, ha)
+
+
+@pytest.mark.parametrize("name,Mo", _mollified_cases(), ids=[n for n, _ in _mollified_cases()])
+def test_mollified_matches_reference_convolution(name, Mo, rng):
+    """Both reductions sum the same rounded samples in different orders.
+
+    Every entry is a sum of terms over the k = 576 nodes plus the mu term.
+    A term passes through at most k + 3 roundings: its product and at most
+    k - 1 additions inside the dot product, then the division by eps, the
+    symmetrising addition and the mu addition (the Hessian; value and
+    gradient have fewer), whatever the summation order.  So each result is
+    within gamma_n(u) A of the exact sum (Higham, Accuracy and Stability of
+    Numerical Algorithms, lemma 3.1 and eq. 3.5), n = k + 3, u = eps/2 and A
+    the sum of the terms' magnitudes, and the two results are within
+    2 gamma_n(u) A <= gamma_n A of each other, gamma_n = n eps / (1 - n eps).
+    """
+    k = len(Mo.spec.nodes)
+    r = 10.0 ** rng.uniform(-3.0, 3.0, 400)
+    th = rng.uniform(0.0, 2.0 * np.pi, 400)
+    z = r[:, None] * np.stack([np.cos(th), np.sin(th)], axis=1)
+    pts = (z[:, None, :] - Mo.eps * Mo.spec.nodes[None, :, :]).reshape(-1, 2)
+    assert np.array_equal(Mo._shifted(z), pts)
+    if isinstance(Mo.part, MoreauIntegrand):
+        vals, grads, _ = Mo.part.derivs(pts, 1)
+    else:
+        vals, grads = Mo.part._eval(pts), _reference_power_grad(pts, Mo.part.p)
+        assert np.array_equal(Mo.part._grad(pts), grads)
+    want, size = _reference_convolution(Mo, z, vals, grads)
+    n = k + 3
+    gamma = n * np.finfo(float).eps / (1.0 - n * np.finfo(float).eps)
+    for got, ref, a in zip(Mo.derivs(z, 2), want, size):
+        assert np.all(np.abs(got - ref) <= gamma * a)
+
+
+def test_scale_rows_matches_the_broadcast_product(rng):
+    s = np.concatenate([rng.normal(size=60), [0.0, -0.0, np.inf, np.nan, 5e-324]])
+    z = rng.normal(size=(65, 2)) * 10.0 ** rng.integers(-300, 300, (65, 2))
+    z[:5] = [[np.inf, 1.0], [0.0, -np.inf], [np.nan, 2.0], [1e-310, -3.0], [0.0, 0.0]]
+    for zz in (z, np.asfortranarray(z), z[::-1]):
+        with np.errstate(all="ignore"):
+            assert np.array_equal(_scale_rows(s, zz), s[:, None] * zz, equal_nan=True)
 
 
 # ---------------------------------------------------------------------------

@@ -326,19 +326,24 @@ def test_newton_and_gradient_agree():
 
 def test_newton_solve_takes_one_integrand_pass_per_iterate(monkeypatch):
     # one order-2 pass per accepted iterate plus one energy-only Armijo trial
-    # per step; each pass through mollify(Moreau(F)) solves its proximal
-    # points once, so the prox count is 1 + 2 * iterations
-    calls = []
+    # per step; each pass through mollify(Moreau(F)) solves the proximal
+    # points of its M triangles' k mollifier samples once, in as many
+    # convolution batches as it takes, so the prox points sum to
+    # (1 + 2 * iterations) M k, and one extra pass would add M k more
+    points = []
     prox = MoreauIntegrand.prox
     monkeypatch.setattr(MoreauIntegrand, "prox",
-                        lambda self, z: calls.append(len(z)) or prox(self, z))
+                        lambda self, z: points.append(len(z)) or prox(self, z))
+    F = quc.strongly_elliptic_approx(quc.make_power(3.0), 2)
     prob = quc.GridProblem(
-        integrand=quc.strongly_elliptic_approx(quc.make_power(3.0), 2), n=9,
+        integrand=F, n=9,
         boundary=compile_boundary_expression("(x^2+y^2)^0.25"),
         bounds=((1.0, 2.0), (1.0, 2.0)))
+    M, k = len(prob.mesh().tris), len(F.spec.nodes)
+    assert (M, k) == (128, 576)
     sol = quc.solve(prob)
     assert sol.converged and sol.iterations >= 1
-    assert len(calls) == 1 + 2 * sol.iterations
+    assert sum(points) == (1 + 2 * sol.iterations) * M * k
 
 
 def test_spsolve_matches_scipy_within_conditioning():
