@@ -5,13 +5,18 @@ ndarray table must give the same bytes.
 """
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quc import cli
+from quc import dual_geometry as dg
+from quc import qc_analysis as qa
 from quc.config import parse_config
-from quc.csvio import BLOCK_ROWS, read_csv, write_csv
+from quc.csvio import _SLOT, BLOCK_ROWS, _ascii8, _encode_block, read_csv, write_csv
 from quc.integrand import normalise
 
 EDGE_VALUES = [
@@ -64,20 +69,42 @@ def p3_config(tmp_path):
     return path
 
 
-def test_cli_solution_matches_per_cell(tmp_path, p3_config):
+def _solution_and_cells(tmp_path, config):
+    """The CLI's solution.csv and the same table written cell by cell."""
     out = tmp_path / "out"
-    assert cli.main(["--out-dir", str(out), "solve", str(p3_config)]) == 0
-    cfg = parse_config(p3_config)
+    assert cli.main(["--out-dir", str(out), "solve", str(config)]) == 0
+    cfg = parse_config(config)
     sol = cli._solve(cfg, normalise(cfg.integrand))
-    st, mesh = sol.stress(), sol.mesh
+    stress, mesh = sol.stress(), sol.mesh
     u_bary = sol.u[mesh.tris].mean(axis=1)
+    v, dv = stress.v, stress.dv_tri
     rows = [[float(mesh.bary[t, 0]), float(mesh.bary[t, 1]), float(u_bary[t]),
-             float(sol.du[t, 0]), float(sol.du[t, 1]), float(st.v[t, 0]), float(st.v[t, 1]),
-             float(st.dv_tri[t, 0, 0]), float(st.dv_tri[t, 0, 1]),
-             float(st.dv_tri[t, 1, 0]), float(st.dv_tri[t, 1, 1])]
+             float(sol.du[t, 0]), float(sol.du[t, 1]), float(v[t, 0]), float(v[t, 1]),
+             float(dv[t, 0, 0]), float(dv[t, 0, 1]), float(dv[t, 1, 0]), float(dv[t, 1, 1])]
             for t in range(mesh.n_tris)]
-    write_csv(tmp_path / "cells.csv", cli.SOLUTION_FIELDS, rows, cli._provenance(cfg, 3))
-    assert (out / "solution.csv").read_bytes() == (tmp_path / "cells.csv").read_bytes()
+    write_csv(tmp_path / "cells.csv", cli.SOLUTION_FIELDS, rows,
+              cli._provenance(cfg, cfg.seed))
+    return (out / "solution.csv").read_bytes(), (tmp_path / "cells.csv").read_bytes()
+
+
+def test_cli_solution_matches_per_cell(tmp_path, p3_config):
+    got, ref = _solution_and_cells(tmp_path, p3_config)
+    assert got == ref
+
+
+def test_cli_disk_blend_solution_matches_per_cell(tmp_path):
+    """The degenerate blend on a disk mask has stress cells below 1e-4,
+    which %.17g prints in exponent notation through the fallback."""
+    path = tmp_path / "disk.json"
+    path.write_text(json.dumps({
+        "integrand": {"kind": "blend", "p": 3.0, "q": 1.5, "w": [0.5, 0.0]},
+        "problem": {"n": 33, "boundary": "0.5*(x - 0.25)^2 - 0.5*(y - 0.5)^2",
+                    "mask": {"center": [0.5, 0.5], "radius": 0.49}},
+        "seed": 801,
+    }))
+    got, ref = _solution_and_cells(tmp_path, path)
+    assert got == ref
+    assert b"e-" in got
 
 
 def _rewrite_per_cell(path, ref, convert):
@@ -102,3 +129,121 @@ def test_cli_degiorgi_sequence_matches_per_cell(tmp_path):
                      "--out", str(out)]) == 0
     got, ref = _rewrite_per_cell(out, tmp_path / "cells.csv", (int, float))
     assert got == ref
+
+
+def test_cli_gauge_table_matches_recomputed_cells(tmp_path, p3_config):
+    """gauge_table.csv against the gauge samples recomputed as the CLI does
+    (H estimated with the config's seed) and written cell by cell; its
+    first angle is 0.0, which takes the fallback."""
+    assert cli.main(["--out-dir", str(tmp_path), "gauge", str(p3_config),
+                     "--k", "0.5,2", "--angles", "16"]) == 0
+    cfg = parse_config(p3_config)
+    F = normalise(cfg.integrand)
+    H = qa.estimate_H(F, rng=np.random.default_rng(cfg.seed)).H_est
+    rows = []
+    for k in (0.5, 2.0):
+        gs = dg.gauge_bounds(F, k, n_angles=16, H=H)
+        rows += [[k, float(t), float(g)] for t, g in zip(gs.angles, gs.values)]
+    assert rows[0][1] == 0.0
+    write_csv(tmp_path / "cells.csv", ["k", "angle", "g"], rows, cli._provenance(cfg, cfg.seed))
+    assert (tmp_path / "gauge_table.csv").read_bytes() == (tmp_path / "cells.csv").read_bytes()
+
+
+def _percent_rows(table):
+    return "".join(",".join("%.17g" % v for v in row) + "\n" for row in table.tolist()).encode()
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+                min_size=1, max_size=60),
+       st.integers(1, 4))
+def test_encoder_matches_percent_format(values, cols):
+    table = np.array(values * cols).reshape(-1, cols)
+    assert _encode_block(table) == _percent_rows(table)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.floats(min_value=1e-4, max_value=1e16, exclude_max=True), min_size=1,
+                max_size=60),
+       st.booleans())
+def test_encoder_matches_percent_format_in_fixed_range(values, negate):
+    """The range the encoder formats itself, where %.17g uses fixed notation."""
+    table = np.array(values).reshape(-1, 1) * (-1.0 if negate else 1.0)
+    assert _encode_block(table) == _percent_rows(table)
+
+
+@pytest.mark.parametrize("value, text", [
+    (1 + 2**-17, "1.0000076293945312"),              # a tie, rounded to even
+    (9.9999999999999995, "10"),                      # rounds to the next decade
+    (99999999999999999.0, "1e+17"),
+    (1e-4, "0.0001"),                                # fixed/exponent switch
+    (9.99999999999999999e-5, "0.0001"),
+    (np.nextafter(1e-4, 0.0), "9.9999999999999991e-05"),
+    (1e16, "10000000000000000"),
+    (9999999999999998.0, "9999999999999998"),
+    (0.09999999999999999, "0.099999999999999992"),   # hi rounds up to 1e16
+    (np.nextafter(0.1, 1.0), "0.10000000000000002"),
+    (-0.00012345678901234567, "-0.00012345678901234567"),
+    (-123.5, "-123.5"),
+    (-1e15, "-1000000000000000"),
+    (2.0**53, "9007199254740992"),
+    (2.0**53 + 2, "9007199254740994"),
+    (-(2.0**60), "-1.152921504606847e+18"),
+    (0.5, "0.5"),
+])
+def test_encoder_edge_corpus(value, text):
+    assert "%.17g" % value == text
+    assert _encode_block(np.array([[value, -value]])) == \
+        f"{text},{'%.17g' % -value}\n".encode()
+
+
+def test_fallback_cells_match_per_cell(tmp_path):
+    """Blocks where some, all or none of the cells take the %.17g fallback,
+    and fallbacks on both sides of a block boundary."""
+    rng = np.random.default_rng(5)
+    fallback = np.array([0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324, 3e-5, -1e20, 1e16])
+    mixed = rng.uniform(-10, 10, (64, 6))
+    mixed.flat[::5] = np.resize(fallback, mixed.flat[::5].size)
+    all_fallback = np.resize(fallback, (64, 6))
+    no_fallback = rng.uniform(1e-4, 1e4, (64, 6)) * rng.choice([-1, 1], (64, 6))
+    boundary = rng.uniform(-1, 1, (BLOCK_ROWS + 1, 6))
+    boundary[BLOCK_ROWS - 1:BLOCK_ROWS + 1] = np.resize(fallback, (2, 6))
+    for table in (mixed, all_fallback, no_fallback, boundary):
+        got, ref = _array_and_cells(tmp_path, list("abcdef"), table, table.tolist())
+        assert got == ref
+
+
+def test_numeric_writer_holds_one_block(tmp_path):
+    """Peak allocation while writing 8 blocks stays within one block's.
+
+    For a block of C = BLOCK_ROWS * 11 cells the encoder holds at most 18
+    arrays of 8 bytes per cell at a time (|x|, the power index s, the
+    digits d and the Dekker terms; later the digit words, two uint64 per
+    cell, and their temporaries) and at most 4 arrays of _SLOT bytes per
+    cell (the digit buffer, the output, the shifted digits and a layout
+    mask; at the end the output, its bytes and the compacted bytes).  So
+    one block needs at most C * (18 * 8 + 4 * _SLOT) bytes; a writer that
+    encoded the whole table at once would need eight times its share.
+    The cells are normal variates, so no fallback text is built.
+    """
+    table = np.random.default_rng(9).standard_normal((8 * BLOCK_ROWS, 11))
+    bound = BLOCK_ROWS * 11 * (18 * 8 + 4 * _SLOT)
+    tracemalloc.start()
+    try:
+        write_csv(tmp_path / "big.csv", [f"c{i}" for i in range(11)], table)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= bound
+    assert (tmp_path / "big.csv").read_bytes().count(b"\n") == 8 * BLOCK_ROWS + 1
+
+
+def test_ascii8_digits():
+    """Every lane quotient the conversion relies on, and whole words."""
+    x = np.arange(10**4)
+    assert np.array_equal((x * 10486) >> 20, x // 100)
+    assert np.array_equal((x[:100] * 103) >> 10, x[:100] // 10)
+    v = np.concatenate([np.arange(1000), np.random.default_rng(2).integers(0, 10**8, 10**5),
+                        [10**8 - 1, 10**7, 10**4, 9999]]).astype(np.uint64)
+    text = (_ascii8(v) | 0x3030303030303030).astype("<u8").view("S8")
+    assert text.tolist() == [b"%08d" % n for n in v.tolist()]
