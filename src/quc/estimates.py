@@ -89,8 +89,14 @@ class VerificationReport:
 # ---------------------------------------------------------------------------
 
 def _ball_tris(mesh, center, radius):
+    """Triangles with barycenter in the ball; a ball with none raises."""
     d = np.hypot(mesh.bary[:, 0] - center[0], mesh.bary[:, 1] - center[1])
-    return d <= radius
+    inside = d <= radius
+    if not inside.any():
+        raise ValueError(
+            f"ball B_{radius:g}({center[0]:g},{center[1]:g}) holds no triangle "
+            f"barycenter on the grid n={mesh.n}")
+    return inside
 
 
 def _require_ball_inside(mesh, center, radius):

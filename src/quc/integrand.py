@@ -55,12 +55,18 @@ def _scale_rows(s, z):
 class Integrand:
     """Base class: convex integrand with batched eval / grad / hess.
 
-    ``derivs(z, order)`` returns (F, DF, D2F) at an (m, 2) batch in one
-    pass, with None for the derivatives above ``order``.  The default calls
-    ``_eval``/``_grad``/``_hess`` in turn; kinds whose derivatives share
-    work (the Moreau envelope's proximal points, the mollifier's shifted
-    samples) override it, and the combinators forward it to their parts.
-    Its results equal those of the separate calls bit for bit.
+    ``derivs(z, orders=(0, 1, 2))`` is the one derivative primitive.  It
+    returns the triple (F, DF, D2F) at an (m, 2) batch with each order in
+    the collection ``orders`` computed and every other slot None.  The base
+    ``_eval``, ``_grad`` and ``_hess`` are ``derivs(z, (k,))[k]`` for k = 0,
+    1, 2, and the base ``derivs`` calls ``_eval``, ``_grad`` and ``_hess``
+    for the wanted orders, so every subclass defines one side of this
+    recursion.  Leaves (power, quadratic, Uhlenbeck, Finsler, blend, finite
+    differences) define ``_eval``/``_grad``/``_hess``.  The combinators
+    (sum, scaling, shift, affine term), the Moreau envelope and the
+    mollifier define only ``derivs`` and ask their parts for just the
+    orders they need, so a pass without order 0 asks no part for a value.
+    A result does not depend on which other orders are computed with it.
 
     ``_prox(Z, delta)`` and ``_envelope_hess(W, delta)`` serve the Moreau
     envelope of F: its proximal points and its Hessian.  The defaults are
@@ -95,18 +101,18 @@ class Integrand:
     exact_prox = False
 
     def _eval(self, z):
-        raise NotImplementedError
+        return self.derivs(z, (0,))[0]
 
     def _grad(self, z):
-        raise NotImplementedError
+        return self.derivs(z, (1,))[1]
 
     def _hess(self, z):
-        raise NotImplementedError
+        return self.derivs(z, (2,))[2]
 
-    def derivs(self, z, order=2):
-        return (self._eval(z),
-                self._grad(z) if order >= 1 else None,
-                self._hess(z) if order >= 2 else None)
+    def derivs(self, z, orders=(0, 1, 2)):
+        return (self._eval(z) if 0 in orders else None,
+                self._grad(z) if 1 in orders else None,
+                self._hess(z) if 2 in orders else None)
 
     def _prox(self, Z, delta):
         """argmin_w F(w) + |w - z|^2 / (2 delta) at each row of Z."""
@@ -693,18 +699,9 @@ class SumIntegrand(Integrand):
             pts.extend(f.singular_points)
         self.singular_points = tuple(pts)
 
-    def _eval(self, z):
-        return sum(f._eval(z) for f in self.parts)
-
-    def _grad(self, z):
-        return sum(f._grad(z) for f in self.parts)
-
-    def _hess(self, z):
-        return sum(f._hess(z) for f in self.parts)
-
-    def derivs(self, z, order=2):
-        parts = [f.derivs(z, order) for f in self.parts]
-        return tuple(sum(d[k] for d in parts) if k <= order else None for k in range(3))
+    def derivs(self, z, orders=(0, 1, 2)):
+        parts = [f.derivs(z, orders) for f in self.parts]
+        return tuple(sum(d[k] for d in parts) if k in orders else None for k in range(3))
 
     def describe(self):
         return "sum(" + ", ".join(f.describe() for f in self.parts) + ")"
@@ -727,17 +724,8 @@ class ScaledIntegrand(Integrand):
         self.constant_hessian = part.constant_hessian
         self.exact_prox = part.exact_prox
 
-    def _eval(self, z):
-        return self.lam * self.part._eval(z)
-
-    def _grad(self, z):
-        return self.lam * self.part._grad(z)
-
-    def _hess(self, z):
-        return self.lam * self.part._hess(z)
-
-    def derivs(self, z, order=2):
-        return tuple(None if d is None else self.lam * d for d in self.part.derivs(z, order))
+    def derivs(self, z, orders=(0, 1, 2)):
+        return tuple(None if d is None else self.lam * d for d in self.part.derivs(z, orders))
 
     # the envelope of lam F at delta is lam times that of F at lam delta
     def _prox(self, Z, delta):
@@ -768,18 +756,9 @@ class ShiftedIntegrand(Integrand):
         self.constant_hessian = part.constant_hessian
         self.exact_prox = part.exact_prox
 
-    def _eval(self, z):
-        return self.part._eval(z + self.zbar) - self._offset
-
-    def _grad(self, z):
-        return self.part._grad(z + self.zbar)
-
-    def _hess(self, z):
-        return self.part._hess(z + self.zbar)
-
-    def derivs(self, z, order=2):
-        f, g, h = self.part.derivs(z + self.zbar, order)
-        return f - self._offset, g, h
+    def derivs(self, z, orders=(0, 1, 2)):
+        f, g, h = self.part.derivs(z + self.zbar, orders)
+        return None if f is None else f - self._offset, g, h
 
     def _prox(self, Z, delta):
         if not self.exact_prox:
@@ -807,18 +786,10 @@ class AffineAddIntegrand(Integrand):
         self.constant_hessian = part.constant_hessian
         self.exact_prox = part.exact_prox
 
-    def _eval(self, z):
-        return self.part._eval(z) + z @ self.w + self.c
-
-    def _grad(self, z):
-        return self.part._grad(z) + self.w
-
-    def _hess(self, z):
-        return self.part._hess(z)
-
-    def derivs(self, z, order=2):
-        f, g, h = self.part.derivs(z, order)
-        return f + z @ self.w + self.c, None if g is None else g + self.w, h
+    def derivs(self, z, orders=(0, 1, 2)):
+        f, g, h = self.part.derivs(z, orders)
+        return (None if f is None else f + z @ self.w + self.c,
+                None if g is None else g + self.w, h)
 
     # the linear term moves the proximal problem's centre from z to z - delta w
     def _prox(self, Z, delta):

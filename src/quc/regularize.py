@@ -76,7 +76,8 @@ class MoreauIntegrand(Integrand):
     same proximal point p = prox(z): F_delta(z) = F(p) + |p - z|^2 / (2 delta),
     DF_delta(z) = (z - p) / delta and D2 F_delta(z) = D2F(p) (Id + delta
     D2F(p))^{-1}, so ``derivs`` solves one proximal problem per point for
-    all three.  The part's ``_prox`` and ``_envelope_hess`` supply p and the
+    all the wanted orders, and evaluates F(p) only where order 0 is one of
+    them.  The part's ``_prox`` and ``_envelope_hess`` supply p and the
     Hessian: exact for power, Uhlenbeck and anisotropic-quadratic leaves,
     also behind scaling, shifts and affine terms; every other part (blend,
     Finsler, sums, finite differences, nested envelopes and mollifiers)
@@ -116,22 +117,15 @@ class MoreauIntegrand(Integrand):
                 f"its optimality condition: |grad| = {gn[i]:g} (tolerance {tol[i]:g})")
         return W[0] if single else W
 
-    def _eval(self, z):
-        return self.derivs(z, 0)[0]
-
-    def _grad(self, z):
-        return (z - self.prox(z)) / self.delta
-
-    def _hess(self, z):
-        return self.part._envelope_hess(self.prox(z), self.delta)
-
-    def derivs(self, z, order=2):
+    def derivs(self, z, orders=(0, 1, 2)):
         W = self.prox(z)
-        d = W - z
-        f = self.part._eval(W) + 0.5 / self.delta * (d[:, 0] ** 2 + d[:, 1] ** 2)
+        f = None
+        if 0 in orders:
+            d = W - z
+            f = self.part._eval(W) + 0.5 / self.delta * (d[:, 0] ** 2 + d[:, 1] ** 2)
         return (f,
-                (z - W) / self.delta if order >= 1 else None,
-                self.part._envelope_hess(W, self.delta) if order >= 2 else None)
+                (z - W) / self.delta if 1 in orders else None,
+                self.part._envelope_hess(W, self.delta) if 2 in orders else None)
 
     def describe(self):
         return f"moreau({self.part.describe()}, delta={self.delta:g})"
@@ -159,9 +153,10 @@ class MollifiedIntegrand(Integrand):
 
     Values and gradients integrate F and DF against phi_eps; Hessians use
     integration by parts, pairing DF with the bump's gradient, so only first
-    derivatives of F are ever needed.  ``derivs`` therefore takes value,
-    gradient and Hessian from one ``part.derivs`` pass of order at most 1
-    over the shifted quadrature points.  Jensen gives F * phi_eps >= F
+    derivatives of F are ever needed.  ``derivs`` therefore makes one
+    ``part.derivs`` pass over the shifted quadrature points, asking for F
+    only where order 0 is wanted and for DF only where order 1 or 2 is; the
+    Hessian reuses the gradient samples.  Jensen gives F * phi_eps >= F
     pointwise, and the quadratic term pins lmin >= mu.
 
     The shifted points are sampled in batches of at most ``_CHUNK`` points,
@@ -197,17 +192,15 @@ class MollifiedIntegrand(Integrand):
         for lo in range(0, m, rows):
             yield lo, min(lo + rows, m)
 
-    def _convolve(self, z, orders, sample):
-        """Value (order 0), gradient (1) and Hessian (2) for each order in
-        ``orders``, the others None; ``sample(pts)`` returns the part's
-        (F, DF) at the shifted points, None where no order needs it."""
+    def derivs(self, z, orders=(0, 1, 2)):
         m, k = z.shape[0], len(self.spec.nodes)
         w = self.spec.weights
         f = np.empty(m) if 0 in orders else None
         g = np.empty_like(z) if 1 in orders else None
         h = np.empty((m, 2, 2)) if 2 in orders else None
+        sampled = {min(j, 1) for j in orders}  # the Hessian pairs the DF samples
         for lo, hi in self._chunks(m):
-            vals, grads = sample(self._shifted(z[lo:hi]))
+            vals, grads, _ = self.part.derivs(self._shifted(z[lo:hi]), sampled)
             if f is not None:
                 f[lo:hi] = np.matmul(vals.reshape(-1, 1, k), w)[:, 0]
             if grads is not None:
@@ -225,19 +218,6 @@ class MollifiedIntegrand(Integrand):
             h[:, 0, 0] += self.mu
             h[:, 1, 1] += self.mu
         return f, g, h
-
-    def _eval(self, z):
-        return self._convolve(z, (0,), lambda pts: (self.part._eval(pts), None))[0]
-
-    def _grad(self, z):
-        return self._convolve(z, (1,), lambda pts: (None, self.part._grad(pts)))[1]
-
-    def _hess(self, z):
-        return self._convolve(z, (2,), lambda pts: (None, self.part._grad(pts)))[2]
-
-    def derivs(self, z, order=2):
-        return self._convolve(z, range(order + 1),
-                              lambda pts: self.part.derivs(pts, min(order, 1))[:2])
 
     def describe(self):
         return f"mollified({self.part.describe()}, eps={self.eps:g}, mu={self.mu:g})"

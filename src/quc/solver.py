@@ -267,17 +267,17 @@ def _tri_gradients(mesh, u):
 
 def assemble_energy(F, mesh, u, *, want_grad=True, order=None):
     """Discrete energy and (optionally) its nodal gradient from one
-    ``F.derivs`` pass over the triangle gradients Du.
+    ``F.derivs`` pass of orders 0..k over the triangle gradients Du.
 
     Energy is sum_T area_T F(Du_T); the gradient follows by the chain rule
-    through the per-triangle linear interpolation.  Without ``order`` the
-    result is (energy, gradient), the gradient None when ``want_grad`` is
-    False.  With ``order`` 1 or 2 it is (energy, gradient, DF(Du),
+    through the per-triangle linear interpolation.  Without ``order``, k is
+    1 (0 when ``want_grad`` is False) and the result is (energy, gradient or
+    None).  With ``order`` k = 1 or 2 it is (energy, gradient, DF(Du),
     D2F(Du) or None): the per-triangle derivatives that the Newton matrix
     and the stress V = DF(Du) need.
     """
     du = np.ascontiguousarray(_tri_gradients(mesh, u))
-    fvals, v, hz = F.derivs(du, (1 if want_grad else 0) if order is None else order)
+    fvals, v, hz = F.derivs(du, range((int(want_grad) if order is None else order) + 1))
     if not np.isfinite(fvals).all():
         t = int(np.argmax(~np.isfinite(fvals)))
         raise AssemblyError(f"non-finite integrand value at triangle {t}, Du = {du[t]}")
@@ -493,8 +493,8 @@ def solve(problem, *, method="newton", tol_rel=1e-9, max_iter=60,
     integrand degenerates), assembled into the mesh's fixed interior CSR
     pattern and solved by ``spsolve``; steps are accepted under the Armijo
     rule, so the energy is nonincreasing.  Each accepted iterate gets one
-    integrand pass (``F.derivs`` of order 2 for Newton, 1 for BB): it
-    gives the energy, the nodal gradient, the D2F(Du) of the next Newton
+    integrand pass (``F.derivs`` of orders 0..2 for Newton, 0..1 for BB):
+    it gives the energy, the nodal gradient, the D2F(Du) of the next Newton
     matrix and, at the last iterate, the stress V = DF(Du).  Armijo trials
     evaluate the energy only.  ``method="gradient"`` forces the
     Barzilai-Borwein fallback throughout.  Terminates when the interior

@@ -278,6 +278,31 @@ def test_cli_verify_check_flags_are_config_error(tmp_path, capsys, flags):
     assert not list(out.glob("*.csv"))
 
 
+_C = [1.5, 1.5]
+_EMPTY_BALL = {
+    "lipschitz": ({"name": "lipschitz", "R": 0.01, "center": _C}, "B_0.005(1.5,1.5)"),
+    "sobolev": ({"name": "sobolev", "R": 0.01, "center": _C}, "B_0.01(1.5,1.5)"),
+    "caccioppoli_l1": ({"name": "caccioppoli_l1", "R": 0.01, "center": _C},
+                       "B_0.01(1.5,1.5)"),
+    "caccioppoli": ({"name": "caccioppoli", "rho": 0.01, "R": 0.2, "k": 0.1, "center": _C,
+                     "assert_max_ratio": 1e-9}, "B_0.01(1.5,1.5)"),
+}
+
+
+@pytest.mark.parametrize("check, ball", list(_EMPTY_BALL.values()), ids=list(_EMPTY_BALL))
+def test_cli_check_on_a_ball_without_triangles_fails(tmp_path, capsys, check, ball):
+    # at n = 17 on [1, 2]^2 the barycenters nearest (1.5, 1.5) lie 0.047 away
+    cfg = _config(tmp_path, checks=[{**check, "out": "check.csv"}],
+                  problem={"n": 17, "domain": [[1, 2], [1, 2]],
+                           "boundary": "(x^2 + y^2)^0.25"})
+    out = tmp_path / "out"
+    assert main(["--out-dir", str(out), "verify", str(cfg)]) == 1
+    std = capsys.readouterr()
+    assert f"error: ball {ball} holds no triangle barycenter on the grid n=17" in std.err
+    assert "PASS" not in std.out and "check " not in std.out
+    assert not (out / "check.csv").exists()
+
+
 def test_cli_degiorgi(tmp_path, capsys):
     out = tmp_path / "dg.csv"
     code = main(["degiorgi", "--X0", "0.2", "--C", "1", "--b", "4", "--R", "1",

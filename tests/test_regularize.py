@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 
 import quc
-from quc.integrand import IntegrandError, ProxError, _prox_solve, _scale_rows
-from quc.regularize import _CHUNK, MoreauIntegrand
+from quc.integrand import (AffineAddIntegrand, IntegrandError, PowerIntegrand, ProxError,
+                           ScaledIntegrand, ShiftedIntegrand, SumIntegrand, _prox_solve,
+                           _scale_rows)
+from quc.regularize import _CHUNK, MollifiedIntegrand, MoreauIntegrand
 from conftest import catalogue
 
 
@@ -382,7 +384,7 @@ def test_mollified_point_does_not_depend_on_its_batch(name, Mo, rng):
     m = 2 * (_CHUNK // len(Mo.spec.nodes)) + 8
     z = np.concatenate([np.zeros((1, 2)), rng.uniform(-3.0, 3.0, (m - 1, 2))])
     calls = {"eval": Mo._eval, "grad": Mo._grad, "hess": Mo._hess,
-             "derivs": lambda x: Mo.derivs(x, 2)}
+             "derivs": Mo.derivs}
     for key, fn in calls.items():
         whole = fn(z)
         for size in (1, 7):
@@ -442,14 +444,14 @@ def test_mollified_matches_reference_convolution(name, Mo, rng):
     pts = (z[:, None, :] - Mo.eps * Mo.spec.nodes[None, :, :]).reshape(-1, 2)
     assert np.array_equal(Mo._shifted(z), pts)
     if isinstance(Mo.part, MoreauIntegrand):
-        vals, grads, _ = Mo.part.derivs(pts, 1)
+        vals, grads, _ = Mo.part.derivs(pts, (0, 1))
     else:
         vals, grads = Mo.part._eval(pts), _reference_power_grad(pts, Mo.part.p)
         assert np.array_equal(Mo.part._grad(pts), grads)
     want, size = _reference_convolution(Mo, z, vals, grads)
     n = k + 3
     gamma = n * np.finfo(float).eps / (1.0 - n * np.finfo(float).eps)
-    for got, ref, a in zip(Mo.derivs(z, 2), want, size):
+    for got, ref, a in zip(Mo.derivs(z), want, size):
         assert np.all(np.abs(got - ref) <= gamma * a)
 
 
@@ -519,7 +521,7 @@ def _derivs_cases():
 @pytest.mark.parametrize("name,F", _derivs_cases(), ids=[n for n, _ in _derivs_cases()])
 def test_derivs_equals_separate_calls(name, F, order, rng):
     z = np.concatenate([np.zeros((1, 2)), rng.uniform(-2.0, 2.0, (40, 2))])
-    got = F.derivs(z, order)
+    got = F.derivs(z, range(order + 1))
     want = (F._eval(z), F._grad(z), F._hess(z))
     assert len(got) == 3
     for k in range(3):
@@ -527,3 +529,73 @@ def test_derivs_equals_separate_calls(name, F, order, rng):
             assert np.array_equal(got[k], want[k]), (name, k)
         else:
             assert got[k] is None
+
+
+_WRAPPERS = (SumIntegrand, ScaledIntegrand, ShiftedIntegrand, AffineAddIntegrand,
+             MoreauIntegrand, MollifiedIntegrand)
+
+
+@pytest.mark.parametrize("cls", _WRAPPERS, ids=[c.__name__ for c in _WRAPPERS])
+def test_wrappers_define_only_derivs(cls):
+    # a per-order method next to derivs would be a second, unchecked rule
+    assert "derivs" in vars(cls)
+    assert not {"_eval", "_grad", "_hess"} & set(vars(cls))
+
+
+def _per_order_formulas(F, z):
+    """(F, DF, D2F) of a wrapper from its own rule for each order, applied to
+    its part's separate ``_eval``/``_grad``/``_hess`` calls."""
+    if isinstance(F, SumIntegrand):
+        return tuple(sum(getattr(f, m)(z) for f in F.parts) for m in ("_eval", "_grad", "_hess"))
+    part = F.part
+    if isinstance(F, ScaledIntegrand):
+        return F.lam * part._eval(z), F.lam * part._grad(z), F.lam * part._hess(z)
+    if isinstance(F, ShiftedIntegrand):
+        y = z + F.zbar
+        return part._eval(y) - F._offset, part._grad(y), part._hess(y)
+    if isinstance(F, AffineAddIntegrand):
+        return part._eval(z) + z @ F.w + F.c, part._grad(z) + F.w, part._hess(z)
+    W = F.prox(z)
+    d = W - z
+    return (part._eval(W) + 0.5 / F.delta * (d[:, 0] ** 2 + d[:, 1] ** 2),
+            (z - W) / F.delta, part._envelope_hess(W, F.delta))
+
+
+_ORACLE_CASES = [(n, F) for n, F in _derivs_cases()
+                 if isinstance(F, _WRAPPERS) and not isinstance(F, MollifiedIntegrand)]
+
+
+@pytest.mark.parametrize("name,F", _ORACLE_CASES, ids=[n for n, _ in _ORACLE_CASES])
+def test_wrapper_derivatives_match_their_per_order_formulas(name, F, rng):
+    z = np.concatenate([np.zeros((1, 2)), rng.uniform(-2.0, 2.0, (40, 2))])
+    want = _per_order_formulas(F, z)
+    for k, got in enumerate(F.derivs(z)):
+        assert np.array_equal(got, want[k]), (name, k)
+    for k, method in enumerate((F._eval, F._grad, F._hess)):
+        assert np.array_equal(method(z), want[k]), (name, k)
+
+
+def test_gradient_passes_evaluate_no_leaf_value(monkeypatch, rng):
+    # the mollifier's Hessian pairs gradient samples, and the Moreau envelope
+    # needs F(prox) only for its value: no pass without order 0 reaches a
+    # leaf value
+    power3 = quc.make_power(3.0)
+    cases = [quc.normalise(quc.mollify_plus_quadratic(power3, 0.25, 0.25)),
+             quc.normalise(quc.strongly_elliptic_approx(power3, 2))]
+    calls = []
+    real = PowerIntegrand._eval
+
+    def counting(self, z):
+        calls.append(len(z))
+        return real(self, z)
+
+    monkeypatch.setattr(PowerIntegrand, "_eval", counting)
+    z = rng.uniform(-2.0, 2.0, (30, 2))
+    for F in cases:
+        F._grad(z), F._hess(z), F.derivs(z, (1, 2))
+        quc.isotropic_envelope(F, n_radii=9, n_angles=8)
+        assert not calls, F.describe()
+        # the counter sees a value pass
+        F._eval(z)
+        assert calls
+        calls.clear()
