@@ -151,7 +151,8 @@ def caccioppoli_check(solution, ell, rho, R, center, H=None):
     ``ell`` is the affine function on gradient space, given as (c, b) with
     ell(z) = c + (b, z); the super-level region is {F(Du) >= ell(Du)}.
     LHS integrates |DV|_2^2 over the region in B_rho, RHS integrates
-    |V - b|^2 over the region in B_R times the constant.
+    |V - b|^2 over the region in B_R times the constant.  A region that
+    holds no triangle barycenter in B_R raises ValueError.
     """
     if not rho < R:
         raise ValueError(f"need rho < R, got rho={rho}, R={R}")
@@ -162,9 +163,15 @@ def caccioppoli_check(solution, ell, rho, R, center, H=None):
 
     inner = super_level_mask(solution, ell_c, ell_b, rho, center)
     outer = super_level_mask(solution, ell_c, ell_b, R, center)
-    if inner.any() and not outer.any():
-        raise RuntimeError("super-level nesting violated: A(ell, rho) nonempty "
-                           "with A(ell, R) empty (indexing bug)")
+    if not outer.any():
+        if inner.any():
+            raise RuntimeError("super-level nesting violated: A(ell, rho) nonempty "
+                               "with A(ell, R) empty (indexing bug)")
+        # both sides would be 0 and the ratio a vacuous 0
+        raise ValueError(
+            f"super-level set {{F(Du) >= {ell_c:g} + ({ell_b[0]:g}, {ell_b[1]:g}).Du}} "
+            f"holds no triangle barycenter in B_{R:g}({center[0]:g},{center[1]:g}) "
+            f"on the grid n={mesh.n}")
     dv2 = (st.dv_tri**2).sum(axis=(1, 2))
     lhs = float((mesh.areas[inner] * dv2[inner]).sum())
     Hval = _h_est(solution, H)

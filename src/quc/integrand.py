@@ -118,6 +118,11 @@ class Integrand:
         """argmin_w F(w) + |w - z|^2 / (2 delta) at each row of Z."""
         return _prox_solve(self, delta, Z, Z)
 
+    def _prox_underflows(self, Z, delta):
+        """Rows of Z whose proximal point is known to underflow: none for
+        the general proximal solve."""
+        return np.zeros(Z.shape[0], dtype=bool)
+
     def _envelope_hess(self, W, delta):
         """D2 F_delta at the points whose proximal point is W.
 
@@ -300,6 +305,14 @@ class RadialIntegrand(Integrand):
 
     def _prox_radius(self, r, delta):
         return radial_prox_radius(self.profile, r, delta)
+
+    def _prox_underflows(self, Z, delta):
+        """Rows whose proximal radius, the root of s + delta G'(s) = |z|,
+        lies strictly between 0 and the smallest positive double."""
+        r = np.sqrt(Z[:, 0] ** 2 + Z[:, 1] ** 2)
+        tiny = np.full(1, np.finfo(float).smallest_subnormal)
+        G1 = self.profile.deriv
+        return (r > delta * G1(np.zeros(1))[0]) & (tiny[0] + delta * G1(tiny)[0] > r)
 
     def _prox(self, Z, delta):
         r = np.sqrt(Z[:, 0] ** 2 + Z[:, 1] ** 2)

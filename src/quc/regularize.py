@@ -99,7 +99,9 @@ class MoreauIntegrand(Integrand):
     def prox(self, z):
         """Proximal points, checked on every path against the optimality
         condition |DF(p) + (p - z)/delta| <= 100 PROX_GRAD_TOL (1 + |z|):
-        a wrong exact map raises ``ProxError`` as a stalled Newton solve does."""
+        a wrong exact map raises ``ProxError`` as a stalled Newton solve does,
+        and so does a point whose proximal radius underflows (p near 1 at
+        tiny |z|), with a message that says so."""
         zz = np.asarray(z, dtype=float)
         single = zz.ndim == 1
         Z = zz.reshape(-1, 2)
@@ -112,9 +114,12 @@ class MoreauIntegrand(Integrand):
         bad = ~(gn <= tol) | (zn == np.inf)
         if bad.any():
             i = int(np.argmax(bad))
+            underflow = self.part._prox_underflows(Z[i:i + 1], self.delta)[0]
             raise ProxError(
                 f"proximal point of {self.part.describe()} at z = {Z[i].tolist()} misses "
-                f"its optimality condition: |grad| = {gn[i]:g} (tolerance {tol[i]:g})")
+                f"its optimality condition: |grad| = {gn[i]:g} (tolerance {tol[i]:g})"
+                + ("; its radius underflows below the smallest positive double, so no "
+                   "representable point meets the condition" if underflow else ""))
         return W[0] if single else W
 
     def derivs(self, z, orders=(0, 1, 2)):

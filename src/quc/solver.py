@@ -3,10 +3,15 @@
 The domain (an axis-aligned rectangle, optionally cut by a circular mask) is
 triangulated by splitting each grid cell along the lower-left to upper-right
 diagonal, so assembly is deterministic and meshes nest under the refinement
-n -> 2n - 1.  The energy sum_T area_T F(Du_T) over per-triangle constant
-gradients is minimised by damped inexact Newton with Armijo backtracking; a
-Barzilai-Borwein gradient method with the same safeguard serves as fallback
-and as an independent cross-check.
+n -> 2n - 1.  Every triangle is a lower or an upper one (``Mesh.orient``),
+and all triangles of one orientation share their area, their hat-function
+gradients (``Mesh.stencil_grads``) and their vertex offsets; Du, the pairing
+with the hat gradients, the element matrices, the Newton matrix pattern and
+the stress recovery work from these two stencils, one orientation block at a
+time, instead of from per-triangle geometry.  The energy sum_T area_T F(Du_T)
+over per-triangle constant gradients is minimised by damped inexact Newton
+with Armijo backtracking; a Barzilai-Borwein gradient method with the same
+safeguard serves as fallback and as an independent cross-check.
 
 The Newton systems are solved by CG preconditioned with a geometric
 multigrid V-cycle over the nested grids n, (n + 1) / 2, ... (Briggs,
@@ -37,9 +42,18 @@ class AssemblyError(SolverError):
 class Mesh:
     """Structured triangulation of a rectangle with optional circular mask.
 
-    Attributes: ``nodes`` (N, 2), ``tris`` (M, 3) int64, ``areas`` (M,),
-    ``grads`` (M, 3, 2) hat-function gradients, ``bary`` (M, 2) barycenters,
-    ``interior`` / ``dirichlet`` / ``used`` boolean node masks.
+    Every grid cell with lower-left node a splits into a lower triangle
+    (a, a + 1, a + n + 1) and an upper one (a, a + n + 1, a + n), so a
+    triangle's geometry is fixed by its orientation.  Lower triangles come
+    first: ``orient`` (M,) is 0 on the first ``n_lower`` rows of ``tris`` and
+    1 on the rest, and ``blocks`` holds the two row slices.
+    ``stencil_grads`` (2, 3, 2) holds the hat-function gradients of the
+    three vertices for each orientation, and ``stencil_offsets`` (2, 3) the
+    node offsets of the vertices from a.
+
+    Attributes: ``nodes`` (N, 2), ``tris`` (M, 3) int64, ``areas`` (M,) (all
+    hx hy / 2), ``bary`` (M, 2) barycenters, ``interior`` / ``dirichlet`` /
+    ``used`` boolean node masks.
     """
 
     def __init__(self, bounds, n, mask=None):
@@ -57,21 +71,15 @@ class Mesh:
         X, Y = np.meshgrid(xs, ys, indexing="xy")
         self.nodes = np.stack([X.ravel(), Y.ravel()], axis=1)
 
-        i = np.arange(n - 1)
-        j = np.arange(n - 1)
-        I, J = np.meshgrid(i, j, indexing="xy")
-        a = (J * n + I).ravel()
-        b = (J * n + I + 1).ravel()
-        c = ((J + 1) * n + I + 1).ravel()
-        d = ((J + 1) * n + I).ravel()
-        lower = np.stack([a, b, c], axis=1)
-        upper = np.stack([a, c, d], axis=1)
-        tris = np.concatenate([lower, upper], axis=0).astype(np.int64)
+        self.stencil_offsets = np.array([[0, 1, n + 1], [0, n + 1, n]])
+        a = (np.arange(n - 1)[:, None] * n + np.arange(n - 1)).ravel()
+        tris = (a[None, :, None] + self.stencil_offsets[:, None, :]).reshape(-1, 3)
 
         on_border = np.zeros(n * n, dtype=bool)
         idx = np.arange(n * n)
         on_border[(idx % n == 0) | (idx % n == n - 1) | (idx < n) | (idx >= n * (n - 1))] = True
 
+        n_lower = a.size
         if mask is not None:
             center, radius = np.asarray(mask[0], dtype=float), float(mask[1])
             inside = np.hypot(self.nodes[:, 0] - center[0],
@@ -80,6 +88,7 @@ class Mesh:
             full_count = np.bincount(tris.ravel(), minlength=n * n)
             kept_count = np.bincount(tris[keep].ravel(), minlength=n * n)
             tris = tris[keep]
+            n_lower = int(keep[:n_lower].sum())
             self.used = kept_count > 0
             self.interior = self.used & ~on_border & (kept_count == full_count)
         else:
@@ -90,21 +99,16 @@ class Mesh:
         self.dirichlet = self.used & ~self.interior
         self.tris = np.ascontiguousarray(tris)
         self.interior_idx = np.where(self.interior)[0]
+        M = self.tris.shape[0]
+        self.n_lower = n_lower
+        self.orient = np.repeat(np.array([0, 1], dtype=np.int8), [n_lower, M - n_lower])
 
-        P = self.nodes[self.tris]
-        e0 = P[:, 2] - P[:, 1]
-        e1 = P[:, 0] - P[:, 2]
-        e2 = P[:, 1] - P[:, 0]
-        twoA = e2[:, 0] * (-e1[:, 1]) - e2[:, 1] * (-e1[:, 0])
-        self.areas = 0.5 * np.abs(twoA)
-        perp = lambda v: np.stack([-v[:, 1], v[:, 0]], axis=1)
-        self.grads = np.ascontiguousarray(
-            np.stack([perp(e0), perp(e1), perp(e2)], axis=1) / twoA[:, None, None])
-        self.bary = P.mean(axis=1)
-        self._coo_rows = np.broadcast_to(self.tris[:, :, None],
-                                         (tris.shape[0], 3, 3)).ravel()
-        self._coo_cols = np.broadcast_to(self.tris[:, None, :],
-                                         (tris.shape[0], 3, 3)).ravel()
+        ix, iy = 1.0 / self.hx, 1.0 / self.hy
+        self.stencil_grads = np.array([[[-ix, 0.0], [ix, -iy], [0.0, iy]],
+                                       [[0.0, -iy], [ix, 0.0], [-ix, iy]]])
+        self.areas = np.full(M, 0.5 * self.hx * self.hy)
+        N = self.nodes
+        self.bary = (N[self.tris[:, 0]] + N[self.tris[:, 1]] + N[self.tris[:, 2]]) / 3
         self._node_tris = None
         self._newton_pattern = None
         self._prolongations = None
@@ -116,6 +120,11 @@ class Mesh:
     @property
     def n_tris(self):
         return self.tris.shape[0]
+
+    @property
+    def blocks(self):
+        """Row slices of the lower and of the upper triangles in ``tris``."""
+        return slice(0, self.n_lower), slice(self.n_lower, self.n_tris)
 
     def node_tris(self):
         """Sparse (N, M) node-triangle incidence matrix, CSR (lazy).
@@ -132,13 +141,15 @@ class Mesh:
     def newton_pattern(self):
         """Fixed CSR pattern of the interior Newton matrix (lazy).
 
-        Returns (indptr, indices, slots, diag): ``slots`` maps each of the
-        9 M local entries (triangle, a, b) to its place in the CSR data
-        array, or to the extra slot nnz when a or b is not interior;
-        ``diag`` holds the places of the diagonal entries.  Two nodes share
-        a triangle iff their offset is in the 7-point stencil, and every
-        triangle at an interior node is kept, so the pattern follows from
-        the stencil without sorting.
+        Returns (indptr, indices, slots, diag): ``slots`` (9, M) maps the
+        local entry (a, b) of triangle t, row 3 a + b of
+        ``_element_matrices``, to its place in the CSR data array, or to the
+        extra slot nnz when a or b is not interior; ``diag`` holds the places
+        of the diagonal entries.  Two nodes share a triangle iff their offset
+        is in the 7-point stencil, and every triangle at an interior node is
+        kept, so the pattern follows from the stencil without sorting, and
+        the stencil column of entry (a, b) from the orientation's vertex
+        offsets.
         """
         if self._newton_pattern is None:
             n, ii = self.n, self.interior_idx
@@ -150,11 +161,16 @@ class Mesh:
             indptr = np.concatenate([[0], np.cumsum(present.sum(axis=1))])
             place = np.where(present, indptr[:-1, None] + np.cumsum(present, axis=1) - 1,
                              indptr[-1])
-            lookup = np.zeros(2 * n + 3, dtype=np.int64)
-            lookup[stencil + n + 1] = np.arange(stencil.size)
-            rows = pos[self._coo_rows]
-            k = lookup[self._coo_cols - self._coo_rows + n + 1]
-            slots = np.where(rows >= 0, place[rows, k], indptr[-1])
+            # a last row of nnz, read through pos = -1 by nodes that are not interior
+            flat = np.append(place.ravel(), np.full(stencil.size, indptr[-1]))
+            d = self.stencil_offsets
+            column = np.searchsorted(stencil, d[:, None, :] - d[:, :, None])   # [o, a, b]
+            slots = np.empty((9, self.n_tris), dtype=np.int64)
+            for o, blk in enumerate(self.blocks):
+                for a in range(3):
+                    row = stencil.size * pos[self.tris[blk, a]]
+                    for b in range(3):
+                        slots[3 * a + b, blk] = flat[row + column[o, a, b]]
             self._newton_pattern = (indptr, neighbours[present], slots, place[:, 3])
         return self._newton_pattern
 
@@ -262,14 +278,23 @@ def _coons_init(mesh, data):
 
 
 def _tri_gradients(mesh, u):
-    return np.einsum("tak,ta->tk", mesh.grads, u[mesh.tris])
+    """Du per triangle: per orientation, each component is a three-term
+    multiply-add of the vertex values with the hat-gradient stencil."""
+    U = u[mesh.tris]
+    du = np.empty((mesh.n_tris, 2))
+    for blk, G in zip(mesh.blocks, mesh.stencil_grads):
+        Ub = U[blk]
+        for k in range(2):
+            du[blk, k] = G[0, k] * Ub[:, 0] + G[1, k] * Ub[:, 1] + G[2, k] * Ub[:, 2]
+    return du
 
 
 def assemble_energy(F, mesh, u, *, want_grad=True, order=None):
     """Discrete energy and (optionally) its nodal gradient from one
     ``F.derivs`` pass of orders 0..k over the triangle gradients Du.
 
-    Energy is sum_T area_T F(Du_T); the gradient follows by the chain rule
+    Energy is sum_T area_T F(Du_T), all areas being equal the area times
+    sum_T F(Du_T); the gradient follows by the chain rule
     through the per-triangle linear interpolation.  Without ``order``, k is
     1 (0 when ``want_grad`` is False) and the result is (energy, gradient or
     None).  With ``order`` k = 1 or 2 it is (energy, gradient, DF(Du),
@@ -281,36 +306,55 @@ def assemble_energy(F, mesh, u, *, want_grad=True, order=None):
     if not np.isfinite(fvals).all():
         t = int(np.argmax(~np.isfinite(fvals)))
         raise AssemblyError(f"non-finite integrand value at triangle {t}, Du = {du[t]}")
-    energy = float(mesh.areas @ fvals)
+    energy = float(mesh.areas[0] * fvals.sum())
     g = None if v is None else _pair_with_hats(mesh, v)
     return (energy, g) if order is None else (energy, g, v, hz)
 
 
 def _pair_with_hats(mesh, v):
-    """Nodal vector sum_T area_T v_T . D(phi_a)|_T over the hat functions phi_a."""
-    contrib = mesh.areas[:, None] * np.einsum("tak,tk->ta", mesh.grads, v)
-    out = np.zeros(mesh.n_nodes)
-    np.add.at(out, mesh.tris.ravel(), contrib.ravel())
-    return out
+    """Nodal vector sum_T area_T v_T . D(phi_a)|_T over the hat functions phi_a.
+
+    Per orientation each vertex term is a two-term multiply-add of v with
+    the area-weighted stencil; one bincount over ``tris.ravel()`` sums them
+    in the order of ``np.add.at``, so the sums are the same bits."""
+    contrib = np.empty((mesh.n_tris, 3))
+    for blk, G in zip(mesh.blocks, mesh.stencil_grads):
+        W = mesh.areas[0] * G
+        vb = v[blk]
+        for a in range(3):
+            contrib[blk, a] = W[a, 0] * vb[:, 0] + W[a, 1] * vb[:, 1]
+    return np.bincount(mesh.tris.ravel(), weights=contrib.ravel(), minlength=mesh.n_nodes)
 
 
 def _element_matrices(mesh, hz):
-    """Per-triangle matrices area_T D(phi_a) . D2F(Du_T) D(phi_b), shape (M, 3, 3)."""
-    return (mesh.grads @ (hz * mesh.areas[:, None, None])) @ mesh.grads.transpose(0, 2, 1)
+    """Matrices area_T D(phi_a) . D2F(Du_T) D(phi_b) of all triangles, as a
+    (9, M) array whose row 3 a + b holds entry (a, b).
 
-
-def _assemble_hessian(mesh, hz):
-    """Hessian of the discrete energy over all nodes, (N, N) CSR."""
-    return sparse.coo_matrix((_element_matrices(mesh, hz).ravel(),
-                              (mesh._coo_rows, mesh._coo_cols)),
-                             shape=(mesh.n_nodes, mesh.n_nodes)).tocsr()
+    On one orientation the matrix is a fixed linear map of (h00, h01, h11),
+    h01 the mean of the two off-diagonal entries of D2F (the quadratic form
+    is the same), written as elementwise multiply-adds: a (M, 3) @ (3, 9)
+    product is slower on a threaded BLAS."""
+    h = (np.ascontiguousarray(hz[:, 0, 0]), 0.5 * (hz[:, 0, 1] + hz[:, 1, 0]),
+         np.ascontiguousarray(hz[:, 1, 1]))
+    out = np.empty((9, mesh.n_tris))
+    for blk, G in zip(mesh.blocks, mesh.stencil_grads):
+        g0, g1 = G[:, 0], G[:, 1]
+        C = mesh.areas[0] * np.stack([np.outer(g0, g0), np.outer(g0, g1) + np.outer(g1, g0),
+                                      np.outer(g1, g1)], axis=-1).reshape(9, 3)
+        h0, h1, h2 = (x[blk] for x in h)
+        tmp = np.empty_like(h0)
+        for e in range(9):
+            row = np.multiply(h0, C[e, 0], out=out[e, blk])
+            row += np.multiply(h1, C[e, 1], out=tmp)
+            row += np.multiply(h2, C[e, 2], out=tmp)
+    return out
 
 
 def _newton_matrix(mesh, hz, mu):
     """Interior block of the Hessian plus mu Id, in the mesh's fixed CSR
     pattern: one bincount of the element matrices into the data array."""
     indptr, indices, slots, diag = mesh.newton_pattern()
-    data = np.bincount(slots, weights=_element_matrices(mesh, hz).ravel(),
+    data = np.bincount(slots.ravel(), weights=_element_matrices(mesh, hz).ravel(),
                        minlength=indices.size + 1)[:-1]
     data[diag] += mu
     ni = indptr.size - 1
@@ -603,37 +647,52 @@ def _recover_dv(mesh, v):
     """Nodal derivative of the piecewise-constant stress by patchwise
     least-squares affine fits over each node's incident triangles.
 
-    Coordinates are scaled by the mesh width for conditioning.  Degenerate
-    patches (corner nodes) fall back to the two-ring neighbourhood."""
+    A node's patch holds at most one triangle in each of 6 slots
+    (orientation o, vertex a): the triangle of orientation o with the node
+    as its vertex a.  All areas are equal and a slot's barycenter lies at a
+    fixed offset from the node, so the fit depends only on which slots are
+    present.  The fits are grouped by that slot pattern: each group solves
+    its 3x3 normal equations once and applies the resulting stencil to v,
+    for interior, boundary and masked nodes alike.  Coordinates are scaled
+    by the mesh width for conditioning.  Degenerate patterns (corner nodes)
+    fall back to a fit over the node's two-ring neighbourhood."""
     N, h = mesh.n_nodes, min(mesh.hx, mesh.hy)
-    Mn = np.zeros((N, 3, 3))
-    Rn = np.zeros((N, 3, 2))
-    for a in range(3):
-        nidx = mesh.tris[:, a]
-        dx = (mesh.bary - mesh.nodes[nidx]) / h
-        m = np.stack([np.ones(mesh.n_tris), dx[:, 0], dx[:, 1]], axis=1)
-        w = mesh.areas
-        np.add.at(Mn, nidx, w[:, None, None] * m[:, :, None] * m[:, None, :])
-        np.add.at(Rn, nidx, w[:, None, None] * m[:, :, None] * v[:, None, :])
+    j, i = np.divmod(mesh.stencil_offsets, mesh.n)
+    corner = np.stack([i * mesh.hx, j * mesh.hy], axis=-1)             # (2, 3, 2)
+    dx = ((corner.mean(axis=1, keepdims=True) - corner) / h).reshape(6, 2)
+    design = np.column_stack([np.ones(6), dx])                          # row 3 o + a
+    slot_tri = np.full((N, 6), -1, dtype=np.int64)
+    for o, blk in enumerate(mesh.blocks):
+        for a in range(3):
+            slot_tri[mesh.tris[blk, a], 3 * o + a] = np.arange(blk.start, blk.stop)
+    code = (slot_tri >= 0) @ (1 << np.arange(6))
+    order = np.argsort(code, kind="stable")
+    ends = np.cumsum(np.bincount(code, minlength=64))
 
-    det = np.linalg.det(Mn)
-    scale = np.maximum(Mn[:, 0, 0], 1e-300) ** 3
-    good = mesh.used & (det > 1e-10 * scale)
     dv = np.zeros((N, 2, 2))
-    if good.any():
-        sol = np.linalg.solve(Mn[good], Rn[good])  # (K, 3, 2)
-        dv[good] = np.transpose(sol[:, 1:, :], (0, 2, 1)) / h
+    bad = []
+    for c in np.flatnonzero(np.diff(ends)) + 1:
+        nodes = order[ends[c - 1]:ends[c]]
+        s = np.flatnonzero((c >> np.arange(6)) & 1)
+        A = design[s]
+        gram = A.T @ A
+        if not np.linalg.det(gram) > 1e-10 * gram[0, 0] ** 3:
+            bad.append(nodes)
+            continue
+        weights = np.linalg.solve(gram, A.T)[1:] / h                    # (2, |s|)
+        taps = [v[slot_tri[nodes, q]] for q in s]
+        for k in range(2):
+            acc = weights[k, 0] * taps[0]
+            for w, tap in zip(weights[k, 1:], taps[1:]):
+                acc += w * tap
+            dv[nodes, :, k] = acc
 
-    bad = np.where(mesh.used & ~good)[0]
-    inc = mesh.node_tris()
-    rings = (inc[bad] @ inc.T @ inc).sorted_indices()
-    for k, nidx in enumerate(bad):
-        patch = rings.indices[rings.indptr[k]:rings.indptr[k + 1]]
-        dxp = (mesh.bary[patch] - mesh.nodes[nidx]) / h
-        A = np.stack([np.ones(len(patch)), dxp[:, 0], dxp[:, 1]], axis=1)
-        w = np.sqrt(mesh.areas[patch])
-        coef, *_ = np.linalg.lstsq(A * w[:, None], v[patch] * w[:, None], rcond=None)
-        dv[nidx] = coef[1:, :].T / h
+    for nidx in np.concatenate(bad) if bad else ():
+        ring = slot_tri[mesh.tris[slot_tri[nidx][slot_tri[nidx] >= 0]]]
+        patch = np.unique(ring[ring >= 0])
+        A = np.column_stack([np.ones(patch.size), (mesh.bary[patch] - mesh.nodes[nidx]) / h])
+        coef, *_ = np.linalg.lstsq(A, v[patch], rcond=None)
+        dv[nidx] = coef[1:].T / h
     return dv
 
 
@@ -648,7 +707,8 @@ def stress_field(solution):
     mesh = solution.mesh
     v = solution.v
     dv_nodes = _recover_dv(mesh, v)
-    dv_tri = dv_nodes[mesh.tris].mean(axis=1)
+    t = mesh.tris
+    dv_tri = (dv_nodes[t[:, 0]] + dv_nodes[t[:, 1]] + dv_nodes[t[:, 2]]) / 3
     pair = _pair_with_hats(mesh, v)
     div = float(np.abs(pair[mesh.interior_idx]).max()) if mesh.interior_idx.size else 0.0
     solution._stress = StressField(v=v, dv_nodes=dv_nodes, dv_tri=dv_tri, divergence=div)

@@ -303,6 +303,22 @@ def test_cli_check_on_a_ball_without_triangles_fails(tmp_path, capsys, check, ba
     assert not (out / "check.csv").exists()
 
 
+def test_cli_caccioppoli_with_an_empty_super_level_set_fails(tmp_path, capsys):
+    # F(Du) stays far below 100 on B_0.2(1.5, 1.5), so both sides would be 0
+    check = {"name": "caccioppoli", "k": 100, "rho": 0.1, "R": 0.2, "center": _C,
+             "assert_max_ratio": 1e-9, "out": "check.csv"}
+    cfg = _config(tmp_path, checks=[check],
+                  problem={"n": 17, "domain": [[1, 2], [1, 2]],
+                           "boundary": "(x^2 + y^2)^0.25"})
+    out = tmp_path / "out"
+    assert main(["--out-dir", str(out), "verify", str(cfg)]) == 1
+    std = capsys.readouterr()
+    assert ("error: super-level set {F(Du) >= 100 + (0, 0).Du} holds no triangle "
+            "barycenter in B_0.2(1.5,1.5) on the grid n=17") in std.err
+    assert "PASS" not in std.out and "check " not in std.out
+    assert not (out / "check.csv").exists()
+
+
 def test_cli_degiorgi(tmp_path, capsys):
     out = tmp_path / "dg.csv"
     code = main(["degiorgi", "--X0", "0.2", "--C", "1", "--b", "4", "--R", "1",

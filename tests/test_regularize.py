@@ -226,8 +226,23 @@ def test_moreau_prox_rejects_nonfinite_and_overflowing_z(p, z):
 def test_wrong_exact_map_raises(monkeypatch):
     F = quc.make_power(3.0)
     monkeypatch.setattr(F, "_prox_radius", lambda r, delta: r / (1.0 + delta))
-    with pytest.raises(ProxError, match="optimality condition"):
+    with pytest.raises(ProxError, match="optimality condition") as err:
         quc.moreau_yosida(F, 0.25).prox(np.array([2.0, 1.0]))
+    assert "underflow" not in str(err.value)
+
+
+def test_moreau_prox_names_an_underflowing_radius():
+    # s + delta s^{p-1} = |z| has its root below (|z| / delta)^{1/(p-1)},
+    # here 1.16e-9^100, under the smallest positive double; from there on
+    # s^{p-1} = s^0.01 >= 5.9e-4 keeps every positive double above the
+    # root, and w = 0 misses the condition by |z| / delta = 1.16e-9 > 1e-9
+    M = quc.moreau_yosida(quc.make_power(1.01), 0.25)
+    with pytest.raises(ProxError, match="radius underflows below the smallest positive double"):
+        M.prox(np.array([[2.9e-10, 0.0]]))
+    # the radius underflows at |z| = 1e-12 too, but w = 0 meets the condition
+    assert M.part._prox_underflows(np.array([[1e-12, 0.0]]), 0.25)[0]
+    assert not M.prox(np.array([[1e-12, 0.0]])).any()
+    assert not M.part._prox_underflows(np.array([[1e-3, 0.0], [0.0, 0.0]]), 0.25).any()
 
 
 def test_radial_prox_radius_solves_scalar_equation():

@@ -5,8 +5,8 @@ from scipy import sparse
 import quc
 from quc.config import compile_boundary_expression
 from quc.regularize import MoreauIntegrand
-from quc.solver import (Mesh, SolverError, _assemble_hessian, _coons_init, _newton_matrix,
-                        _recover_dv, assemble_energy, spsolve)
+from quc.solver import (Mesh, SolverError, _coons_init, _element_matrices, _newton_matrix,
+                        _pair_with_hats, _recover_dv, _tri_gradients, assemble_energy, spsolve)
 
 
 # ---------------------------------------------------------------------------
@@ -35,7 +35,7 @@ def test_mesh_partition_geometry():
     m = Mesh(((0.0, 1.0), (0.0, 2.0)), 17)
     assert m.areas.sum() == pytest.approx(2.0, rel=1e-12)
     # hat gradients sum to zero on every triangle
-    np.testing.assert_allclose(m.grads.sum(axis=1), 0.0, atol=1e-12)
+    np.testing.assert_allclose(m.stencil_grads[m.orient].sum(axis=1), 0.0, atol=1e-12)
     assert m.interior.sum() == 15 * 15
     assert m.dirichlet.sum() == 17 * 17 - 15 * 15
 
@@ -98,6 +98,19 @@ def test_assembled_gradient_matches_fd(rng):
 DISK = (np.array([0.5, 0.5]), 0.45)
 
 
+def _coo_pattern(m):
+    """Row and column of each local entry (t, a, b) of an (M, 3, 3) array."""
+    return np.repeat(m.tris, 3, axis=1).ravel(), np.tile(m.tris, (1, 3)).ravel()
+
+
+def _assemble_hessian(m, hz):
+    """Hessian of the discrete energy over all nodes, (N, N) CSR: the element
+    matrices scattered through COO triplets."""
+    local = _element_matrices(m, hz).T.reshape(-1, 3, 3)
+    return sparse.coo_matrix((local.ravel(), _coo_pattern(m)),
+                             shape=(m.n_nodes, m.n_nodes)).tocsr()
+
+
 @pytest.mark.parametrize("mask", [None, DISK])
 def test_newton_matrix_matches_coo_path(mask, rng):
     # Each entry sums at most 6 element terms (7 with the shift on the
@@ -111,12 +124,120 @@ def test_newton_matrix_matches_coo_path(mask, rng):
     shift = mu * sparse.identity(ii.size, format="csr")
     ref = (_assemble_hessian(m, hz)[ii][:, ii] + shift).toarray()
     K = _newton_matrix(m, hz, mu)
-    entries = (m.grads @ hz @ m.grads.transpose(0, 2, 1)) * m.areas[:, None, None]
-    terms = sparse.coo_matrix((np.abs(entries).ravel(), (m._coo_rows, m._coo_cols)),
+    local = np.abs(_element_matrices(m, hz)).T.ravel()
+    terms = sparse.coo_matrix((local, _coo_pattern(m)),
                               shape=(m.n_nodes, m.n_nodes)).tocsr()[ii][:, ii] + shift
     assert K.has_sorted_indices
     assert np.all(np.abs(K.toarray() - ref) <= 6 * np.finfo(float).eps * terms.toarray())
     assert K.nnz == np.count_nonzero(terms.toarray())
+
+
+def _general_geometry(m):
+    """Areas, hat gradients (M, 3, 2) and barycenters of the triangles,
+    computed from their node coordinates as for an arbitrary mesh."""
+    P = m.nodes[m.tris]
+    e = np.stack([P[:, 2] - P[:, 1], P[:, 0] - P[:, 2], P[:, 1] - P[:, 0]], axis=1)
+    twoA = e[:, 2, 0] * (-e[:, 1, 1]) - e[:, 2, 1] * (-e[:, 1, 0])
+    grads = np.stack([-e[:, :, 1], e[:, :, 0]], axis=2) / twoA[:, None, None]
+    return 0.5 * np.abs(twoA), grads, P.mean(axis=1)
+
+
+def _general_recover_dv(m, areas, bary, v):
+    """Patchwise least-squares DV with per-triangle weights and offsets,
+    accumulated node by node: the normal equations of each node's incident
+    triangles, or lstsq over its two-ring where they are degenerate."""
+    N, h = m.n_nodes, min(m.hx, m.hy)
+    Mn, Rn = np.zeros((N, 3, 3)), np.zeros((N, 3, 2))
+    for a in range(3):
+        dx = (bary - m.nodes[m.tris[:, a]]) / h
+        design = np.column_stack([np.ones(m.n_tris), dx])
+        np.add.at(Mn, m.tris[:, a], areas[:, None, None] * design[:, :, None] * design[:, None, :])
+        np.add.at(Rn, m.tris[:, a], areas[:, None, None] * design[:, :, None] * v[:, None, :])
+    good = m.used & (np.linalg.det(Mn) > 1e-10 * np.maximum(Mn[:, 0, 0], 1e-300) ** 3)
+    dv = np.zeros((N, 2, 2))
+    dv[good] = np.linalg.solve(Mn[good], Rn[good])[:, 1:, :].transpose(0, 2, 1) / h
+    kappa = np.ones(N)
+    kappa[good] = np.linalg.cond(Mn[good])            # cond of the weighted design, squared
+    for a in np.where(m.used & ~good)[0]:
+        patch = np.where(np.isin(m.tris, m.tris[(m.tris == a).any(axis=1)]).any(axis=1))[0]
+        dx = (bary[patch] - m.nodes[a]) / h
+        design = np.column_stack([np.ones(patch.size), dx]) * np.sqrt(areas[patch])[:, None]
+        coef, *_ = np.linalg.lstsq(design, v[patch] * np.sqrt(areas[patch])[:, None], rcond=None)
+        dv[a] = coef[1:].T / h
+        kappa[a] = np.linalg.cond(design)
+    return dv, kappa
+
+
+@pytest.mark.parametrize("bounds, mask", [
+    (((0.0, 1.0), (0.0, 1.0)), None),
+    (((0.0, 1.0), (0.0, 1.0)), (np.array([0.5, 0.5]), 0.44)),
+    (((0.0, 2.0), (0.0, 1.0)), None),
+], ids=["square", "disk", "rectangle"])
+def test_stencil_kernels_match_general_triangles(bounds, mask, rng):
+    # np.linspace places a node within 4 eps X of its grid point (X the
+    # largest coordinate), and nodes on one grid line share that coordinate,
+    # so an edge vector, and hx or hy, is within delta = eps (1 + 8 X / h)
+    # of its nominal value, relative to h.  A general hat gradient perp(e) / 2A
+    # and its stencil 1 / hx then differ by at most 4 delta + 2 eps <= 6 delta,
+    # the areas by 5 delta, relative.  Each bound below adds these relative
+    # errors over the factors of one term and a summation error of eps per
+    # term and side, against the sum of the terms' magnitudes.
+    eps = np.finfo(float).eps
+    m = Mesh(bounds, 33, mask=mask)
+    h = min(m.hx, m.hy)
+    delta = eps * (1.0 + 8.0 * np.abs(m.bounds).max() / h)
+    areas, grads, bary = _general_geometry(m)
+    assert m.n_lower == np.count_nonzero(m.orient == 0)
+    assert np.all(np.diff(m.orient) >= 0)
+    assert np.array_equal(m.bary, bary)
+    assert np.all(np.abs(m.areas - areas) <= 5 * delta * areas)
+    assert np.all(np.abs(m.stencil_grads[m.orient] - grads) <= 6 * delta * np.abs(grads).max())
+
+    u = rng.standard_normal(m.n_nodes)
+    terms = np.abs(grads) * np.abs(u[m.tris])[:, :, None]
+    ref = (grads * u[m.tris][:, :, None]).sum(axis=1)
+    assert np.all(np.abs(_tri_gradients(m, u) - ref) <= 8 * delta * terms.sum(axis=1))
+
+    v = rng.standard_normal((m.n_tris, 2))
+    contrib = areas[:, None] * (grads * v[:, None, :]).sum(axis=2)
+    scale = np.zeros(m.n_nodes)
+    np.add.at(scale, m.tris.ravel(), (areas[:, None] * (np.abs(grads) * np.abs(v)[:, None, :])
+                                      .sum(axis=2)).ravel())
+    ref = np.zeros(m.n_nodes)
+    np.add.at(ref, m.tris.ravel(), contrib.ravel())
+    pair = _pair_with_hats(m, v)
+    assert np.all(np.abs(pair - ref) <= 24 * delta * scale)
+    # the stencil's own contributions, scattered by np.add.at: the same bits
+    W = m.areas[:, None, None] * m.stencil_grads[m.orient]
+    own = np.zeros(m.n_nodes)
+    np.add.at(own, m.tris.ravel(), (W[:, :, 0] * v[:, None, 0] + W[:, :, 1] * v[:, None, 1]).ravel())
+    assert np.array_equal(pair, own)
+
+    A = rng.standard_normal((m.n_tris, 2, 2))
+    hz = A @ A.transpose(0, 2, 1)
+    ref = areas[:, None, None] * (grads @ hz @ grads.transpose(0, 2, 1))
+    size = areas[:, None, None] * (np.abs(grads) @ np.abs(hz) @ np.abs(grads).transpose(0, 2, 1))
+    local = _element_matrices(m, hz).T.reshape(-1, 3, 3)
+    assert np.all(np.abs(local - ref) <= 25 * delta * size)
+    # an entry of the Newton matrix sums at most 6 such terms and the shift
+    ii = m.interior_idx
+    mu = 0.25
+    shift = mu * sparse.identity(ii.size, format="csr")
+    scatter = lambda x: sparse.coo_matrix((x.ravel(), _coo_pattern(m)),
+                                          shape=(m.n_nodes, m.n_nodes)).tocsr()[ii][:, ii]
+    K = _newton_matrix(m, hz, mu).toarray()
+    assert np.all(np.abs(K - (scatter(ref) + shift).toarray())
+                  <= 37 * delta * (scatter(size) + shift).toarray())
+
+    # DV: the fits see offsets and weights within a few delta of the
+    # stencil's, and the normal equations add kappa^2 eps on each side
+    # (kappa the weighted design's condition number, squared in cond(Mn));
+    # lstsq fallbacks add kappa eps
+    dv_ref, kappa = _general_recover_dv(m, areas, bary, v)
+    tol = 16 * kappa.max() * delta * np.abs(v).max() / h
+    dv = _recover_dv(m, v)
+    assert np.abs(dv - dv_ref).max() <= tol
+    assert not dv[~m.used].any()
 
 
 def _coarse_p1_values(n, uc):
