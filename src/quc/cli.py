@@ -38,7 +38,7 @@ def _make_problem(cfg, F, n=None):
     mask = spec.get("mask")
     return GridProblem(
         integrand=F,
-        n=int(n or spec["n"]),
+        n=spec["n"] if n is None else n,
         boundary=cfg.boundary,
         bounds=tuple(tuple(map(float, ax)) for ax in domain),
         mask=(np.asarray(mask["center"], dtype=float), float(mask["radius"]))
@@ -315,6 +315,16 @@ def cmd_degiorgi(args, out_dir):
 # argument parsing
 # ---------------------------------------------------------------------------
 
+def _int_at_least(lo):
+    """argparse type: an integer >= lo; argparse names the option on error."""
+    def integer(text):
+        value = int(text)
+        if value < lo:
+            raise argparse.ArgumentTypeError(f"need an integer >= {lo}, got {value}")
+        return value
+    return integer
+
+
 def _build_parser():
     ap = argparse.ArgumentParser(prog="quc", description=__doc__)
     ap.add_argument("--out-dir", default=None, help="output directory (default: config)")
@@ -327,13 +337,15 @@ def _build_parser():
 
     p = sub.add_parser("solve")
     p.add_argument("config")
-    p.add_argument("--n", type=int, default=None, help="override grid nodes per side")
+    p.add_argument("--n", type=_int_at_least(9), default=None,
+                   help="override grid nodes per side (as problem.n, at least 9)")
     p.add_argument("--out", default=None, help="solution CSV path")
 
     p = sub.add_parser("gauge")
     p.add_argument("config")
     p.add_argument("--k", required=True, help="comma-separated gauge levels")
-    p.add_argument("--angles", type=int, default=256)
+    # the Lipschitz estimate differences neighbouring angles
+    p.add_argument("--angles", type=_int_at_least(2), default=256)
 
     p = sub.add_parser("verify")
     p.add_argument("config")
@@ -360,22 +372,21 @@ def _build_parser():
 
 def main(argv=None):
     args = _build_parser().parse_args(argv)
-    if args.command == "degiorgi":
-        return cmd_degiorgi(args, args.out_dir or ".")
-    try:
-        cfg = parse_config(args.config)
-    except (ConfigError, OSError) as e:
-        print(f"config error: {e}", file=sys.stderr)
-        return 2
-    out_dir = args.out_dir or cfg.out_dir
-    os.makedirs(out_dir, exist_ok=True)
-    seed = cfg.seed if args.seed is None else args.seed
-    args.seed = seed
-    rng = np.random.default_rng(seed)
+    if args.command != "degiorgi":
+        try:
+            cfg = parse_config(args.config)
+        except (ConfigError, OSError) as e:
+            print(f"config error: {e}", file=sys.stderr)
+            return 2
     handler = {"validate": cmd_validate, "analyze": cmd_analyze,
                "solve": cmd_solve, "gauge": cmd_gauge, "verify": cmd_verify}
     try:
-        return handler[args.command](cfg, args, out_dir, rng)
+        if args.command == "degiorgi":
+            return cmd_degiorgi(args, args.out_dir or ".")
+        out_dir = args.out_dir or cfg.out_dir
+        os.makedirs(out_dir, exist_ok=True)
+        args.seed = cfg.seed if args.seed is None else args.seed
+        return handler[args.command](cfg, args, out_dir, np.random.default_rng(args.seed))
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2

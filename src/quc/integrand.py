@@ -2,9 +2,9 @@
 
 Every integrand F here is convex, superlinear and carries batched access to
 values, gradients and Hessians.  Evaluation accepts a single point ``(2,)``
-or a batch ``(m, 2)`` and returns matching shapes.  Where closed forms exist
-they are used; a finite-difference derivative mode is available for profiles
-given only by values.
+or a batch ``(m, 2)`` and returns matching shapes.  Leaves and radial
+profiles have closed form derivatives; central differences of the values
+are only the ``derivatives: finite_difference`` mode (``with_fd_derivatives``).
 
 The central quantity is the ellipticity ratio
 ``e(z) = lmax(D2F(z)) / lmin(D2F(z))``; catalogue constructors record the
@@ -49,6 +49,36 @@ def _scale_rows(s, z):
     out = np.empty_like(z)
     for c in range(z.shape[1]):
         np.multiply(s, z[:, c], out=out[:, c])
+    return out
+
+
+def _ratio(num, den):
+    """num / den where den > 0 and 0 elsewhere (den = 0 or nan), broadcast
+    as division is; nothing is divided where den is not positive."""
+    out = np.zeros(np.broadcast_shapes(np.shape(num), np.shape(den)))
+    np.divide(num, den, out=out, where=den > 0.0)
+    return out
+
+
+def _rank_one_hess(tang, c, v, B=None):
+    """tang B + c v v^T per row, for B = Id (None) or a symmetric 2x2: every
+    radial Hessian, D2 G(|z|) = (G'/r) Id + (G'' - G'/r) zhat zhat^T with
+    eigenvalues G''(r) along zhat and G'(r)/r across it, and for the gauge
+    h(z) = sqrt((A z, z)) D2 G(h) = (G'/h) A + (G'' - G'/h) Dh Dh^T.  Each
+    entry is (c v_i) v_j plus tang B_ij (tang on the diagonal for B = Id);
+    the lower off-diagonal entry copies the upper one, so it is symmetric."""
+    out = np.empty((v.shape[0], 2, 2))
+    cv0 = c * v[:, 0]
+    np.multiply(cv0, v[:, 0], out=out[:, 0, 0])
+    np.multiply(cv0, v[:, 1], out=out[:, 0, 1])
+    np.multiply(c * v[:, 1], v[:, 1], out=out[:, 1, 1])
+    if B is None:
+        out[:, 0, 0] += tang
+        out[:, 1, 1] += tang
+    else:
+        for i, j in ((0, 0), (0, 1), (1, 1)):
+            out[:, i, j] += tang * B[i, j]
+    out[:, 1, 0] = out[:, 0, 1]
     return out
 
 
@@ -195,36 +225,15 @@ def sym2_eig_bounds(h):
 # ---------------------------------------------------------------------------
 
 class RadialProfile:
-    """Scalar profile G on [0, inf) with first and second derivative access.
+    """Scalar profile G on [0, inf) given by three required elementwise
+    functions of a float array: ``value`` (G, also the call), ``deriv`` (G')
+    and ``second`` (G''), which may be infinite at t = 0."""
 
-    Missing derivatives are filled in by central differences with steps
-    1e-6 (1+t) for G' and 1e-5 (1+t) for G''.
-    """
-
-    def __init__(self, value, deriv=None, second=None, name="profile"):
-        self.value = value
-        self._deriv = deriv
-        self._second = second
-        self.name = name
+    def __init__(self, value, deriv, second, name="profile"):
+        self.value, self.deriv, self.second, self.name = value, deriv, second, name
 
     def __call__(self, t):
         return self.value(np.asarray(t, dtype=float))
-
-    def deriv(self, t):
-        t = np.asarray(t, dtype=float)
-        if self._deriv is not None:
-            return self._deriv(t)
-        h = 1e-6 * (1.0 + np.abs(t))
-        return (self.value(t + h) - self.value(np.maximum(t - h, 0.0))) / (
-            t + h - np.maximum(t - h, 0.0))
-
-    def second(self, t):
-        t = np.asarray(t, dtype=float)
-        if self._second is not None:
-            return self._second(t)
-        h = 1e-5 * (1.0 + np.abs(t))
-        tm = np.maximum(t - h, 0.0)
-        return (self.deriv(t + h) - self.deriv(tm)) / (t + h - tm)
 
 
 def power_profile(p):
@@ -259,9 +268,10 @@ def radial_prox_radius(profile, r, delta, s0=None, max_iter=100):
     where g(0) >= 0 or r is not finite.  Newton steps are taken in t = log s,
     s <- s exp(-g / (s g')): they keep s > 0 and, where G'' blows up at 0
     (p < 2), shrink s geometrically instead of crossing 0.  A step that
-    leaves the bracket is replaced by its midpoint.  A row stops once its
-    step moves s by at most 4 ulp; rows still moving after ``max_iter``
-    steps keep their last iterate for the caller to judge.
+    leaves the bracket, or is 0 at g != 0 (G'' overflowing at a subnormal
+    s), is replaced by its midpoint.  A row stops once its step moves s by
+    at most 4 ulp or its bracket holds no double inside; rows still moving
+    after ``max_iter`` steps keep their last iterate for the caller to judge.
     """
     s = np.zeros_like(r)
     idx = np.flatnonzero((r > delta * profile.deriv(np.zeros(1))[0]) & (r < np.inf))
@@ -277,10 +287,11 @@ def radial_prox_radius(profile, r, delta, s0=None, max_iter=100):
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             step = g / (sa * (1.0 + delta * profile.second(sa)))
             new = sa * np.exp(-step)
-        done = np.abs(step) <= 4.0 * np.finfo(float).eps
+        done = (np.abs(step) <= 4.0 * np.finfo(float).eps) & ((step != 0.0) | (g == 0.0))
         bad = ~(done | ((new > lo) & (new < hi)))
         if bad.any():
             new[bad] = 0.5 * (lo[bad] + hi[bad])
+            done |= bad & ((new == lo) | (new == hi))
         if done.any():
             s[idx[done]] = new[done]
             keep = ~done
@@ -316,23 +327,18 @@ class RadialIntegrand(Integrand):
 
     def _prox(self, Z, delta):
         r = np.sqrt(Z[:, 0] ** 2 + Z[:, 1] ** 2)
-        s = self._prox_radius(r, delta)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            scale = np.where(r > 0.0, s / r, 0.0)
-        return _scale_rows(scale, Z)
+        return _scale_rows(_ratio(self._prox_radius(r, delta), r), Z)
 
     def _envelope_hess(self, W, delta):
         s = np.sqrt(W[:, 0] ** 2 + W[:, 1] ** 2)
-        nz = s > 0.0
         with np.errstate(divide="ignore", invalid="ignore"):
-            radial = np.asarray(self.profile.second(s), dtype=float)
-            tang = np.where(nz, self.profile.deriv(s) / s, radial)
+            radial = self.profile.second(s)
+            tang = _ratio(self.profile.deriv(s), s)
+            np.copyto(tang, radial, where=~(s > 0.0))
             # t / (1 + delta t), written so that t = inf gives 1/delta and t = 0 gives 0
             er = 1.0 / (delta + 1.0 / radial)
             et = 1.0 / (delta + 1.0 / tang)
-            u = np.where(nz[:, None], W / s[:, None], 0.0)
-        proj = u[:, :, None] * u[:, None, :]
-        return et[:, None, None] * np.eye(2) + (er - et)[:, None, None] * proj
+        return _rank_one_hess(et, er - et, _ratio(W, s[:, None]))
 
 
 # ---------------------------------------------------------------------------
@@ -344,29 +350,48 @@ def _power_eval(z, p):
     return r2 ** (p / 2.0) / p
 
 
+def _tiny_rows(z, r2):
+    """(rows, |z|, z/|z|) where z != 0 but r2 = |z|^2 < lim = max^(-2/3), or
+    None after one min over r2.  There r2 is not a normal double or (p-2)
+    r2^{p/2-2} overflows (its exponent exceeds -3/2 for p > 1)."""
+    lim = np.finfo(float).max ** (-2.0 / 3.0)
+    if not (r2.size and r2.min() < lim):
+        return None
+    idx = np.flatnonzero(r2 < lim)
+    r = np.hypot(z[idx, 0], z[idx, 1])
+    idx, r = idx[r > 0.0], r[r > 0.0]
+    return idx, r, z[idx] / r[:, None]
+
+
 def _power_grad(z, p):
     r2 = z[:, 0] ** 2 + z[:, 1] ** 2
     with np.errstate(divide="ignore", invalid="ignore"):
-        s = np.where(r2 > 0.0, r2 ** ((p - 2.0) / 2.0), 0.0)
-    return _scale_rows(s, z)
+        s = r2 ** ((p - 2.0) / 2.0)
+    s[~(r2 > 0.0)] = 0.0  # in place, not np.where: one (m,) temporary fewer
+    out = _scale_rows(s, z)
+    tiny = _tiny_rows(z, r2)
+    if tiny is not None:
+        idx, r, u = tiny
+        out[idx] = _scale_rows(r ** (p - 1.0), u)
+    return out
 
 
 def _power_hess(z, p):
     # r^{p-2} (Id + (p-2) zhat zhat^T); zero matrix at the origin except p = 2.
     r2 = z[:, 0] ** 2 + z[:, 1] ** 2
-    out = np.zeros((z.shape[0], 2, 2))
-    nz = r2 > 0.0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        s = np.where(nz, r2 ** ((p - 2.0) / 2.0), 0.0)
-        c = np.where(nz, (p - 2.0) * s / r2, 0.0)
-    out[:, 0, 0] = s + c * z[:, 0] * z[:, 0]
-    out[:, 0, 1] = c * z[:, 0] * z[:, 1]
-    out[:, 1, 0] = out[:, 0, 1]
-    out[:, 1, 1] = s + c * z[:, 1] * z[:, 1]
-    if p == 2.0 and not nz.all():
-        out[~nz, 0, 0] = 1.0
-        out[~nz, 1, 1] = 1.0
-    return out
+    with np.errstate(divide="ignore", over="ignore"):
+        s = np.where(r2 > 0.0, r2 ** ((p - 2.0) / 2.0), float(p == 2.0))
+        c = _ratio((p - 2.0) * s, r2)
+    tiny = _tiny_rows(z, r2)
+    if tiny is not None:
+        # on the unit vector; r^{p-2} above the doubles (p near 1) saturates
+        idx, r, u = tiny
+        with np.errstate(over="ignore"):
+            s[idx] = np.minimum(r ** (p - 2.0), np.finfo(float).max)
+        c[idx] = (p - 2.0) * s[idx]
+        z = z.copy()
+        z[idx] = u
+    return _rank_one_hess(s, c, z)
 
 
 class PowerIntegrand(RadialIntegrand):
@@ -469,33 +494,21 @@ class UhlenbeckIntegrand(RadialIntegrand):
         self.minimum = np.zeros(2)
         self.singular_points = (np.zeros(2),)
 
-    def _radii(self, z):
-        return np.hypot(z[:, 0], z[:, 1])
-
     def _eval(self, z):
-        return np.asarray(self.profile(self._radii(z)), dtype=float)
+        return np.asarray(self.profile(np.hypot(z[:, 0], z[:, 1])), dtype=float)
 
     def _grad(self, z):
-        r = self._radii(z)
+        r = np.hypot(z[:, 0], z[:, 1])
         with np.errstate(divide="ignore", invalid="ignore"):
-            s = np.where(r > 0.0, self.profile.deriv(r) / np.where(r > 0, r, 1.0), 0.0)
-        return _scale_rows(s, z)
+            gp = self.profile.deriv(r)
+        return _scale_rows(_ratio(gp, r), z)
 
     def _hess(self, z):
-        r = self._radii(z)
-        m = z.shape[0]
-        out = np.zeros((m, 2, 2))
-        nz = r > 0.0
-        if nz.any():
-            rr = r[nz]
-            gp = np.asarray(self.profile.deriv(rr), dtype=float)
-            gpp = np.asarray(self.profile.second(rr), dtype=float)
-            tang = gp / rr
-            zh = z[nz] / rr[:, None]
-            proj = zh[:, :, None] * zh[:, None, :]
-            eye = np.eye(2)[None, :, :]
-            out[nz] = gpp[:, None, None] * proj + tang[:, None, None] * (eye - proj)
-        return out
+        r = np.hypot(z[:, 0], z[:, 1])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            gp, gpp = self.profile.deriv(r), self.profile.second(r)
+        tang = _ratio(gp, r)
+        return _rank_one_hess(tang, np.where(r > 0.0, gpp - tang, 0.0), _ratio(z, r[:, None]))
 
     def describe(self):
         return f"uhlenbeck({self.profile.name})"
@@ -525,26 +538,17 @@ class FinslerIntegrand(Integrand):
 
     def _grad(self, z):
         h = self._gauge(z)
-        az = z @ self.A.T
         with np.errstate(divide="ignore", invalid="ignore"):
-            s = np.where(h > 0.0, self.profile.deriv(h) / np.where(h > 0, h, 1.0), 0.0)
-        return _scale_rows(s, az)
+            gp = self.profile.deriv(h)
+        return _scale_rows(_ratio(gp, h), z @ self.A.T)
 
     def _hess(self, z):
         h = self._gauge(z)
-        m = z.shape[0]
-        out = np.zeros((m, 2, 2))
-        nz = h > 0.0
-        if nz.any():
-            hh = h[nz]
-            az = z[nz] @ self.A.T
-            gp = np.asarray(self.profile.deriv(hh), dtype=float)
-            gpp = np.asarray(self.profile.second(hh), dtype=float)
-            dh = az / hh[:, None]
-            dh_outer = dh[:, :, None] * dh[:, None, :]
-            d2h = (self.A[None, :, :] - dh_outer) / hh[:, None, None]
-            out[nz] = gpp[:, None, None] * dh_outer + gp[:, None, None] * d2h
-        return out
+        with np.errstate(divide="ignore", invalid="ignore"):
+            gp, gpp = self.profile.deriv(h), self.profile.second(h)
+        tang = _ratio(gp, h)
+        return _rank_one_hess(tang, np.where(h > 0.0, gpp - tang, 0.0),
+                              _ratio(z @ self.A.T, h[:, None]), self.A)
 
     def describe(self):
         return f"finsler(A={self.A.tolist()}, {self.profile.name})"
@@ -663,24 +667,16 @@ class BlendIntegrand(Integrand):
         d = z - self.w
         rho = np.hypot(d[:, 0], d[:, 1])
         _, d1, _ = self._phi_parts(rho)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            s = np.where(rho > 0.0, d1 / np.where(rho > 0, rho, 1.0), 0.0)
-        return out + _scale_rows(self.eps * s, d)
+        return out + _scale_rows(self.eps * _ratio(d1, rho), d)
 
     def _hess(self, z):
         out = _power_hess(z, self.p)
         d = z - self.w
         rho = np.hypot(d[:, 0], d[:, 1])
         _, d1, d2 = self._phi_parts(rho)
-        nz = rho > 0.0
-        if nz.any():
-            rr = rho[nz]
-            dh = d[nz] / rr[:, None]
-            proj = dh[:, :, None] * dh[:, None, :]
-            eye = np.eye(2)[None, :, :]
-            tang = d1[nz] / rr
-            out[nz] += self.eps * (d2[nz][:, None, None] * proj
-                                   + tang[:, None, None] * (eye - proj))
+        tang = self.eps * _ratio(d1, rho)
+        out += _rank_one_hess(tang, np.where(rho > 0.0, self.eps * d2 - tang, 0.0),
+                              _ratio(d, rho[:, None]))
         return out
 
     def describe(self):

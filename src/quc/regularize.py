@@ -100,8 +100,8 @@ class MoreauIntegrand(Integrand):
         """Proximal points, checked on every path against the optimality
         condition |DF(p) + (p - z)/delta| <= 100 PROX_GRAD_TOL (1 + |z|):
         a wrong exact map raises ``ProxError`` as a stalled Newton solve does,
-        and so does a point whose proximal radius underflows (p near 1 at
-        tiny |z|), with a message that says so."""
+        and so does a point whose proximal radius underflows or is subnormal
+        (p near 1 at tiny |z|), with a message that says which."""
         zz = np.asarray(z, dtype=float)
         single = zz.ndim == 1
         Z = zz.reshape(-1, 2)
@@ -114,12 +114,17 @@ class MoreauIntegrand(Integrand):
         bad = ~(gn <= tol) | (zn == np.inf)
         if bad.any():
             i = int(np.argmax(bad))
-            underflow = self.part._prox_underflows(Z[i:i + 1], self.delta)[0]
+            wn = float(np.hypot(*W[i]))
+            why = ""
+            if self.part._prox_underflows(Z[i:i + 1], self.delta)[0]:
+                why = ("; its radius underflows below the smallest positive double, so no "
+                       "representable point meets the condition")
+            elif 0.0 < wn < np.finfo(float).tiny:
+                why = (f"; its radius {wn:g} is subnormal, so the point carries too few "
+                       "significant bits to meet the condition")
             raise ProxError(
                 f"proximal point of {self.part.describe()} at z = {Z[i].tolist()} misses "
-                f"its optimality condition: |grad| = {gn[i]:g} (tolerance {tol[i]:g})"
-                + ("; its radius underflows below the smallest positive double, so no "
-                   "representable point meets the condition" if underflow else ""))
+                f"its optimality condition: |grad| = {gn[i]:g} (tolerance {tol[i]:g})" + why)
         return W[0] if single else W
 
     def derivs(self, z, orders=(0, 1, 2)):

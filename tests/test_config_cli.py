@@ -329,6 +329,33 @@ def test_cli_degiorgi(tmp_path, capsys):
     assert fields == ["step", "X"]
 
 
+
+@pytest.mark.parametrize("flags", [["--R", "0"], ["--R", "1", "--N", "1"]])
+def test_cli_degiorgi_rejects_bad_parameters(capsys, flags):
+    code = main(["degiorgi", "--X0", "1", "--C", "1", "--b", "1"] + flags)
+    assert code == 1
+    assert "error: need X0 >= 0, C, b, R > 0 and N >= 2" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("n", ["0", "8"])
+def test_cli_solve_rejects_a_grid_below_nine_nodes(tmp_path, capsys, n):
+    # as problem.n is rejected: the override must not fall back to the config's n
+    with pytest.raises(SystemExit) as err:
+        main(["--out-dir", str(tmp_path), "solve", str(_config(tmp_path)), "--n", n])
+    assert err.value.code == 2
+    assert "argument --n: need an integer >= 9" in capsys.readouterr().err
+    assert not (tmp_path / "solution.csv").exists()
+
+
+@pytest.mark.parametrize("angles", ["0", "1", "-3"])
+def test_cli_gauge_rejects_fewer_than_two_angles(tmp_path, capsys, angles):
+    with pytest.raises(SystemExit) as err:
+        main(["--out-dir", str(tmp_path), "gauge", str(_config(tmp_path)),
+              "--k", "1", "--angles", angles])
+    assert err.value.code == 2
+    assert "argument --angles: need an integer >= 2" in capsys.readouterr().err
+
+
 def test_cli_reproducible_bytes(tmp_path):
     cfg = _config(tmp_path, checks=[
         {"name": "lipschitz", "R": 0.2, "center": [0.5, 0.5], "out": "lip.csv"},

@@ -107,6 +107,145 @@ def test_uhlenbeck_rejects_degenerate_tail():
 
 
 # ---------------------------------------------------------------------------
+# radial Hessians against their eigen-structure
+# ---------------------------------------------------------------------------
+#
+# Every radial leaf assembles D2F as tang B + c v v^T.  The references here
+# are built from the eigen-structure instead: G''(r) along zhat and G'(r)/r
+# across it, i.e. G'' zhat zhat^T + (G'/r) zperp zperp^T with zperp the
+# rotated unit vector, which has no cancellation on the diagonal.
+#
+# Tolerance.  Both sides form each entry as a sum of at most two terms, and
+# each term reaches it from z through at most 12 roundings (squares or a
+# hypot, a power and the error it propagates from its base (counted twice,
+# as |p - 2| <= 2), a two-term profile sum, a quotient, two direction
+# components and the products), each of relative size u = eps/2 of a
+# quantity bounded by L, the largest eigenvalue magnitude (for Finsler the
+# largest term magnitude).  Each side is then within 2 * 12 u L = 12 eps L
+# of the exact matrix at z, and the two within ORACLE_ULPS * eps * L.
+ORACLE_ULPS = 24.0
+
+
+def _eigen_hess(radial, tang, y, r):
+    """radial yhat yhat^T + tang yperp yperp^T, yhat = y / r."""
+    u = y / r[:, None]
+    w = np.stack([-u[:, 1], u[:, 0]], axis=1)
+    return (radial[:, None, None] * u[:, :, None] * u[:, None, :]
+            + tang[:, None, None] * w[:, :, None] * w[:, None, :])
+
+
+def _assert_oracle(H, ref, scale):
+    assert np.array_equal(H[:, 0, 1], H[:, 1, 0])
+    err = np.abs(H - ref).max(axis=(1, 2))
+    bound = ORACLE_ULPS * np.finfo(float).eps * scale
+    assert np.all(err <= bound), float(np.max(err / bound))
+
+
+def _oracle_points(rng, lo=-3.0, hi=3.0, m=400, center=(0.0, 0.0)):
+    r = 10.0 ** rng.uniform(lo, hi, m)
+    th = rng.uniform(0.0, 2.0 * np.pi, m)
+    y = r[:, None] * np.stack([np.cos(th), np.sin(th)], axis=1)
+    axes = np.array([[1.0, 0.0], [0.0, -2.0], [-0.3, 0.0], [0.0, 3.0]])
+    return np.concatenate([y, axes]) + np.asarray(center)
+
+
+def _pre_kernel_power_hess(z, p):
+    # the power Hessian as it was before the rank-one kernel
+    r2 = z[:, 0] ** 2 + z[:, 1] ** 2
+    out = np.zeros((z.shape[0], 2, 2))
+    nz = r2 > 0.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        s = np.where(nz, r2 ** ((p - 2.0) / 2.0), 0.0)
+        c = np.where(nz, (p - 2.0) * s / r2, 0.0)
+    out[:, 0, 0] = s + c * z[:, 0] * z[:, 0]
+    out[:, 0, 1] = c * z[:, 0] * z[:, 1]
+    out[:, 1, 0] = out[:, 0, 1]
+    out[:, 1, 1] = s + c * z[:, 1] * z[:, 1]
+    if p == 2.0 and not nz.all():
+        out[~nz, 0, 0] = 1.0
+        out[~nz, 1, 1] = 1.0
+    return out
+
+
+@pytest.mark.parametrize("p", [1.25, 1.5, 2.0, 3.0, 4.0])
+def test_power_hessian_matches_eigen_structure(p, rng):
+    F = quc.make_power(p)
+    z = _oracle_points(rng)
+    # where r^2 is subnormal, or (p - 2) r^{p-4} would overflow, the
+    # matrix comes from r itself; the eigenvalues r^{p-2} stay normal down
+    # to r = 1e-300, or 1e-150 for p = 4
+    z = np.concatenate([z, _oracle_points(rng, -150.0 if p == 4.0 else -300.0, -100.0, m=200),
+                        1e-120 * np.array([[1.0, 0.0], [0.0, -1.0], [0.6, 0.8]])])
+    r = np.hypot(z[:, 0], z[:, 1])
+    tang = r ** (p - 2.0)
+    _assert_oracle(F.hess(z), _eigen_hess((p - 1.0) * tang, tang, z, r),
+                   max(1.0, p - 1.0) * tang)
+    centre = F.hess(np.zeros(2))
+    assert np.array_equal(centre, np.eye(2) if p == 2.0 else np.zeros((2, 2)))
+
+
+@pytest.mark.parametrize("p", [1.25, 1.5, 2.0, 3.0, 4.0])
+def test_power_hessian_bit_identical_to_pre_kernel_form(p, rng):
+    z = np.concatenate([_oracle_points(rng, -100.0, 100.0, m=2000), np.zeros((3, 2))])
+    assert np.array_equal(quc.make_power(p).hess(z), _pre_kernel_power_hess(z, p))
+
+
+def test_power_gradient_below_squared_underflow():
+    # |z|^2 underflows below about 1.5e-154; the gradient is |z|^{p-1} zhat
+    for p in (1.01, 1.5, 3.0):
+        z = np.array([[1e-200, 0.0], [0.0, -1e-310], [3e-170, 4e-170]])
+        r = np.hypot(z[:, 0], z[:, 1])
+        want = (r ** (p - 1.0))[:, None] * (z / r[:, None])
+        np.testing.assert_allclose(quc.make_power(p).grad(z), want, rtol=4 * np.finfo(float).eps)
+
+
+def test_uhlenbeck_hessian_matches_eigen_structure(rng):
+    terms = [(1.0, 1.5), (0.5, 3.0)]
+    F = quc.make_uhlenbeck(quc.power_sum_profile(terms))
+    z = _oracle_points(rng)
+    r = np.hypot(z[:, 0], z[:, 1])
+    tang = sum(c * r ** (q - 2.0) for c, q in terms)
+    radial = sum(c * (q - 1.0) * r ** (q - 2.0) for c, q in terms)
+    _assert_oracle(F.hess(z), _eigen_hess(radial, tang, z, r), np.maximum(radial, tang))
+    assert np.array_equal(F.hess(np.zeros(2)), np.zeros((2, 2)))
+
+
+def test_finsler_hessian_matches_gauge_formula(rng):
+    A = np.array([[1.5, 0.6], [0.6, 0.8]])
+    p = 2.5
+    F = quc.make_finsler(A, quc.power_profile(p))
+    z = _oracle_points(rng)
+    az = np.einsum("ij,mj->mi", A, z)
+    h = np.sqrt(np.einsum("mi,mi->m", z, az))
+    tang = h ** (p - 2.0)
+    c = (p - 2.0) * tang
+    dh = az / h[:, None]
+    ref = tang[:, None, None] * A + c[:, None, None] * np.einsum("mi,mj->mij", dh, dh)
+    scale = tang * np.abs(A).max() + np.abs(c) * np.einsum("mi,mi->m", dh, dh)
+    _assert_oracle(F.hess(z), ref, scale)
+    assert np.array_equal(F.hess(np.zeros(2)), np.zeros((2, 2)))
+
+
+def test_blend_hessian_matches_eigen_structure(rng):
+    F = quc.make_blend(3.0, 1.5, (0.5, 0.0))
+    p, w = F.p, F.w
+    # near w: across the bump's inner ball, quintic shell and flat outside
+    z = np.concatenate([_oracle_points(rng, -6.0, -0.3, center=w),
+                        _oracle_points(rng, -2.0, 1.0)])
+    r = np.hypot(z[:, 0], z[:, 1])
+    d = z - w
+    rho = np.hypot(d[:, 0], d[:, 1])
+    _, d1, d2 = F._phi_parts(rho)
+    radial, tang = F.eps * d2, F.eps * d1 / rho
+    ref = _eigen_hess((p - 1.0) * r ** (p - 2.0), r ** (p - 2.0), z, r) + _eigen_hess(
+        radial, tang, d, rho)
+    _assert_oracle(F.hess(z), ref, (p - 1.0) * r ** (p - 2.0) + np.maximum(radial, tang))
+    # at w the bump adds nothing, at 0 neither part does
+    assert np.array_equal(F.hess(w), quc.make_power(p).hess(w))
+    assert np.array_equal(F.hess(np.zeros(2)), np.zeros((2, 2)))
+
+
+# ---------------------------------------------------------------------------
 # blend
 # ---------------------------------------------------------------------------
 

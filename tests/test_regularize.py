@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -243,6 +245,29 @@ def test_moreau_prox_names_an_underflowing_radius():
     assert M.part._prox_underflows(np.array([[1e-12, 0.0]]), 0.25)[0]
     assert not M.prox(np.array([[1e-12, 0.0]])).any()
     assert not M.part._prox_underflows(np.array([[1e-3, 0.0], [0.0, 0.0]]), 0.25).any()
+
+
+
+def test_moreau_prox_at_p_near_one_down_to_a_subnormal_radius():
+    # the root of s + delta s^{p-1} = |z| at p = 1.01, delta = 0.25 is about
+    # (4 |z|)^100: normal above |z| = 2.1e-4, subnormal down to 1.5e-4 and
+    # zero below.  |z|^2 of the proximal point underflows below |z| = 6.5e-3,
+    # so the power gradient is taken from |z| itself there.
+    M = quc.moreau_yosida(quc.make_power(1.01), 0.25)
+    for r in np.geomspace(1.6e-4, 0.1, 240):
+        M.prox(np.array([[r, 0.0]]))
+    th = np.linspace(0.0, 2.0 * np.pi, 7)
+    dirs = np.stack([np.cos(th), np.sin(th)], axis=1)
+    for r in np.geomspace(2.2e-4, 0.1, 60):
+        M.prox(r * dirs)
+    # below the sweep a subnormal radius has too few bits to pass the test,
+    # and each failure says why
+    for r in np.geomspace(1e-6, 1.6e-4, 60, endpoint=False):
+        for z in r * dirs:
+            try:
+                M.prox(z)
+            except ProxError as err:
+                assert re.search("radius .*(is subnormal|underflows below)", str(err)), str(err)
 
 
 def test_radial_prox_radius_solves_scalar_equation():
