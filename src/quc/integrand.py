@@ -742,6 +742,9 @@ class ScaledIntegrand(Integrand):
             return super()._prox(Z, delta)
         return self.part._prox(Z, self.lam * delta)
 
+    def _prox_underflows(self, Z, delta):
+        return self.part._prox_underflows(Z, self.lam * delta)
+
     def _envelope_hess(self, W, delta):
         return self.lam * self.part._envelope_hess(W, self.lam * delta)
 
@@ -774,6 +777,9 @@ class ShiftedIntegrand(Integrand):
             return super()._prox(Z, delta)
         return self.part._prox(Z + self.zbar, delta) - self.zbar
 
+    def _prox_underflows(self, Z, delta):
+        return self.part._prox_underflows(Z + self.zbar, delta)
+
     def _envelope_hess(self, W, delta):
         return self.part._envelope_hess(W + self.zbar, delta)
 
@@ -805,6 +811,9 @@ class AffineAddIntegrand(Integrand):
         if not self.exact_prox:
             return super()._prox(Z, delta)
         return self.part._prox(Z - delta * self.w, delta)
+
+    def _prox_underflows(self, Z, delta):
+        return self.part._prox_underflows(Z - delta * self.w, delta)
 
     def _envelope_hess(self, W, delta):
         return self.part._envelope_hess(W, delta)

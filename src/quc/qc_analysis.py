@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .integrand import as_points, sym2_eig_bounds
 
@@ -276,7 +275,9 @@ def cassels_oracle(lams, trials=20000, rng=None, refine=True):
 
     Random unit vectors followed by Nelder-Mead polish from the best
     candidates.  The quotient is scale invariant so the polish runs
-    unconstrained.
+    unconstrained.  ``scipy.optimize`` is imported on the first call with
+    ``refine=True``, not with the package: nothing on the command-line
+    path polishes, and importing it costs about a quarter of a second.
     """
     lams = np.asarray(lams, dtype=float)
     if lams.size == 0:
@@ -296,6 +297,7 @@ def cassels_oracle(lams, trials=20000, rng=None, refine=True):
     q = quotient(V)
     best = float(q.min())
     if refine:
+        from scipy.optimize import minimize
         order = np.argsort(q)[:8]
         for k in order:
             res = minimize(lambda v: quotient(v) if np.linalg.norm(v) > 1e-12 else 1.0,

@@ -399,6 +399,19 @@ def _vcycle(A, prolongations):
     return cycle
 
 
+def _dot(a, b):
+    """Dot product of two vectors, reduced by numpy's own loop: a BLAS
+    level-1 call on long vectors can cost milliseconds in thread hand-off
+    where the arithmetic takes microseconds.  A nan or inf entry gives a
+    non-finite result, as with ``a @ b``."""
+    return float(np.einsum("i,i", a, b))
+
+
+def _norm(a):
+    """Euclidean norm of a vector, without BLAS (see ``_dot``)."""
+    return _dot(a, a) ** 0.5
+
+
 def _pcg(A, b, precondition, rtol):
     """Preconditioned CG from x = 0 until |r|_2 <= rtol |b|_2.
 
@@ -407,31 +420,32 @@ def _pcg(A, b, precondition, rtol):
     on r) or a non-finite value."""
     x = np.zeros_like(b)
     r = b.copy()
-    stop = rtol * float(np.linalg.norm(b))
+    bnorm = _norm(b)
+    stop = rtol * bnorm
     if not np.isfinite(stop):
         return None
-    if stop >= float(np.linalg.norm(b)):
+    if stop >= bnorm:
         return x, 0
     z = precondition(r)
-    rz = float(r @ z)
+    rz = _dot(r, z)
     p = z
     for it in range(1, PCG_MAXITER + 1):
         if not rz > 0.0:
             return None
         Ap = A @ p
-        pAp = float(p @ Ap)
+        pAp = _dot(p, Ap)
         if not pAp > 0.0:
             return None
         alpha = rz / pAp
         x += alpha * p
         r -= alpha * Ap
-        rnorm = float(np.linalg.norm(r))
+        rnorm = _norm(r)
         if not np.isfinite(rnorm):
             return None
         if rnorm <= stop:
             return x, it
         z = precondition(r)
-        rz_next = float(r @ z)
+        rz_next = _dot(r, z)
         p = z + (rz_next / rz) * p
         rz = rz_next
     return None
@@ -585,7 +599,7 @@ def solve(problem, *, method="newton", tol_rel=1e-9, max_iter=60,
     alpha_gd = 1.0
     cap = max_iter if newton else gd_max_iter
     stop_reason = "max_iter"
-    gnorm = float(np.linalg.norm(g[ii]))
+    gnorm = _norm(g[ii])
     eta = ETA_MAX
     linear_iterations = []
 
@@ -602,7 +616,7 @@ def solve(problem, *, method="newton", tol_rel=1e-9, max_iter=60,
             except Exception:
                 step = None
             if step is not None and np.isfinite(step).all():
-                sl = float(g[ii] @ step)
+                sl = _dot(g[ii], step)
                 if sl < 0.0:
                     d[ii] = step
                     slope = sl
@@ -615,7 +629,7 @@ def solve(problem, *, method="newton", tol_rel=1e-9, max_iter=60,
                 alpha_gd = 1.0 / max(1.0, res)
             step = alpha_gd * step
             d[ii] = step
-            slope = float(g[ii] @ step)
+            slope = _dot(g[ii], step)
 
         u_prev, g_prev = u[ii].copy(), g[ii].copy()
         alpha, e_trial = _armijo(F, mesh, u, d, energy, slope)
@@ -625,7 +639,7 @@ def solve(problem, *, method="newton", tol_rel=1e-9, max_iter=60,
         u = u + alpha * d
         energy, g, v, hz = assemble_energy(F, mesh, u, order=order)
         res = float(np.abs(g[ii]).max()) if ii.size else 0.0
-        gnorm_prev, gnorm = gnorm, float(np.linalg.norm(g[ii]))
+        gnorm_prev, gnorm = gnorm, _norm(g[ii])
         eta = min(ETA_MAX, EW_GAMMA * (gnorm / gnorm_prev) ** EW_ALPHA)
         iterations += 1
 

@@ -247,6 +247,33 @@ def test_moreau_prox_names_an_underflowing_radius():
     assert not M.part._prox_underflows(np.array([[1e-3, 0.0], [0.0, 0.0]]), 0.25).any()
 
 
+@pytest.mark.parametrize("kind, z", [
+    ("scaled", [2.9e-10, 0.0]),
+    ("shifted", [-0.5 + 2.9e-10, 0.0]),
+    ("affine_add", [0.125 + 2.9e-10, 0.0]),
+])
+def test_moreau_prox_names_an_underflowing_radius_behind_a_wrapper(kind, z):
+    # at delta = 0.125 each wrapper hands the power a proximal problem whose
+    # radius underflows: 2 F has s + 0.25 s^{0.01} = 2.9e-10 as in the bare
+    # test above; the shift zbar = (0.5, 0) and the linear term w = (1, 0)
+    # (centre z - delta w) give s + 0.125 s^{0.01} = 2.9e-10, with its root
+    # below (2.3e-9)^100.  So w = -zbar or delta w, and the residual
+    # |w - z| / delta = 2.3e-9 exceeds the tolerance 1e-9 (1 + |z|), |z| <= 0.5
+    power = quc.make_power(1.01)
+    part = {
+        "scaled": quc.combine("scaled", [power], scale=2.0),
+        "shifted": quc.combine("shifted", [power], shift=[0.5, 0.0]),
+        "affine_add": quc.combine("affine_add", [power], w=[1.0, 0.0]),
+    }[kind]
+    delta = 0.125
+    M = quc.moreau_yosida(part, delta)
+    Z = np.array([z])
+    assert M.part._prox_underflows(Z, delta)[0]
+    with pytest.raises(ProxError, match="radius underflows below the smallest positive double"):
+        M.prox(Z)
+    assert not M.part._prox_underflows(Z + [1e-3, 0.0], delta)[0]
+
+
 
 def test_moreau_prox_at_p_near_one_down_to_a_subnormal_radius():
     # the root of s + delta s^{p-1} = |z| at p = 1.01, delta = 0.25 is about

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from scipy import sparse
@@ -5,8 +7,9 @@ from scipy import sparse
 import quc
 from quc.config import compile_boundary_expression
 from quc.regularize import MoreauIntegrand
-from quc.solver import (Mesh, SolverError, _coons_init, _element_matrices, _newton_matrix,
-                        _pair_with_hats, _recover_dv, _tri_gradients, assemble_energy, spsolve)
+from quc.solver import (Mesh, SolverError, _coons_init, _dot, _element_matrices,
+                        _newton_matrix, _norm, _pair_with_hats, _pcg, _recover_dv,
+                        _tri_gradients, assemble_energy, spsolve)
 
 
 # ---------------------------------------------------------------------------
@@ -345,6 +348,65 @@ def test_pcg_failure_falls_back_to_superlu(monkeypatch):
     sol = quc.solve(_p3_oracle(33))
     assert sol.stop_reason == "tol"
     assert sol.linear_iterations == [-1] * sol.iterations
+
+
+EPS = np.finfo(float).eps
+
+
+def _gamma(n):
+    return n * EPS / (1.0 - n * EPS)
+
+
+@pytest.mark.parametrize("n", [4, 7, 1000, 65_536])
+@pytest.mark.parametrize("kind", ["uniform", "mixed_sign", "badly_scaled"])
+def test_dot_and_norm_match_an_exactly_summed_reference(n, kind):
+    """``_dot`` and ``_norm`` against ``math.fsum``, to gamma_n sum |a_i b_i|.
+
+    With unit roundoff u = eps / 2 each product a_i b_i passes through at
+    most n roundings (one multiply, at most n - 1 additions on its path to
+    the result, whatever the order or lane split of the sum), so the
+    computed dot is sum a_i b_i (1 + t_i) with |t_i| <= n u / (1 - n u)
+    (Higham, Accuracy and Stability, sec. 3.1).  The reference
+    fsum(fl(a_i b_i)) is the correctly rounded sum of the rounded
+    products: within 2u S of the exact sum, S = sum |a_i b_i|, and S
+    itself is formed with two roundings.  For n >= 4 these extra 4u S fit
+    in the gap between n u / (1 - n u) and gamma_n = n eps / (1 - n eps),
+    which is at least n u.  No product is subnormal or overflows here, so
+    the relative bound holds.
+
+    ``_norm`` is sqrt of the dot of a with itself, where every term is
+    positive: relative error n u / (1 - n u) / 2 from the dot, one ulp (2u)
+    from the power 1/2, and 2u in the reference sqrt(fsum(a_i^2)); for
+    n >= 4 that is within gamma_n |a|.
+    """
+    rng = np.random.default_rng(n)
+    a, b = rng.uniform(0.5, 1.5, (2, n))
+    if kind == "mixed_sign":
+        # heavy cancellation: the sum is far below sum |a_i b_i|
+        a *= rng.choice([-1.0, 1.0], n)
+        b *= rng.choice([-1.0, 1.0], n)
+    elif kind == "badly_scaled":
+        a *= 10.0 ** rng.uniform(-140.0, 140.0, n)
+        b *= rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-140.0, 140.0, n)
+    prods = (a * b).tolist()
+    S = math.fsum(abs(t) for t in prods)
+    assert abs(_dot(a, b) - math.fsum(prods)) <= _gamma(n) * S
+    ref = math.sqrt(math.fsum(t * t for t in a.tolist()))
+    assert abs(_norm(a) - ref) <= _gamma(n) * ref
+
+
+def test_dot_and_norm_of_a_non_finite_entry_are_non_finite():
+    a = np.ones(1000)
+    for bad in (np.nan, np.inf, -np.inf):
+        b = a.copy()
+        b[517] = bad
+        assert not np.isfinite(_dot(a, b)) and not np.isfinite(_dot(b, b))
+        assert not np.isfinite(_norm(b))
+        # inf times 0 is nan, not 0
+        assert not np.isfinite(_dot(b, np.zeros(1000)))
+        # CG gives up on a right-hand side it cannot measure
+        K = sparse.identity(1000, format="csr")
+        assert _pcg(K, b, lambda r: r, 1e-8) is None
 
 
 def test_grids_up_to_the_coarsest_solve_directly():
