@@ -24,6 +24,7 @@ also the fallback when CG fails.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -150,6 +151,12 @@ class Mesh:
         kept, so the pattern follows from the stencil without sorting, and
         the stencil column of entry (a, b) from the orientation's vertex
         offsets.
+
+        ``indptr`` and ``indices`` are int32 (int64 only past 2^31 - 1
+        entries), the index dtype scipy picks, so every Newton matrix shares
+        them instead of holding a downcast copy of its own.  ``slots`` stays
+        int64, which ``np.bincount`` takes without a cast, and ``diag`` is a
+        compact array of its own, not a column view of the (ni, 7) places.
         """
         if self._newton_pattern is None:
             n, ii = self.n, self.interior_idx
@@ -171,7 +178,9 @@ class Mesh:
                     row = stencil.size * pos[self.tris[blk, a]]
                     for b in range(3):
                         slots[3 * a + b, blk] = flat[row + column[o, a, b]]
-            self._newton_pattern = (indptr, neighbours[present], slots, place[:, 3])
+            index = np.int32 if indptr[-1] <= np.iinfo(np.int32).max else np.int64
+            self._newton_pattern = (indptr.astype(index), neighbours[present].astype(index),
+                                    slots, place[:, 3].copy())
         return self._newton_pattern
 
     def prolongations(self):
@@ -289,7 +298,7 @@ def _tri_gradients(mesh, u):
     return du
 
 
-def assemble_energy(F, mesh, u, *, want_grad=True, order=None):
+def assemble_energy(F, mesh, u, *, want_grad=True, order=None, energy=None):
     """Discrete energy and (optionally) its nodal gradient from one
     ``F.derivs`` pass of orders 0..k over the triangle gradients Du.
 
@@ -300,13 +309,20 @@ def assemble_energy(F, mesh, u, *, want_grad=True, order=None):
     None).  With ``order`` k = 1 or 2 it is (energy, gradient, DF(Du),
     D2F(Du) or None): the per-triangle derivatives that the Newton matrix
     and the stress V = DF(Du) need.
+
+    A known ``energy`` at this u (an accepted Armijo trial's) is returned
+    as given and the pass asks for orders 1..k only; the other orders are
+    the same bits, since a ``derivs`` result does not depend on which
+    orders are computed with it.
     """
     du = np.ascontiguousarray(_tri_gradients(mesh, u))
-    fvals, v, hz = F.derivs(du, range((int(want_grad) if order is None else order) + 1))
-    if not np.isfinite(fvals).all():
-        t = int(np.argmax(~np.isfinite(fvals)))
-        raise AssemblyError(f"non-finite integrand value at triangle {t}, Du = {du[t]}")
-    energy = float(mesh.areas[0] * fvals.sum())
+    k = int(want_grad) if order is None else order
+    fvals, v, hz = F.derivs(du, range(int(energy is not None), k + 1))
+    if energy is None:
+        if not np.isfinite(fvals).all():
+            t = int(np.argmax(~np.isfinite(fvals)))
+            raise AssemblyError(f"non-finite integrand value at triangle {t}, Du = {du[t]}")
+        energy = float(mesh.areas[0] * fvals.sum())
     g = None if v is None else _pair_with_hats(mesh, v)
     return (energy, g) if order is None else (energy, g, v, hz)
 
@@ -377,26 +393,35 @@ PCG_MAXITER = 50
 
 def _vcycle(A, prolongations):
     """Multigrid V-cycle on the Galerkin operators P^T A P, as a function
-    r -> approximate A^{-1} r; the coarsest operator is factored."""
+    r -> approximate A^{-1} r; the coarsest operator is factored.
+
+    The function is a ``functools.partial`` of the module-level ``_cycle``
+    and holds no reference to itself, so the operators, the Jacobi weights
+    and the coarse factor die with their last caller by reference counting:
+    a Newton step's hierarchy is freed when ``spsolve`` returns, or before
+    its SuperLU fallback factors A, and does not wait for the cyclic
+    garbage collector."""
     ops = [A]
     for P in prolongations:
         ops.append((P.T @ (ops[-1] @ P)).tocsr())
     weights = [JACOBI_DAMPING / B.diagonal() for B in ops[:-1]]
-    coarsest = _superlu(ops[-1])
+    levels = tuple(zip(ops, weights, prolongations))
+    return functools.partial(_cycle, levels, _superlu(ops[-1]))
 
-    def cycle(b, k=0):
-        if k == len(prolongations):
-            return coarsest.solve(b)
-        B, w, P = ops[k], weights[k], prolongations[k]
-        x = w * b
-        for _ in range(SMOOTHING_STEPS - 1):
-            x += w * (b - B @ x)
-        x += P @ cycle(P.T @ (b - B @ x), k + 1)
-        for _ in range(SMOOTHING_STEPS):
-            x += w * (b - B @ x)
-        return x
 
-    return cycle
+def _cycle(levels, coarsest, b, k=0):
+    """One V(2, 2) cycle from level k: damped Jacobi around the coarse
+    correction, ``coarsest.solve`` below the last level."""
+    if k == len(levels):
+        return coarsest.solve(b)
+    B, w, P = levels[k]
+    x = w * b
+    for _ in range(SMOOTHING_STEPS - 1):
+        x += w * (b - B @ x)
+    x += P @ _cycle(levels, coarsest, P.T @ (b - B @ x), k + 1)
+    for _ in range(SMOOTHING_STEPS):
+        x += w * (b - B @ x)
+    return x
 
 
 def _dot(a, b):
@@ -550,16 +575,19 @@ def solve(problem, *, method="newton", tol_rel=1e-9, max_iter=60,
     Levenberg shift (keeps the system positive definite where the
     integrand degenerates), assembled into the mesh's fixed interior CSR
     pattern and solved by ``spsolve``; steps are accepted under the Armijo
-    rule, so the energy is nonincreasing.  Each accepted iterate gets one
-    integrand pass (``F.derivs`` of orders 0..2 for Newton, 0..1 for BB):
-    it gives the energy, the nodal gradient, the D2F(Du) of the next Newton
-    matrix and, at the last iterate, the stress V = DF(Du).  Armijo trials
-    evaluate the energy only.  ``method="gradient"`` forces the
-    Barzilai-Borwein fallback throughout.  Terminates when the interior
-    gradient max-norm drops below tol_rel (1 + initial residual); hitting
-    the iteration cap or an Armijo search that finds no decrease returns
-    the best iterate flagged ``converged=False``, and ``stop_reason`` says
-    which.
+    rule, so the energy is nonincreasing.  Armijo trials evaluate the
+    energy only, and an accepted iterate takes its energy from the trial
+    at the same u; its one integrand pass (``F.derivs`` of orders 1..2 for
+    Newton, 1 for BB; 0..2 and 0..1 at the initial guess) gives the nodal
+    gradient, the D2F(Du) of the next Newton matrix and, at the last
+    iterate, the stress V = DF(Du).  Each Newton matrix and its multigrid
+    hierarchy are freed when the step's linear solve returns, so the
+    solver's memory is bounded per step, not per run.
+    ``method="gradient"`` forces the Barzilai-Borwein fallback throughout.
+    Terminates when the interior gradient max-norm drops below tol_rel
+    (1 + initial residual); hitting the iteration cap or an Armijo search
+    that finds no decrease returns the best iterate flagged
+    ``converged=False``, and ``stop_reason`` says which.
 
     On grids with coarser levels (``Mesh.prolongations``: n odd and above
     ``COARSEST_N``) the Newton step is inexact: multigrid-preconditioned
@@ -609,12 +637,15 @@ def solve(problem, *, method="newton", tol_rel=1e-9, max_iter=60,
         d = np.zeros_like(u)
         slope = None
         if newton:
-            Kii = _newton_matrix(mesh, hz, 1e-10 * (1.0 + res))
+            # the Newton matrix lives only inside spsolve, and D2F(Du) only
+            # until the matrix is built
+            Kii, hz = _newton_matrix(mesh, hz, 1e-10 * (1.0 + res)), None
             try:
                 step, its = spsolve(Kii, -g[ii], mesh.prolongations(), rtol=eta,
                                     full_output=True)
             except Exception:
                 step = None
+            Kii = None
             if step is not None and np.isfinite(step).all():
                 sl = _dot(g[ii], step)
                 if sl < 0.0:
@@ -637,7 +668,7 @@ def solve(problem, *, method="newton", tol_rel=1e-9, max_iter=60,
             stop_reason = "line_search_stalled"
             break
         u = u + alpha * d
-        energy, g, v, hz = assemble_energy(F, mesh, u, order=order)
+        energy, g, v, hz = assemble_energy(F, mesh, u, order=order, energy=e_trial)
         res = float(np.abs(g[ii]).max()) if ii.size else 0.0
         gnorm_prev, gnorm = gnorm, _norm(g[ii])
         eta = min(ETA_MAX, EW_GAMMA * (gnorm / gnorm_prev) ** EW_ALPHA)

@@ -1,4 +1,6 @@
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -133,6 +135,18 @@ def test_newton_matrix_matches_coo_path(mask, rng):
     assert K.has_sorted_indices
     assert np.all(np.abs(K.toarray() - ref) <= 6 * np.finfo(float).eps * terms.toarray())
     assert K.nnz == np.count_nonzero(terms.toarray())
+
+
+@pytest.mark.parametrize("mask", [None, DISK])
+def test_newton_matrices_share_the_pattern(mask, rng):
+    m = Mesh(((0.0, 1.0), (0.0, 1.0)), 33, mask=mask)
+    indptr, indices, slots, diag = m.newton_pattern()
+    assert indptr.dtype == indices.dtype == np.int32 and slots.dtype == np.int64
+    assert diag.base is None
+    for _ in range(2):
+        A = rng.standard_normal((m.n_tris, 2, 2))
+        K = _newton_matrix(m, A @ A.transpose(0, 2, 1), 0.25)
+        assert np.shares_memory(K.indices, indices) and np.shares_memory(K.indptr, indptr)
 
 
 def _general_geometry(m):
@@ -350,6 +364,73 @@ def test_pcg_failure_falls_back_to_superlu(monkeypatch):
     assert sol.linear_iterations == [-1] * sol.iterations
 
 
+def _no_cyclic_gc(fn):
+    """fn() with the cyclic garbage collector off, so that whatever fn
+    leaves alive is held by references and not by a pending collection."""
+    gc.collect()
+    gc.disable()
+    try:
+        return fn()
+    finally:
+        gc.enable()
+
+
+def test_spsolve_frees_the_matrix_and_its_hierarchy():
+    def run():
+        m, K, b = _first_newton_system(_p3_oracle(33))
+        ref = weakref.ref(K)
+        _, its = spsolve(K, b, m.prolongations(), full_output=True)
+        del K
+        return its, ref() is None
+
+    its, freed = _no_cyclic_gc(run)
+    assert its > 0 and freed
+
+
+def test_superlu_fallback_runs_after_the_hierarchy_is_freed(monkeypatch):
+    # with a CG cap of 0 the V-cycle is built and dropped unused; when
+    # SuperLU then factors the fine matrix, no preconditioner is alive
+    m, K, b = _first_newton_system(_p3_oracle(33))
+    preconditioners, alive = [], []
+    vcycle, superlu = quc.solver._vcycle, quc.solver._superlu
+
+    def record_vcycle(A, prolongations):
+        cycle = vcycle(A, prolongations)
+        preconditioners.append(weakref.ref(cycle))
+        return cycle
+
+    def record_superlu(A):
+        if A.shape == K.shape:
+            alive.append(sum(ref() is not None for ref in preconditioners))
+        return superlu(A)
+
+    monkeypatch.setattr(quc.solver, "_vcycle", record_vcycle)
+    monkeypatch.setattr(quc.solver, "_superlu", record_superlu)
+    monkeypatch.setattr(quc.solver, "PCG_MAXITER", 0)
+    _, its = _no_cyclic_gc(lambda: spsolve(K, b, m.prolongations(), full_output=True))
+    assert its == -1 and len(preconditioners) == 1 and alive == [0]
+
+
+def test_solve_keeps_at_most_one_newton_matrix_alive(monkeypatch):
+    # each Newton matrix is dead before the next one is assembled, and none
+    # outlives the solve
+    refs, alive_at_build = [], []
+    build = quc.solver._newton_matrix
+
+    def record(mesh, hz, mu):
+        alive_at_build.append(sum(ref() is not None for ref in refs))
+        K = build(mesh, hz, mu)
+        refs.append(weakref.ref(K))
+        return K
+
+    monkeypatch.setattr(quc.solver, "_newton_matrix", record)
+    sol = _no_cyclic_gc(lambda: quc.solve(_disk_blend(33)))
+    assert sol.converged and sol.iterations >= 2 and min(sol.linear_iterations) > 0
+    assert len(refs) == sol.iterations
+    assert alive_at_build == [0] * sol.iterations
+    assert all(ref() is None for ref in refs)
+
+
 EPS = np.finfo(float).eps
 
 
@@ -508,7 +589,7 @@ def test_newton_and_gradient_agree():
 
 
 def test_newton_solve_takes_one_integrand_pass_per_iterate(monkeypatch):
-    # one order-2 pass per accepted iterate plus one energy-only Armijo trial
+    # one orders 1..2 pass per accepted iterate plus one energy-only Armijo trial
     # per step; each pass through mollify(Moreau(F)) solves the proximal
     # points of its M triangles' k mollifier samples once, in as many
     # convolution batches as it takes, so the prox points sum to
@@ -527,6 +608,30 @@ def test_newton_solve_takes_one_integrand_pass_per_iterate(monkeypatch):
     sol = quc.solve(prob)
     assert sol.converged and sol.iterations >= 1
     assert sum(points) == (1 + 2 * sol.iterations) * M * k
+
+
+@pytest.mark.parametrize("make_problem", [_p3_oracle, _disk_blend])
+def test_solution_energy_is_the_energy_of_its_iterate(make_problem):
+    # an accepted iterate takes its energy from the Armijo trial at the same
+    # u: after the pass at the start, every pass asks for the energy only
+    # (a trial) or for orders 1..2 only (an accepted iterate)
+    class Recorder:
+        def __init__(self, F):
+            self.F, self.orders = F, []
+
+        def derivs(self, z, orders):
+            self.orders.append(tuple(orders))
+            return self.F.derivs(z, orders)
+
+    prob = make_problem(33)
+    F = prob.integrand
+    prob.integrand = Recorder(F)
+    sol = quc.solve(prob)
+    assert sol.converged and sol.iterations >= 2
+    assert sol.energy == assemble_energy(F, sol.mesh, sol.u, want_grad=False)[0]
+    first, *rest = prob.integrand.orders
+    assert first == (0, 1, 2) and set(rest) == {(0,), (1, 2)}
+    assert rest.count((1, 2)) == sol.iterations
 
 
 def test_spsolve_matches_scipy_within_conditioning():
