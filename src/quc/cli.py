@@ -19,7 +19,7 @@ from . import dual_geometry as dg
 from . import estimates as est
 from . import qc_analysis as qa
 from .config import ConfigError, _at, _validate_check, parse_config
-from .csvio import write_csv
+from .csvio import BlockTable, write_csv
 from .integrand import (check_gradient_finite_differences, check_hessian_symmetry,
                         check_midpoint_convexity, isotropic_envelope, normalise)
 from .solver import GridProblem, SolverError, solve, stress_field
@@ -52,11 +52,18 @@ def _solve(cfg, F, n=None):
 
 
 def _solution_rows(sol):
-    """(M, 11) array of the SOLUTION_FIELDS, one row per triangle."""
+    """The SOLUTION_FIELDS, one row per triangle, as a ``BlockTable`` whose
+    blocks are built from slices of the solution's fields."""
     st = stress_field(sol)
-    mesh = sol.mesh
-    return np.column_stack([mesh.bary, sol.u[mesh.tris].mean(axis=1), sol.du, st.v,
-                            st.dv_tri.reshape(-1, 4)])
+    mesh, u, du, v = sol.mesh, sol.u, sol.du, st.v
+    dv = st.dv_tri.reshape(-1, 4)
+
+    def block(start, stop):
+        rows = slice(start, stop)
+        return np.column_stack([mesh.bary[rows], u[mesh.tris[rows]].mean(axis=1), du[rows],
+                                v[rows], dv[rows]])
+
+    return BlockTable(mesh.n_tris, block)
 
 
 # ---------------------------------------------------------------------------

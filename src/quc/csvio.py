@@ -4,8 +4,10 @@ All floats are rendered with 17 significant digits so values round-trip
 exactly; files use '\n' endings and no timestamps, making byte-identical
 output reproducible for identical inputs.
 
-Two writers share one format.  A table given as a 2-D numpy array is all
-numbers: it is streamed in blocks of ``BLOCK_ROWS`` rows, and each block
+Two writers share one format.  A table given as a 2-D numpy array, or as
+a ``BlockTable`` that builds any run of its rows on request, is all
+numbers: it is streamed in blocks of ``BLOCK_ROWS`` rows, so a
+``BlockTable`` is never held whole, and each block
 is encoded by numpy into the bytes ``"%.17g" % v`` gives for every cell,
 which are the bytes of ``format_value`` (``"%.17g" % v == f"{v:.17g}"``
 for every float, and ``"%.17g" % float(n) == str(n)`` for integers below
@@ -65,13 +67,31 @@ def format_value(v):
     return str(v)
 
 
+class BlockTable:
+    """A numeric table of ``n_rows`` rows that exists one block at a time:
+    ``block(start, stop)`` returns rows start:stop as a 2-D float array.
+    Slicing it with a step-1 slice builds that block, and ``len`` is the
+    row count, as for the array it stands in for."""
+
+    def __init__(self, n_rows, block):
+        self.n_rows = n_rows
+        self.block = block
+
+    def __len__(self):
+        return self.n_rows
+
+    def __getitem__(self, rows):
+        start, stop, _ = rows.indices(self.n_rows)
+        return self.block(start, stop)
+
+
 def write_csv(path, fieldnames, rows, provenance=""):
     with open(path, "w", newline="") as fh:
         if provenance:
             fh.write(f"# {provenance}\n")
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(fieldnames)
-        if isinstance(rows, np.ndarray):
+        if isinstance(rows, (np.ndarray, BlockTable)):
             _write_numeric(fh, rows)
             return
         for row in rows:
@@ -82,9 +102,10 @@ def write_csv(path, fieldnames, rows, provenance=""):
 
 
 def _write_numeric(fh, table):
-    """Write a 2-D array as rows of %.17g cells, one block of rows at a time."""
+    """Write a 2-D array or a ``BlockTable`` as rows of %.17g cells, one
+    block of rows at a time."""
     fh.flush()
-    for start in range(0, table.shape[0], BLOCK_ROWS):
+    for start in range(0, len(table), BLOCK_ROWS):
         fh.buffer.write(_encode_block(table[start:start + BLOCK_ROWS]))
 
 

@@ -113,25 +113,38 @@ def _ball_mean(mesh, mask, values):
     return float((mesh.areas[mask] * values[mask]).sum() / area)
 
 
-def super_level_mask(solution, ell_c, ell_b, radius, center):
-    """Triangles with barycenter in the ball where F(Du) >= ell(Du)."""
-    mesh = solution.mesh
+def _above_level(solution, ell_c, ell_b):
+    """Triangles where F(Du) >= ell(Du) = ell_c + (ell_b, Du)."""
     F = solution.problem.integrand
     fvals = F._eval(np.ascontiguousarray(solution.du))
-    lvals = ell_c + solution.du @ np.asarray(ell_b, dtype=float)
-    return _ball_tris(mesh, center, radius) & (fvals >= lvals)
+    return fvals >= ell_c + solution.du @ np.asarray(ell_b, dtype=float)
+
+
+def super_level_mask(solution, ell_c, ell_b, radius, center):
+    """Triangles with barycenter in the ball where F(Du) >= ell(Du)."""
+    above = _above_level(solution, ell_c, ell_b)
+    return _ball_tris(solution.mesh, center, radius) & above
 
 
 def _straddling_count(mesh, member, region):
     """Triangles in the region whose membership differs from an edge
-    neighbour's; measures how much of the level boundary the ball crosses."""
-    inc = mesh.node_tris()
-    tris = np.where(region)[0]
-    shared = (inc.tocsc()[:, tris].T @ inc).tocoo()   # region rows only
-    edge = shared.data == 2
-    t1, t2 = tris[shared.row[edge]], shared.col[edge]
-    straddling = t1[member[t1] != member[t2]]
-    return int(np.unique(straddling).size)
+    neighbour's; measures how much of the level boundary the ball crosses.
+
+    A lower triangle's edge neighbours are the upper triangles of its own
+    cell, of the cell below and of the cell to the right; an upper
+    triangle's are the lower triangles of its own cell, of the cell above
+    and of the cell to the left.  Membership sits on the grid of cells,
+    padded by one cell on each side, with -1 where no triangle is."""
+    n = mesh.n
+    grid = np.full((2, n + 1, n + 1), -1, dtype=np.int8)
+    grid[:, 1:n, 1:n] = mesh.on_cells(member.astype(np.int8), fill=-1)
+    differs = np.zeros((2, n - 1, n - 1), dtype=bool)
+    for o, sign in ((0, 1), (1, -1)):
+        own = grid[o, 1:n, 1:n]
+        for dj, di in ((0, 0), (-sign, 0), (0, sign)):
+            nb = grid[1 - o, 1 + dj:n + dj, 1 + di:n + di]
+            differs[o] |= (nb >= 0) & (nb != own)
+    return int(np.count_nonzero(mesh.on_cells(region, fill=False) & differs))
 
 
 def _h_est(solution, H):
@@ -161,8 +174,10 @@ def caccioppoli_check(solution, ell, rho, R, center, H=None):
     ell_c, ell_b = float(ell[0]), np.asarray(ell[1], dtype=float).reshape(2)
     st = stress_field(solution)
 
-    inner = super_level_mask(solution, ell_c, ell_b, rho, center)
-    outer = super_level_mask(solution, ell_c, ell_b, R, center)
+    member = _above_level(solution, ell_c, ell_b)
+    ball_rho = _ball_tris(mesh, center, rho)
+    region = _ball_tris(mesh, center, R)
+    inner, outer = ball_rho & member, region & member
     if not outer.any():
         if inner.any():
             raise RuntimeError("super-level nesting violated: A(ell, rho) nonempty "
@@ -180,8 +195,6 @@ def caccioppoli_check(solution, ell, rho, R, center, H=None):
     v2 = (vshift**2).sum(axis=1)
     rhs = const * float((mesh.areas[outer] * v2[outer]).sum())
 
-    region = _ball_tris(mesh, center, R)
-    member = super_level_mask(solution, ell_c, ell_b, np.inf, center)
     return VerificationReport(
         name="caccioppoli", lhs=lhs, rhs=rhs, constant=const,
         grid_n=solution.problem.n,
@@ -191,7 +204,7 @@ def caccioppoli_check(solution, ell, rho, R, center, H=None):
                 "center_x": float(center[0]), "center_y": float(center[1])},
         extra={"H_est": Hval,
                "straddling": _straddling_count(mesh, member, region),
-               "tris_smallest_ball": int(_ball_tris(mesh, center, rho).sum())},
+               "tris_smallest_ball": int(ball_rho.sum())},
     )
 
 

@@ -6,12 +6,15 @@ diagonal, so assembly is deterministic and meshes nest under the refinement
 n -> 2n - 1.  Every triangle is a lower or an upper one (``Mesh.orient``),
 and all triangles of one orientation share their area, their hat-function
 gradients (``Mesh.stencil_grads``) and their vertex offsets; Du, the pairing
-with the hat gradients, the element matrices, the Newton matrix pattern and
-the stress recovery work from these two stencils, one orientation block at a
-time, instead of from per-triangle geometry.  The energy sum_T area_T F(Du_T)
-over per-triangle constant gradients is minimised by damped inexact Newton
-with Armijo backtracking; a Barzilai-Borwein gradient method with the same
-safeguard serves as fallback and as an independent cross-check.
+with the hat gradients, the Newton matrix and the stress recovery work from
+these two stencils, one orientation at a time, instead of from per-triangle
+geometry.  The Newton matrix is summed on the grid of cells: each entry of
+an element matrix is a fixed linear map of D2F(Du) that lands on one
+7-point stencil coefficient of one vertex, so no per-triangle index table
+is needed.  The energy sum_T area_T F(Du_T) over per-triangle constant
+gradients is minimised by damped inexact Newton with Armijo backtracking; a
+Barzilai-Borwein gradient method with the same safeguard serves as fallback
+and as an independent cross-check.
 
 The Newton systems are solved by CG preconditioned with a geometric
 multigrid V-cycle over the nested grids n, (n + 1) / 2, ... (Briggs,
@@ -50,11 +53,16 @@ class Mesh:
     1 on the rest, and ``blocks`` holds the two row slices.
     ``stencil_grads`` (2, 3, 2) holds the hat-function gradients of the
     three vertices for each orientation, and ``stencil_offsets`` (2, 3) the
-    node offsets of the vertices from a.
+    node offsets of the vertices from a.  ``on_cells`` places per-triangle
+    values on the (2, n - 1, n - 1) grid of cells, where grid stencils
+    replace per-triangle index tables.
 
     Attributes: ``nodes`` (N, 2), ``tris`` (M, 3) int64, ``areas`` (M,) (all
     hx hy / 2), ``bary`` (M, 2) barycenters, ``interior`` / ``dirichlet`` /
-    ``used`` boolean node masks.
+    ``used`` boolean node masks, ``kept`` (2, n - 1, n - 1) whether the mask
+    kept the triangle of orientation o in the cell with lower-left node
+    j n + i.  A mesh holds geometry only: ``solve`` builds the Newton
+    pattern and the prolongations once per call.
     """
 
     def __init__(self, bounds, n, mask=None):
@@ -81,6 +89,7 @@ class Mesh:
         on_border[(idx % n == 0) | (idx % n == n - 1) | (idx < n) | (idx >= n * (n - 1))] = True
 
         n_lower = a.size
+        keep = np.ones(tris.shape[0], dtype=bool)
         if mask is not None:
             center, radius = np.asarray(mask[0], dtype=float), float(mask[1])
             inside = np.hypot(self.nodes[:, 0] - center[0],
@@ -101,6 +110,7 @@ class Mesh:
         self.tris = np.ascontiguousarray(tris)
         self.interior_idx = np.where(self.interior)[0]
         M = self.tris.shape[0]
+        self.kept = keep.reshape(2, n - 1, n - 1)
         self.n_lower = n_lower
         self.orient = np.repeat(np.array([0, 1], dtype=np.int8), [n_lower, M - n_lower])
 
@@ -110,9 +120,6 @@ class Mesh:
         self.areas = np.full(M, 0.5 * self.hx * self.hy)
         N = self.nodes
         self.bary = (N[self.tris[:, 0]] + N[self.tris[:, 1]] + N[self.tris[:, 2]]) / 3
-        self._node_tris = None
-        self._newton_pattern = None
-        self._prolongations = None
 
     @property
     def n_nodes(self):
@@ -127,80 +134,76 @@ class Mesh:
         """Row slices of the lower and of the upper triangles in ``tris``."""
         return slice(0, self.n_lower), slice(self.n_lower, self.n_tris)
 
+    def on_cells(self, values, fill=0):
+        """Per-triangle ``values`` (M,) on the (2, n - 1, n - 1) grid of
+        cells, ``fill`` where the mask removed a triangle.  Without a mask
+        this is a view of ``values``."""
+        if self.n_tris == self.kept.size:
+            return values.reshape(self.kept.shape)
+        grid = np.full(self.kept.shape, fill, dtype=values.dtype)
+        grid[self.kept] = values
+        return grid
+
     def node_tris(self):
-        """Sparse (N, M) node-triangle incidence matrix, CSR (lazy).
+        """(N, 6) node-triangle table: entry (a, 3 o + k) is the triangle of
+        orientation o that has node a as its vertex k, or -1.  Each node
+        lies on at most one triangle per (orientation, vertex) slot."""
+        table = np.full((self.n_nodes, 6), -1, dtype=np.int64)
+        for o, blk in enumerate(self.blocks):
+            for k in range(3):
+                table[self.tris[blk, k], 3 * o + k] = np.arange(blk.start, blk.stop)
+        return table
 
-        Row a holds a 1 for each triangle with vertex a; in inc.T @ inc the
-        entry for two distinct triangles counts their shared vertices."""
-        if self._node_tris is None:
-            M = self.n_tris
-            self._node_tris = sparse.csr_matrix(
-                (np.ones(3 * M, dtype=np.int64), (self.tris.ravel(), np.repeat(np.arange(M), 3))),
-                shape=(self.n_nodes, M))
-        return self._node_tris
 
-    def newton_pattern(self):
-        """Fixed CSR pattern of the interior Newton matrix (lazy).
+def _stencil(n):
+    """The 7-point stencil of node offsets, in the order of CSR columns."""
+    return np.array([-n - 1, -n, -1, 0, 1, n, n + 1])
 
-        Returns (indptr, indices, slots, diag): ``slots`` (9, M) maps the
-        local entry (a, b) of triangle t, row 3 a + b of
-        ``_element_matrices``, to its place in the CSR data array, or to the
-        extra slot nnz when a or b is not interior; ``diag`` holds the places
-        of the diagonal entries.  Two nodes share a triangle iff their offset
-        is in the 7-point stencil, and every triangle at an interior node is
-        kept, so the pattern follows from the stencil without sorting, and
-        the stencil column of entry (a, b) from the orientation's vertex
-        offsets.
 
-        ``indptr`` and ``indices`` are int32 (int64 only past 2^31 - 1
-        entries), the index dtype scipy picks, so every Newton matrix shares
-        them instead of holding a downcast copy of its own.  ``slots`` stays
-        int64, which ``np.bincount`` takes without a cast, and ``diag`` is a
-        compact array of its own, not a column view of the (ni, 7) places.
-        """
-        if self._newton_pattern is None:
-            n, ii = self.n, self.interior_idx
-            stencil = np.array([-n - 1, -n, -1, 0, 1, n, n + 1])
-            pos = np.full(self.n_nodes, -1, dtype=np.int64)
-            pos[ii] = np.arange(ii.size)
-            neighbours = pos[ii[:, None] + stencil]        # interior nodes: no wrap
-            present = neighbours >= 0
-            indptr = np.concatenate([[0], np.cumsum(present.sum(axis=1))])
-            place = np.where(present, indptr[:-1, None] + np.cumsum(present, axis=1) - 1,
-                             indptr[-1])
-            # a last row of nnz, read through pos = -1 by nodes that are not interior
-            flat = np.append(place.ravel(), np.full(stencil.size, indptr[-1]))
-            d = self.stencil_offsets
-            column = np.searchsorted(stencil, d[:, None, :] - d[:, :, None])   # [o, a, b]
-            slots = np.empty((9, self.n_tris), dtype=np.int64)
-            for o, blk in enumerate(self.blocks):
-                for a in range(3):
-                    row = stencil.size * pos[self.tris[blk, a]]
-                    for b in range(3):
-                        slots[3 * a + b, blk] = flat[row + column[o, a, b]]
-            index = np.int32 if indptr[-1] <= np.iinfo(np.int32).max else np.int64
-            self._newton_pattern = (indptr.astype(index), neighbours[present].astype(index),
-                                    slots, place[:, 3].copy())
-        return self._newton_pattern
+def newton_pattern(mesh):
+    """Fixed CSR pattern of the interior Newton matrix.
 
-    def prolongations(self):
-        """Interior P1 prolongations of the nested coarse grids (lazy).
+    Returns (indptr, indices, gather): entry p of the CSR data is
+    coefficient ``gather[p]`` of the flattened (7, N) stencil coefficients
+    that ``_newton_matrix`` sums, k N + a for the k-th stencil offset at the
+    row's node a.  Two nodes share a triangle iff their offset is in the
+    7-point stencil, and every triangle at an interior node is kept, so the
+    pattern follows from the stencil without sorting.
 
-        Entry k maps grid n_{k+1} = (n_k + 1) / 2 to grid n_k, n_0 = n;
-        coarsening continues while n_k is odd and above ``COARSEST_N``.
-        Rows are the interior nodes of the finer grid (n_0: ``interior``),
-        columns the coarse nodes whose fine image is one of them, so a
-        masked domain needs no coarse geometry.  Empty for an even n and
-        for n <= ``COARSEST_N``.
-        """
-        if self._prolongations is None:
-            self._prolongations = []
-            n, keep = self.n, self.interior
-            while n % 2 == 1 and n > COARSEST_N:
-                P, keep = _p1_prolongation(n, keep)
-                self._prolongations.append(P)
-                n = (n + 1) // 2
-        return self._prolongations
+    ``indptr`` and ``indices`` are int32 (int64 only past 2^31 - 1
+    entries), the index dtype scipy picks, so every Newton matrix shares
+    them instead of holding a downcast copy of its own; ``gather`` is intp,
+    which ``np.take`` uses without a cast.
+    """
+    ii = mesh.interior_idx
+    stencil = _stencil(mesh.n)
+    pos = np.full(mesh.n_nodes, -1, dtype=np.int64)
+    pos[ii] = np.arange(ii.size)
+    neighbours = pos[ii[:, None] + stencil]        # interior nodes: no wrap
+    present = neighbours >= 0
+    indptr = np.concatenate([[0], np.cumsum(present.sum(axis=1))])
+    gather = (np.arange(stencil.size) * mesh.n_nodes + ii[:, None])[present]
+    index = np.int32 if indptr[-1] <= np.iinfo(np.int32).max else np.int64
+    return indptr.astype(index), neighbours[present].astype(index), gather
+
+
+def prolongations(mesh):
+    """Interior P1 prolongations of the nested coarse grids of ``mesh``.
+
+    Entry k maps grid n_{k+1} = (n_k + 1) / 2 to grid n_k, n_0 = n;
+    coarsening continues while n_k is odd and above ``COARSEST_N``.
+    Rows are the interior nodes of the finer grid (n_0: ``interior``),
+    columns the coarse nodes whose fine image is one of them, so a
+    masked domain needs no coarse geometry.  Empty for an even n and
+    for n <= ``COARSEST_N``.
+    """
+    out = []
+    n, keep = mesh.n, mesh.interior
+    while n % 2 == 1 and n > COARSEST_N:
+        P, keep = _p1_prolongation(n, keep)
+        out.append(P)
+        n = (n + 1) // 2
+    return out
 
 
 # Grids at or below this size are not coarsened: their Newton systems are
@@ -307,8 +310,9 @@ def assemble_energy(F, mesh, u, *, want_grad=True, order=None, energy=None):
     through the per-triangle linear interpolation.  Without ``order``, k is
     1 (0 when ``want_grad`` is False) and the result is (energy, gradient or
     None).  With ``order`` k = 1 or 2 it is (energy, gradient, DF(Du),
-    D2F(Du) or None): the per-triangle derivatives that the Newton matrix
-    and the stress V = DF(Du) need.
+    D2F(Du) or None, Du): the per-triangle derivatives that the Newton
+    matrix and the stress V = DF(Du) need, and the gradients they were
+    taken at.
 
     A known ``energy`` at this u (an accepted Armijo trial's) is returned
     as given and the pass asks for orders 1..k only; the other orders are
@@ -324,7 +328,7 @@ def assemble_energy(F, mesh, u, *, want_grad=True, order=None, energy=None):
             raise AssemblyError(f"non-finite integrand value at triangle {t}, Du = {du[t]}")
         energy = float(mesh.areas[0] * fvals.sum())
     g = None if v is None else _pair_with_hats(mesh, v)
-    return (energy, g) if order is None else (energy, g, v, hz)
+    return (energy, g) if order is None else (energy, g, v, hz, du)
 
 
 def _pair_with_hats(mesh, v):
@@ -342,39 +346,50 @@ def _pair_with_hats(mesh, v):
     return np.bincount(mesh.tris.ravel(), weights=contrib.ravel(), minlength=mesh.n_nodes)
 
 
-def _element_matrices(mesh, hz):
-    """Matrices area_T D(phi_a) . D2F(Du_T) D(phi_b) of all triangles, as a
-    (9, M) array whose row 3 a + b holds entry (a, b).
+def _newton_matrix(mesh, hz, mu, pattern=None):
+    """Interior block of the Hessian plus mu Id, in the fixed CSR pattern
+    ``newton_pattern(mesh)`` (built here when not given).
 
-    On one orientation the matrix is a fixed linear map of (h00, h01, h11),
-    h01 the mean of the two off-diagonal entries of D2F (the quadratic form
-    is the same), written as elementwise multiply-adds: a (M, 3) @ (3, 9)
-    product is slower on a threaded BLAS."""
-    h = (np.ascontiguousarray(hz[:, 0, 0]), 0.5 * (hz[:, 0, 1] + hz[:, 1, 0]),
-         np.ascontiguousarray(hz[:, 1, 1]))
-    out = np.empty((9, mesh.n_tris))
-    for blk, G in zip(mesh.blocks, mesh.stencil_grads):
-        g0, g1 = G[:, 0], G[:, 1]
-        C = mesh.areas[0] * np.stack([np.outer(g0, g0), np.outer(g0, g1) + np.outer(g1, g0),
-                                      np.outer(g1, g1)], axis=-1).reshape(9, 3)
-        h0, h1, h2 = (x[blk] for x in h)
-        tmp = np.empty_like(h0)
-        for e in range(9):
-            row = np.multiply(h0, C[e, 0], out=out[e, blk])
-            row += np.multiply(h1, C[e, 1], out=tmp)
-            row += np.multiply(h2, C[e, 2], out=tmp)
-    return out
-
-
-def _newton_matrix(mesh, hz, mu):
-    """Interior block of the Hessian plus mu Id, in the mesh's fixed CSR
-    pattern: one bincount of the element matrices into the data array."""
-    indptr, indices, slots, diag = mesh.newton_pattern()
-    data = np.bincount(slots.ravel(), weights=_element_matrices(mesh, hz).ravel(),
-                       minlength=indices.size + 1)[:-1]
-    data[diag] += mu
+    Entry (a, b) of the element matrix area_T D(phi_a) . D2F(Du_T) D(phi_b)
+    of an orientation-o triangle is a fixed linear map C[o][a, b] of
+    (h00, h01, h11), h01 the mean of the two off-diagonal entries of D2F
+    (the quadratic form is the same), and entry (b, a) is the same value.
+    It adds to the stencil coefficient of vertex a's node at the offset of
+    vertex b, so each (a, b, o) is one shifted slice-add over the
+    (n - 1)^2 cells into the (7, n, n) stencil coefficients; removed
+    triangles are zeros on the cell grid.  An off-diagonal coefficient
+    takes at most one term per orientation, so its sum of two does not
+    depend on their order; the diagonal takes a, b = 0, 1, 2 outer and o
+    inner, and mu last, the order of an element-by-element scatter of the
+    element matrices.  One gather puts the coefficients in CSR order."""
+    indptr, indices, gather = newton_pattern(mesh) if pattern is None else pattern
+    n = mesh.n
+    h = [mesh.on_cells(x) for x in (np.ascontiguousarray(hz[:, 0, 0]),
+                                     0.5 * (hz[:, 0, 1] + hz[:, 1, 0]),
+                                     np.ascontiguousarray(hz[:, 1, 1]))]
+    d = mesh.stencil_offsets
+    dj, di = np.divmod(d, n)
+    k = np.searchsorted(_stencil(n), d[:, None, :] - d[:, :, None])       # [o, a, b]
+    g0, g1 = mesh.stencil_grads[..., 0], mesh.stencil_grads[..., 1]
+    outer = lambda x, y: x[:, :, None] * y[:, None, :]
+    C = mesh.areas[0] * np.stack([outer(g0, g0), outer(g0, g1) + outer(g1, g0),
+                                  outer(g1, g1)], axis=-1)                 # [o, a, b, 3]
+    coef = np.zeros((7, n, n))
+    row, tmp = np.empty((2, n - 1, n - 1))
+    for a in range(3):
+        for b in range(a, 3):
+            for o in range(2):
+                c = C[o, a, b]
+                np.multiply(h[0][o], c[0], out=row)
+                row += np.multiply(h[1][o], c[1], out=tmp)
+                row += np.multiply(h[2][o], c[2], out=tmp)
+                for p, q in {(a, b), (b, a)}:
+                    j, i = dj[o, p], di[o, p]
+                    coef[k[o, p, q], j:j + n - 1, i:i + n - 1] += row
+    coef[3] += mu
+    h = row = tmp = None        # freed before the CSR data is gathered
     ni = indptr.size - 1
-    return sparse.csr_matrix((data, indices, indptr), shape=(ni, ni))
+    return sparse.csr_matrix((np.take(coef, gather), indices, indptr), shape=(ni, ni))
 
 
 def _superlu(A):
@@ -484,7 +499,7 @@ def spsolve(A, b, prolongations=(), *, rtol=1e-8, full_output=False):
     The Newton loop passes none on grids that do not coarsen (n <= 17 or
     n even).
 
-    With ``prolongations`` (``Mesh.prolongations()``: entry k maps level
+    With ``prolongations`` (``prolongations(mesh)``: entry k maps level
     k + 1 to level k, level 0 being the unknowns of A) it is CG
     preconditioned by one multigrid V(2, 2) cycle: Galerkin operators
     P^T A P on the coarser levels, two damped Jacobi sweeps (omega = 0.7)
@@ -573,23 +588,25 @@ def solve(problem, *, method="newton", tol_rel=1e-9, max_iter=60,
 
     Newton directions use the assembled per-triangle Hessian with a tiny
     Levenberg shift (keeps the system positive definite where the
-    integrand degenerates), assembled into the mesh's fixed interior CSR
-    pattern and solved by ``spsolve``; steps are accepted under the Armijo
-    rule, so the energy is nonincreasing.  Armijo trials evaluate the
-    energy only, and an accepted iterate takes its energy from the trial
-    at the same u; its one integrand pass (``F.derivs`` of orders 1..2 for
+    integrand degenerates), assembled into the fixed interior CSR pattern
+    of ``newton_pattern`` and solved by ``spsolve``; steps are accepted
+    under the Armijo rule, so the energy is nonincreasing.  Armijo trials
+    evaluate the energy only, and an accepted iterate takes its energy from
+    the trial at the same u; its one integrand pass (``F.derivs`` of orders 1..2 for
     Newton, 1 for BB; 0..2 and 0..1 at the initial guess) gives the nodal
     gradient, the D2F(Du) of the next Newton matrix and, at the last
-    iterate, the stress V = DF(Du).  Each Newton matrix and its multigrid
-    hierarchy are freed when the step's linear solve returns, so the
-    solver's memory is bounded per step, not per run.
+    iterate, the stress V = DF(Du) and Du itself.  Each Newton matrix and
+    its multigrid hierarchy are freed when the step's linear solve returns,
+    and the Newton pattern and prolongations, built once per call, when
+    ``solve`` returns, so the solver's memory is bounded per step, not per
+    run, and the mesh keeps none of it.
     ``method="gradient"`` forces the Barzilai-Borwein fallback throughout.
     Terminates when the interior gradient max-norm drops below tol_rel
     (1 + initial residual); hitting the iteration cap or an Armijo search
     that finds no decrease returns the best iterate flagged
     ``converged=False``, and ``stop_reason`` says which.
 
-    On grids with coarser levels (``Mesh.prolongations``: n odd and above
+    On grids with coarser levels (``prolongations``: n odd and above
     ``COARSEST_N``) the Newton step is inexact: multigrid-preconditioned
     CG stops once the linear residual is at most eta_k times the interior
     gradient g_k in the 2-norm, with the Eisenstat-Walker choice 2 forcing
@@ -617,7 +634,7 @@ def solve(problem, *, method="newton", tol_rel=1e-9, max_iter=60,
     ii = mesh.interior_idx
 
     order = 2 if newton else 1
-    energy, g, v, hz = assemble_energy(F, mesh, u, order=order)
+    energy, g, v, hz, du = assemble_energy(F, mesh, u, order=order)
     res0 = float(np.abs(g[ii]).max()) if ii.size else 0.0
     tol = tol_rel * (1.0 + res0)
     res = res0
@@ -630,6 +647,8 @@ def solve(problem, *, method="newton", tol_rel=1e-9, max_iter=60,
     gnorm = _norm(g[ii])
     eta = ETA_MAX
     linear_iterations = []
+    if newton:
+        pattern, levels = newton_pattern(mesh), prolongations(mesh)
 
     # "not <=" keeps iterating on a NaN residual, so that case ends with a
     # failed line search instead of passing as an untried iteration cap.
@@ -639,10 +658,9 @@ def solve(problem, *, method="newton", tol_rel=1e-9, max_iter=60,
         if newton:
             # the Newton matrix lives only inside spsolve, and D2F(Du) only
             # until the matrix is built
-            Kii, hz = _newton_matrix(mesh, hz, 1e-10 * (1.0 + res)), None
+            Kii, hz = _newton_matrix(mesh, hz, 1e-10 * (1.0 + res), pattern), None
             try:
-                step, its = spsolve(Kii, -g[ii], mesh.prolongations(), rtol=eta,
-                                    full_output=True)
+                step, its = spsolve(Kii, -g[ii], levels, rtol=eta, full_output=True)
             except Exception:
                 step = None
             Kii = None
@@ -668,14 +686,14 @@ def solve(problem, *, method="newton", tol_rel=1e-9, max_iter=60,
             stop_reason = "line_search_stalled"
             break
         u = u + alpha * d
-        energy, g, v, hz = assemble_energy(F, mesh, u, order=order, energy=e_trial)
+        v = du = None               # the last iterate's fields die before the next pass
+        energy, g, v, hz, du = assemble_energy(F, mesh, u, order=order, energy=e_trial)
         res = float(np.abs(g[ii]).max()) if ii.size else 0.0
         gnorm_prev, gnorm = gnorm, _norm(g[ii])
         eta = min(ETA_MAX, EW_GAMMA * (gnorm / gnorm_prev) ** EW_ALPHA)
         iterations += 1
 
     converged = bool(res <= tol)
-    du = _tri_gradients(mesh, u)
     return GridSolution(
         problem=problem, mesh=mesh, u=u, du=du, v=v, energy=energy,
         residual=res, iterations=iterations, converged=converged,
@@ -693,12 +711,13 @@ def _recover_dv(mesh, v):
     least-squares affine fits over each node's incident triangles.
 
     A node's patch holds at most one triangle in each of 6 slots
-    (orientation o, vertex a): the triangle of orientation o with the node
-    as its vertex a.  All areas are equal and a slot's barycenter lies at a
-    fixed offset from the node, so the fit depends only on which slots are
-    present.  The fits are grouped by that slot pattern: each group solves
-    its 3x3 normal equations once and applies the resulting stencil to v,
-    for interior, boundary and masked nodes alike.  Coordinates are scaled
+    (orientation o, vertex a) of ``Mesh.node_tris``: the triangle of
+    orientation o with the node as its vertex a.  All areas are equal and
+    a slot's barycenter lies at a fixed offset from the node, so the fit
+    depends only on which slots are present.  The fits are grouped by that
+    slot pattern: each group solves its 3x3 normal equations once and
+    applies the resulting stencil to v, for interior, boundary and masked
+    nodes alike.  Coordinates are scaled
     by the mesh width for conditioning.  Degenerate patterns (corner nodes)
     fall back to a fit over the node's two-ring neighbourhood."""
     N, h = mesh.n_nodes, min(mesh.hx, mesh.hy)
@@ -706,10 +725,7 @@ def _recover_dv(mesh, v):
     corner = np.stack([i * mesh.hx, j * mesh.hy], axis=-1)             # (2, 3, 2)
     dx = ((corner.mean(axis=1, keepdims=True) - corner) / h).reshape(6, 2)
     design = np.column_stack([np.ones(6), dx])                          # row 3 o + a
-    slot_tri = np.full((N, 6), -1, dtype=np.int64)
-    for o, blk in enumerate(mesh.blocks):
-        for a in range(3):
-            slot_tri[mesh.tris[blk, a], 3 * o + a] = np.arange(blk.start, blk.stop)
+    slot_tri = mesh.node_tris()
     code = (slot_tri >= 0) @ (1 << np.arange(6))
     order = np.argsort(code, kind="stable")
     ends = np.cumsum(np.bincount(code, minlength=64))

@@ -18,6 +18,7 @@ from quc import qc_analysis as qa
 from quc.config import parse_config
 from quc.csvio import _SLOT, BLOCK_ROWS, _ascii8, _encode_block, read_csv, write_csv
 from quc.integrand import normalise
+from quc.solver import GridProblem, GridSolution, StressField
 
 EDGE_VALUES = [
     float("nan"), float("inf"), float("-inf"), 0.0, -0.0,
@@ -105,6 +106,60 @@ def test_cli_disk_blend_solution_matches_per_cell(tmp_path):
     got, ref = _solution_and_cells(tmp_path, path)
     assert got == ref
     assert b"e-" in got
+
+
+def _random_solution(n, mask, seed, spread):
+    """A GridSolution with random fields of magnitude e^-spread..e^spread
+    and random signs on an n-grid, its stress given, so nothing is solved."""
+    rng = np.random.default_rng(seed)
+    problem = GridProblem(integrand=None, n=n, boundary=None, mask=mask)
+    mesh = problem.mesh()
+    field = lambda *shape: rng.choice([-1.0, 1.0], shape) * np.exp(rng.uniform(-spread, spread,
+                                                                               shape))
+    M = mesh.n_tris
+    stress = StressField(v=field(M, 2), dv_nodes=None, dv_tri=field(M, 2, 2), divergence=0.0)
+    return GridSolution(problem=problem, mesh=mesh, u=field(mesh.n_nodes), du=field(M, 2),
+                        v=stress.v, energy=0.0, residual=0.0, iterations=0, converged=True,
+                        method="newton", stop_reason="tol", linear_iterations=[],
+                        _stress=stress)
+
+
+@pytest.mark.parametrize("mask", [None, (np.array([0.5, 0.5]), 0.45)], ids=["square", "disk"])
+def test_streamed_solution_rows_match_the_whole_table(tmp_path, mask):
+    """The blocks of ``_solution_rows`` write the bytes of the whole (M, 11)
+    table; signed zeros at every vertex of some triangles check that the
+    barycentre value keeps the sign the mean gives."""
+    sol = _random_solution(66, mask, 4, spread=30.0)
+    sol.u[np.random.default_rng(5).random(sol.u.size) < 0.5] = -0.0
+    mesh, stress = sol.mesh, sol.stress()
+    table = np.column_stack([mesh.bary, sol.u[mesh.tris].mean(axis=1), sol.du, stress.v,
+                             stress.dv_tri.reshape(-1, 4)])
+    rows = cli._solution_rows(sol)
+    assert len(rows) == mesh.n_tris > BLOCK_ROWS
+    got, ref = _array_and_cells(tmp_path, cli.SOLUTION_FIELDS, rows, table)
+    assert got == ref
+    assert got.count(b"\n") == mesh.n_tris + 2
+
+
+def test_solution_rows_are_written_one_block_at_a_time(tmp_path):
+    """Besides the solution's fields, which exist before the write, writing
+    solution.csv holds the encoder's share of one block of 11 cells per row
+    (the bound of ``test_numeric_writer_holds_one_block``) and the block
+    itself, 8 bytes per cell.  At n = 257 the whole (M, 11) table alone
+    would exceed that."""
+    sol = _random_solution(257, None, 6, spread=1.0)
+    sol.stress()
+    bound = BLOCK_ROWS * 11 * (18 * 8 + 4 * _SLOT + 8)
+    assert sol.mesh.n_tris * 11 * 8 > bound
+    tracemalloc.start()
+    try:
+        rows = cli._solution_rows(sol)
+        write_csv(tmp_path / "solution.csv", cli.SOLUTION_FIELDS, rows)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(rows) == sol.mesh.n_tris
+    assert peak <= bound
 
 
 def _rewrite_per_cell(path, ref, convert):

@@ -55,20 +55,25 @@ def test_super_level_nesting(sol_p3_scaled):
 
 
 def test_straddling_count_matches_edge_dictionary(rng):
-    m = Mesh(((0.0, 1.0), (0.0, 1.0)), 17, mask=(np.array([0.5, 0.5]), 0.44))
-    owners = {}
-    for t, tri in enumerate(m.tris.tolist()):
-        for e in ((tri[0], tri[1]), (tri[1], tri[2]), (tri[2], tri[0])):
-            owners.setdefault(tuple(sorted(e)), []).append(t)
-    assert max(len(ts) for ts in owners.values()) == 2
-    for _ in range(5):
-        member = rng.random(m.n_tris) < 0.5
-        region = rng.random(m.n_tris) < 0.7
-        differs = np.zeros(m.n_tris, dtype=bool)
-        for ts in owners.values():
-            if len(ts) == 2 and member[ts[0]] != member[ts[1]]:
-                differs[ts] = True
-        assert _straddling_count(m, member, region) == int((differs & region).sum())
+    for mask in (None, (np.array([0.5, 0.5]), 0.44)):
+        m = Mesh(((0.0, 1.0), (0.0, 1.0)), 17, mask=mask)
+        owners = {}
+        for t, tri in enumerate(m.tris.tolist()):
+            for e in ((tri[0], tri[1]), (tri[1], tri[2]), (tri[2], tri[0])):
+                owners.setdefault(tuple(sorted(e)), []).append(t)
+        assert max(len(ts) for ts in owners.values()) == 2
+        # random sets, and the triangles touching the edge of the domain,
+        # whose neighbours across that edge are missing
+        at_edge = m.dirichlet[m.tris].any(axis=1)
+        cases = [(rng.random(m.n_tris) < 0.5, rng.random(m.n_tris) < 0.7) for _ in range(5)]
+        cases += [(at_edge, np.ones(m.n_tris, dtype=bool)), (~at_edge, at_edge)]
+        for member, region in cases:
+            differs = np.zeros(m.n_tris, dtype=bool)
+            for ts in owners.values():
+                if len(ts) == 2 and member[ts[0]] != member[ts[1]]:
+                    differs[ts] = True
+            assert _straddling_count(m, member, region) == int((differs & region).sum())
+        assert _straddling_count(m, at_edge, at_edge) > 0
 
 
 # ---------------------------------------------------------------------------

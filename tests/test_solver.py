@@ -9,9 +9,9 @@ from scipy import sparse
 import quc
 from quc.config import compile_boundary_expression
 from quc.regularize import MoreauIntegrand
-from quc.solver import (Mesh, SolverError, _coons_init, _dot, _element_matrices,
-                        _newton_matrix, _norm, _pair_with_hats, _pcg, _recover_dv,
-                        _tri_gradients, assemble_energy, spsolve)
+from quc.solver import (Mesh, SolverError, _coons_init, _dot, _newton_matrix, _norm,
+                        _pair_with_hats, _pcg, _recover_dv, _tri_gradients, assemble_energy,
+                        newton_pattern, prolongations, spsolve)
 
 
 # ---------------------------------------------------------------------------
@@ -103,6 +103,72 @@ def test_assembled_gradient_matches_fd(rng):
 DISK = (np.array([0.5, 0.5]), 0.45)
 
 
+def _element_matrices(m, hz):
+    """Matrices area_T D(phi_a) . D2F(Du_T) D(phi_b) of all triangles, as a
+    (9, M) array whose row 3 a + b holds entry (a, b): per orientation a
+    fixed linear map of (h00, h01, h11), h01 the mean of the off-diagonal
+    entries of D2F."""
+    h = (np.ascontiguousarray(hz[:, 0, 0]), 0.5 * (hz[:, 0, 1] + hz[:, 1, 0]),
+         np.ascontiguousarray(hz[:, 1, 1]))
+    out = np.empty((9, m.n_tris))
+    for blk, G in zip(m.blocks, m.stencil_grads):
+        g0, g1 = G[:, 0], G[:, 1]
+        C = m.areas[0] * np.stack([np.outer(g0, g0), np.outer(g0, g1) + np.outer(g1, g0),
+                                   np.outer(g1, g1)], axis=-1).reshape(9, 3)
+        h0, h1, h2 = (x[blk] for x in h)
+        tmp = np.empty_like(h0)
+        for e in range(9):
+            row = np.multiply(h0, C[e, 0], out=out[e, blk])
+            row += np.multiply(h1, C[e, 1], out=tmp)
+            row += np.multiply(h2, C[e, 2], out=tmp)
+    return out
+
+
+def _scatter_newton_data(m, hz, mu):
+    """CSR data of the Newton matrix summed element by element: a (9, M)
+    slot table maps entry (a, b) of triangle t to its place in the data
+    (or to a dropped extra place when a or b is not interior), one bincount
+    sums the element matrices in the order of their rows, and mu joins the
+    diagonal last."""
+    n, ii = m.n, m.interior_idx
+    stencil = np.array([-n - 1, -n, -1, 0, 1, n, n + 1])
+    pos = np.full(m.n_nodes, -1, dtype=np.int64)
+    pos[ii] = np.arange(ii.size)
+    present = pos[ii[:, None] + stencil] >= 0
+    indptr = np.concatenate([[0], np.cumsum(present.sum(axis=1))])
+    place = np.where(present, indptr[:-1, None] + np.cumsum(present, axis=1) - 1, indptr[-1])
+    flat = np.append(place.ravel(), np.full(stencil.size, indptr[-1]))
+    d = m.stencil_offsets
+    column = np.searchsorted(stencil, d[:, None, :] - d[:, :, None])   # [o, a, b]
+    slots = np.empty((9, m.n_tris), dtype=np.int64)
+    for o, blk in enumerate(m.blocks):
+        for a in range(3):
+            row = stencil.size * pos[m.tris[blk, a]]
+            for b in range(3):
+                slots[3 * a + b, blk] = flat[row + column[o, a, b]]
+    data = np.bincount(slots.ravel(), weights=_element_matrices(m, hz).ravel(),
+                       minlength=indptr[-1] + 1)[:-1]
+    data[place[:, 3]] += mu
+    return data
+
+
+@pytest.mark.parametrize("n, bounds, mask", [
+    (33, ((0.0, 1.0), (0.0, 1.0)), None),
+    (33, ((0.0, 1.0), (0.0, 1.0)), DISK),
+    (32, ((0.0, 1.0), (0.0, 2.0)), None),
+    (9, ((0.0, 1.0), (0.0, 1.0)), None),
+], ids=["square", "disk", "even-rectangle", "n9"])
+def test_stencil_newton_matrix_equals_the_element_scatter(n, bounds, mask, rng):
+    # magnitudes over ten decades, so that a sum taken in another order
+    # would show in the last bits
+    m = Mesh(bounds, n, mask=mask)
+    A = rng.standard_normal((m.n_tris, 2, 2)) * np.exp(rng.uniform(-12, 12, (m.n_tris, 1, 1)))
+    hz = A @ A.transpose(0, 2, 1)
+    K = _newton_matrix(m, hz, 0.25)
+    ref = _scatter_newton_data(m, hz, 0.25)
+    assert np.array_equal(K.data.view(np.int64), ref.view(np.int64))
+
+
 def _coo_pattern(m):
     """Row and column of each local entry (t, a, b) of an (M, 3, 3) array."""
     return np.repeat(m.tris, 3, axis=1).ravel(), np.tile(m.tris, (1, 3)).ravel()
@@ -140,12 +206,12 @@ def test_newton_matrix_matches_coo_path(mask, rng):
 @pytest.mark.parametrize("mask", [None, DISK])
 def test_newton_matrices_share_the_pattern(mask, rng):
     m = Mesh(((0.0, 1.0), (0.0, 1.0)), 33, mask=mask)
-    indptr, indices, slots, diag = m.newton_pattern()
-    assert indptr.dtype == indices.dtype == np.int32 and slots.dtype == np.int64
-    assert diag.base is None
+    pattern = newton_pattern(m)
+    indptr, indices, gather = pattern
+    assert indptr.dtype == indices.dtype == np.int32 and gather.dtype == np.intp
     for _ in range(2):
         A = rng.standard_normal((m.n_tris, 2, 2))
-        K = _newton_matrix(m, A @ A.transpose(0, 2, 1), 0.25)
+        K = _newton_matrix(m, A @ A.transpose(0, 2, 1), 0.25, pattern)
         assert np.shares_memory(K.indices, indices) and np.shares_memory(K.indptr, indptr)
 
 
@@ -275,7 +341,7 @@ def _coarse_p1_values(n, uc):
 def test_prolongation_is_the_coarse_p1_interpolant(mask, rng):
     # Dyadic nodal values and weights 0, 1/2, 1: every sum is exact.
     m = Mesh(((0.0, 1.0), (0.0, 1.0)), 65, mask=mask)
-    Ps = m.prolongations()
+    Ps = prolongations(m)
     assert len(Ps) == 2     # 65 -> 33 -> 17
     n, keep = m.n, m.interior
     for P in Ps:
@@ -300,7 +366,7 @@ def test_galerkin_coarsening_is_exact():
     coarse = Mesh(((0.0, 1.0), (0.0, 1.0)), 17)
     ident = lambda m: np.broadcast_to(np.eye(2), (m.n_tris, 2, 2))
     K, Kc = _newton_matrix(fine, ident(fine), 0.0), _newton_matrix(coarse, ident(coarse), 0.0)
-    (P,) = fine.prolongations()
+    (P,) = prolongations(fine)
     k = np.diff(K.indptr).max() + np.diff(P.tocsc().indptr).max()
     gamma = k * np.finfo(float).eps / (1 - k * np.finfo(float).eps)
     bound = gamma * (abs(P).T @ abs(K) @ abs(P)).toarray()
@@ -323,7 +389,7 @@ def _disk_blend(n):
 def _first_newton_system(prob):
     m = prob.mesh()
     u = _coons_init(m, prob.boundary_values(m))
-    _, g, _, hz = assemble_energy(prob.integrand, m, u, order=2)
+    _, g, _, hz, _ = assemble_energy(prob.integrand, m, u, order=2)
     return m, _newton_matrix(m, hz, 0.0), -g[m.interior_idx]
 
 
@@ -332,7 +398,7 @@ def test_pcg_iterations_do_not_grow_with_the_grid(make_problem):
     counts = []
     for n in (33, 65, 129):
         m, K, b = _first_newton_system(make_problem(n))
-        x, its = spsolve(K, b, m.prolongations(), rtol=1e-8, full_output=True)
+        x, its = spsolve(K, b, prolongations(m), rtol=1e-8, full_output=True)
         assert its > 0 and np.linalg.norm(b - K @ x) <= 1e-8 * np.linalg.norm(b)
         counts.append(its)
         sol = quc.solve(make_problem(n))
@@ -348,7 +414,7 @@ def test_pcg_failure_falls_back_to_superlu(monkeypatch):
     ref = scipy_spsolve(K.tocsc(), b)
     bound = 2.0 * np.linalg.cond(K.toarray()) * np.finfo(float).eps
     # a negative definite matrix: r.z < 0 and p.Ap < 0 at the first step
-    x, its = spsolve(-K, b, m.prolongations(), full_output=True)
+    x, its = spsolve(-K, b, prolongations(m), full_output=True)
     assert its == -1
     assert np.linalg.norm(x + ref) <= bound * np.linalg.norm(ref)
     # plain CG would converge on -K within this cap; the curvature test stops it
@@ -356,7 +422,7 @@ def test_pcg_failure_falls_back_to_superlu(monkeypatch):
     assert quc.solver._pcg(-K, b, lambda r: r, 1e-8) is None
     # an iteration cap of 0
     monkeypatch.setattr(quc.solver, "PCG_MAXITER", 0)
-    x, its = spsolve(K, b, m.prolongations(), full_output=True)
+    x, its = spsolve(K, b, prolongations(m), full_output=True)
     assert its == -1
     assert np.linalg.norm(x - ref) <= bound * np.linalg.norm(ref)
     sol = quc.solve(_p3_oracle(33))
@@ -379,7 +445,7 @@ def test_spsolve_frees_the_matrix_and_its_hierarchy():
     def run():
         m, K, b = _first_newton_system(_p3_oracle(33))
         ref = weakref.ref(K)
-        _, its = spsolve(K, b, m.prolongations(), full_output=True)
+        _, its = spsolve(K, b, prolongations(m), full_output=True)
         del K
         return its, ref() is None
 
@@ -407,7 +473,7 @@ def test_superlu_fallback_runs_after_the_hierarchy_is_freed(monkeypatch):
     monkeypatch.setattr(quc.solver, "_vcycle", record_vcycle)
     monkeypatch.setattr(quc.solver, "_superlu", record_superlu)
     monkeypatch.setattr(quc.solver, "PCG_MAXITER", 0)
-    _, its = _no_cyclic_gc(lambda: spsolve(K, b, m.prolongations(), full_output=True))
+    _, its = _no_cyclic_gc(lambda: spsolve(K, b, prolongations(m), full_output=True))
     assert its == -1 and len(preconditioners) == 1 and alive == [0]
 
 
@@ -417,9 +483,9 @@ def test_solve_keeps_at_most_one_newton_matrix_alive(monkeypatch):
     refs, alive_at_build = [], []
     build = quc.solver._newton_matrix
 
-    def record(mesh, hz, mu):
+    def record(mesh, hz, mu, pattern=None):
         alive_at_build.append(sum(ref() is not None for ref in refs))
-        K = build(mesh, hz, mu)
+        K = build(mesh, hz, mu, pattern)
         refs.append(weakref.ref(K))
         return K
 
@@ -429,6 +495,31 @@ def test_solve_keeps_at_most_one_newton_matrix_alive(monkeypatch):
     assert len(refs) == sol.iterations
     assert alive_at_build == [0] * sol.iterations
     assert all(ref() is None for ref in refs)
+
+
+def test_solve_leaves_no_solver_state_on_the_mesh(monkeypatch):
+    # the Newton pattern and the prolongations are built once per solve and
+    # die when it returns; the mesh gains no attribute
+    refs, calls = [], []
+
+    def recorded(build):
+        def record(mesh):
+            calls.append(build.__name__)
+            out = build(mesh)
+            refs.extend(weakref.ref(x) for x in out)
+            return out
+        return record
+
+    monkeypatch.setattr(quc.solver, "newton_pattern", recorded(newton_pattern))
+    monkeypatch.setattr(quc.solver, "prolongations", recorded(prolongations))
+    prob = _disk_blend(33)
+    geometry = dict(vars(prob.mesh()))
+    sol = _no_cyclic_gc(lambda: quc.solve(prob))
+    assert sol.converged and sol.iterations >= 2
+    assert sorted(calls) == ["newton_pattern", "prolongations"] and len(refs) == 4
+    assert all(ref() is None for ref in refs)
+    assert vars(sol.mesh).keys() == geometry.keys()
+    assert all(vars(sol.mesh)[k] is v for k, v in geometry.items())
 
 
 EPS = np.finfo(float).eps
@@ -491,8 +582,8 @@ def test_dot_and_norm_of_a_non_finite_entry_are_non_finite():
 
 
 def test_grids_up_to_the_coarsest_solve_directly():
-    assert Mesh(((0.0, 1.0), (0.0, 1.0)), 17).prolongations() == []
-    assert Mesh(((0.0, 1.0), (0.0, 1.0)), 64).prolongations() == []
+    assert prolongations(Mesh(((0.0, 1.0), (0.0, 1.0)), 17)) == []
+    assert prolongations(Mesh(((0.0, 1.0), (0.0, 1.0)), 64)) == []
     sol = quc.solve(_p3_oracle(17))
     assert sol.converged and sol.linear_iterations == [0] * sol.iterations
 
@@ -629,6 +720,7 @@ def test_solution_energy_is_the_energy_of_its_iterate(make_problem):
     sol = quc.solve(prob)
     assert sol.converged and sol.iterations >= 2
     assert sol.energy == assemble_energy(F, sol.mesh, sol.u, want_grad=False)[0]
+    assert np.array_equal(sol.du, _tri_gradients(sol.mesh, sol.u))
     first, *rest = prob.integrand.orders
     assert first == (0, 1, 2) and set(rest) == {(0,), (1, 2)}
     assert rest.count((1, 2)) == sol.iterations
@@ -644,7 +736,7 @@ def test_spsolve_matches_scipy_within_conditioning():
                            bounds=((1.0, 2.0), (1.0, 2.0)))
     m = prob.mesh()
     u = _coons_init(m, prob.boundary_values(m))
-    _, g, _, hz = assemble_energy(prob.integrand, m, u, order=2)
+    _, g, _, hz, _ = assemble_energy(prob.integrand, m, u, order=2)
     ii = m.interior_idx
     K = _assemble_hessian(m, hz)[ii][:, ii]
     x, ref = spsolve(K, -g[ii]), scipy_spsolve(K, -g[ii])
