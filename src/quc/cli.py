@@ -13,6 +13,7 @@ import os
 import sys
 
 import numpy as np
+import numpy.random  # noqa: F401  (with the package, not lazily inside a command's rng)
 
 from . import __version__
 from . import dual_geometry as dg

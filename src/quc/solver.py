@@ -16,13 +16,19 @@ gradients is minimised by damped inexact Newton with Armijo backtracking; a
 Barzilai-Borwein gradient method with the same safeguard serves as fallback
 and as an independent cross-check.
 
-The Newton systems are solved by CG preconditioned with a geometric
-multigrid V-cycle over the nested grids n, (n + 1) / 2, ... (Briggs,
-Henson & McCormick, *A Multigrid Tutorial*), stopped at an
+Every operator of the linear solves is a 7-point stencil on a grid
+(``StencilMatrix``), held as seven coefficient arrays, so the solve path
+needs numpy only.  The Newton systems are solved by CG preconditioned with
+a geometric multigrid V-cycle over the nested grids n, (n + 1) / 2, ...
+(Briggs, Henson & McCormick, *A Multigrid Tutorial*), stopped at an
 Eisenstat-Walker forcing term (Eisenstat & Walker, SISC 17, 1996), so the
-cost of a Newton step grows linearly with the grid.  Grids that do not
-coarsen (n <= 17 or n even) keep a sparse direct factorisation, which is
-also the fallback when CG fails.
+cost of a Newton step grows linearly with the grid.  The P1 prolongation
+and its transpose are strided slices of grid vectors, and the Galerkin
+operators P^T A P are 7-point stencils again, summed from strided slices
+of the finer level's coefficients.  Grids up to n = 17 and the coarsest
+level are solved by a block LDL^T over grid lines.  Even grids above that,
+and any system on which CG fails, are factored by SuperLU; scipy is
+imported there, on first use.
 """
 
 from __future__ import annotations
@@ -31,8 +37,6 @@ import functools
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import sparse
-from scipy.sparse.linalg import splu
 
 
 class SolverError(RuntimeError):
@@ -155,53 +159,61 @@ class Mesh:
         return table
 
 
+# The 7-point stencil as (row, column) grid offsets, in the order of CSR
+# columns; offset k and offset 6 - k are opposite.
+OFFSETS = ((-1, -1), (-1, 0), (0, -1), (0, 0), (0, 1), (1, 0), (1, 1))
+
+
 def _stencil(n):
     """The 7-point stencil of node offsets, in the order of CSR columns."""
-    return np.array([-n - 1, -n, -1, 0, 1, n, n + 1])
+    return np.array([dj * n + di for dj, di in OFFSETS])
+
+
+def _taps(n):
+    """Per stencil offset, the slices of an (n, n) grid that hold the
+    neighbours of the inner block's nodes."""
+    return [(slice(1 + dj, n - 1 + dj), slice(1 + di, n - 1 + di)) for dj, di in OFFSETS]
+
+
+def _pattern(keep):
+    """(7, n, n) pattern of the operator on the kept nodes of an n x n grid:
+    entry k at node a says whether a and its k-th stencil neighbour are both
+    kept.  Kept nodes lie off the grid's border."""
+    n = keep.shape[0]
+    pattern = np.zeros((7, n, n), dtype=bool)
+    for k, (rows, cols) in enumerate(_taps(n)):
+        np.logical_and(keep[1:-1, 1:-1], keep[rows, cols], out=pattern[k, 1:-1, 1:-1])
+    return pattern
 
 
 def newton_pattern(mesh):
-    """Fixed CSR pattern of the interior Newton matrix.
-
-    Returns (indptr, indices, gather): entry p of the CSR data is
-    coefficient ``gather[p]`` of the flattened (7, N) stencil coefficients
-    that ``_newton_matrix`` sums, k N + a for the k-th stencil offset at the
-    row's node a.  Two nodes share a triangle iff their offset is in the
-    7-point stencil, and every triangle at an interior node is kept, so the
-    pattern follows from the stencil without sorting.
-
-    ``indptr`` and ``indices`` are int32 (int64 only past 2^31 - 1
-    entries), the index dtype scipy picks, so every Newton matrix shares
-    them instead of holding a downcast copy of its own; ``gather`` is intp,
-    which ``np.take`` uses without a cast.
-    """
-    ii = mesh.interior_idx
-    stencil = _stencil(mesh.n)
-    pos = np.full(mesh.n_nodes, -1, dtype=np.int64)
-    pos[ii] = np.arange(ii.size)
-    neighbours = pos[ii[:, None] + stencil]        # interior nodes: no wrap
-    present = neighbours >= 0
-    indptr = np.concatenate([[0], np.cumsum(present.sum(axis=1))])
-    gather = (np.arange(stencil.size) * mesh.n_nodes + ii[:, None])[present]
-    index = np.int32 if indptr[-1] <= np.iinfo(np.int32).max else np.int64
-    return indptr.astype(index), neighbours[present].astype(index), gather
+    """Pattern of the interior Newton matrix, (7, n, n) bool: entry k at
+    node a is set where a and its k-th stencil neighbour are both interior.
+    Two nodes share a triangle iff their offset is in the 7-point stencil,
+    and every triangle at an interior node is kept, so these are the
+    entries of the interior block of the Hessian.  Every Newton matrix of a
+    solve shares it."""
+    return _pattern(mesh.interior.reshape(mesh.n, mesh.n))
 
 
 def prolongations(mesh):
-    """Interior P1 prolongations of the nested coarse grids of ``mesh``.
+    """Keep masks of the nested coarse grids of ``mesh``, the levels of
+    its multigrid hierarchy.
 
-    Entry k maps grid n_{k+1} = (n_k + 1) / 2 to grid n_k, n_0 = n;
-    coarsening continues while n_k is odd and above ``COARSEST_N``.
-    Rows are the interior nodes of the finer grid (n_0: ``interior``),
-    columns the coarse nodes whose fine image is one of them, so a
-    masked domain needs no coarse geometry.  Empty for an even n and
-    for n <= ``COARSEST_N``.
+    Entry k is the (n_{k+1}, n_{k+1}) boolean mask of the unknowns of grid
+    n_{k+1} = (n_k + 1) / 2, n_0 = n: the coarse nodes whose fine image
+    (2 J, 2 I) is an unknown of grid n_k (n_0: ``interior``), so a masked
+    domain needs no coarse geometry.  Coarsening continues while n_k is
+    odd and above ``COARSEST_N``; the list is empty for an even n and for
+    n <= ``COARSEST_N``.  The exact P1 prolongation between two levels and
+    its transpose act on grid vectors as strided slices (``_prolong``,
+    ``_restrict``), masked by the two levels' keep masks.
     """
     out = []
-    n, keep = mesh.n, mesh.interior
+    n, keep = mesh.n, mesh.interior.reshape(mesh.n, mesh.n)
     while n % 2 == 1 and n > COARSEST_N:
-        P, keep = _p1_prolongation(n, keep)
-        out.append(P)
+        keep = keep[::2, ::2].copy()
+        out.append(keep)
         n = (n + 1) // 2
     return out
 
@@ -211,29 +223,47 @@ def prolongations(mesh):
 COARSEST_N = 17
 
 
-def _p1_prolongation(n, fine_keep):
-    """Exact P1 prolongation from grid (n + 1) / 2 to grid n (n odd).
+def _prolong(xc, fine_keep):
+    """P xc for the exact P1 prolongation from grid (n + 1) / 2 to grid n,
+    on flat grid vectors.
 
-    Fine node (2I, 2J) takes coarse node (I, J); a node on an odd x or odd
+    Fine node (2J, 2I) takes coarse node (J, I); a node on an odd x or odd
     y line takes the mean of its two neighbours on that line; an odd-odd
-    node takes the mean of (I, J) and (I + 1, J + 1), the ends of the
-    diagonal through it.  Rows are restricted to ``fine_keep``, columns to
-    the coarse nodes whose fine image is kept.  Returns the CSR matrix and
-    the coarse keep mask.
-    """
+    node takes the mean of (J, I) and (J + 1, I + 1), the ends of the
+    diagonal through it.  ``xc`` is zero off the coarse unknowns, and the
+    result is zero off ``fine_keep`` (n, n)."""
+    n = fine_keep.shape[0]
     nc = (n + 1) // 2
-    j, i = np.divmod(np.arange(n * n), n)
-    lo = (j // 2) * nc + i // 2
-    hi = lo + (i % 2) + (j % 2) * nc   # == lo on even-even nodes: the halves add to 1
-    coarse_keep = fine_keep.reshape(n, n)[::2, ::2].ravel()
-    col = np.cumsum(coarse_keep) - 1
-    fine = np.where(fine_keep)[0]
-    rows = np.repeat(np.arange(fine.size), 2)
-    cols = np.stack([lo[fine], hi[fine]], axis=1).ravel()
-    kept = coarse_keep[cols]
-    P = sparse.csr_matrix((np.full(kept.sum(), 0.5), (rows[kept], col[cols[kept]])),
-                          shape=(fine.size, int(coarse_keep.sum())))
-    return P, coarse_keep
+    xc = xc.reshape(nc, nc)
+    xf = np.empty((n, n))
+    xf[::2, ::2] = xc
+    np.add(xc[:, :-1], xc[:, 1:], out=xf[::2, 1::2])
+    np.add(xc[:-1, :], xc[1:, :], out=xf[1::2, ::2])
+    np.add(xc[:-1, :-1], xc[1:, 1:], out=xf[1::2, 1::2])
+    xf[1::2] *= 0.5
+    xf[::2, 1::2] *= 0.5
+    xf *= fine_keep
+    return xf.reshape(-1)
+
+
+def _restrict(rf, coarse_keep):
+    """P^T rf for the prolongation of ``_prolong``, on flat grid vectors:
+    each coarse node (J, I) off the border gathers its fine image
+    (2J, 2I) and half of the six fine nodes around it.  ``rf`` is zero off
+    the fine unknowns, and the result is zero off ``coarse_keep``
+    (nc, nc)."""
+    nc = coarse_keep.shape[0]
+    rf = rf.reshape(2 * nc - 1, 2 * nc - 1)
+    around = [rf[2 + dj:2 * nc - 3 + dj:2, 2 + di:2 * nc - 3 + di:2]
+              for dj, di in OFFSETS if (dj, di) != (0, 0)]
+    acc = np.add(around[0], around[1])
+    for part in around[2:]:
+        acc += part
+    acc *= 0.5
+    acc += rf[2:-2:2, 2:-2:2]
+    rc = np.zeros((nc, nc))
+    np.multiply(acc, coarse_keep[1:-1, 1:-1], out=rc[1:-1, 1:-1])
+    return rc.reshape(-1)
 
 
 @dataclass
@@ -347,8 +377,8 @@ def _pair_with_hats(mesh, v):
 
 
 def _newton_matrix(mesh, hz, mu, pattern=None):
-    """Interior block of the Hessian plus mu Id, in the fixed CSR pattern
-    ``newton_pattern(mesh)`` (built here when not given).
+    """Interior block of the Hessian plus mu Id, a ``StencilMatrix`` over
+    the pattern ``newton_pattern(mesh)`` (built here when not given).
 
     Entry (a, b) of the element matrix area_T D(phi_a) . D2F(Du_T) D(phi_b)
     of an orientation-o triangle is a fixed linear map C[o][a, b] of
@@ -361,8 +391,9 @@ def _newton_matrix(mesh, hz, mu, pattern=None):
     takes at most one term per orientation, so its sum of two does not
     depend on their order; the diagonal takes a, b = 0, 1, 2 outer and o
     inner, and mu last, the order of an element-by-element scatter of the
-    element matrices.  One gather puts the coefficients in CSR order."""
-    indptr, indices, gather = newton_pattern(mesh) if pattern is None else pattern
+    element matrices.  Coefficients off the pattern (rows of Dirichlet
+    nodes, couplings to them) are set to zero."""
+    pattern = newton_pattern(mesh) if pattern is None else pattern
     n = mesh.n
     h = [mesh.on_cells(x) for x in (np.ascontiguousarray(hz[:, 0, 0]),
                                      0.5 * (hz[:, 0, 1] + hz[:, 1, 0]),
@@ -387,17 +418,213 @@ def _newton_matrix(mesh, hz, mu, pattern=None):
                     j, i = dj[o, p], di[o, p]
                     coef[k[o, p, q], j:j + n - 1, i:i + n - 1] += row
     coef[3] += mu
-    h = row = tmp = None        # freed before the CSR data is gathered
-    ni = indptr.size - 1
-    return sparse.csr_matrix((np.take(coef, gather), indices, indptr), shape=(ni, ni))
+    h = row = tmp = None        # freed before the pattern is applied
+    np.copyto(coef, 0.0, where=~pattern)
+    return StencilMatrix(coef, pattern)
+
+
+class StencilMatrix:
+    """Symmetric operator on the kept nodes of an n x n grid, with the
+    7-point stencil ``OFFSETS``.
+
+    ``coef`` (7, n, n) holds at node a the coefficient of offset k, zero off
+    ``pattern`` (``_pattern``); the unknowns are the kept nodes
+    ``pattern[3]`` in row-major order, none on the border.  ``A @ x`` on a
+    vector of unknowns and ``apply`` on a flat grid vector (n^2 values, zero
+    off the unknowns) are seven shifted multiply-adds in the order of the
+    CSR columns, which give the bits of the CSR row products.  ``nnz``
+    counts the pattern, the stored entries of the CSR matrix that ``tocsr``
+    gathers; scipy is imported there, on first use.
+    """
+
+    def __init__(self, coef, pattern):
+        self.coef, self.pattern = coef, pattern
+        self.n = n = coef.shape[1]
+        self.index = np.flatnonzero(pattern[3])
+        self.shape = (self.index.size, self.index.size)
+        # nodes n + 1 to n^2 - n - 2 cover every unknown, and the neighbours
+        # of each lie on the grid: one contiguous slice per offset
+        flat = coef.reshape(7, n * n)
+        self._rows = slice(n + 1, n * n - n - 1)
+        self._taps = [(flat[k, self._rows], slice(n + 1 + d, n * n - n - 1 + d))
+                      for k, d in enumerate(_stencil(n))]
+
+    @property
+    def keep(self):
+        return self.pattern[3]
+
+    @property
+    def nnz(self):
+        return int(np.count_nonzero(self.pattern))
+
+    def diagonal(self):
+        return self.coef[3].reshape(-1)[self.index]
+
+    def to_grid(self, x):
+        """A vector of unknowns as a flat grid vector, zero elsewhere."""
+        grid = np.zeros(self.n * self.n)
+        grid[self.index] = x
+        return grid
+
+    def from_grid(self, grid):
+        return grid[self.index]
+
+    def apply(self, x):
+        """A x for a flat grid vector x."""
+        y = np.empty(self.n * self.n)
+        y[:self._rows.start] = y[self._rows.stop:] = 0.0
+        acc = y[self._rows]
+        tmp = np.empty_like(acc)
+        for k, (c, cols) in enumerate(self._taps):
+            np.multiply(c, x[cols], out=tmp if k else acc)
+            if k:
+                acc += tmp
+        return y
+
+    def __matmul__(self, x):
+        return self.from_grid(self.apply(self.to_grid(x)))
+
+    def tocsr(self):
+        """The CSR matrix: row by row, the pattern's entries in offset
+        order.  Its index arrays are int32 (int64 only past 2^31 - 1
+        entries), the dtype scipy picks."""
+        from scipy import sparse
+
+        n, ii = self.n, self.index
+        present = self.pattern.reshape(7, -1)[:, ii].T
+        pos = np.full(n * n, -1, dtype=np.int64)
+        pos[ii] = np.arange(ii.size)
+        indptr = np.concatenate([[0], np.cumsum(present.sum(axis=1))])
+        gather = (np.arange(7) * n * n + ii[:, None])[present]
+        indices = pos[ii[:, None] + _stencil(n)][present]
+        index = np.int32 if indptr[-1] <= np.iinfo(np.int32).max else np.int64
+        return sparse.csr_matrix((np.take(self.coef, gather), indices.astype(index),
+                                  indptr.astype(index)), shape=self.shape)
+
+
+def _galerkin_terms():
+    """The Galerkin product P^T A P on the 7-point stencil, as terms.
+
+    Column c of P holds 1 at the fine node 2c and 1/2 at the six fine nodes
+    2c + p around it (p in ``OFFSETS``, w(p) its weight), so
+    (P^T A P)[c, c + s] = sum_{p, q} w(p) w(q) A[2c + p, 2c + 2s + q], and
+    A[f, f + d] is the coefficient of offset d at fine node f, zero unless d
+    is in ``OFFSETS``.  Such p, q exist only for s in ``OFFSETS``: 31 for
+    s = 0 and 9 for every other s, so P^T A P is a 7-point stencil again.
+    For s = 0, A being symmetric, the terms (p, q) and (q, p) are equal and
+    are taken once with twice the weight, which leaves 19.  Returns, for
+    the offsets s = 0 and the three after it (the other three follow by
+    symmetry), the terms as (k, p) pairs, 2s + q - p the k-th offset, in
+    three lists by weight 1/4, 1/2 and 1."""
+    k_of = {d: k for k, d in enumerate(OFFSETS)}
+    w = {d: 1.0 if d == (0, 0) else 0.5 for d in OFFSETS}
+    out = []
+    for s in range(3, 7):
+        sj, si = OFFSETS[s]
+        by_weight = {0.25: [], 0.5: [], 1.0: []}
+        for p in OFFSETS:
+            for q in OFFSETS:
+                d = (2 * sj + q[0] - p[0], 2 * si + q[1] - p[1])
+                if d not in k_of or (s == 3 and q < p):
+                    continue
+                # on the diagonal, terms (p, q) and (q, p) are equal: once, doubled
+                fold = 2.0 if s == 3 and q != p else 1.0
+                by_weight[fold * w[p] * w[q]].append((k_of[d], p))
+        out.append((s, list(by_weight.values())))
+    return out
+
+
+_GALERKIN_TERMS = _galerkin_terms()
+
+
+def _galerkin(A, coarse_keep):
+    """P^T A P as a ``StencilMatrix`` on the coarse unknowns ``coarse_keep``
+    (``_galerkin_terms``).  Each term is a strided slice of one fine
+    coefficient array; a coefficient sums its terms of weight 1/4, halves,
+    adds those of weight 1/2, halves and adds those of weight 1, so it sums
+    at most 19 terms and scales only by powers of two.  The offsets after
+    the diagonal are summed and the ones before it copied from them, as A
+    is symmetric; rows and columns off ``coarse_keep`` are zero, as are P's
+    columns there."""
+    nc = coarse_keep.shape[0]
+    coef = np.zeros((7, nc, nc))
+    taps = _taps(nc)
+    acc = np.empty((nc - 2, nc - 2))      # contiguous: adds into it run twice as fast
+    for s, by_weight in _GALERKIN_TERMS:
+        acc.fill(0.0)
+        for i, terms in enumerate(by_weight):
+            if i:
+                acc *= 0.5
+            for k, (pj, pi) in terms:
+                acc += A.coef[k, 2 + pj:2 * nc - 3 + pj:2, 2 + pi:2 * nc - 3 + pi:2]
+        coef[s, 1:-1, 1:-1] = acc
+        if s != 3:
+            coef[6 - s, 1:-1, 1:-1] = coef[s][taps[6 - s]]
+    pattern = _pattern(coarse_keep)
+    np.copyto(coef, 0.0, where=~pattern)
+    return StencilMatrix(coef, pattern)
+
+
+def _line_factor(A):
+    """Direct solver of A on a small grid, as a function of a flat grid
+    vector: a block LDL^T over the grid lines.
+
+    With the nodes off ``A.keep`` embedded as identity rows, A on the
+    (n - 2)^2 inner nodes is block tridiagonal over the grid lines, with
+    (n - 2) x (n - 2) blocks: D_j within line j (offsets (0, +-1)), U_j
+    from line j to line j + 1 (offsets (1, 0), (1, 1)) and L_j from line
+    j + 1 to line j (offsets (-1, 0), (-1, -1)).  The pivot blocks
+    S_0 = D_0, S_{j+1} = D_{j+1} - L_j S_j^{-1} U_j are inverted once, and a
+    solve is one forward and one backward sweep of line-sized
+    matrix-vector products.  No BLAS or LAPACK call sees more than one
+    line block: on larger ones threaded OpenBLAS can stall for a tenth of
+    a second.  A singular pivot block raises ``np.linalg.LinAlgError``."""
+    c = A.coef[:, 1:-1, 1:-1]
+    m = c.shape[1]
+    i = np.arange(m)
+    D = np.zeros((m, m, m))
+    D[:, i, i] = np.where(A.keep[1:-1, 1:-1], c[3], 1.0)
+    D[:, i[:-1], i[1:]] = c[4, :, :-1]
+    D[:, i[1:], i[:-1]] = c[2, :, 1:]
+    U = np.zeros((m - 1, m, m))
+    U[:, i, i] = c[5, :-1]
+    U[:, i[:-1], i[1:]] = c[6, :-1, :-1]
+    L = np.zeros((m - 1, m, m))
+    L[:, i, i] = c[1, 1:]
+    L[:, i[1:], i[:-1]] = c[0, 1:, 1:]
+    inv, inv_u = np.empty((m, m, m)), np.empty((m - 1, m, m))
+    for j in range(m):
+        inv[j] = np.linalg.inv(D[j] - L[j - 1] @ inv_u[j - 1] if j else D[j])
+        if j < m - 1:
+            inv_u[j] = inv[j] @ U[j]
+    return functools.partial(_line_solve, inv, inv_u, L, A.keep)
+
+
+def _line_solve(inv, inv_u, L, keep, b):
+    """x = A^{-1} b from the factor of ``_line_factor``: forward,
+    y_j = S_j^{-1} (b_j - L_{j-1} y_{j-1}); backward,
+    x_j = y_j - S_j^{-1} U_j x_{j+1}."""
+    n = keep.shape[0]
+    x = np.zeros((n, n))
+    y, rhs = x[1:-1, 1:-1], b.reshape(n, n)[1:-1, 1:-1]
+    for j in range(n - 2):
+        y[j] = inv[j] @ (rhs[j] - L[j - 1] @ y[j - 1] if j else rhs[j])
+    for j in range(n - 4, -1, -1):
+        y[j] -= inv_u[j] @ y[j + 1]
+    x *= keep
+    return x.reshape(-1)
 
 
 def _superlu(A):
     """SuperLU factor of A with Liu's multiple minimum degree ordering of
     A + A^T (ACM TOMS 1985) in symmetric mode, which prefers diagonal pivots.
     On the Newton matrices this factor has a third less fill than a COLAMD
-    ordering.  A singular matrix raises RuntimeError."""
-    return splu(A.tocsc(), permc_spec="MMD_AT_PLUS_A", options=dict(SymmetricMode=True))
+    ordering.  scipy is imported here, on first use.  A singular matrix
+    raises RuntimeError."""
+    from scipy.sparse.linalg import splu
+
+    return splu(A.tocsr().tocsc(), permc_spec="MMD_AT_PLUS_A",
+                options=dict(SymmetricMode=True))
 
 
 # V(2, 2) cycle with damped Jacobi smoothing
@@ -408,7 +635,8 @@ PCG_MAXITER = 50
 
 def _vcycle(A, prolongations):
     """Multigrid V-cycle on the Galerkin operators P^T A P, as a function
-    r -> approximate A^{-1} r; the coarsest operator is factored.
+    r -> approximate A^{-1} r on flat grid vectors; the coarsest operator
+    is factored by ``_line_factor``.
 
     The function is a ``functools.partial`` of the module-level ``_cycle``
     and holds no reference to itself, so the operators, the Jacobi weights
@@ -417,25 +645,42 @@ def _vcycle(A, prolongations):
     its SuperLU fallback factors A, and does not wait for the cyclic
     garbage collector."""
     ops = [A]
-    for P in prolongations:
-        ops.append((P.T @ (ops[-1] @ P)).tocsr())
-    weights = [JACOBI_DAMPING / B.diagonal() for B in ops[:-1]]
-    levels = tuple(zip(ops, weights, prolongations))
-    return functools.partial(_cycle, levels, _superlu(ops[-1]))
+    for keep in prolongations:
+        ops.append(_galerkin(ops[-1], keep))
+    weights = [np.divide(JACOBI_DAMPING, B.coef[3].reshape(-1), out=np.zeros(B.n * B.n),
+                         where=B.keep.reshape(-1)) for B in ops[:-1]]
+    # masks as floats: multiplying by them takes half the time of a bool mask
+    masks = [B.keep.astype(float) for B in ops]
+    levels = tuple(zip(ops, weights, masks, masks[1:]))
+    return functools.partial(_cycle, levels, _line_factor(ops[-1]))
+
+
+def _residual(B, b, x):
+    """b - B x, in the buffer of B x."""
+    r = B.apply(x)
+    return np.subtract(b, r, out=r)
+
+
+def _jacobi(B, w, b, x):
+    """One damped Jacobi sweep x += w (b - B x), in place."""
+    r = _residual(B, b, x)
+    r *= w
+    x += r
 
 
 def _cycle(levels, coarsest, b, k=0):
     """One V(2, 2) cycle from level k: damped Jacobi around the coarse
-    correction, ``coarsest.solve`` below the last level."""
+    correction, ``coarsest`` below the last level."""
     if k == len(levels):
-        return coarsest.solve(b)
-    B, w, P = levels[k]
+        return coarsest(b)
+    B, w, keep, coarse_keep = levels[k]
     x = w * b
     for _ in range(SMOOTHING_STEPS - 1):
-        x += w * (b - B @ x)
-    x += P @ _cycle(levels, coarsest, P.T @ (b - B @ x), k + 1)
+        _jacobi(B, w, b, x)
+    x += _prolong(_cycle(levels, coarsest, _restrict(_residual(B, b, x), coarse_keep), k + 1),
+                  keep)
     for _ in range(SMOOTHING_STEPS):
-        x += w * (b - B @ x)
+        _jacobi(B, w, b, x)
     return x
 
 
@@ -452,8 +697,9 @@ def _norm(a):
     return _dot(a, a) ** 0.5
 
 
-def _pcg(A, b, precondition, rtol):
-    """Preconditioned CG from x = 0 until |r|_2 <= rtol |b|_2.
+def _pcg(matvec, b, precondition, rtol):
+    """Preconditioned CG for matvec(x) = b from x = 0 until
+    |r|_2 <= rtol |b|_2.
 
     Returns (x, iterations), or None when it hits ``PCG_MAXITER``, meets a
     curvature p.Ap <= 0 (or r.z <= 0: the preconditioner is not positive
@@ -472,7 +718,7 @@ def _pcg(A, b, precondition, rtol):
     for it in range(1, PCG_MAXITER + 1):
         if not rz > 0.0:
             return None
-        Ap = A @ p
+        Ap = matvec(p)
         pAp = _dot(p, Ap)
         if not pAp > 0.0:
             return None
@@ -492,32 +738,43 @@ def _pcg(A, b, precondition, rtol):
 
 
 def spsolve(A, b, prolongations=(), *, rtol=1e-8, full_output=False):
-    """Solve A x = b for a symmetric positive definite sparse matrix.
+    """Solve A x = b for a symmetric positive definite ``StencilMatrix``.
 
-    Without ``prolongations`` the solve is direct: a SuperLU factor with the
-    multiple minimum degree ordering in symmetric mode (``_superlu``).
-    The Newton loop passes none on grids that do not coarsen (n <= 17 or
-    n even).
+    Without ``prolongations`` the solve is direct.  On grids with
+    n <= ``COARSEST_N`` (at most 15^2 unknowns) it is the block LDL^T over
+    grid lines of ``_line_factor``; on larger grids (the Newton loop passes
+    no levels for an even n) it is a SuperLU factor with the multiple
+    minimum degree ordering in symmetric mode (``_superlu``), and scipy is
+    imported on first use.
 
-    With ``prolongations`` (``prolongations(mesh)``: entry k maps level
-    k + 1 to level k, level 0 being the unknowns of A) it is CG
-    preconditioned by one multigrid V(2, 2) cycle: Galerkin operators
-    P^T A P on the coarser levels, two damped Jacobi sweeps (omega = 0.7)
-    before and after each coarse correction, and a SuperLU factor of the
+    With ``prolongations`` (``prolongations(mesh)``: the keep masks of the
+    coarser levels, level 0 being the unknowns of A) it is CG
+    preconditioned by one multigrid V(2, 2) cycle on grid vectors: Galerkin
+    operators P^T A P on the coarser levels, summed as 7-point stencils
+    (``_galerkin``), two damped Jacobi sweeps (omega = 0.7) before and
+    after each coarse correction, and the line-block factor of the
     coarsest operator (grid 17 or smaller).  CG starts from zero and stops
     once |b - A x|_2 <= rtol |b|_2.  If it hits ``PCG_MAXITER`` iterations,
     meets p.Ap <= 0 (or r.z <= 0) or a non-finite value, SuperLU solves
     the system instead.  A singular matrix raises RuntimeError from
-    SuperLU.
+    SuperLU, or ``np.linalg.LinAlgError`` from the line-block factor.
 
     With ``full_output`` the result is (x, iterations): the CG iteration
     count, 0 for a direct solve and -1 where SuperLU took over from CG.
     """
     result = None
     if prolongations:
-        result = _pcg(A, b, _vcycle(A, prolongations), rtol)
+        # CG on grid vectors, as the V-cycle works: nothing is scattered or
+        # gathered per iteration
+        result = _pcg(A.apply, A.to_grid(b), _vcycle(A, prolongations), rtol)
+        if result is not None:
+            result = (A.from_grid(result[0]), result[1])
     if result is None:
-        result = (_superlu(A).solve(b), -1 if prolongations else 0)
+        if A.n <= COARSEST_N:
+            x = A.from_grid(_line_factor(A)(A.to_grid(b)))
+        else:
+            x = _superlu(A).solve(b)
+        result = (x, -1 if prolongations else 0)
     return result if full_output else result[0]
 
 
@@ -588,17 +845,17 @@ def solve(problem, *, method="newton", tol_rel=1e-9, max_iter=60,
 
     Newton directions use the assembled per-triangle Hessian with a tiny
     Levenberg shift (keeps the system positive definite where the
-    integrand degenerates), assembled into the fixed interior CSR pattern
-    of ``newton_pattern`` and solved by ``spsolve``; steps are accepted
-    under the Armijo rule, so the energy is nonincreasing.  Armijo trials
+    integrand degenerates), assembled as a 7-point stencil on the fixed
+    interior pattern of ``newton_pattern`` and solved by ``spsolve``; steps
+    are accepted under the Armijo rule, so the energy is nonincreasing.  Armijo trials
     evaluate the energy only, and an accepted iterate takes its energy from
     the trial at the same u; its one integrand pass (``F.derivs`` of orders 1..2 for
     Newton, 1 for BB; 0..2 and 0..1 at the initial guess) gives the nodal
     gradient, the D2F(Du) of the next Newton matrix and, at the last
     iterate, the stress V = DF(Du) and Du itself.  Each Newton matrix and
     its multigrid hierarchy are freed when the step's linear solve returns,
-    and the Newton pattern and prolongations, built once per call, when
-    ``solve`` returns, so the solver's memory is bounded per step, not per
+    and the Newton pattern and the levels' keep masks, built once per call,
+    when ``solve`` returns, so the solver's memory is bounded per step, not per
     run, and the mesh keeps none of it.
     ``method="gradient"`` forces the Barzilai-Borwein fallback throughout.
     Terminates when the interior gradient max-norm drops below tol_rel
@@ -612,8 +869,8 @@ def solve(problem, *, method="newton", tol_rel=1e-9, max_iter=60,
     gradient g_k in the 2-norm, with the Eisenstat-Walker choice 2 forcing
     term eta_k = min(ETA_MAX, EW_GAMMA (|g_k| / |g_{k-1}|)^EW_ALPHA) and
     eta_0 = ETA_MAX.  Other grids solve each step directly.  Where CG fails
-    SuperLU solves the step, and where SuperLU fails or the step is not a
-    descent direction a BB step is taken.  ``linear_iterations`` records,
+    SuperLU solves the step, and where the direct solve fails or the step
+    is not a descent direction a BB step is taken.  ``linear_iterations`` records,
     per Newton step, the CG iterations, 0 for a direct solve and -1 where
     one of these fallbacks fired.
 
@@ -750,7 +1007,9 @@ def _recover_dv(mesh, v):
 
     for nidx in np.concatenate(bad) if bad else ():
         ring = slot_tri[mesh.tris[slot_tri[nidx][slot_tri[nidx] >= 0]]]
-        patch = np.unique(ring[ring >= 0])
+        # np.unique by a sort and a neighbour test: np.unique imports numpy.ma
+        ring = np.sort(ring[ring >= 0])
+        patch = ring[np.concatenate([[True], ring[1:] != ring[:-1]])]
         A = np.column_stack([np.ones(patch.size), (mesh.bary[patch] - mesh.nodes[nidx]) / h])
         coef, *_ = np.linalg.lstsq(A, v[patch], rcond=None)
         dv[nidx] = coef[1:].T / h

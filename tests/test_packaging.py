@@ -23,37 +23,86 @@ def test_declared_dependencies_are_importable():
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
 
-# Run in a fresh interpreter: the test process has imported scipy.optimize
-# through other tests.  Each step asserts on sys.modules after it.
+# Run in a fresh interpreter: the test process has imported scipy through
+# other tests.  Each step asserts on sys.modules after it.
 _IMPORT_GUARD = """
 import sys
-cfg_path, out_dir = sys.argv[1], sys.argv[2]
+out_dir, cfg_paths = sys.argv[1], sys.argv[2:]
 
 def guard(step):
-    assert "scipy.optimize" not in sys.modules, "scipy.optimize imported by " + step
+    loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+    assert not loaded, step + " imported " + ", ".join(loaded[:3])
 
 import quc.cli
 from quc.config import parse_config
 guard("import quc.cli")
-parse_config(cfg_path)
-guard("parse_config")
-for command in ("solve", "analyze", "verify"):
-    assert quc.cli.main(["--out-dir", out_dir, command, cfg_path]) == 0, command
-    guard("quc " + command)
+for cfg_path in cfg_paths:
+    parse_config(cfg_path)
+    guard("parse_config")
+    for command in ("solve", "analyze", "verify"):
+        assert quc.cli.main(["--out-dir", out_dir, command, cfg_path]) == 0, command
+        guard("quc " + command + " on " + cfg_path)
 """
 
 
-def test_cli_path_does_not_import_scipy_optimize(tmp_path):
-    # scipy.optimize serves only the refine step of cassels_oracle and costs
-    # about a quarter of a second to import, more than a small solve
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({
+def _config(tmp_path, name, n, mask=None):
+    problem = {"n": n, "domain": [[0, 1], [0, 1]], "boundary": "x^2 - y^2"}
+    if mask:
+        problem["mask"] = {"center": [0.5, 0.5], "radius": 0.45}
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps({
         "integrand": {"kind": "power", "p": 3.0},
-        "problem": {"n": 9, "domain": [[0, 1], [0, 1]], "boundary": "x^2 - y^2"},
+        "problem": problem,
         "checks": [{"name": "lipschitz", "R": 0.2, "center": [0.5, 0.5]}],
         "seed": 1,
     }))
+    return str(path)
+
+
+def _run(script, *args):
     env = dict(os.environ, PYTHONPATH=str(SRC))
-    proc = subprocess.run([sys.executable, "-c", _IMPORT_GUARD, str(cfg), str(tmp_path)],
+    return subprocess.run([sys.executable, "-c", script, *map(str, args)],
                           env=env, capture_output=True, text=True, timeout=120)
+
+
+def test_cli_path_does_not_import_scipy(tmp_path):
+    # scipy serves only the refine step of cassels_oracle and the SuperLU
+    # fallback of the solver; its import costs more than a small solve.
+    # n = 17 solves directly, n = 33 by multigrid CG, with and without a mask.
+    configs = [_config(tmp_path, "n17", 17), _config(tmp_path, "n33", 33),
+               _config(tmp_path, "disk33", 33, mask=True)]
+    proc = _run(_IMPORT_GUARD, tmp_path, *configs)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+
+
+_FALLBACK = """
+import sys
+import numpy as np
+import quc, quc.solver as S
+from quc.config import compile_boundary_expression
+
+prob = lambda: quc.GridProblem(integrand=quc.make_power(3.0), n=33,
+                               boundary=compile_boundary_expression("3.4*(x^2+y^2)^0.25"),
+                               bounds=((1.0, 2.0), (1.0, 2.0)))
+m = prob().mesh()
+u = S._coons_init(m, prob().boundary_values(m))
+_, g, _, hz, _ = S.assemble_energy(prob().integrand, m, u, order=2)
+K, b = S._newton_matrix(m, hz, 0.0), -g[m.interior_idx]
+S.PCG_MAXITER = 0
+assert "scipy" not in sys.modules
+x, its = S.spsolve(K, b, S.prolongations(m), full_output=True)
+assert its == -1 and "scipy.sparse.linalg" in sys.modules
+from scipy.sparse.linalg import spsolve
+ref = spsolve(K.tocsr().tocsc(), b)
+bound = 2.0 * np.linalg.cond(K.tocsr().toarray()) * np.finfo(float).eps
+assert np.linalg.norm(x - ref) <= bound * np.linalg.norm(ref)
+sol = quc.solve(prob())
+assert sol.stop_reason == "tol" and sol.linear_iterations == [-1] * sol.iterations
+"""
+
+
+def test_cg_failure_falls_back_to_a_lazily_imported_superlu():
+    # a backward-stable solve is within cond(K) eps of the exact solution,
+    # so two of them are within twice that of each other
+    proc = _run(_FALLBACK)
     assert proc.returncode == 0, proc.stderr[-2000:]

@@ -9,8 +9,9 @@ from scipy import sparse
 import quc
 from quc.config import compile_boundary_expression
 from quc.regularize import MoreauIntegrand
-from quc.solver import (Mesh, SolverError, _coons_init, _dot, _newton_matrix, _norm,
-                        _pair_with_hats, _pcg, _recover_dv, _tri_gradients, assemble_energy,
+from quc.solver import (COARSEST_N, Mesh, SolverError, StencilMatrix, _coons_init, _dot,
+                        _galerkin, _line_factor, _newton_matrix, _norm, _pair_with_hats, _pcg,
+                        _prolong, _recover_dv, _restrict, _tri_gradients, assemble_energy,
                         newton_pattern, prolongations, spsolve)
 
 
@@ -166,7 +167,7 @@ def test_stencil_newton_matrix_equals_the_element_scatter(n, bounds, mask, rng):
     hz = A @ A.transpose(0, 2, 1)
     K = _newton_matrix(m, hz, 0.25)
     ref = _scatter_newton_data(m, hz, 0.25)
-    assert np.array_equal(K.data.view(np.int64), ref.view(np.int64))
+    assert np.array_equal(K.tocsr().data.view(np.int64), ref.view(np.int64))
 
 
 def _coo_pattern(m):
@@ -198,8 +199,8 @@ def test_newton_matrix_matches_coo_path(mask, rng):
     local = np.abs(_element_matrices(m, hz)).T.ravel()
     terms = sparse.coo_matrix((local, _coo_pattern(m)),
                               shape=(m.n_nodes, m.n_nodes)).tocsr()[ii][:, ii] + shift
-    assert K.has_sorted_indices
-    assert np.all(np.abs(K.toarray() - ref) <= 6 * np.finfo(float).eps * terms.toarray())
+    assert K.tocsr().has_sorted_indices
+    assert np.all(np.abs(K.tocsr().toarray() - ref) <= 6 * np.finfo(float).eps * terms.toarray())
     assert K.nnz == np.count_nonzero(terms.toarray())
 
 
@@ -207,12 +208,13 @@ def test_newton_matrix_matches_coo_path(mask, rng):
 def test_newton_matrices_share_the_pattern(mask, rng):
     m = Mesh(((0.0, 1.0), (0.0, 1.0)), 33, mask=mask)
     pattern = newton_pattern(m)
-    indptr, indices, gather = pattern
-    assert indptr.dtype == indices.dtype == np.int32 and gather.dtype == np.intp
+    assert pattern.dtype == bool and pattern.shape == (7, m.n, m.n)
     for _ in range(2):
         A = rng.standard_normal((m.n_tris, 2, 2))
         K = _newton_matrix(m, A @ A.transpose(0, 2, 1), 0.25, pattern)
-        assert np.shares_memory(K.indices, indices) and np.shares_memory(K.indptr, indptr)
+        assert np.shares_memory(K.pattern, pattern)
+        csr = K.tocsr()
+        assert csr.indptr.dtype == csr.indices.dtype == np.int32
 
 
 def _general_geometry(m):
@@ -308,7 +310,7 @@ def test_stencil_kernels_match_general_triangles(bounds, mask, rng):
     shift = mu * sparse.identity(ii.size, format="csr")
     scatter = lambda x: sparse.coo_matrix((x.ravel(), _coo_pattern(m)),
                                           shape=(m.n_nodes, m.n_nodes)).tocsr()[ii][:, ii]
-    K = _newton_matrix(m, hz, mu).toarray()
+    K = _newton_matrix(m, hz, mu).tocsr().toarray()
     assert np.all(np.abs(K - (scatter(ref) + shift).toarray())
                   <= 37 * delta * (scatter(size) + shift).toarray())
 
@@ -341,19 +343,69 @@ def _coarse_p1_values(n, uc):
 def test_prolongation_is_the_coarse_p1_interpolant(mask, rng):
     # Dyadic nodal values and weights 0, 1/2, 1: every sum is exact.
     m = Mesh(((0.0, 1.0), (0.0, 1.0)), 65, mask=mask)
-    Ps = prolongations(m)
-    assert len(Ps) == 2     # 65 -> 33 -> 17
+    levels = prolongations(m)
+    assert len(levels) == 2     # 65 -> 33 -> 17
     n, keep = m.n, m.interior
-    for P in Ps:
+    for coarse in levels:
         nc = (n + 1) // 2
         coarse_keep = keep.reshape(n, n)[::2, ::2].ravel()
         uc = np.zeros(nc * nc)
         uc[coarse_keep] = rng.integers(-2**20, 2**20, int(coarse_keep.sum())) / 2**10
-        assert P.shape == (keep.sum(), coarse_keep.sum())
-        np.testing.assert_array_equal(P @ uc[coarse_keep], _coarse_p1_values(n, uc)[keep])
+        assert coarse.shape == (nc, nc) and np.array_equal(coarse.ravel(), coarse_keep)
+        uf = _prolong(uc, keep.reshape(n, n))
+        np.testing.assert_array_equal(uf[keep], _coarse_p1_values(n, uc)[keep])
+        assert not uf[~keep].any()
         n, keep = nc, coarse_keep
     if mask is None:
         np.testing.assert_array_equal(keep, Mesh(((0.0, 1.0), (0.0, 1.0)), 17).interior)
+
+
+def _p1_prolongation(n, fine_keep):
+    """Exact P1 prolongation from grid (n + 1) / 2 to grid n (n odd) as a
+    CSR matrix, the reference for the stencil ``_prolong``, ``_restrict``
+    and ``_galerkin``.
+
+    Fine node (2J, 2I) takes coarse node (J, I); a node on an odd x or odd
+    y line takes the mean of its two neighbours on that line; an odd-odd
+    node takes the mean of (J, I) and (J + 1, I + 1), the ends of the
+    diagonal through it.  Rows are restricted to ``fine_keep``, columns to
+    the coarse nodes whose fine image is kept.  Returns the CSR matrix and
+    the coarse keep mask.
+    """
+    nc = (n + 1) // 2
+    j, i = np.divmod(np.arange(n * n), n)
+    lo = (j // 2) * nc + i // 2
+    hi = lo + (i % 2) + (j % 2) * nc   # == lo on even-even nodes: the halves add to 1
+    coarse_keep = fine_keep.reshape(n, n)[::2, ::2].ravel()
+    col = np.cumsum(coarse_keep) - 1
+    fine = np.where(fine_keep)[0]
+    rows = np.repeat(np.arange(fine.size), 2)
+    cols = np.stack([lo[fine], hi[fine]], axis=1).ravel()
+    kept = coarse_keep[cols]
+    P = sparse.csr_matrix((np.full(kept.sum(), 0.5), (rows[kept], col[cols[kept]])),
+                          shape=(fine.size, int(coarse_keep.sum())))
+    return P, coarse_keep
+
+
+@pytest.mark.parametrize("mask", [None, DISK])
+def test_stencil_prolongation_and_restriction_equal_the_csr_matrix(mask, rng):
+    # Dyadic values: P and P^T sum at most 7 of them with weights 1/2 and 1,
+    # exactly, so both sides are the exact products whatever their order.
+    m = Mesh(((0.0, 1.0), (0.0, 1.0)), 129, mask=mask)
+    n, keep = m.n, m.interior
+    dyadic = lambda size: rng.integers(-2**20, 2**20, size) / 2**10
+    for coarse in prolongations(m):
+        P, coarse_keep = _p1_prolongation(n, keep)
+        assert np.array_equal(coarse.ravel(), coarse_keep)
+        uc = np.zeros(coarse.size)
+        uc[coarse_keep] = dyadic(P.shape[1])
+        uf = _prolong(uc, keep.reshape(n, n))
+        assert np.array_equal(uf[keep], P @ uc[coarse_keep]) and not uf[~keep].any()
+        rf = np.zeros(n * n)
+        rf[keep] = dyadic(P.shape[0])
+        rc = _restrict(rf, coarse)
+        assert np.array_equal(rc[coarse_keep], P.T @ rf[keep]) and not rc[~coarse_keep].any()
+        n, keep = coarse.shape[0], coarse_keep
 
 
 def test_galerkin_coarsening_is_exact():
@@ -361,16 +413,69 @@ def test_galerkin_coarsening_is_exact():
     # spaces nest, so P^T K_fine P is the coarse stiffness matrix.  The
     # product sums at most r terms for K P and c for P^T (K P) (r, c the
     # largest row count of K and column count of P): the computed entries
-    # lie within gamma_{r+c} (|P|^T |K| |P|) of the exact ones.
+    # lie within gamma_{r+c} (|P|^T |K| |P|) of the exact ones.  The stencil
+    # product sums at most 19 terms scaled by powers of two: gamma_18.
     fine = Mesh(((0.0, 1.0), (0.0, 1.0)), 33)
     coarse = Mesh(((0.0, 1.0), (0.0, 1.0)), 17)
     ident = lambda m: np.broadcast_to(np.eye(2), (m.n_tris, 2, 2))
     K, Kc = _newton_matrix(fine, ident(fine), 0.0), _newton_matrix(coarse, ident(coarse), 0.0)
-    (P,) = prolongations(fine)
-    k = np.diff(K.indptr).max() + np.diff(P.tocsc().indptr).max()
+    (keep,) = prolongations(fine)
+    P, _ = _p1_prolongation(fine.n, fine.interior)
+    Kf, Kc = K.tocsr(), Kc.tocsr().toarray()
+    k = np.diff(Kf.indptr).max() + np.diff(P.tocsc().indptr).max()
     gamma = k * np.finfo(float).eps / (1 - k * np.finfo(float).eps)
-    bound = gamma * (abs(P).T @ abs(K) @ abs(P)).toarray()
-    assert np.all(np.abs((P.T @ K @ P).toarray() - Kc.toarray()) <= bound)
+    bound = gamma * (abs(P).T @ abs(Kf) @ abs(P)).toarray()
+    assert np.all(np.abs((P.T @ Kf @ P).toarray() - Kc) <= bound)
+    gamma = 18 * np.finfo(float).eps / (1 - 18 * np.finfo(float).eps)
+    bound = gamma * (abs(P).T @ abs(Kf) @ abs(P)).toarray()
+    assert np.all(np.abs(_galerkin(K, keep).tocsr().toarray() - Kc) <= bound)
+
+
+@pytest.mark.parametrize("n, mask", [(33, None), (33, DISK), (65, None), (65, DISK),
+                                     (193, DISK)], ids=["33", "33-disk", "65", "65-disk",
+                                                        "193-disk-chain"])
+def test_stencil_galerkin_matches_scipy(n, mask, rng):
+    # Down the whole hierarchy, each level from the stencil of the level
+    # above: the stencil sums at most 19 products of a coefficient with
+    # weights that are powers of two (exact), so it lies within
+    # gamma_18 (|P|^T |A| |P|) of the exact P^T A P; scipy's product lies
+    # within gamma_{r+c} of it (see test_galerkin_coarsening_is_exact), and
+    # gamma_a + gamma_b <= gamma_{a+b}.
+    m = Mesh(((0.0, 1.0), (0.0, 1.0)), n, mask=mask)
+    A = rng.standard_normal((m.n_tris, 2, 2)) * np.exp(rng.uniform(-3, 3, (m.n_tris, 1, 1)))
+    B = _newton_matrix(m, A @ A.transpose(0, 2, 1), 1e-3)
+    keep, sizes = m.interior, []
+    for coarse in prolongations(m):
+        P, _ = _p1_prolongation(B.n, keep)
+        Bf = B.tocsr()
+        k = 18 + np.diff(Bf.indptr).max() + np.diff(P.tocsc().indptr).max()
+        gamma = k * np.finfo(float).eps / (1 - k * np.finfo(float).eps)
+        B = _galerkin(B, coarse)
+        excess = abs(B.tocsr() - P.T @ Bf @ P) - gamma * (abs(P).T @ abs(Bf) @ abs(P))
+        assert excess.max() <= 0
+        assert np.array_equal(B.keep, coarse) and B.nnz == B.tocsr().nnz
+        keep = coarse.ravel()
+        sizes.append(B.n)
+    assert sizes == {33: [17], 65: [33, 17], 193: [97, 49, 25, 13]}[n]
+
+
+@pytest.mark.parametrize("n, mask", [(33, None), (33, DISK), (32, None), (16, DISK), (9, None)])
+def test_stencil_matrix_matches_its_csr_matrix(n, mask, rng):
+    # The matvec sums the same products as the CSR row product, in the
+    # order of the CSR columns, each product and sum rounded once: the same
+    # bits.  An off-pattern coefficient is 0 and meets a 0 of the grid.
+    m = Mesh(((0.0, 1.0), (0.0, 1.0)), n, mask=mask)
+    A = rng.standard_normal((m.n_tris, 2, 2))
+    K = _newton_matrix(m, A @ A.transpose(0, 2, 1), 0.25)
+    C = K.tocsr()
+    x = rng.standard_normal(K.shape[0])
+    assert K.shape == C.shape == (m.interior_idx.size,) * 2
+    assert np.array_equal(K.index, m.interior_idx)
+    assert np.array_equal(K @ x, C @ x)
+    assert np.array_equal(K.diagonal(), C.diagonal())
+    assert K.nnz == C.nnz
+    y = K.apply(K.to_grid(x))
+    assert np.array_equal(K.from_grid(y), C @ x) and not np.delete(y, K.index).any()
 
 
 def _p3_oracle(n):
@@ -411,15 +516,16 @@ def test_pcg_failure_falls_back_to_superlu(monkeypatch):
     from scipy.sparse.linalg import spsolve as scipy_spsolve
 
     m, K, b = _first_newton_system(_p3_oracle(33))
-    ref = scipy_spsolve(K.tocsc(), b)
-    bound = 2.0 * np.linalg.cond(K.toarray()) * np.finfo(float).eps
+    ref = scipy_spsolve(K.tocsr().tocsc(), b)
+    bound = 2.0 * np.linalg.cond(K.tocsr().toarray()) * np.finfo(float).eps
     # a negative definite matrix: r.z < 0 and p.Ap < 0 at the first step
-    x, its = spsolve(-K, b, prolongations(m), full_output=True)
+    negative = StencilMatrix(-K.coef, K.pattern)
+    x, its = spsolve(negative, b, prolongations(m), full_output=True)
     assert its == -1
     assert np.linalg.norm(x + ref) <= bound * np.linalg.norm(ref)
     # plain CG would converge on -K within this cap; the curvature test stops it
     monkeypatch.setattr(quc.solver, "PCG_MAXITER", 10 * K.shape[0])
-    assert quc.solver._pcg(-K, b, lambda r: r, 1e-8) is None
+    assert quc.solver._pcg(negative.__matmul__, b, lambda r: r, 1e-8) is None
     # an iteration cap of 0
     monkeypatch.setattr(quc.solver, "PCG_MAXITER", 0)
     x, its = spsolve(K, b, prolongations(m), full_output=True)
@@ -506,7 +612,7 @@ def test_solve_leaves_no_solver_state_on_the_mesh(monkeypatch):
         def record(mesh):
             calls.append(build.__name__)
             out = build(mesh)
-            refs.extend(weakref.ref(x) for x in out)
+            refs.extend(weakref.ref(x) for x in (out if isinstance(out, list) else [out]))
             return out
         return record
 
@@ -516,7 +622,7 @@ def test_solve_leaves_no_solver_state_on_the_mesh(monkeypatch):
     geometry = dict(vars(prob.mesh()))
     sol = _no_cyclic_gc(lambda: quc.solve(prob))
     assert sol.converged and sol.iterations >= 2
-    assert sorted(calls) == ["newton_pattern", "prolongations"] and len(refs) == 4
+    assert sorted(calls) == ["newton_pattern", "prolongations"] and len(refs) == 2
     assert all(ref() is None for ref in refs)
     assert vars(sol.mesh).keys() == geometry.keys()
     assert all(vars(sol.mesh)[k] is v for k, v in geometry.items())
@@ -578,7 +684,7 @@ def test_dot_and_norm_of_a_non_finite_entry_are_non_finite():
         assert not np.isfinite(_dot(b, np.zeros(1000)))
         # CG gives up on a right-hand side it cannot measure
         K = sparse.identity(1000, format="csr")
-        assert _pcg(K, b, lambda r: r, 1e-8) is None
+        assert _pcg(K.__matmul__, b, lambda r: r, 1e-8) is None
 
 
 def test_grids_up_to_the_coarsest_solve_directly():
@@ -728,20 +834,45 @@ def test_solution_energy_is_the_energy_of_its_iterate(make_problem):
 
 def test_spsolve_matches_scipy_within_conditioning():
     # a backward-stable solve is within cond(K) eps of the exact solution,
-    # so two of them are within twice that of each other
+    # so two of them are within twice that of each other; grids up to
+    # COARSEST_N solve by the line-block factor
+    _check_direct_solve(_p3_oracle, 17)
+
+
+@pytest.mark.parametrize("make_problem, n", [(_disk_blend, 17), (_p3_oracle, 16),
+                                            (_disk_blend, 9)])
+def test_line_block_solve_matches_scipy_within_conditioning(make_problem, n):
+    # masked nodes are identity rows of the factor; an even grid solves
+    # directly like an odd one
+    _check_direct_solve(make_problem, n)
+
+
+def _check_direct_solve(make_problem, n):
     from scipy.sparse.linalg import spsolve as scipy_spsolve
 
-    prob = quc.GridProblem(integrand=quc.make_power(3.0), n=17,
-                           boundary=compile_boundary_expression("3.4*(x^2+y^2)^0.25"),
-                           bounds=((1.0, 2.0), (1.0, 2.0)))
-    m = prob.mesh()
-    u = _coons_init(m, prob.boundary_values(m))
-    _, g, _, hz, _ = assemble_energy(prob.integrand, m, u, order=2)
-    ii = m.interior_idx
-    K = _assemble_hessian(m, hz)[ii][:, ii]
-    x, ref = spsolve(K, -g[ii]), scipy_spsolve(K, -g[ii])
-    bound = 2.0 * np.linalg.cond(K.toarray()) * np.finfo(float).eps
+    m, K, b = _first_newton_system(make_problem(n))
+    x, its = spsolve(K, b, full_output=True)
+    ref = scipy_spsolve(K.tocsr().tocsc(), b)
+    bound = 2.0 * np.linalg.cond(K.tocsr().toarray()) * np.finfo(float).eps
+    assert its == 0 and m.n <= COARSEST_N
     assert np.linalg.norm(x - ref) <= bound * np.linalg.norm(ref)
+
+
+def test_line_block_factor_solves_the_coarsest_level():
+    # the coarsest level of the disk hierarchy: a masked 13 x 13 grid whose
+    # nodes off the mask are identity rows of the factor
+    from scipy.sparse.linalg import spsolve as scipy_spsolve
+
+    m, B, _ = _first_newton_system(_disk_blend(193))
+    for coarse in prolongations(m):
+        B = _galerkin(B, coarse)
+    assert B.n == 13 and not B.keep.all()
+    b = np.random.default_rng(5).standard_normal(B.shape[0])
+    x = B.from_grid(_line_factor(B)(B.to_grid(b)))
+    ref = scipy_spsolve(B.tocsr().tocsc(), b)
+    bound = 2.0 * np.linalg.cond(B.tocsr().toarray()) * np.finfo(float).eps
+    assert np.linalg.norm(x - ref) <= bound * np.linalg.norm(ref)
+    assert not _line_factor(B)(B.to_grid(b))[~B.keep.ravel()].any()
 
 
 def test_iteration_cap_flags_nonconverged():
