@@ -175,6 +175,13 @@ def _taps(n):
     return [(slice(1 + dj, n - 1 + dj), slice(1 + di, n - 1 + di)) for dj, di in OFFSETS]
 
 
+def _at_coarse(grid, dj, di):
+    """Values of a fine (n, n) grid at the nodes (2J + dj, 2I + di), for the
+    coarse nodes (J, I) off the border of grid (n + 1) / 2."""
+    nc = (grid.shape[0] + 1) // 2
+    return grid[2 + dj:2 * nc - 3 + dj:2, 2 + di:2 * nc - 3 + di:2]
+
+
 def _pattern(keep):
     """(7, n, n) pattern of the operator on the kept nodes of an n x n grid:
     entry k at node a says whether a and its k-th stencil neighbour are both
@@ -202,7 +209,7 @@ def prolongations(mesh):
 
     Entry k is the (n_{k+1}, n_{k+1}) boolean mask of the unknowns of grid
     n_{k+1} = (n_k + 1) / 2, n_0 = n: the coarse nodes whose fine image
-    (2 J, 2 I) is an unknown of grid n_k (n_0: ``interior``), so a masked
+    (2J, 2I) is an unknown of grid n_k (n_0: ``interior``), so a masked
     domain needs no coarse geometry.  Coarsening continues while n_k is
     odd and above ``COARSEST_N``; the list is empty for an even n and for
     n <= ``COARSEST_N``.  The exact P1 prolongation between two levels and
@@ -254,13 +261,12 @@ def _restrict(rf, coarse_keep):
     (nc, nc)."""
     nc = coarse_keep.shape[0]
     rf = rf.reshape(2 * nc - 1, 2 * nc - 1)
-    around = [rf[2 + dj:2 * nc - 3 + dj:2, 2 + di:2 * nc - 3 + di:2]
-              for dj, di in OFFSETS if (dj, di) != (0, 0)]
+    around = [_at_coarse(rf, dj, di) for dj, di in OFFSETS if (dj, di) != (0, 0)]
     acc = np.add(around[0], around[1])
     for part in around[2:]:
         acc += part
     acc *= 0.5
-    acc += rf[2:-2:2, 2:-2:2]
+    acc += _at_coarse(rf, 0, 0)
     rc = np.zeros((nc, nc))
     np.multiply(acc, coarse_keep[1:-1, 1:-1], out=rc[1:-1, 1:-1])
     return rc.reshape(-1)
@@ -446,8 +452,8 @@ class StencilMatrix:
         # of each lie on the grid: one contiguous slice per offset
         flat = coef.reshape(7, n * n)
         self._rows = slice(n + 1, n * n - n - 1)
-        self._taps = [(flat[k, self._rows], slice(n + 1 + d, n * n - n - 1 + d))
-                      for k, d in enumerate(_stencil(n))]
+        self._flat_taps = [(flat[k, self._rows], slice(n + 1 + d, n * n - n - 1 + d))
+                           for k, d in enumerate(_stencil(n))]
 
     @property
     def keep(self):
@@ -475,7 +481,7 @@ class StencilMatrix:
         y[:self._rows.start] = y[self._rows.stop:] = 0.0
         acc = y[self._rows]
         tmp = np.empty_like(acc)
-        for k, (c, cols) in enumerate(self._taps):
+        for k, (c, cols) in enumerate(self._flat_taps):
             np.multiply(c, x[cols], out=tmp if k else acc)
             if k:
                 acc += tmp
@@ -556,7 +562,7 @@ def _galerkin(A, coarse_keep):
             if i:
                 acc *= 0.5
             for k, (pj, pi) in terms:
-                acc += A.coef[k, 2 + pj:2 * nc - 3 + pj:2, 2 + pi:2 * nc - 3 + pi:2]
+                acc += _at_coarse(A.coef[k], pj, pi)
         coef[s, 1:-1, 1:-1] = acc
         if s != 3:
             coef[6 - s, 1:-1, 1:-1] = coef[s][taps[6 - s]]

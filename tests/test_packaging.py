@@ -45,9 +45,9 @@ for cfg_path in cfg_paths:
 """
 
 
-def _config(tmp_path, name, n, mask=None):
+def _config(tmp_path, name, n, disk=False):
     problem = {"n": n, "domain": [[0, 1], [0, 1]], "boundary": "x^2 - y^2"}
-    if mask:
+    if disk:
         problem["mask"] = {"center": [0.5, 0.5], "radius": 0.45}
     path = tmp_path / f"{name}.json"
     path.write_text(json.dumps({
@@ -70,7 +70,7 @@ def test_cli_path_does_not_import_scipy(tmp_path):
     # fallback of the solver; its import costs more than a small solve.
     # n = 17 solves directly, n = 33 by multigrid CG, with and without a mask.
     configs = [_config(tmp_path, "n17", 17), _config(tmp_path, "n33", 33),
-               _config(tmp_path, "disk33", 33, mask=True)]
+               _config(tmp_path, "disk33", 33, disk=True)]
     proc = _run(_IMPORT_GUARD, tmp_path, *configs)
     assert proc.returncode == 0, proc.stderr[-2000:]
 
