@@ -120,12 +120,6 @@ def _above_level(solution, ell_c, ell_b):
     return fvals >= ell_c + solution.du @ np.asarray(ell_b, dtype=float)
 
 
-def super_level_mask(solution, ell_c, ell_b, radius, center):
-    """Triangles with barycenter in the ball where F(Du) >= ell(Du)."""
-    above = _above_level(solution, ell_c, ell_b)
-    return _ball_tris(solution.mesh, center, radius) & above
-
-
 def _straddling_count(mesh, member, region):
     """Triangles in the region whose membership differs from an edge
     neighbour's; measures how much of the level boundary the ball crosses.

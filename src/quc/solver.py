@@ -337,7 +337,7 @@ def _tri_gradients(mesh, u):
     return du
 
 
-def assemble_energy(F, mesh, u, *, want_grad=True, order=None, energy=None):
+def assemble_energy(F, mesh, u, *, want_grad=True, order=None):
     """Discrete energy and (optionally) its nodal gradient from one
     ``F.derivs`` pass of orders 0..k over the triangle gradients Du.
 
@@ -348,21 +348,17 @@ def assemble_energy(F, mesh, u, *, want_grad=True, order=None, energy=None):
     None).  With ``order`` k = 1 or 2 it is (energy, gradient, DF(Du),
     D2F(Du) or None, Du): the per-triangle derivatives that the Newton
     matrix and the stress V = DF(Du) need, and the gradients they were
-    taken at.
-
-    A known ``energy`` at this u (an accepted Armijo trial's) is returned
-    as given and the pass asks for orders 1..k only; the other orders are
-    the same bits, since a ``derivs`` result does not depend on which
-    orders are computed with it.
+    taken at.  A ``derivs`` result does not depend on which orders are
+    computed with it, so the energy of an ``order`` pass has the same bits
+    as that of an energy-only pass at the same u.
     """
     du = np.ascontiguousarray(_tri_gradients(mesh, u))
     k = int(want_grad) if order is None else order
-    fvals, v, hz = F.derivs(du, range(int(energy is not None), k + 1))
-    if energy is None:
-        if not np.isfinite(fvals).all():
-            t = int(np.argmax(~np.isfinite(fvals)))
-            raise AssemblyError(f"non-finite integrand value at triangle {t}, Du = {du[t]}")
-        energy = float(mesh.areas[0] * fvals.sum())
+    fvals, v, hz = F.derivs(du, range(k + 1))
+    if not np.isfinite(fvals).all():
+        t = int(np.argmax(~np.isfinite(fvals)))
+        raise AssemblyError(f"non-finite integrand value at triangle {t}, Du = {du[t]}")
+    energy = float(mesh.areas[0] * fvals.sum())
     g = None if v is None else _pair_with_hats(mesh, v)
     return (energy, g) if order is None else (energy, g, v, hz, du)
 
@@ -784,19 +780,29 @@ def spsolve(A, b, prolongations=(), *, rtol=1e-8, full_output=False):
     return result if full_output else result[0]
 
 
-def _armijo(F, mesh, u, d, energy, slope, *, c1=1e-4, max_halvings=60):
+def _armijo(F, mesh, u, d, energy, slope, order, *, c1=1e-4, max_halvings=60):
+    """Backtracking Armijo search along d from u, halving alpha from 1.
+
+    Each trial is a full ``assemble_energy`` pass of orders 0..``order`` at
+    u + alpha d, so the accepted trial is also the next iterate's pass.
+    Returns (alpha, (energy, gradient, DF(Du), D2F(Du) or None, Du)) of
+    the first trial that satisfies the Armijo condition, or None when
+    ``max_halvings`` trials find no decrease.  A rejected trial's fields
+    die before the next trial's pass.
+    """
     alpha = 1.0
     floor = 1e-14 * abs(energy) + 1e-300  # rounding floor near convergence
     for _ in range(max_halvings):
         try:
-            e_trial, _ = assemble_energy(F, mesh, u + alpha * d, want_grad=False)
+            trial = assemble_energy(F, mesh, u + alpha * d, order=order)
         except AssemblyError:
             alpha *= 0.5
             continue
-        if e_trial <= energy + c1 * alpha * slope + floor:
-            return alpha, e_trial
+        if trial[0] <= energy + c1 * alpha * slope + floor:
+            return alpha, trial
+        trial = None
         alpha *= 0.5
-    return None, None
+    return None
 
 
 @dataclass
@@ -853,12 +859,14 @@ def solve(problem, *, method="newton", tol_rel=1e-9, max_iter=60,
     Levenberg shift (keeps the system positive definite where the
     integrand degenerates), assembled as a 7-point stencil on the fixed
     interior pattern of ``newton_pattern`` and solved by ``spsolve``; steps
-    are accepted under the Armijo rule, so the energy is nonincreasing.  Armijo trials
-    evaluate the energy only, and an accepted iterate takes its energy from
-    the trial at the same u; its one integrand pass (``F.derivs`` of orders 1..2 for
-    Newton, 1 for BB; 0..2 and 0..1 at the initial guess) gives the nodal
-    gradient, the D2F(Du) of the next Newton matrix and, at the last
-    iterate, the stress V = DF(Du) and Du itself.  Each Newton matrix and
+    are accepted under the Armijo rule, so the energy is nonincreasing.  Every
+    integrand pass is one ``F.derivs`` call of orders 0..2 for Newton (0..1
+    for BB): one at the initial guess, then one per Armijo trial, and the
+    accepted trial is the next iterate, so no pass repeats a u.  It gives
+    the energy, the nodal gradient, the D2F(Du) of the next Newton matrix
+    and, at the last iterate, the stress V = DF(Du) and Du itself.  The last
+    iterate's fields are dropped before the trials, so a stalled search
+    makes one more orders 0..1 pass at the iterate it returns.  Each Newton matrix and
     its multigrid hierarchy are freed when the step's linear solve returns,
     and the Newton pattern and the levels' keep masks, built once per call,
     when ``solve`` returns, so the solver's memory is bounded per step, not per
@@ -944,13 +952,15 @@ def solve(problem, *, method="newton", tol_rel=1e-9, max_iter=60,
             slope = _dot(g[ii], step)
 
         u_prev, g_prev = u[ii].copy(), g[ii].copy()
-        alpha, e_trial = _armijo(F, mesh, u, d, energy, slope)
-        if alpha is None:
+        g = step = v = du = None    # the last iterate's fields die before the trials
+        accepted = _armijo(F, mesh, u, d, energy, slope, order)
+        if accepted is None:
             stop_reason = "line_search_stalled"
+            _, _, v, _, du = assemble_energy(F, mesh, u, order=1)
             break
+        alpha, (energy, g, v, hz, du) = accepted
+        accepted = None             # else it keeps D2F(Du) alive through the next solve
         u = u + alpha * d
-        v = du = None               # the last iterate's fields die before the next pass
-        energy, g, v, hz, du = assemble_energy(F, mesh, u, order=order, energy=e_trial)
         res = float(np.abs(g[ii]).max()) if ii.size else 0.0
         gnorm_prev, gnorm = gnorm, _norm(g[ii])
         eta = min(ETA_MAX, EW_GAMMA * (gnorm / gnorm_prev) ** EW_ALPHA)

@@ -3,8 +3,7 @@ import pytest
 
 import quc
 from quc.csvio import read_csv, write_csv
-from quc.estimates import (REPORT_FIELDS, VerificationReport, _straddling_count,
-                           super_level_mask)
+from quc.estimates import REPORT_FIELDS, VerificationReport, _straddling_count
 from quc.solver import Mesh
 
 
@@ -41,18 +40,6 @@ def test_report_csv_roundtrip(tmp_path):
 # ---------------------------------------------------------------------------
 # level sets
 # ---------------------------------------------------------------------------
-
-def test_super_level_nesting(sol_p3_scaled):
-    sol = sol_p3_scaled[33]
-    c = (1.5, 1.5)
-    for k in (0.1, 0.5, 0.8):
-        inner = super_level_mask(sol, k, np.zeros(2), 0.2, c)
-        outer = super_level_mask(sol, k, np.zeros(2), 0.4, c)
-        assert not np.any(inner & ~outer)
-    a_small = super_level_mask(sol, 0.8, np.zeros(2), 0.4, c)
-    a_large = super_level_mask(sol, 0.5, np.zeros(2), 0.4, c)
-    assert not np.any(a_small & ~a_large)  # A(k, .) shrinks as k grows
-
 
 def test_straddling_count_matches_edge_dictionary(rng):
     for mask in (None, (np.array([0.5, 0.5]), 0.44)):

@@ -1,3 +1,4 @@
+import ctypes
 import importlib.util
 import json
 import os
@@ -106,3 +107,40 @@ def test_cg_failure_falls_back_to_a_lazily_imported_superlu():
     # so two of them are within twice that of each other
     proc = _run(_FALLBACK)
     assert proc.returncode == 0, proc.stderr[-2000:]
+
+
+_HEAP_REUSE = """
+import json, resource, sys
+import numpy as np
+import quc.cli
+
+out_dir, cfg_path = sys.argv[1:]
+assert quc.cli.main(["--out-dir", out_dir, "solve", cfg_path]) == 0
+faults = []
+for _ in range(5):
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    arrays = [np.ones(1 << 16) for _ in range(5)]
+    del arrays
+    faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+print(json.dumps(faults))
+"""
+
+
+def _has_mallopt():
+    try:
+        return hasattr(ctypes.CDLL(None), "mallopt")
+    except (OSError, TypeError):
+        return False
+
+
+@pytest.mark.skipif(not _has_mallopt(), reason="libc has no mallopt")
+def test_cli_keeps_freed_numpy_temporaries_mapped(tmp_path):
+    # every integrand pass allocates and frees the same few-MiB temporaries;
+    # after quc.cli.main the allocator keeps their pages, so refilling five
+    # freed 512 KiB arrays (640 pages) faults in nothing new after round 1.
+    # Without the mmap threshold each array is a fresh mmap, and without the
+    # trim threshold the freed heap top goes back to the kernel.
+    proc = _run(_HEAP_REUSE, tmp_path, _config(tmp_path, "n9", 9))
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    faults = json.loads(proc.stdout.splitlines()[-1])
+    assert max(faults[1:]) < 64, faults
