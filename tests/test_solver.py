@@ -819,6 +819,7 @@ def test_solution_energy_is_the_energy_of_its_iterate(make_problem):
 
         def derivs(self, z, orders):
             self.orders.append(tuple(orders))
+            self.last = z
             return self.F.derivs(z, orders)
 
     prob = make_problem(33)
@@ -831,6 +832,7 @@ def test_solution_energy_is_the_energy_of_its_iterate(make_problem):
     first, *rest = prob.integrand.orders
     assert first == (0, 1, 2) and set(rest) == {(0, 1, 2)}
     assert len(rest) >= sol.iterations
+    assert np.array_equal(prob.integrand.last, sol.du)   # the last pass is at sol.u
 
 
 def test_rejected_trials_leave_the_fields_of_the_accepted_iterate():
