@@ -59,10 +59,12 @@ def _solution_rows(sol):
     st = stress_field(sol)
     mesh, u, du, v = sol.mesh, sol.u, sol.du, st.v
     dv = st.dv_tri.reshape(-1, 4)
+    cells = np.flatnonzero(mesh.kept)
 
     def block(start, stop):
         rows = slice(start, stop)
-        return np.column_stack([mesh.bary[rows], u[mesh.tris[rows]].mean(axis=1), du[rows],
+        return np.column_stack([mesh.barycenters(rows, cells),
+                                u[mesh.triangles(rows, cells)].mean(axis=1), du[rows],
                                 v[rows], dv[rows]])
 
     return BlockTable(mesh.n_tris, block)

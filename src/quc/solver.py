@@ -3,18 +3,19 @@
 The domain (an axis-aligned rectangle, optionally cut by a circular mask) is
 triangulated by splitting each grid cell along the lower-left to upper-right
 diagonal, so assembly is deterministic and meshes nest under the refinement
-n -> 2n - 1.  Every triangle is a lower or an upper one (``Mesh.orient``),
-and all triangles of one orientation share their area, their hat-function
-gradients (``Mesh.stencil_grads``) and their vertex offsets; Du, the pairing
-with the hat gradients, the Newton matrix and the stress recovery work from
-these two stencils, one orientation at a time, instead of from per-triangle
-geometry.  The Newton matrix is summed on the grid of cells: each entry of
+n -> 2n - 1.  Every triangle is a lower or an upper one, and all triangles
+of one orientation share their area, their hat-function gradients
+(``Mesh.stencil_grads``) and their vertex offsets (``Mesh.stencil_offsets``),
+so the mesh holds geometry per node and per cell only, and no per-triangle
+table.  Du, the pairing with the hat gradients, the Newton matrix and the
+stress recovery work from these two stencils, one orientation at a time,
+on shifted slices of the (n, n) grid of nodes and the (n - 1, n - 1) grid
+of cells.  The Newton matrix is summed on the grid of cells: each entry of
 an element matrix is a fixed linear map of D2F(Du) that lands on one
-7-point stencil coefficient of one vertex, so no per-triangle index table
-is needed.  The energy sum_T area_T F(Du_T) over per-triangle constant
-gradients is minimised by damped inexact Newton with Armijo backtracking; a
-Barzilai-Borwein gradient method with the same safeguard serves as fallback
-and as an independent cross-check.
+7-point stencil coefficient of one vertex.  The energy sum_T area_T F(Du_T)
+over per-triangle constant gradients is minimised by damped inexact Newton
+with Armijo backtracking; a Barzilai-Borwein gradient method with the same
+safeguard serves as fallback and as an independent cross-check.
 
 Every operator of the linear solves is a 7-point stencil on a grid
 (``StencilMatrix``), held as seven coefficient arrays, so the solve path
@@ -50,23 +51,31 @@ class AssemblyError(SolverError):
 class Mesh:
     """Structured triangulation of a rectangle with optional circular mask.
 
-    Every grid cell with lower-left node a splits into a lower triangle
-    (a, a + 1, a + n + 1) and an upper one (a, a + n + 1, a + n), so a
-    triangle's geometry is fixed by its orientation.  Lower triangles come
-    first: ``orient`` (M,) is 0 on the first ``n_lower`` rows of ``tris`` and
-    1 on the rest, and ``blocks`` holds the two row slices.
-    ``stencil_grads`` (2, 3, 2) holds the hat-function gradients of the
-    three vertices for each orientation, and ``stencil_offsets`` (2, 3) the
-    node offsets of the vertices from a.  ``on_cells`` places per-triangle
-    values on the (2, n - 1, n - 1) grid of cells, where grid stencils
-    replace per-triangle index tables.
+    Every grid cell with lower-left node a = j n + i splits into a lower
+    triangle (a, a + 1, a + n + 1) and an upper one (a, a + n + 1, a + n),
+    so a triangle's geometry is fixed by its orientation o (0 lower, 1
+    upper) and its cell (j, i), and the mesh stores no per-triangle table.
+    ``stencil_offsets`` (2, 3) holds the node offsets of the three vertices
+    from a, ``stencil_grads`` (2, 3, 2) their hat-function gradients, and
+    every triangle has the area ``area`` = hx hy / 2.  ``kept``
+    (2, n - 1, n - 1) says whether the mask kept the triangle of
+    orientation o in cell (j, i).
 
-    Attributes: ``nodes`` (N, 2), ``tris`` (M, 3) int64, ``areas`` (M,) (all
-    hx hy / 2), ``bary`` (M, 2) barycenters, ``interior`` / ``dirichlet`` /
-    ``used`` boolean node masks, ``kept`` (2, n - 1, n - 1) whether the mask
-    kept the triangle of orientation o in the cell with lower-left node
-    j n + i.  A mesh holds geometry only: ``solve`` builds the Newton
-    pattern and the prolongations once per call.
+    Per-triangle arrays (Du, the stress) hold the kept lower triangles in
+    cell order, then the kept upper ones: ``n_lower`` and ``n_tris`` rows,
+    split by ``blocks``.  Kernels work one orientation at a time on the
+    grids: vertex a of every cell's triangle of orientation o lies on the
+    slice ``vertex_slices(o)[a]`` of the (n, n) node grid (``at_vertices``
+    reads a node grid there), ``on_cells`` places per-triangle values on the
+    grid of cells, and ``bary_axes`` holds the barycenters as two 1-D tables
+    per orientation.  ``triangles`` and ``barycenters`` build the vertex
+    nodes and barycenters of given triangles on demand.
+
+    Attributes: ``nodes`` (N, 2); boolean node masks ``interior``,
+    ``dirichlet`` and ``used``, and ``interior_idx``; ``kept``; the ints
+    ``n_lower`` and ``n_tris``; ``stencil_offsets``, ``stencil_grads`` and
+    the scalar ``area``.  A mesh holds geometry only: ``solve`` builds the
+    Newton pattern and the prolongations once per call.
     """
 
     def __init__(self, bounds, n, mask=None):
@@ -83,60 +92,53 @@ class Mesh:
         self.hy = ys[1] - ys[0]
         X, Y = np.meshgrid(xs, ys, indexing="xy")
         self.nodes = np.stack([X.ravel(), Y.ravel()], axis=1)
-
         self.stencil_offsets = np.array([[0, 1, n + 1], [0, n + 1, n]])
-        a = (np.arange(n - 1)[:, None] * n + np.arange(n - 1)).ravel()
-        tris = (a[None, :, None] + self.stencil_offsets[:, None, :]).reshape(-1, 3)
 
-        on_border = np.zeros(n * n, dtype=bool)
-        idx = np.arange(n * n)
-        on_border[(idx % n == 0) | (idx % n == n - 1) | (idx < n) | (idx >= n * (n - 1))] = True
-
-        n_lower = a.size
-        keep = np.ones(tris.shape[0], dtype=bool)
+        self.kept = np.ones((2, n - 1, n - 1), dtype=bool)
         if mask is not None:
             center, radius = np.asarray(mask[0], dtype=float), float(mask[1])
-            inside = np.hypot(self.nodes[:, 0] - center[0],
-                              self.nodes[:, 1] - center[1]) <= radius
-            keep = inside[tris].all(axis=1)
-            full_count = np.bincount(tris.ravel(), minlength=n * n)
-            kept_count = np.bincount(tris[keep].ravel(), minlength=n * n)
-            tris = tris[keep]
-            n_lower = int(keep[:n_lower].sum())
-            self.used = kept_count > 0
-            self.interior = self.used & ~on_border & (kept_count == full_count)
-        else:
-            self.used = np.ones(n * n, dtype=bool)
-            self.interior = ~on_border
-        if tris.shape[0] == 0:
+            inside = (np.hypot(self.nodes[:, 0] - center[0], self.nodes[:, 1] - center[1])
+                      <= radius).reshape(n, n)
+            for o in range(2):
+                for s in self.vertex_slices(o):
+                    self.kept[o] &= inside[s]
+        # a node off the grid's border lies on six triangles, one on it on
+        # at most three: the interior nodes are those that keep all six
+        count = np.zeros((n, n), dtype=np.intp)
+        for o in range(2):
+            for s in self.vertex_slices(o):
+                count[s] += self.kept[o]
+        self.n_lower = int(np.count_nonzero(self.kept[0]))
+        self.n_tris = self.n_lower + int(np.count_nonzero(self.kept[1]))
+        if self.n_tris == 0:
             raise SolverError("mask removed every triangle")
+        self.used = (count > 0).ravel()
+        self.interior = (count == 6).ravel()
         self.dirichlet = self.used & ~self.interior
-        self.tris = np.ascontiguousarray(tris)
-        self.interior_idx = np.where(self.interior)[0]
-        M = self.tris.shape[0]
-        self.kept = keep.reshape(2, n - 1, n - 1)
-        self.n_lower = n_lower
-        self.orient = np.repeat(np.array([0, 1], dtype=np.int8), [n_lower, M - n_lower])
+        self.interior_idx = np.flatnonzero(self.interior)
 
         ix, iy = 1.0 / self.hx, 1.0 / self.hy
         self.stencil_grads = np.array([[[-ix, 0.0], [ix, -iy], [0.0, iy]],
                                        [[0.0, -iy], [ix, 0.0], [-ix, iy]]])
-        self.areas = np.full(M, 0.5 * self.hx * self.hy)
-        N = self.nodes
-        self.bary = (N[self.tris[:, 0]] + N[self.tris[:, 1]] + N[self.tris[:, 2]]) / 3
+        self.area = 0.5 * self.hx * self.hy
 
     @property
     def n_nodes(self):
         return self.nodes.shape[0]
 
     @property
-    def n_tris(self):
-        return self.tris.shape[0]
-
-    @property
     def blocks(self):
-        """Row slices of the lower and of the upper triangles in ``tris``."""
+        """Row slices of the lower and of the upper triangles in a
+        per-triangle array."""
         return slice(0, self.n_lower), slice(self.n_lower, self.n_tris)
+
+    def vertex_slices(self, o):
+        """Per vertex a of orientation o, the (n - 1, n - 1) slice of the
+        (n, n) node grid whose entry (j, i) is vertex a of the triangle of
+        orientation o in cell (j, i)."""
+        n = self.n
+        j, i = np.divmod(self.stencil_offsets[o], n)
+        return [(slice(dj, dj + n - 1), slice(di, di + n - 1)) for dj, di in zip(j, i)]
 
     def on_cells(self, values, fill=0):
         """Per-triangle ``values`` (M,) on the (2, n - 1, n - 1) grid of
@@ -148,15 +150,63 @@ class Mesh:
         grid[self.kept] = values
         return grid
 
+    def at_vertices(self, grid, o):
+        """The values of a node grid (n, n, ...) at vertex a = 0, 1, 2 of
+        the triangles of orientation o: views (n - 1, n - 1, ...) on the
+        cell grid, or, where the mask removed triangles, their values at
+        the kept ones (n_o, ...), so nothing of a removed cell is read."""
+        views = [grid[s] for s in self.vertex_slices(o)]
+        if self.n_tris < self.kept.size:
+            views = [x[self.kept[o]] for x in views]
+        return views
+
+    def bary_axes(self):
+        """Barycenter coordinates on the axes of the cell grid: ``bx[o, i]``
+        and ``by[o, j]`` are those of the triangle of orientation o in cell
+        (j, i), (x_{i + d0} + x_{i + d1} + x_{i + d2}) / 3 with the
+        vertices' column offsets d, and the same in y: the bits of the mean
+        of the three vertex nodes summed in vertex order."""
+        n = self.n
+        xs, ys = self.nodes[:n, 0], self.nodes[::n, 1]
+        axes = np.empty((2, 2, n - 1))
+        for o in range(2):
+            (a, b, c) = self.vertex_slices(o)
+            axes[0, o] = (xs[a[1]] + xs[b[1]] + xs[c[1]]) / 3
+            axes[1, o] = (ys[a[0]] + ys[b[0]] + ys[c[0]]) / 3
+        return axes[0], axes[1]
+
+    def _cells_of(self, ids, cells):
+        """Orientation and cell (o, j, i) of the triangles ``ids``."""
+        cells = np.flatnonzero(self.kept) if cells is None else cells
+        o, c = np.divmod(cells[ids], (self.n - 1) ** 2)
+        j, i = np.divmod(c, self.n - 1)
+        return o, j, i
+
+    def triangles(self, ids=slice(None), cells=None):
+        """Vertex nodes (..., 3) of the triangles ``ids`` (an index array or
+        a slice; all by default), built on demand.  ``cells`` is
+        ``np.flatnonzero(kept)``, the place of every triangle on the flat
+        cell grid; a caller that asks more than once builds it once."""
+        o, j, i = self._cells_of(ids, cells)
+        return (j * self.n + i)[..., None] + self.stencil_offsets[o]
+
+    def barycenters(self, ids=slice(None), cells=None):
+        """Barycenters (..., 2) of the triangles ``ids``, from ``bary_axes``;
+        ``cells`` as for ``triangles``."""
+        o, j, i = self._cells_of(ids, cells)
+        bx, by = self.bary_axes()
+        return np.stack([bx[o, i], by[o, j]], axis=-1)
+
     def node_tris(self):
         """(N, 6) node-triangle table: entry (a, 3 o + k) is the triangle of
         orientation o that has node a as its vertex k, or -1.  Each node
         lies on at most one triangle per (orientation, vertex) slot."""
-        table = np.full((self.n_nodes, 6), -1, dtype=np.int64)
-        for o, blk in enumerate(self.blocks):
-            for k in range(3):
-                table[self.tris[blk, k], 3 * o + k] = np.arange(blk.start, blk.stop)
-        return table
+        table = np.full((self.n, self.n, 6), -1, dtype=np.int64)
+        ids = self.on_cells(np.arange(self.n_tris), fill=-1)
+        for o in range(2):
+            for k, s in enumerate(self.vertex_slices(o)):
+                table[s + (3 * o + k,)] = ids[o]
+        return table.reshape(-1, 6)
 
 
 # The 7-point stencil as (row, column) grid offsets, in the order of CSR
@@ -327,13 +377,18 @@ def _coons_init(mesh, data):
 
 def _tri_gradients(mesh, u):
     """Du per triangle: per orientation, each component is a three-term
-    multiply-add of the vertex values with the hat-gradient stencil."""
-    U = u[mesh.tris]
+    multiply-add of the vertex values with the hat-gradient stencil, on
+    the vertex slices of the (n, n) node grid."""
     du = np.empty((mesh.n_tris, 2))
-    for blk, G in zip(mesh.blocks, mesh.stencil_grads):
-        Ub = U[blk]
+    grid = u.reshape(mesh.n, mesh.n)
+    for o, (blk, G) in enumerate(zip(mesh.blocks, mesh.stencil_grads)):
+        U = mesh.at_vertices(grid, o)
+        tmp = np.empty_like(U[0])
         for k in range(2):
-            du[blk, k] = G[0, k] * Ub[:, 0] + G[1, k] * Ub[:, 1] + G[2, k] * Ub[:, 2]
+            out = du[blk, k].reshape(U[0].shape)
+            np.multiply(G[0, k], U[0], out=out)
+            out += np.multiply(G[1, k], U[1], out=tmp)
+            out += np.multiply(G[2, k], U[2], out=tmp)
     return du
 
 
@@ -358,24 +413,40 @@ def assemble_energy(F, mesh, u, *, want_grad=True, order=None):
     if not np.isfinite(fvals).all():
         t = int(np.argmax(~np.isfinite(fvals)))
         raise AssemblyError(f"non-finite integrand value at triangle {t}, Du = {du[t]}")
-    energy = float(mesh.areas[0] * fvals.sum())
+    energy = float(mesh.area * fvals.sum())
     g = None if v is None else _pair_with_hats(mesh, v)
     return (energy, g) if order is None else (energy, g, v, hz, du)
+
+
+# The (orientation, vertex) slots in the order in which bincount over the
+# flat vertex table, lower triangles first, meets them at any one node.
+_PAIRING_ORDER = ((0, 2), (0, 1), (0, 0), (1, 1), (1, 2), (1, 0))
 
 
 def _pair_with_hats(mesh, v):
     """Nodal vector sum_T area_T v_T . D(phi_a)|_T over the hat functions phi_a.
 
     Per orientation each vertex term is a two-term multiply-add of v with
-    the area-weighted stencil; one bincount over ``tris.ravel()`` sums them
-    in the order of ``np.add.at``, so the sums are the same bits."""
-    contrib = np.empty((mesh.n_tris, 3))
-    for blk, G in zip(mesh.blocks, mesh.stencil_grads):
-        W = mesh.areas[0] * G
-        vb = v[blk]
-        for a in range(3):
-            contrib[blk, a] = W[a, 0] * vb[:, 0] + W[a, 1] * vb[:, 1]
-    return np.bincount(mesh.tris.ravel(), weights=contrib.ravel(), minlength=mesh.n_nodes)
+    the area-weighted stencil, computed on the grid of cells and added to
+    the vertex slice of an (n, n) grid of zeros, six slice-adds in all.  At
+    node (j, i) a lower triangle's vertex 2 is in cell (j - 1, i - 1), its
+    vertex 1 in (j, i - 1) and its vertex 0 in (j, i); an upper one's
+    vertex 1 is in (j - 1, i - 1), its vertex 2 in (j - 1, i) and its
+    vertex 0 in (j, i).  Lower triangles come first, so ``_PAIRING_ORDER``
+    adds each node's terms in the order of a bincount (or ``np.add.at``)
+    over the (M, 3) vertex table, and the sums are the same bits.  A cell
+    the mask removed adds a zero, which changes no sum: a sum that starts
+    at +0.0 is never -0.0."""
+    n = mesh.n
+    out = np.zeros((n, n))
+    W = mesh.area * mesh.stencil_grads
+    v0, v1 = mesh.on_cells(v[:, 0]), mesh.on_cells(v[:, 1])
+    term, tmp = np.empty((2, n - 1, n - 1))
+    for o, a in _PAIRING_ORDER:
+        np.multiply(W[o, a, 0], v0[o], out=term)
+        term += np.multiply(W[o, a, 1], v1[o], out=tmp)
+        out[mesh.vertex_slices(o)[a]] += term
+    return out.reshape(-1)
 
 
 def _newton_matrix(mesh, hz, mu, pattern=None):
@@ -401,12 +472,12 @@ def _newton_matrix(mesh, hz, mu, pattern=None):
                                      0.5 * (hz[:, 0, 1] + hz[:, 1, 0]),
                                      np.ascontiguousarray(hz[:, 1, 1]))]
     d = mesh.stencil_offsets
-    dj, di = np.divmod(d, n)
     k = np.searchsorted(_stencil(n), d[:, None, :] - d[:, :, None])       # [o, a, b]
     g0, g1 = mesh.stencil_grads[..., 0], mesh.stencil_grads[..., 1]
     outer = lambda x, y: x[:, :, None] * y[:, None, :]
-    C = mesh.areas[0] * np.stack([outer(g0, g0), outer(g0, g1) + outer(g1, g0),
-                                  outer(g1, g1)], axis=-1)                 # [o, a, b, 3]
+    C = mesh.area * np.stack([outer(g0, g0), outer(g0, g1) + outer(g1, g0),
+                              outer(g1, g1)], axis=-1)                     # [o, a, b, 3]
+    slices = [mesh.vertex_slices(o) for o in range(2)]
     coef = np.zeros((7, n, n))
     row, tmp = np.empty((2, n - 1, n - 1))
     for a in range(3):
@@ -417,8 +488,7 @@ def _newton_matrix(mesh, hz, mu, pattern=None):
                 row += np.multiply(h[1][o], c[1], out=tmp)
                 row += np.multiply(h[2][o], c[2], out=tmp)
                 for p, q in {(a, b), (b, a)}:
-                    j, i = dj[o, p], di[o, p]
-                    coef[k[o, p, q], j:j + n - 1, i:i + n - 1] += row
+                    coef[k[o, p, q]][slices[o][p]] += row
     coef[3] += mu
     h = row = tmp = None        # freed before the pattern is applied
     np.copyto(coef, 0.0, where=~pattern)
@@ -832,9 +902,17 @@ class GridSolution:
     # fallback fired (SuperLU after CG, or a gradient step)
     linear_iterations: list
     _stress: StressField | None = field(default=None, repr=False, compare=False)
+    _energy_density: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     def stress(self):
         return stress_field(self)
+
+    def energy_density(self):
+        """F(Du) per triangle, evaluated on first use and kept, so every
+        estimate check reads the same values from one pass."""
+        if self._energy_density is None:
+            self._energy_density = self.problem.integrand._eval(np.ascontiguousarray(self.du))
+        return self._energy_density
 
 
 def _bb_step(s, y, fallback):
@@ -865,12 +943,13 @@ def solve(problem, *, method="newton", tol_rel=1e-9, max_iter=60,
     accepted trial is the next iterate, so no pass repeats a u.  It gives
     the energy, the nodal gradient, the D2F(Du) of the next Newton matrix
     and, at the last iterate, the stress V = DF(Du) and Du itself.  The last
-    iterate's fields are dropped before the trials, so a stalled search
-    makes one more orders 0..1 pass at the iterate it returns.  Each Newton matrix and
-    its multigrid hierarchy are freed when the step's linear solve returns,
-    and the Newton pattern and the levels' keep masks, built once per call,
-    when ``solve`` returns, so the solver's memory is bounded per step, not per
-    run, and the mesh keeps none of it.
+    iterate's V and Du are dropped at the top of each step, before its
+    linear solve, and its gradient before the trials, so a stalled search
+    makes one more orders 0..1 pass at the iterate it returns.  Each Newton
+    matrix and its multigrid hierarchy are freed when the step's linear
+    solve returns, and the Newton pattern and the levels' keep masks, built
+    once per call, when ``solve`` returns, so the solver's memory is bounded
+    per step, not per run, and the mesh keeps none of it.
     ``method="gradient"`` forces the Barzilai-Borwein fallback throughout.
     Terminates when the interior gradient max-norm drops below tol_rel
     (1 + initial residual); hitting the iteration cap or an Armijo search
@@ -924,6 +1003,7 @@ def solve(problem, *, method="newton", tol_rel=1e-9, max_iter=60,
     # "not <=" keeps iterating on a NaN residual, so that case ends with a
     # failed line search instead of passing as an untried iteration cap.
     while not res <= tol and iterations < cap:
+        v = du = None               # the last iterate's fields die before the linear solve
         d = np.zeros_like(u)
         slope = None
         if newton:
@@ -952,7 +1032,7 @@ def solve(problem, *, method="newton", tol_rel=1e-9, max_iter=60,
             slope = _dot(g[ii], step)
 
         u_prev, g_prev = u[ii].copy(), g[ii].copy()
-        g = step = v = du = None    # the last iterate's fields die before the trials
+        g = step = None             # the last iterate's gradient dies before the trials
         accepted = _armijo(F, mesh, u, d, energy, slope, order)
         if accepted is None:
             stop_reason = "line_search_stalled"
@@ -1021,15 +1101,42 @@ def _recover_dv(mesh, v):
                 acc += w * tap
             dv[nodes, :, k] = acc
 
-    for nidx in np.concatenate(bad) if bad else ():
-        ring = slot_tri[mesh.tris[slot_tri[nidx][slot_tri[nidx] >= 0]]]
-        # np.unique by a sort and a neighbour test: np.unique imports numpy.ma
-        ring = np.sort(ring[ring >= 0])
-        patch = ring[np.concatenate([[True], ring[1:] != ring[:-1]])]
-        A = np.column_stack([np.ones(patch.size), (mesh.bary[patch] - mesh.nodes[nidx]) / h])
-        coef, *_ = np.linalg.lstsq(A, v[patch], rcond=None)
-        dv[nidx] = coef[1:].T / h
+    if bad:
+        # the two-ring of each degenerate node: the triangles at the vertices
+        # of its own, with their barycenters, for all such nodes at once
+        bad = np.concatenate(bad)
+        own = slot_tri[bad]                                              # (b, 6)
+        cells = np.flatnonzero(mesh.kept)
+        ring = slot_tri[mesh.triangles(np.maximum(own, 0), cells)]       # (b, 6, 3, 6)
+        ring[own < 0] = -1
+        ring = ring.reshape(bad.size, -1)
+        bary = mesh.barycenters(np.maximum(ring, 0), cells)
+        for nidx, r, b in zip(bad, ring, bary):
+            # the patch in increasing triangle order, each once (np.unique
+            # imports numpy.ma)
+            order = np.argsort(r, kind="stable")
+            r = r[order]
+            first = (r >= 0) & np.concatenate([[True], r[1:] != r[:-1]])
+            A = np.column_stack([np.ones(np.count_nonzero(first)),
+                                 (b[order[first]] - mesh.nodes[nidx]) / h])
+            coef, *_ = np.linalg.lstsq(A, v[r[first]], rcond=None)
+            dv[nidx] = coef[1:].T / h
     return dv
+
+
+def _vertex_average(mesh, nodal):
+    """Per triangle, the mean of nodal values (N, ...) at its three
+    vertices, summed in vertex order and divided by 3, from the vertex
+    slices of the (n, n, ...) node grid."""
+    out = np.empty((mesh.n_tris,) + nodal.shape[1:])
+    grid = nodal.reshape((mesh.n, mesh.n) + nodal.shape[1:])
+    for o, blk in enumerate(mesh.blocks):
+        D = mesh.at_vertices(grid, o)
+        avg = out[blk].reshape(D[0].shape)
+        np.add(D[0], D[1], out=avg)
+        avg += D[2]
+        avg /= 3
+    return out
 
 
 def stress_field(solution):
@@ -1043,8 +1150,7 @@ def stress_field(solution):
     mesh = solution.mesh
     v = solution.v
     dv_nodes = _recover_dv(mesh, v)
-    t = mesh.tris
-    dv_tri = (dv_nodes[t[:, 0]] + dv_nodes[t[:, 1]] + dv_nodes[t[:, 2]]) / 3
+    dv_tri = _vertex_average(mesh, dv_nodes)
     pair = _pair_with_hats(mesh, v)
     div = float(np.abs(pair[mesh.interior_idx]).max()) if mesh.interior_idx.size else 0.0
     solution._stress = StressField(v=v, dv_nodes=dv_nodes, dv_tri=dv_tri, divergence=div)

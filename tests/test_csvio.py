@@ -70,6 +70,13 @@ def p3_config(tmp_path):
     return path
 
 
+def _barycenters(mesh):
+    """(M, 2) barycenters as the mean of the three vertex nodes, summed in
+    vertex order."""
+    t, N = mesh.triangles(), mesh.nodes
+    return (N[t[:, 0]] + N[t[:, 1]] + N[t[:, 2]]) / 3
+
+
 def _solution_and_cells(tmp_path, config):
     """The CLI's solution.csv and the same table written cell by cell."""
     out = tmp_path / "out"
@@ -77,9 +84,9 @@ def _solution_and_cells(tmp_path, config):
     cfg = parse_config(config)
     sol = cli._solve(cfg, normalise(cfg.integrand))
     stress, mesh = sol.stress(), sol.mesh
-    u_bary = sol.u[mesh.tris].mean(axis=1)
-    v, dv = stress.v, stress.dv_tri
-    rows = [[float(mesh.bary[t, 0]), float(mesh.bary[t, 1]), float(u_bary[t]),
+    u_bary = sol.u[mesh.triangles()].mean(axis=1)
+    bary, v, dv = _barycenters(mesh), stress.v, stress.dv_tri
+    rows = [[float(bary[t, 0]), float(bary[t, 1]), float(u_bary[t]),
              float(sol.du[t, 0]), float(sol.du[t, 1]), float(v[t, 0]), float(v[t, 1]),
              float(dv[t, 0, 0]), float(dv[t, 0, 1]), float(dv[t, 1, 0]), float(dv[t, 1, 1])]
             for t in range(mesh.n_tris)]
@@ -132,8 +139,8 @@ def test_streamed_solution_rows_match_the_whole_table(tmp_path, mask):
     sol = _random_solution(66, mask, 4, spread=30.0)
     sol.u[np.random.default_rng(5).random(sol.u.size) < 0.5] = -0.0
     mesh, stress = sol.mesh, sol.stress()
-    table = np.column_stack([mesh.bary, sol.u[mesh.tris].mean(axis=1), sol.du, stress.v,
-                             stress.dv_tri.reshape(-1, 4)])
+    table = np.column_stack([_barycenters(mesh), sol.u[mesh.triangles()].mean(axis=1), sol.du,
+                             stress.v, stress.dv_tri.reshape(-1, 4)])
     rows = cli._solution_rows(sol)
     assert len(rows) == mesh.n_tris > BLOCK_ROWS
     got, ref = _array_and_cells(tmp_path, cli.SOLUTION_FIELDS, rows, table)

@@ -45,13 +45,14 @@ def test_straddling_count_matches_edge_dictionary(rng):
     for mask in (None, (np.array([0.5, 0.5]), 0.44)):
         m = Mesh(((0.0, 1.0), (0.0, 1.0)), 17, mask=mask)
         owners = {}
-        for t, tri in enumerate(m.tris.tolist()):
+        tris = m.triangles()
+        for t, tri in enumerate(tris.tolist()):
             for e in ((tri[0], tri[1]), (tri[1], tri[2]), (tri[2], tri[0])):
                 owners.setdefault(tuple(sorted(e)), []).append(t)
         assert max(len(ts) for ts in owners.values()) == 2
         # random sets, and the triangles touching the edge of the domain,
         # whose neighbours across that edge are missing
-        at_edge = m.dirichlet[m.tris].any(axis=1)
+        at_edge = m.dirichlet[tris].any(axis=1)
         cases = [(rng.random(m.n_tris) < 0.5, rng.random(m.n_tris) < 0.7) for _ in range(5)]
         cases += [(at_edge, np.ones(m.n_tris, dtype=bool)), (~at_edge, at_edge)]
         for member, region in cases:
@@ -143,6 +144,28 @@ def test_lipschitz_harmonic_closed_form(sol_harmonic):
     expect = 2.0 * (nc + R / 2) ** 2 / (2.0 * (nc**2 + (2 * R) ** 2 / 2.0))
     rep = quc.lipschitz_check(sol_harmonic[65], R, c)
     assert rep.ratio == pytest.approx(expect, rel=0.02)
+
+
+def test_checks_read_one_evaluation_of_F_at_Du(monkeypatch):
+    # the level set of the Caccioppoli check, the mean energy of the
+    # Sobolev check and both sides of the Lipschitz check read F(Du) from
+    # one pass over the M triangles, kept on the solution
+    from quc.config import compile_boundary_expression
+
+    sol = quc.solve(quc.GridProblem(
+        integrand=quc.make_power(3.0), n=33,
+        boundary=compile_boundary_expression("3.4*(x^2+y^2)^0.25"),
+        bounds=((1.0, 2.0), (1.0, 2.0))))
+    F = sol.problem.integrand
+    points = []
+    evaluate = type(F)._eval
+    monkeypatch.setattr(type(F), "_eval", lambda self, z: points.append(len(z)) or evaluate(self, z))
+    center = (1.5, 1.5)
+    quc.caccioppoli_check(sol, (0.1, np.zeros(2)), 0.1, 0.2, center, H=2.0)
+    quc.sobolev_stress_check(sol, 0.2, center, H=2.0)
+    quc.lipschitz_check(sol, 0.2, center)
+    assert points == [sol.mesh.n_tris]
+    assert np.array_equal(sol.energy_density(), evaluate(F, sol.du))
 
 
 # ---------------------------------------------------------------------------
