@@ -59,7 +59,7 @@ def _solution_rows(sol):
     st = stress_field(sol)
     mesh, u, du, v = sol.mesh, sol.u, sol.du, st.v
     dv = st.dv_tri.reshape(-1, 4)
-    cells = np.flatnonzero(mesh.kept)
+    cells = mesh.tri_cells()
 
     def block(start, stop):
         rows = slice(start, stop)

@@ -175,18 +175,29 @@ class Mesh:
             axes[1, o] = (ys[a[0]] + ys[b[0]] + ys[c[0]]) / 3
         return axes[0], axes[1]
 
+    def tri_cells(self):
+        """The place of every triangle on the flat (2, n - 1, n - 1) grid of
+        cells, (M,), or None without a mask, where triangle t is cell t."""
+        return np.flatnonzero(self.kept) if self.n_tris < self.kept.size else None
+
     def _cells_of(self, ids, cells):
         """Orientation and cell (o, j, i) of the triangles ``ids``."""
-        cells = np.flatnonzero(self.kept) if cells is None else cells
-        o, c = np.divmod(cells[ids], (self.n - 1) ** 2)
+        cells = self.tri_cells() if cells is None else cells
+        if cells is not None:
+            c = cells[ids]
+        elif isinstance(ids, slice):
+            c = np.arange(*ids.indices(self.n_tris))
+        else:
+            c = np.asarray(ids)
+        o, c = np.divmod(c, (self.n - 1) ** 2)
         j, i = np.divmod(c, self.n - 1)
         return o, j, i
 
     def triangles(self, ids=slice(None), cells=None):
         """Vertex nodes (..., 3) of the triangles ``ids`` (an index array or
         a slice; all by default), built on demand.  ``cells`` is
-        ``np.flatnonzero(kept)``, the place of every triangle on the flat
-        cell grid; a caller that asks more than once builds it once."""
+        ``tri_cells()``, which a caller that asks more than once builds
+        once."""
         o, j, i = self._cells_of(ids, cells)
         return (j * self.n + i)[..., None] + self.stencil_offsets[o]
 
@@ -1106,7 +1117,7 @@ def _recover_dv(mesh, v):
         # of its own, with their barycenters, for all such nodes at once
         bad = np.concatenate(bad)
         own = slot_tri[bad]                                              # (b, 6)
-        cells = np.flatnonzero(mesh.kept)
+        cells = mesh.tri_cells()
         ring = slot_tri[mesh.triangles(np.maximum(own, 0), cells)]       # (b, 6, 3, 6)
         ring[own < 0] = -1
         ring = ring.reshape(bad.size, -1)

@@ -407,9 +407,11 @@ def test_cell_grid_kernels_give_the_bits_of_the_gather_and_bincount(bounds, mask
     # vertex tables of a few triangles, with and without the cell map
     tris = m.triangles()
     ids = rng.integers(0, m.n_tris, 50)
-    cells = np.flatnonzero(m.kept)
+    cells = m.tri_cells()
+    assert (cells is None) == (mask is None)
     assert np.array_equal(m.triangles(ids), tris[ids])
     assert np.array_equal(m.triangles(ids, cells), tris[ids])
+    assert np.array_equal(m.triangles(slice(5, 4100), cells), tris[5:4100])
     assert np.array_equal(m.barycenters(ids, cells), m.barycenters()[ids])
     # the node-triangle table from the vertex table
     table = np.full((m.n_nodes, 6), -1)
