@@ -137,8 +137,8 @@ class Mesh:
         (n, n) node grid whose entry (j, i) is vertex a of the triangle of
         orientation o in cell (j, i)."""
         n = self.n
-        j, i = np.divmod(self.stencil_offsets[o], n)
-        return [(slice(dj, dj + n - 1), slice(di, di + n - 1)) for dj, di in zip(j, i)]
+        return [(slice(d // n, d // n + n - 1), slice(d % n, d % n + n - 1))
+                for d in self.stencil_offsets[o].tolist()]
 
     def on_cells(self, values, fill=0):
         """Per-triangle ``values`` (M,) on the (2, n - 1, n - 1) grid of
@@ -452,11 +452,12 @@ def _pair_with_hats(mesh, v):
     out = np.zeros((n, n))
     W = mesh.area * mesh.stencil_grads
     v0, v1 = mesh.on_cells(v[:, 0]), mesh.on_cells(v[:, 1])
+    slices = [mesh.vertex_slices(o) for o in range(2)]
     term, tmp = np.empty((2, n - 1, n - 1))
     for o, a in _PAIRING_ORDER:
         np.multiply(W[o, a, 0], v0[o], out=term)
         term += np.multiply(W[o, a, 1], v1[o], out=tmp)
-        out[mesh.vertex_slices(o)[a]] += term
+        out[slices[o][a]] += term
     return out.reshape(-1)
 
 
