@@ -21,7 +21,7 @@ from . import dual_geometry as dg
 from . import estimates as est
 from . import qc_analysis as qa
 from .config import ConfigError, _at, _validate_check, parse_config
-from .csvio import BlockTable, write_csv
+from .csvio import BLOCK_ROWS, BlockTable, write_csv
 from .integrand import (check_gradient_finite_differences, check_hessian_symmetry,
                         check_midpoint_convexity, isotropic_envelope, normalise)
 from .solver import GridProblem, SolverError, solve, stress_field
@@ -54,20 +54,35 @@ def _solve(cfg, F, n=None):
 
 
 def _solution_rows(sol):
-    """The SOLUTION_FIELDS, one row per triangle, as a ``BlockTable`` whose
-    blocks are built from slices of the solution's fields."""
+    """The SOLUTION_FIELDS, one row per triangle, as a ``BlockTable`` of one
+    block per orientation and band of at most ``BLOCK_ROWS // (n - 1)`` cell
+    rows: x and y from ``bary_axes``, u the vertex mean summed from +0.0 as
+    ``np.mean`` sums, and du, v and dv the band's run of rows."""
     st = stress_field(sol)
-    mesh, u, du, v = sol.mesh, sol.u, sol.du, st.v
+    mesh, du, v = sol.mesh, sol.du, st.v
     dv = st.dv_tri.reshape(-1, 4)
-    cells = mesh.tri_cells()
+    n = mesh.n
+    bx, by = mesh.bary_axes()
+    u = sol.u.reshape(n, n)
+    band = max(1, BLOCK_ROWS // (n - 1))
 
-    def block(start, stop):
-        rows = slice(start, stop)
-        return np.column_stack([mesh.barycenters(rows, cells),
-                                u[mesh.triangles(rows, cells)].mean(axis=1), du[rows],
-                                v[rows], dv[rows]])
+    def blocks():
+        start = 0
+        for o in range(2):
+            U = [u[s] for s in mesh.vertex_slices(o)]
+            for j in range(0, n - 1, band):
+                rows = slice(j, j + band)
+                keep = mesh.kept[o, rows]
+                stop = start + int(np.count_nonzero(keep))
+                if stop == start:
+                    continue
+                x, y = np.broadcast_arrays(bx[o], by[o, rows, None])
+                mean = (0.0 + U[0][rows] + U[1][rows] + U[2][rows]) / 3
+                yield np.column_stack([x[keep], y[keep], mean[keep], du[start:stop],
+                                       v[start:stop], dv[start:stop]])
+                start = stop
 
-    return BlockTable(mesh.n_tris, block)
+    return BlockTable(mesh.n_tris, blocks())
 
 
 # ---------------------------------------------------------------------------

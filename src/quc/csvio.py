@@ -5,14 +5,14 @@ exactly; files use '\n' endings and no timestamps, making byte-identical
 output reproducible for identical inputs.
 
 Two writers share one format.  A table given as a 2-D numpy array, or as
-a ``BlockTable`` that builds any run of its rows on request, is all
-numbers: it is streamed in blocks of ``BLOCK_ROWS`` rows, so a
-``BlockTable`` is never held whole, and each block
-is encoded by numpy into the bytes ``"%.17g" % v`` gives for every cell,
-which are the bytes of ``format_value`` (``"%.17g" % v == f"{v:.17g}"``
-for every float, and ``"%.17g" % float(n) == str(n)`` for integers below
-1e17).  Any other table is a sequence of rows or dicts whose cells may be
-None, bool or strings, written cell by cell through ``format_value``.
+a ``BlockTable`` that yields its rows block by block, is all numbers: an
+array is streamed in blocks of ``BLOCK_ROWS`` rows, a ``BlockTable`` in
+its own blocks, so it is never held whole, and each block is encoded by
+numpy into the bytes ``"%.17g" % v`` gives for every cell, which are the
+bytes of ``format_value`` (``"%.17g" % v == f"{v:.17g}"`` for every
+float, and ``"%.17g" % float(n) == str(n)`` for integers below 1e17).
+Any other table is a sequence of rows or dicts whose cells may be None,
+bool or strings, written cell by cell through ``format_value``.
 
 Why the block encoder is exact.  A finite cell x with 1e-4 <= |x| < 1e16
 is printed by ``%.17g`` in fixed notation: with k = floor(log10 |x|) in
@@ -69,20 +69,16 @@ def format_value(v):
 
 class BlockTable:
     """A numeric table of ``n_rows`` rows that exists one block at a time:
-    ``block(start, stop)`` returns rows start:stop as a 2-D float array.
-    Slicing it with a step-1 slice builds that block, and ``len`` is the
-    row count, as for the array it stands in for."""
+    the iterator ``blocks``, consumed by one write, yields its rows in
+    order as 2-D float arrays of any number of rows.  ``len`` is the row
+    count, as for the array it stands in for."""
 
-    def __init__(self, n_rows, block):
+    def __init__(self, n_rows, blocks):
         self.n_rows = n_rows
-        self.block = block
+        self.blocks = blocks
 
     def __len__(self):
         return self.n_rows
-
-    def __getitem__(self, rows):
-        start, stop, _ = rows.indices(self.n_rows)
-        return self.block(start, stop)
 
 
 def write_csv(path, fieldnames, rows, provenance=""):
@@ -102,11 +98,13 @@ def write_csv(path, fieldnames, rows, provenance=""):
 
 
 def _write_numeric(fh, table):
-    """Write a 2-D array or a ``BlockTable`` as rows of %.17g cells, one
-    block of rows at a time."""
+    """Write a 2-D array, in blocks of ``BLOCK_ROWS`` rows, or the blocks of
+    a ``BlockTable`` as rows of %.17g cells, one block at a time."""
     fh.flush()
-    for start in range(0, len(table), BLOCK_ROWS):
-        fh.buffer.write(_encode_block(table[start:start + BLOCK_ROWS]))
+    blocks = table.blocks if isinstance(table, BlockTable) else (
+        table[start:start + BLOCK_ROWS] for start in range(0, len(table), BLOCK_ROWS))
+    for block in blocks:
+        fh.buffer.write(_encode_block(block))
 
 
 def _split(v):
@@ -184,7 +182,7 @@ def _encode_block(block):
     """The bytes of ``block`` as CSV rows of %.17g cells."""
     x = np.asarray(block, dtype=np.float64)
     rows, cols = x.shape
-    if cols == 0:
+    if x.size == 0:
         return b"\n" * rows
     x = x.ravel()
     fast, s, d = _fixed_point(x)

@@ -6,16 +6,17 @@ diagonal, so assembly is deterministic and meshes nest under the refinement
 n -> 2n - 1.  Every triangle is a lower or an upper one, and all triangles
 of one orientation share their area, their hat-function gradients
 (``Mesh.stencil_grads``) and their vertex offsets (``Mesh.stencil_offsets``),
-so the mesh holds geometry per node and per cell only, and no per-triangle
-table.  Du, the pairing with the hat gradients, the Newton matrix and the
-stress recovery work from these two stencils, one orientation at a time,
-on shifted slices of the (n, n) grid of nodes and the (n - 1, n - 1) grid
-of cells.  The Newton matrix is summed on the grid of cells: each entry of
-an element matrix is a fixed linear map of D2F(Du) that lands on one
-7-point stencil coefficient of one vertex.  The energy sum_T area_T F(Du_T)
-over per-triangle constant gradients is minimised by damped inexact Newton
-with Armijo backtracking; a Barzilai-Borwein gradient method with the same
-safeguard serves as fallback and as an independent cross-check.
+so the mesh holds geometry per node and per cell only: no per-triangle
+table and no triangle ids.  Du, the pairing with the hat gradients, the
+Newton matrix and the stress recovery work from these two stencils, one
+orientation at a time, on shifted slices of the (n, n) grid of nodes and
+the (n - 1, n - 1) grid of cells.  The Newton matrix is summed on the grid
+of cells: each entry of an element matrix is a fixed linear map of
+D2F(Du) that lands on one 7-point stencil coefficient of one vertex.  The
+energy sum_T area_T F(Du_T) over per-triangle constant gradients is
+minimised by damped inexact Newton with Armijo backtracking; a
+Barzilai-Borwein gradient method with the same safeguard serves as
+fallback and as an independent cross-check.
 
 Every operator of the linear solves is a 7-point stencil on a grid
 (``StencilMatrix``), held as seven coefficient arrays, so the solve path
@@ -68,8 +69,9 @@ class Mesh:
     slice ``vertex_slices(o)[a]`` of the (n, n) node grid (``at_vertices``
     reads a node grid there), ``on_cells`` places per-triangle values on the
     grid of cells, and ``bary_axes`` holds the barycenters as two 1-D tables
-    per orientation.  ``triangles`` and ``barycenters`` build the vertex
-    nodes and barycenters of given triangles on demand.
+    per orientation.  ``node_tris`` marks the (orientation, vertex) slots
+    that each node fills.  ``triangles`` and ``barycenters`` build the
+    whole vertex and barycenter tables on demand.
 
     Attributes: ``nodes`` (N, 2); boolean node masks ``interior``,
     ``dirichlet`` and ``used``, and ``interior_idx``; ``kept``; the ints
@@ -102,18 +104,15 @@ class Mesh:
             for o in range(2):
                 for s in self.vertex_slices(o):
                     self.kept[o] &= inside[s]
-        # a node off the grid's border lies on six triangles, one on it on
-        # at most three: the interior nodes are those that keep all six
-        count = np.zeros((n, n), dtype=np.intp)
-        for o in range(2):
-            for s in self.vertex_slices(o):
-                count[s] += self.kept[o]
         self.n_lower = int(np.count_nonzero(self.kept[0]))
         self.n_tris = self.n_lower + int(np.count_nonzero(self.kept[1]))
         if self.n_tris == 0:
             raise SolverError("mask removed every triangle")
-        self.used = (count > 0).ravel()
-        self.interior = (count == 6).ravel()
+        # a node off the grid's border has six slots, one on it at most
+        # three: the interior nodes are those that fill all six
+        code = self.node_tris()
+        self.used = (code > 0).ravel()
+        self.interior = (code == 63).ravel()
         self.dirichlet = self.used & ~self.interior
         self.interior_idx = np.flatnonzero(self.interior)
 
@@ -141,12 +140,13 @@ class Mesh:
                 for d in self.stencil_offsets[o].tolist()]
 
     def on_cells(self, values, fill=0):
-        """Per-triangle ``values`` (M,) on the (2, n - 1, n - 1) grid of
-        cells, ``fill`` where the mask removed a triangle.  Without a mask
-        this is a view of ``values``."""
+        """Per-triangle ``values`` (M, ...) on the (2, n - 1, n - 1, ...)
+        grid of cells, ``fill`` where the mask removed a triangle.  Without
+        a mask this is a view of ``values``."""
+        shape = self.kept.shape + values.shape[1:]
         if self.n_tris == self.kept.size:
-            return values.reshape(self.kept.shape)
-        grid = np.full(self.kept.shape, fill, dtype=values.dtype)
+            return values.reshape(shape)
+        grid = np.full(shape, fill, dtype=values.dtype)
         grid[self.kept] = values
         return grid
 
@@ -175,49 +175,28 @@ class Mesh:
             axes[1, o] = (ys[a[0]] + ys[b[0]] + ys[c[0]]) / 3
         return axes[0], axes[1]
 
-    def tri_cells(self):
-        """The place of every triangle on the flat (2, n - 1, n - 1) grid of
-        cells, (M,), or None without a mask, where triangle t is cell t."""
-        return np.flatnonzero(self.kept) if self.n_tris < self.kept.size else None
+    def node_tris(self):
+        """The triangles at each node as an (n, n) uint8 slot code: bit
+        3 o + a is set where the node is vertex a of a kept triangle of
+        orientation o.  A node lies on at most one triangle per
+        (orientation, vertex) slot: the one in the cell whose lower-left
+        node is the node's index less ``stencil_offsets[o, a]``."""
+        code = np.zeros((self.n, self.n), dtype=np.uint8)
+        for o in range(2):
+            for a, s in enumerate(self.vertex_slices(o)):
+                code[s] |= self.kept[o] * np.uint8(1 << (3 * o + a))
+        return code
 
-    def _cells_of(self, ids, cells):
-        """Orientation and cell (o, j, i) of the triangles ``ids``."""
-        cells = self.tri_cells() if cells is None else cells
-        if cells is not None:
-            c = cells[ids]
-        elif isinstance(ids, slice):
-            c = np.arange(*ids.indices(self.n_tris))
-        else:
-            c = np.asarray(ids)
-        o, c = np.divmod(c, (self.n - 1) ** 2)
-        j, i = np.divmod(c, self.n - 1)
-        return o, j, i
+    def triangles(self):
+        """Vertex nodes (M, 3) of every triangle, built on demand."""
+        o, j, i = np.nonzero(self.kept)
+        return (j * self.n + i)[:, None] + self.stencil_offsets[o]
 
-    def triangles(self, ids=slice(None), cells=None):
-        """Vertex nodes (..., 3) of the triangles ``ids`` (an index array or
-        a slice; all by default), built on demand.  ``cells`` is
-        ``tri_cells()``, which a caller that asks more than once builds
-        once."""
-        o, j, i = self._cells_of(ids, cells)
-        return (j * self.n + i)[..., None] + self.stencil_offsets[o]
-
-    def barycenters(self, ids=slice(None), cells=None):
-        """Barycenters (..., 2) of the triangles ``ids``, from ``bary_axes``;
-        ``cells`` as for ``triangles``."""
-        o, j, i = self._cells_of(ids, cells)
+    def barycenters(self):
+        """Barycenters (M, 2) of every triangle, from ``bary_axes``."""
+        o, j, i = np.nonzero(self.kept)
         bx, by = self.bary_axes()
         return np.stack([bx[o, i], by[o, j]], axis=-1)
-
-    def node_tris(self):
-        """(N, 6) node-triangle table: entry (a, 3 o + k) is the triangle of
-        orientation o that has node a as its vertex k, or -1.  Each node
-        lies on at most one triangle per (orientation, vertex) slot."""
-        table = np.full((self.n, self.n, 6), -1, dtype=np.int64)
-        ids = self.on_cells(np.arange(self.n_tris), fill=-1)
-        for o in range(2):
-            for k, s in enumerate(self.vertex_slices(o)):
-                table[s + (3 * o + k,)] = ids[o]
-        return table.reshape(-1, 6)
 
 
 # The 7-point stencil as (row, column) grid offsets, in the order of CSR
@@ -403,30 +382,29 @@ def _tri_gradients(mesh, u):
     return du
 
 
-def assemble_energy(F, mesh, u, *, want_grad=True, order=None):
-    """Discrete energy and (optionally) its nodal gradient from one
-    ``F.derivs`` pass of orders 0..k over the triangle gradients Du.
+def assemble_energy(F, mesh, u, *, order):
+    """Discrete energy, its nodal gradient and the per-triangle derivatives
+    of F from one ``F.derivs`` pass of orders 0..``order`` over the triangle
+    gradients Du.
 
     Energy is sum_T area_T F(Du_T), all areas being equal the area times
-    sum_T F(Du_T); the gradient follows by the chain rule
-    through the per-triangle linear interpolation.  Without ``order``, k is
-    1 (0 when ``want_grad`` is False) and the result is (energy, gradient or
-    None).  With ``order`` k = 1 or 2 it is (energy, gradient, DF(Du),
-    D2F(Du) or None, Du): the per-triangle derivatives that the Newton
-    matrix and the stress V = DF(Du) need, and the gradients they were
-    taken at.  A ``derivs`` result does not depend on which orders are
-    computed with it, so the energy of an ``order`` pass has the same bits
-    as that of an energy-only pass at the same u.
+    sum_T F(Du_T); the gradient follows by the chain rule through the
+    per-triangle linear interpolation.  The result is (energy, gradient,
+    DF(Du), D2F(Du), Du), each derivative None above ``order``: the
+    per-triangle derivatives that the Newton matrix and the stress
+    V = DF(Du) need, and the gradients they were taken at.  A ``derivs``
+    result does not depend on which orders are computed with it, so the
+    energy of an order-2 pass has the same bits as that of an order-0
+    pass at the same u.
     """
     du = np.ascontiguousarray(_tri_gradients(mesh, u))
-    k = int(want_grad) if order is None else order
-    fvals, v, hz = F.derivs(du, range(k + 1))
+    fvals, v, hz = F.derivs(du, range(order + 1))
     if not np.isfinite(fvals).all():
         t = int(np.argmax(~np.isfinite(fvals)))
         raise AssemblyError(f"non-finite integrand value at triangle {t}, Du = {du[t]}")
     energy = float(mesh.area * fvals.sum())
     g = None if v is None else _pair_with_hats(mesh, v)
-    return (energy, g) if order is None else (energy, g, v, hz, du)
+    return energy, g, v, hz, du
 
 
 # The (orientation, vertex) slots in the order in which bincount over the
@@ -821,7 +799,7 @@ def _pcg(matvec, b, precondition, rtol):
     return None
 
 
-def spsolve(A, b, prolongations=(), *, rtol=1e-8, full_output=False):
+def spsolve(A, b, prolongations=(), *, rtol=1e-8):
     """Solve A x = b for a symmetric positive definite ``StencilMatrix``.
 
     Without ``prolongations`` the solve is direct.  On grids with
@@ -843,8 +821,8 @@ def spsolve(A, b, prolongations=(), *, rtol=1e-8, full_output=False):
     the system instead.  A singular matrix raises RuntimeError from
     SuperLU, or ``np.linalg.LinAlgError`` from the line-block factor.
 
-    With ``full_output`` the result is (x, iterations): the CG iteration
-    count, 0 for a direct solve and -1 where SuperLU took over from CG.
+    The result is (x, iterations): the CG iteration count, 0 for a direct
+    solve and -1 where SuperLU took over from CG.
     """
     result = None
     if prolongations:
@@ -859,7 +837,7 @@ def spsolve(A, b, prolongations=(), *, rtol=1e-8, full_output=False):
         else:
             x = _superlu(A).solve(b)
         result = (x, -1 if prolongations else 0)
-    return result if full_output else result[0]
+    return result
 
 
 def _armijo(F, mesh, u, d, energy, slope, order, *, c1=1e-4, max_halvings=60):
@@ -1023,7 +1001,7 @@ def solve(problem, *, method="newton", tol_rel=1e-9, max_iter=60,
             # until the matrix is built
             Kii, hz = _newton_matrix(mesh, hz, 1e-10 * (1.0 + res), pattern), None
             try:
-                step, its = spsolve(Kii, -g[ii], levels, rtol=eta, full_output=True)
+                step, its = spsolve(Kii, -g[ii], levels, rtol=eta)
             except Exception:
                 step = None
             Kii = None
@@ -1077,25 +1055,32 @@ def _recover_dv(mesh, v):
 
     A node's patch holds at most one triangle in each of 6 slots
     (orientation o, vertex a) of ``Mesh.node_tris``: the triangle of
-    orientation o with the node as its vertex a.  All areas are equal and
-    a slot's barycenter lies at a fixed offset from the node, so the fit
-    depends only on which slots are present.  The fits are grouped by that
-    slot pattern: each group solves its 3x3 normal equations once and
-    applies the resulting stencil to v, for interior, boundary and masked
-    nodes alike.  Coordinates are scaled
-    by the mesh width for conditioning.  Degenerate patterns (corner nodes)
-    fall back to a fit over the node's two-ring neighbourhood."""
-    N, h = mesh.n_nodes, min(mesh.hx, mesh.hy)
-    j, i = np.divmod(mesh.stencil_offsets, mesh.n)
+    orientation o with the node as its vertex a, in the cell whose
+    lower-left node is c = node - d_{o, a}, at c - c // n + o (n - 1)^2 on
+    the flat grid of cells.  All areas are equal and a slot's barycenter
+    lies at a fixed offset from the node, so the fit depends only on which
+    slots are present.  The fits are grouped by that slot pattern: each
+    group solves its 3x3 normal equations once and applies the resulting
+    stencil to v, slot by slot, for interior, boundary and masked nodes
+    alike.  Coordinates are scaled by the mesh width for conditioning.
+    Degenerate patterns (corner nodes) fall back to a fit over the node's
+    two-ring neighbourhood, taken in cell order, the order of v's rows."""
+    n, h = mesh.n, min(mesh.hx, mesh.hy)
+    j, i = np.divmod(mesh.stencil_offsets, n)
     corner = np.stack([i * mesh.hx, j * mesh.hy], axis=-1)             # (2, 3, 2)
     dx = ((corner.mean(axis=1, keepdims=True) - corner) / h).reshape(6, 2)
     design = np.column_stack([np.ones(6), dx])                          # row 3 o + a
-    slot_tri = mesh.node_tris()
-    code = (slot_tri >= 0) @ (1 << np.arange(6))
+    code = mesh.node_tris().reshape(-1)
     order = np.argsort(code, kind="stable")
     ends = np.cumsum(np.bincount(code, minlength=64))
+    cells = mesh.on_cells(v).reshape(-1, 2)
+    d = mesh.stencil_offsets.reshape(6)
 
-    dv = np.zeros((N, 2, 2))
+    def cell_at(nodes, q):                  # the cell of slot q of nodes
+        c = nodes - d[q]
+        return c - c // n + q // 3 * (n - 1) ** 2
+
+    dv = np.zeros((mesh.n_nodes, 2, 2))
     bad = []
     for c in np.flatnonzero(np.diff(ends)) + 1:
         nodes = order[ends[c - 1]:ends[c]]
@@ -1106,7 +1091,7 @@ def _recover_dv(mesh, v):
             bad.append(nodes)
             continue
         weights = np.linalg.solve(gram, A.T)[1:] / h                    # (2, |s|)
-        taps = [v[slot_tri[nodes, q]] for q in s]
+        taps = [cells[cell_at(nodes, q)] for q in s]
         for k in range(2):
             acc = weights[k, 0] * taps[0]
             for w, tap in zip(weights[k, 1:], taps[1:]):
@@ -1115,23 +1100,24 @@ def _recover_dv(mesh, v):
 
     if bad:
         # the two-ring of each degenerate node: the triangles at the vertices
-        # of its own, with their barycenters, for all such nodes at once
-        bad = np.concatenate(bad)
-        own = slot_tri[bad]                                              # (b, 6)
-        cells = mesh.tri_cells()
-        ring = slot_tri[mesh.triangles(np.maximum(own, 0), cells)]       # (b, 6, 3, 6)
-        ring[own < 0] = -1
-        ring = ring.reshape(bad.size, -1)
-        bary = mesh.barycenters(np.maximum(ring, 0), cells)
-        for nidx, r, b in zip(bad, ring, bary):
-            # the patch in increasing triangle order, each once (np.unique
+        # of its own, for all such nodes at once
+        bad, slots = np.concatenate(bad), np.arange(6)
+        own = np.where(code[bad, None] >> slots & 1, cell_at(bad[:, None], slots), -1)
+        o, c = np.divmod(np.maximum(own, 0), (n - 1) ** 2)
+        vertices = (c + c // (n - 1))[..., None, None] + d.reshape(2, 3)[o, :, None]
+        ring = np.where(code[vertices] >> slots & 1, cell_at(vertices, slots), -1)
+        ring[own < 0] = -1                                               # (b, 6, 3, 6)
+        bx, by = mesh.bary_axes()
+        for nidx, r in zip(bad, ring.reshape(bad.size, -1)):
+            # the patch in increasing cell order, each once (np.unique
             # imports numpy.ma)
-            order = np.argsort(r, kind="stable")
-            r = r[order]
-            first = (r >= 0) & np.concatenate([[True], r[1:] != r[:-1]])
-            A = np.column_stack([np.ones(np.count_nonzero(first)),
-                                 (b[order[first]] - mesh.nodes[nidx]) / h])
-            coef, *_ = np.linalg.lstsq(A, v[r[first]], rcond=None)
+            r = np.sort(r)
+            r = r[(r >= 0) & np.concatenate([[True], r[1:] != r[:-1]])]
+            o, c = np.divmod(r, (n - 1) ** 2)
+            j, i = np.divmod(c, n - 1)
+            bary = np.column_stack([bx[o, i], by[o, j]])
+            A = np.column_stack([np.ones(r.size), (bary - mesh.nodes[nidx]) / h])
+            coef, *_ = np.linalg.lstsq(A, cells[r], rcond=None)
             dv[nidx] = coef[1:].T / h
     return dv
 

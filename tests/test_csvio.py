@@ -16,7 +16,8 @@ from quc import cli
 from quc import dual_geometry as dg
 from quc import qc_analysis as qa
 from quc.config import parse_config
-from quc.csvio import _SLOT, BLOCK_ROWS, _ascii8, _encode_block, read_csv, write_csv
+from quc.csvio import (_SLOT, BLOCK_ROWS, BlockTable, _ascii8, _encode_block, read_csv,
+                       write_csv)
 from quc.integrand import normalise
 from quc.solver import GridProblem, GridSolution, StressField
 
@@ -49,6 +50,21 @@ def test_row_counts_match_per_cell(tmp_path, m):
                                 table.tolist())
     assert got == ref
     assert got.count(b"\n") == m + 2
+
+
+def test_empty_block_encodes_to_nothing():
+    assert _encode_block(np.empty((0, 3))) == b""
+
+
+def test_block_table_writes_its_blocks(tmp_path):
+    """A ``BlockTable`` of blocks of any size, empty ones among them, writes
+    the bytes of the whole table."""
+    table = np.random.default_rng(3).standard_normal((BLOCK_ROWS + 7, 4))
+    cuts = [0, 0, 5, 5, BLOCK_ROWS + 6, BLOCK_ROWS + 7]
+    blocks = (table[a:b] for a, b in zip(cuts, cuts[1:]))
+    got, ref = _array_and_cells(tmp_path, list("abcd"), BlockTable(len(table), blocks),
+                                table.tolist())
+    assert got == ref
 
 
 def test_integer_valued_floats_match_ints(tmp_path):
@@ -131,12 +147,17 @@ def _random_solution(n, mask, seed, spread):
                         _stress=stress)
 
 
-@pytest.mark.parametrize("mask", [None, (np.array([0.5, 0.5]), 0.45)], ids=["square", "disk"])
-def test_streamed_solution_rows_match_the_whole_table(tmp_path, mask):
+@pytest.mark.parametrize("n, mask", [
+    (66, None),
+    (66, (np.array([0.5, 0.5]), 0.45)),
+    (257, (np.array([0.5, 0.5]), 0.2)),
+], ids=["square", "disk", "small-disk"])
+def test_streamed_solution_rows_match_the_whole_table(tmp_path, n, mask):
     """The blocks of ``_solution_rows`` write the bytes of the whole (M, 11)
     table; signed zeros at every vertex of some triangles check that the
-    barycentre value keeps the sign the mean gives."""
-    sol = _random_solution(66, mask, 4, spread=30.0)
+    barycentre value keeps the sign the mean gives.  On the small disk
+    whole bands of cell rows hold no triangle."""
+    sol = _random_solution(n, mask, 4, spread=30.0)
     sol.u[np.random.default_rng(5).random(sol.u.size) < 0.5] = -0.0
     mesh, stress = sol.mesh, sol.stress()
     table = np.column_stack([_barycenters(mesh), sol.u[mesh.triangles()].mean(axis=1), sol.du,

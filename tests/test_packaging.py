@@ -91,7 +91,7 @@ _, g, _, hz, _ = S.assemble_energy(prob().integrand, m, u, order=2)
 K, b = S._newton_matrix(m, hz, 0.0), -g[m.interior_idx]
 S.PCG_MAXITER = 0
 assert "scipy" not in sys.modules
-x, its = S.spsolve(K, b, S.prolongations(m), full_output=True)
+x, its = S.spsolve(K, b, S.prolongations(m))
 assert its == -1 and "scipy.sparse.linalg" in sys.modules
 from scipy.sparse.linalg import spsolve
 ref = spsolve(K.tocsr().tocsc(), b)

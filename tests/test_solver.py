@@ -75,21 +75,21 @@ def test_masked_mesh():
 def test_energy_zero_field():
     F = quc.make_power(3.0)
     m = Mesh(((0.0, 1.0), (0.0, 1.0)), 17)
-    e, _ = assemble_energy(F, m, np.zeros(m.n_nodes))
+    e = assemble_energy(F, m, np.zeros(m.n_nodes), order=0)[0]
     assert e == 0.0
 
 
 def test_energy_linear_field_quadratic():
     F = quc.make_power(2.0)
     m = Mesh(((0.0, 1.0), (0.0, 1.0)), 17)
-    e, _ = assemble_energy(F, m, m.nodes[:, 0])
+    e = assemble_energy(F, m, m.nodes[:, 0], order=0)[0]
     assert e == pytest.approx(0.5, rel=1e-12)
 
 
 def test_energy_linear_field_power3():
     F = quc.make_power(3.0)
     m = Mesh(((0.0, 1.0), (0.0, 1.0)), 17)
-    e, _ = assemble_energy(F, m, m.nodes[:, 0] + m.nodes[:, 1])
+    e = assemble_energy(F, m, m.nodes[:, 0] + m.nodes[:, 1], order=0)[0]
     assert e == pytest.approx(2.0**1.5 / 3.0, rel=1e-12)
 
 
@@ -97,14 +97,14 @@ def test_assembled_gradient_matches_fd(rng):
     F = quc.make_power(2.5)
     m = Mesh(((0.0, 1.0), (0.0, 1.0)), 9)
     u = rng.uniform(-1, 1, m.n_nodes)
-    _, g = assemble_energy(F, m, u)
+    g = assemble_energy(F, m, u, order=1)[1]
     h = 1e-6
     for idx in rng.integers(0, m.n_nodes, 12):
         up, um = u.copy(), u.copy()
         up[idx] += h
         um[idx] -= h
-        ep, _ = assemble_energy(F, m, up, want_grad=False)
-        em, _ = assemble_energy(F, m, um, want_grad=False)
+        ep = assemble_energy(F, m, up, order=0)[0]
+        em = assemble_energy(F, m, um, order=0)[0]
         fd = (ep - em) / (2 * h)
         assert g[idx] == pytest.approx(fd, rel=1e-5, abs=1e-9)
 
@@ -404,21 +404,97 @@ def test_cell_grid_kernels_give_the_bits_of_the_gather_and_bincount(bounds, mask
         for center, radius in (((0.5, 0.5), 0.3), ((0.0, 1.0), 0.7)):
             inside = np.hypot(bary[:, 0] - center[0], bary[:, 1] - center[1]) <= radius
             assert np.array_equal(_ball_tris(m, center, radius), inside)
-    # vertex tables of a few triangles, with and without the cell map
+    # the slot code of node_tris from the vertex table: bit 3 o + k at each
+    # vertex k of every triangle of orientation o
     tris = m.triangles()
-    ids = rng.integers(0, m.n_tris, 50)
-    cells = m.tri_cells()
-    assert (cells is None) == (mask is None)
-    assert np.array_equal(m.triangles(ids), tris[ids])
-    assert np.array_equal(m.triangles(ids, cells), tris[ids])
-    assert np.array_equal(m.triangles(slice(5, 4100), cells), tris[5:4100])
-    assert np.array_equal(m.barycenters(ids, cells), m.barycenters()[ids])
-    # the node-triangle table from the vertex table
+    code = np.zeros(m.n_nodes, dtype=np.uint8)
+    for o, blk in enumerate(m.blocks):
+        for k in range(3):
+            code[tris[blk, k]] |= np.uint8(1 << (3 * o + k))
+    assert np.array_equal(m.node_tris().ravel(), code)
+    assert np.array_equal(m.interior, code == 63) and np.array_equal(m.used, code > 0)
+
+
+def _node_tri_table(m):
+    """(N, 6) node-triangle table: entry (a, 3 o + k) is the triangle of
+    orientation o that has node a as its vertex k, or -1."""
+    tris = m.triangles()
     table = np.full((m.n_nodes, 6), -1)
     for o, blk in enumerate(m.blocks):
         for k in range(3):
             table[tris[blk, k], 3 * o + k] = np.arange(blk.start, blk.stop)
-    assert np.array_equal(m.node_tris(), table)
+    return table
+
+
+def _slot_table_recover_dv(m, v):
+    """The patch fits of ``_recover_dv`` through the (N, 6) node-triangle
+    table and triangle ids: per slot pattern one stencil of normal
+    equations gathered through the table, and on degenerate patterns lstsq
+    over the two-ring in increasing triangle order."""
+    N, h = m.n_nodes, min(m.hx, m.hy)
+    j, i = np.divmod(m.stencil_offsets, m.n)
+    corner = np.stack([i * m.hx, j * m.hy], axis=-1)
+    dx = ((corner.mean(axis=1, keepdims=True) - corner) / h).reshape(6, 2)
+    design = np.column_stack([np.ones(6), dx])
+    slot_tri = _node_tri_table(m)
+    code = (slot_tri >= 0) @ (1 << np.arange(6))
+    order = np.argsort(code, kind="stable")
+    ends = np.cumsum(np.bincount(code, minlength=64))
+    dv = np.zeros((N, 2, 2))
+    bad = []
+    for c in np.flatnonzero(np.diff(ends)) + 1:
+        nodes = order[ends[c - 1]:ends[c]]
+        s = np.flatnonzero((c >> np.arange(6)) & 1)
+        A = design[s]
+        gram = A.T @ A
+        if not np.linalg.det(gram) > 1e-10 * gram[0, 0] ** 3:
+            bad.append(nodes)
+            continue
+        weights = np.linalg.solve(gram, A.T)[1:] / h
+        taps = [v[slot_tri[nodes, q]] for q in s]
+        for k in range(2):
+            acc = weights[k, 0] * taps[0]
+            for w, tap in zip(weights[k, 1:], taps[1:]):
+                acc += w * tap
+            dv[nodes, :, k] = acc
+    if bad:
+        bad = np.concatenate(bad)
+        own = slot_tri[bad]
+        ring = slot_tri[m.triangles()[np.maximum(own, 0)]]
+        ring[own < 0] = -1
+        ring = ring.reshape(bad.size, -1)
+        bary = m.barycenters()[np.maximum(ring, 0)]
+        for nidx, r, b in zip(bad, ring, bary):
+            order = np.argsort(r, kind="stable")
+            r = r[order]
+            first = (r >= 0) & np.concatenate([[True], r[1:] != r[:-1]])
+            A = np.column_stack([np.ones(np.count_nonzero(first)),
+                                 (b[order[first]] - m.nodes[nidx]) / h])
+            coef, *_ = np.linalg.lstsq(A, v[r[first]], rcond=None)
+            dv[nidx] = coef[1:].T / h
+    return dv
+
+
+@pytest.mark.parametrize("bounds, mask", [
+    (((0.0, 1.0), (0.0, 1.0)), None),
+    (((0.0, 1.0), (0.0, 1.0)), DISK),
+    (((0.0, 1.0), (0.0, 1.0)), (np.array([0.3, 0.62]), 0.37)),
+    (((0.0, 2.0), (0.0, 1.0)), None),
+], ids=["square", "disk", "off-centre-disk", "rectangle"])
+def test_recover_dv_on_the_cell_grid_gives_the_bits_of_the_slot_table(bounds, mask):
+    # the stress read by cell-grid arithmetic, slot by slot, and the
+    # two-ring fallbacks in cell order: the same taps in the same order as
+    # through the node-triangle table, with signed zeros among them
+    rng = np.random.default_rng(13)
+    m = Mesh(bounds, 33, mask=mask)
+    v = _signed(rng, (m.n_tris, 2))
+    # nodes on at most two triangles (the grid's corners, more on the
+    # disks) have collinear barycenters and take the fallback
+    slots = sum((m.node_tris().ravel() >> q) & 1 for q in range(6))
+    assert np.count_nonzero(m.used & (slots <= 2)) >= 4
+    dv = _recover_dv(m, v)
+    assert np.array_equal(_bits(dv), _bits(_slot_table_recover_dv(m, v)))
+    assert not dv[~m.used].any()
 
 
 def _coarse_p1_values(n, uc):
@@ -599,7 +675,7 @@ def test_pcg_iterations_do_not_grow_with_the_grid(make_problem):
     counts = []
     for n in (33, 65, 129):
         m, K, b = _first_newton_system(make_problem(n))
-        x, its = spsolve(K, b, prolongations(m), rtol=1e-8, full_output=True)
+        x, its = spsolve(K, b, prolongations(m), rtol=1e-8)
         assert its > 0 and np.linalg.norm(b - K @ x) <= 1e-8 * np.linalg.norm(b)
         counts.append(its)
         sol = quc.solve(make_problem(n))
@@ -616,7 +692,7 @@ def test_pcg_failure_falls_back_to_superlu(monkeypatch):
     bound = 2.0 * np.linalg.cond(K.tocsr().toarray()) * np.finfo(float).eps
     # a negative definite matrix: r.z < 0 and p.Ap < 0 at the first step
     negative = StencilMatrix(-K.coef, K.pattern)
-    x, its = spsolve(negative, b, prolongations(m), full_output=True)
+    x, its = spsolve(negative, b, prolongations(m))
     assert its == -1
     assert np.linalg.norm(x + ref) <= bound * np.linalg.norm(ref)
     # plain CG would converge on -K within this cap; the curvature test stops it
@@ -624,7 +700,7 @@ def test_pcg_failure_falls_back_to_superlu(monkeypatch):
     assert quc.solver._pcg(negative.__matmul__, b, lambda r: r, 1e-8) is None
     # an iteration cap of 0
     monkeypatch.setattr(quc.solver, "PCG_MAXITER", 0)
-    x, its = spsolve(K, b, prolongations(m), full_output=True)
+    x, its = spsolve(K, b, prolongations(m))
     assert its == -1
     assert np.linalg.norm(x - ref) <= bound * np.linalg.norm(ref)
     sol = quc.solve(_p3_oracle(33))
@@ -647,7 +723,7 @@ def test_spsolve_frees_the_matrix_and_its_hierarchy():
     def run():
         m, K, b = _first_newton_system(_p3_oracle(33))
         ref = weakref.ref(K)
-        _, its = spsolve(K, b, prolongations(m), full_output=True)
+        _, its = spsolve(K, b, prolongations(m))
         del K
         return its, ref() is None
 
@@ -675,7 +751,7 @@ def test_superlu_fallback_runs_after_the_hierarchy_is_freed(monkeypatch):
     monkeypatch.setattr(quc.solver, "_vcycle", record_vcycle)
     monkeypatch.setattr(quc.solver, "_superlu", record_superlu)
     monkeypatch.setattr(quc.solver, "PCG_MAXITER", 0)
-    _, its = _no_cyclic_gc(lambda: spsolve(K, b, prolongations(m), full_output=True))
+    _, its = _no_cyclic_gc(lambda: spsolve(K, b, prolongations(m)))
     assert its == -1 and len(preconditioners) == 1 and alive == [0]
 
 
@@ -927,12 +1003,12 @@ def test_energy_beats_competitors(sol_p3_oracle, rng):
     m = sol.mesh
     F = sol.problem.integrand
     data = sol.problem.boundary_values(m)
-    interp, _ = assemble_energy(F, m, data, want_grad=False)
+    interp = assemble_energy(F, m, data, order=0)[0]
     assert sol.energy <= interp + 1e-12
     for _ in range(10):
         pert = sol.u.copy()
         pert[m.interior] += rng.uniform(-0.05, 0.05, int(m.interior.sum()))
-        e, _ = assemble_energy(F, m, pert, want_grad=False)
+        e = assemble_energy(F, m, pert, order=0)[0]
         assert sol.energy <= e + 1e-12
 
 
@@ -996,7 +1072,7 @@ def test_solution_energy_is_the_energy_of_its_iterate(make_problem):
     prob.integrand = Recorder(F)
     sol = quc.solve(prob)
     assert sol.converged and sol.iterations >= 2
-    assert sol.energy == assemble_energy(F, sol.mesh, sol.u, want_grad=False)[0]
+    assert sol.energy == assemble_energy(F, sol.mesh, sol.u, order=0)[0]
     assert np.array_equal(sol.du, _tri_gradients(sol.mesh, sol.u))
     first, *rest = prob.integrand.orders
     assert first == (0, 1, 2) and set(rest) == {(0, 1, 2)}
@@ -1045,7 +1121,7 @@ def _check_direct_solve(make_problem, n):
     from scipy.sparse.linalg import spsolve as scipy_spsolve
 
     m, K, b = _first_newton_system(make_problem(n))
-    x, its = spsolve(K, b, full_output=True)
+    x, its = spsolve(K, b)
     ref = scipy_spsolve(K.tocsr().tocsc(), b)
     bound = 2.0 * np.linalg.cond(K.tocsr().toarray()) * np.finfo(float).eps
     assert its == 0 and m.n <= COARSEST_N
