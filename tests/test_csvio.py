@@ -16,8 +16,7 @@ from quc import cli
 from quc import dual_geometry as dg
 from quc import qc_analysis as qa
 from quc.config import parse_config
-from quc.csvio import (_SLOT, BLOCK_ROWS, BlockTable, _ascii8, _encode_block, read_csv,
-                       write_csv)
+from quc.csvio import _SLOT, BLOCK_ROWS, _ascii8, _encode_block, read_csv, write_csv
 from quc.integrand import normalise
 from quc.solver import GridProblem, GridSolution, StressField
 
@@ -54,17 +53,6 @@ def test_row_counts_match_per_cell(tmp_path, m):
 
 def test_empty_block_encodes_to_nothing():
     assert _encode_block(np.empty((0, 3))) == b""
-
-
-def test_block_table_writes_its_blocks(tmp_path):
-    """A ``BlockTable`` of blocks of any size, empty ones among them, writes
-    the bytes of the whole table."""
-    table = np.random.default_rng(3).standard_normal((BLOCK_ROWS + 7, 4))
-    cuts = [0, 0, 5, 5, BLOCK_ROWS + 6, BLOCK_ROWS + 7]
-    blocks = (table[a:b] for a, b in zip(cuts, cuts[1:]))
-    got, ref = _array_and_cells(tmp_path, list("abcd"), BlockTable(len(table), blocks),
-                                table.tolist())
-    assert got == ref
 
 
 def test_integer_valued_floats_match_ints(tmp_path):
