@@ -21,16 +21,16 @@ fallback and as an independent cross-check.
 Every operator of the linear solves is a 7-point stencil on a grid
 (``StencilMatrix``), held as seven coefficient arrays, so the solve path
 needs numpy only.  The Newton systems are solved by CG preconditioned with
-a geometric multigrid V-cycle over the nested grids n, (n + 1) / 2, ...
+a geometric multigrid V-cycle over the nested grids n_0, (n_0 + 1) / 2, ...
 (Briggs, Henson & McCormick, *A Multigrid Tutorial*), stopped at an
 Eisenstat-Walker forcing term (Eisenstat & Walker, SISC 17, 1996), so the
-cost of a Newton step grows linearly with the grid.  The P1 prolongation
+cost of a Newton step grows linearly with the grid; n_0 = 2^k m + 1 >= n,
+m <= 16, holds the n x n unknowns in its corner.  The P1 prolongation
 and its transpose are strided slices of grid vectors, and the Galerkin
 operators P^T A P are 7-point stencils again, summed from strided slices
 of the finer level's coefficients.  Grids up to n = 17 and the coarsest
-level are solved by a block LDL^T over grid lines.  Even grids above that,
-and any system on which CG fails, are factored by SuperLU; scipy is
-imported there, on first use.
+level are solved by a block LDL^T over grid lines, and a system on which
+CG fails is factored by SuperLU; scipy is imported there, on first use.
 """
 
 from __future__ import annotations
@@ -248,20 +248,24 @@ def prolongations(mesh):
     its multigrid hierarchy.
 
     Entry k is the (n_{k+1}, n_{k+1}) boolean mask of the unknowns of grid
-    n_{k+1} = (n_k + 1) / 2, n_0 = n: the coarse nodes whose fine image
-    (2J, 2I) is an unknown of grid n_k (n_0: ``interior``), so a masked
-    domain needs no coarse geometry.  Coarsening continues while n_k is
-    odd and above ``COARSEST_N``; the list is empty for an even n and for
-    n <= ``COARSEST_N``.  The exact P1 prolongation between two levels and
-    its transpose act on grid vectors as strided slices (``_prolong``,
-    ``_restrict``), masked by the two levels' keep masks.
+    n_{k+1} = (n_k + 1) / 2: the coarse nodes whose fine image (2J, 2I) is
+    an unknown of grid n_k, so a masked domain needs no coarse geometry.
+    n_0 is the smallest 2^k m + 1 >= n with m < ``COARSEST_N``, its
+    unknowns ``interior`` in its (n, n) corner.  Coarsening continues while
+    n_k is above ``COARSEST_N``; the list is empty for n <= ``COARSEST_N``.
+    The exact P1 prolongation between two levels and its transpose act on
+    grid vectors as strided slices (``_prolong``, ``_restrict``), masked by
+    the two levels' keep masks.
     """
+    n, step = mesh.n, 1
+    while n - 1 > (COARSEST_N - 1) * step:
+        step *= 2
+    size = -(-(n - 1) // step) * step + 1
+    keep = np.pad(mesh.interior.reshape(n, n), (0, size - n))
     out = []
-    n, keep = mesh.n, mesh.interior.reshape(mesh.n, mesh.n)
-    while n % 2 == 1 and n > COARSEST_N:
+    while keep.shape[0] > COARSEST_N:
         keep = keep[::2, ::2].copy()
         out.append(keep)
-        n = (n + 1) // 2
     return out
 
 
@@ -697,8 +701,8 @@ PCG_MAXITER = 50
 
 def _vcycle(A, prolongations):
     """Multigrid V-cycle on the Galerkin operators P^T A P, as a function
-    r -> approximate A^{-1} r on flat grid vectors; the coarsest operator
-    is factored by ``_line_factor``.
+    r -> approximate A^{-1} r on flat grid vectors of the finest grid of
+    ``prolongations``; the coarsest operator is factored by ``_line_factor``.
 
     The function is a ``functools.partial`` of the module-level ``_cycle``
     and holds no reference to itself, so the operators, the Jacobi weights
@@ -802,42 +806,38 @@ def _pcg(matvec, b, precondition, rtol):
 def spsolve(A, b, prolongations=(), *, rtol=1e-8):
     """Solve A x = b for a symmetric positive definite ``StencilMatrix``.
 
-    Without ``prolongations`` the solve is direct.  On grids with
-    n <= ``COARSEST_N`` (at most 15^2 unknowns) it is the block LDL^T over
-    grid lines of ``_line_factor``; on larger grids (the Newton loop passes
-    no levels for an even n) it is a SuperLU factor with the multiple
-    minimum degree ordering in symmetric mode (``_superlu``), and scipy is
-    imported on first use.
-
-    With ``prolongations`` (``prolongations(mesh)``: the keep masks of the
-    coarser levels, level 0 being the unknowns of A) it is CG
-    preconditioned by one multigrid V(2, 2) cycle on grid vectors: Galerkin
+    Without ``prolongations`` (grids up to ``COARSEST_N``, at most 15^2
+    unknowns) the solve is the block LDL^T over grid lines of
+    ``_line_factor``.  With ``prolongations`` (``prolongations(mesh)``) it
+    is CG preconditioned by one multigrid V(2, 2) cycle on grid vectors.
+    Where their finest grid n_0 = 2 n_1 - 1 is larger than A's, A's
+    coefficients go into its corner, zero outside; the unknowns keep their
+    row-major order, so b and x map unchanged.  The cycle has Galerkin
     operators P^T A P on the coarser levels, summed as 7-point stencils
     (``_galerkin``), two damped Jacobi sweeps (omega = 0.7) before and
     after each coarse correction, and the line-block factor of the
     coarsest operator (grid 17 or smaller).  CG starts from zero and stops
     once |b - A x|_2 <= rtol |b|_2.  If it hits ``PCG_MAXITER`` iterations,
-    meets p.Ap <= 0 (or r.z <= 0) or a non-finite value, SuperLU solves
-    the system instead.  A singular matrix raises RuntimeError from
-    SuperLU, or ``np.linalg.LinAlgError`` from the line-block factor.
+    meets p.Ap <= 0 (or r.z <= 0) or a non-finite value, SuperLU
+    (``_superlu``, which imports scipy) solves the system instead.  A
+    singular matrix raises RuntimeError from SuperLU, or
+    ``np.linalg.LinAlgError`` from the line-block factor.
 
     The result is (x, iterations): the CG iteration count, 0 for a direct
     solve and -1 where SuperLU took over from CG.
     """
-    result = None
-    if prolongations:
-        # CG on grid vectors, as the V-cycle works: nothing is scattered or
-        # gathered per iteration
-        result = _pcg(A.apply, A.to_grid(b), _vcycle(A, prolongations), rtol)
-        if result is not None:
-            result = (A.from_grid(result[0]), result[1])
-    if result is None:
-        if A.n <= COARSEST_N:
-            x = A.from_grid(_line_factor(A)(A.to_grid(b)))
-        else:
-            x = _superlu(A).solve(b)
-        result = (x, -1 if prolongations else 0)
-    return result
+    if not prolongations:
+        return A.from_grid(_line_factor(A)(A.to_grid(b))), 0
+    n = 2 * prolongations[0].shape[0] - 1
+    pad = ((0, 0), (0, n - A.n), (0, n - A.n))
+    B = StencilMatrix(np.pad(A.coef, pad), np.pad(A.pattern, pad)) if n > A.n else A
+    # CG on grid vectors, as the V-cycle works: nothing is scattered or
+    # gathered per iteration
+    result = _pcg(B.apply, B.to_grid(b), _vcycle(B, prolongations), rtol)
+    if result is not None:
+        return B.from_grid(result[0]), result[1]
+    B = None                    # the padded copy dies before SuperLU factors A
+    return _superlu(A).solve(b), -1
 
 
 def _armijo(F, mesh, u, d, energy, slope, order, *, c1=1e-4, max_halvings=60):
@@ -946,14 +946,14 @@ def solve(problem, *, method="newton", tol_rel=1e-9, max_iter=60,
     that finds no decrease returns the best iterate flagged
     ``converged=False``, and ``stop_reason`` says which.
 
-    On grids with coarser levels (``prolongations``: n odd and above
-    ``COARSEST_N``) the Newton step is inexact: multigrid-preconditioned
+    On grids above ``COARSEST_N`` (all have coarser levels,
+    ``prolongations``) the Newton step is inexact: multigrid-preconditioned
     CG stops once the linear residual is at most eta_k times the interior
     gradient g_k in the 2-norm, with the Eisenstat-Walker choice 2 forcing
     term eta_k = min(ETA_MAX, EW_GAMMA (|g_k| / |g_{k-1}|)^EW_ALPHA) and
-    eta_0 = ETA_MAX.  Other grids solve each step directly.  Where CG fails
-    SuperLU solves the step, and where the direct solve fails or the step
-    is not a descent direction a BB step is taken.  ``linear_iterations`` records,
+    eta_0 = ETA_MAX.  Smaller grids solve each step directly.  Where CG
+    fails SuperLU solves the step, and where the direct solve fails or the
+    step is not a descent direction a BB step is taken.  ``linear_iterations`` records,
     per Newton step, the CG iterations, 0 for a direct solve and -1 where
     one of these fallbacks fired.
 

@@ -16,7 +16,8 @@ from quc import cli
 from quc import dual_geometry as dg
 from quc import qc_analysis as qa
 from quc.config import parse_config
-from quc.csvio import _SLOT, BLOCK_ROWS, _ascii8, _encode_block, read_csv, write_csv
+from quc.csvio import (_SLOT, BLOCK_ROWS, BlockTable, _ascii8, _encode_block, read_csv,
+                       write_csv)
 from quc.integrand import normalise
 from quc.solver import GridProblem, GridSolution, StressField
 
@@ -41,11 +42,18 @@ def test_edge_values_match_per_cell(tmp_path):
     assert b"nan,inf,-inf,0,-0,4.9406564584124654e-324" in got
 
 
-@pytest.mark.parametrize("m", [0, 1, BLOCK_ROWS + 1])
-def test_row_counts_match_per_cell(tmp_path, m):
+@pytest.mark.parametrize("m, cuts", [
+    pytest.param(0, None, id="0"), pytest.param(1, None, id="1"),
+    pytest.param(BLOCK_ROWS + 1, None, id=str(BLOCK_ROWS + 1)),
+    # a BlockTable of uneven blocks: two empty ones, one of BLOCK_ROWS + 1 rows
+    pytest.param(BLOCK_ROWS + 7, (0, 0, 5, 5, BLOCK_ROWS + 6, BLOCK_ROWS + 7),
+                 id="block-table")])
+def test_row_counts_match_per_cell(tmp_path, m, cuts):
     rng = np.random.default_rng(m)
     table = rng.standard_normal((m, 5)) * np.exp(rng.uniform(-700, 700, (m, 5)))
-    got, ref = _array_and_cells(tmp_path, ["v1", "v2", "v3", "v4", "v5"], table,
+    rows = table if cuts is None else BlockTable(
+        m, (table[a:b] for a, b in zip(cuts, cuts[1:])))
+    got, ref = _array_and_cells(tmp_path, ["v1", "v2", "v3", "v4", "v5"], rows,
                                 table.tolist())
     assert got == ref
     assert got.count(b"\n") == m + 2

@@ -69,9 +69,11 @@ def _run(script, *args):
 def test_cli_path_does_not_import_scipy(tmp_path):
     # scipy serves only the refine step of cassels_oracle and the SuperLU
     # fallback of the solver; its import costs more than a small solve.
-    # n = 17 solves directly, n = 33 by multigrid CG, with and without a mask.
+    # n = 17 solves directly, n = 33 by multigrid CG, with and without a mask,
+    # and the even n = 34 by multigrid CG on the padded grid 37.
     configs = [_config(tmp_path, "n17", 17), _config(tmp_path, "n33", 33),
-               _config(tmp_path, "disk33", 33, disk=True)]
+               _config(tmp_path, "disk33", 33, disk=True),
+               _config(tmp_path, "disk34", 34, disk=True)]
     proc = _run(_IMPORT_GUARD, tmp_path, *configs)
     assert proc.returncode == 0, proc.stderr[-2000:]
 

@@ -670,10 +670,14 @@ def _first_newton_system(prob):
     return m, _newton_matrix(m, hz, 0.0), -g[m.interior_idx]
 
 
-@pytest.mark.parametrize("make_problem", [_p3_oracle, _disk_blend])
-def test_pcg_iterations_do_not_grow_with_the_grid(make_problem):
+@pytest.mark.parametrize("make_problem, sizes", [
+    (_p3_oracle, (33, 65, 129)), (_disk_blend, (33, 65, 129)),
+    # even grids solve on the hierarchies of the padded grids 37, 73 and 145
+    (_p3_oracle, (34, 66, 130)), (_disk_blend, (34, 66, 130))],
+    ids=["_p3_oracle", "_disk_blend", "_p3_oracle-even", "_disk_blend-even"])
+def test_pcg_iterations_do_not_grow_with_the_grid(make_problem, sizes):
     counts = []
-    for n in (33, 65, 129):
+    for n in sizes:
         m, K, b = _first_newton_system(make_problem(n))
         x, its = spsolve(K, b, prolongations(m), rtol=1e-8)
         assert its > 0 and np.linalg.norm(b - K @ x) <= 1e-8 * np.linalg.norm(b)
@@ -682,6 +686,40 @@ def test_pcg_iterations_do_not_grow_with_the_grid(make_problem):
         assert sol.converged and len(sol.linear_iterations) == sol.iterations
         assert min(sol.linear_iterations) > 0        # no fallback fired
     assert counts[-1] - counts[0] <= 2
+
+
+@pytest.mark.parametrize("n", [100, 193])
+@pytest.mark.parametrize("make_problem", [_p3_oracle, _disk_blend])
+def test_jacobi_damping_is_below_the_gershgorin_limit(make_problem, n, monkeypatch):
+    """A damped Jacobi sweep x += omega D^-1 (b - A x) multiplies the error
+    by E = I - omega D^-1 A.  For A symmetric positive definite, E is
+    self-adjoint in the A inner product, and its eigenvalues are
+    1 - omega lambda over the eigenvalues lambda > 0 of D^-1 A (similar to
+    D^-1/2 A D^-1/2).  So |E|_A < 1 iff omega lambda_max(D^-1 A) < 2.  Row i
+    of D^-1 A has 1 on the diagonal and a_ij / a_ii off it, so by
+    Gershgorin's theorem lambda_max <= max_i (1 + sum_{k != 3} |c_k| / c_3)
+    over the kept nodes, c_k the stencil coefficients of row i and c_3 > 0
+    its diagonal.  The test checks omega times that bound on every level
+    that ``spsolve`` builds, the padded ones of n = 100 (105 -> 53 -> 27 ->
+    14) and those of n = 193."""
+    built = []
+    vcycle = quc.solver._vcycle
+
+    def record(A, levels):
+        built.append((A, levels))
+        return vcycle(A, levels)
+
+    monkeypatch.setattr(quc.solver, "_vcycle", record)
+    m, K, b = _first_newton_system(make_problem(n))
+    spsolve(K, b, prolongations(m))
+    ((B, levels),) = built
+    assert B.n == {100: 105, 193: 193}[n]
+    for keep in [None, *levels]:
+        B = B if keep is None else _galerkin(B, keep)
+        c = B.coef[:, B.keep]
+        assert (c[3] > 0).all()
+        bound = (1.0 + np.abs(np.delete(c, 3, axis=0)).sum(axis=0) / c[3]).max()
+        assert quc.solver.JACOBI_DAMPING * bound < 2.0
 
 
 def test_pcg_failure_falls_back_to_superlu(monkeypatch):
@@ -934,9 +972,33 @@ def test_dot_and_norm_of_a_non_finite_entry_are_non_finite():
 
 def test_grids_up_to_the_coarsest_solve_directly():
     assert prolongations(Mesh(((0.0, 1.0), (0.0, 1.0)), 17)) == []
-    assert prolongations(Mesh(((0.0, 1.0), (0.0, 1.0)), 64)) == []
+    # a larger grid coarsens in the corner of the smallest 2^k m + 1 above
+    # it, m <= 16: 64 in 65, where coarse node (J, I) is kept if fine node
+    # (2J, 2I) is an interior node of grid 64, so J, I <= 31; 100 in 105;
+    # 255 in 257, not on a grid of 128
+    levels = prolongations(Mesh(((0.0, 1.0), (0.0, 1.0)), 64))
+    assert [keep.shape[0] for keep in levels] == [33, 17]
+    assert levels[0][1:32, 1:32].all() and levels[0].sum() == 31 ** 2
+    assert levels[1][1:16, 1:16].all() and levels[1].sum() == 15 ** 2
+    assert [k.shape[0] for k in prolongations(_p3_oracle(100).mesh())] == [53, 27, 14]
+    assert [k.shape[0] for k in prolongations(_p3_oracle(255).mesh())] == [129, 65, 33, 17]
     sol = quc.solve(_p3_oracle(17))
     assert sol.converged and sol.linear_iterations == [0] * sol.iterations
+
+
+@pytest.mark.parametrize("n, mask, sizes", [
+    (17, None, []), (257, None, [129, 65, 33, 17]),
+    (193, (np.array([0.5, 0.5]), 0.49), [97, 49, 25, 13])], ids=["17", "257", "193-disk"])
+def test_benchmark_grids_are_not_padded(n, mask, sizes):
+    # the grids of the benchmark workloads have the form 2^k m + 1 already:
+    # their hierarchies, and so their solves, do not depend on the padding
+    m = Mesh(((0.0, 1.0), (0.0, 1.0)), n, mask=mask)
+    levels = prolongations(m)
+    assert [keep.shape[0] for keep in levels] == sizes
+    keep = m.interior.reshape(n, n)
+    for coarse in levels:
+        keep = keep[::2, ::2]
+        assert np.array_equal(coarse, keep)
 
 
 # ---------------------------------------------------------------------------
