@@ -58,9 +58,8 @@ def _solution_rows(sol):
     block per orientation and band of at most ``BLOCK_ROWS // (n - 1)`` cell
     rows: x and y from ``bary_axes``, u the vertex mean summed from +0.0 as
     ``np.mean`` sums, and du, v and dv the band's run of rows."""
-    st = stress_field(sol)
-    mesh, du, v = sol.mesh, sol.du, st.v
-    dv = st.dv_tri.reshape(-1, 4)
+    mesh, du, v = sol.mesh, sol.du, sol.v
+    dv = stress_field(sol).reshape(-1, 4)
     n = mesh.n
     bx, by = mesh.bary_axes()
     u = sol.u.reshape(n, n)
@@ -354,7 +353,8 @@ def _int_at_least(lo):
 def _build_parser():
     ap = argparse.ArgumentParser(prog="quc", description=__doc__)
     ap.add_argument("--out-dir", default=None, help="output directory (default: config)")
-    ap.add_argument("--seed", type=int, default=None, help="override config seed")
+    ap.add_argument("--seed", type=_int_at_least(0), default=None,
+                    help="override config seed (an integer >= 0)")
     sub = ap.add_subparsers(dest="command", required=True)
 
     for name in ("validate", "analyze"):
@@ -449,7 +449,7 @@ def main(argv=None):
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2
-    except (SolverError, ValueError, RuntimeError) as e:
+    except (SolverError, ValueError, RuntimeError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
 

@@ -220,18 +220,25 @@ _CHECK_REQUIRED = {
 # Value converters: each returns the value the pipeline uses or raises
 # ValueError/TypeError, which ``_at`` reports at the key's path.
 
+def _finite(v, shape=(), what="a finite number"):
+    """``v`` as a float, or as a float array of ``shape``, with no entry
+    nan or infinite: ``json`` reads NaN and Infinity, and ``float`` takes
+    them, so a bound that can never fail or a nan centre would pass."""
+    a = np.asarray(v, dtype=float)
+    if a.shape != shape or not np.isfinite(a).all():
+        raise ValueError(f"need {what}, got {v!r}")
+    return a if shape else float(a)
+
+
 def _positive(v):
-    x = float(v)
-    if not 0.0 < x < np.inf:
+    x = _finite(v, what="a positive finite number")
+    if not x > 0.0:
         raise ValueError(f"need a positive finite number, got {v!r}")
     return x
 
 
 def _point(v):
-    a = np.asarray(v, dtype=float)
-    if a.shape != (2,):
-        raise ValueError(f"need a point [x, y], got {v!r}")
-    return a
+    return _finite(v, (2,), "a point [x, y] of finite numbers")
 
 
 def _count(least):
@@ -245,7 +252,7 @@ def _count(least):
 def _affine(v):
     if not isinstance(v, dict) or set(v) != {"c", "b"}:
         raise ValueError(f"need {{'c': c, 'b': [b1, b2]}}, got {v!r}")
-    return float(v["c"]), _point(v["b"])
+    return _finite(v["c"]), _point(v["b"])
 
 
 def _filename(v):
@@ -261,8 +268,8 @@ def _method(v):
 
 
 _CHECK_VALUES = {
-    "rho": _positive, "R": _positive, "center": _point, "k": float, "ell": _affine,
-    "assert_max_ratio": float, "X0": float, "C": float, "b": float, "N": _count(2),
+    "rho": _positive, "R": _positive, "center": _point, "k": _finite, "ell": _affine,
+    "assert_max_ratio": _finite, "X0": _finite, "C": _finite, "b": _finite, "N": _count(2),
     "out": _filename,
 }
 _SOLVER_VALUES = {"method": _method, "tol_rel": _positive,
@@ -295,8 +302,8 @@ def _validate_problem(spec):
         raise ConfigError(f"problem.n: need an integer >= 9, got {n!r}")
     domain = spec.get("domain", [[0.0, 1.0], [0.0, 1.0]])
     with _at("problem.domain"):
-        d = np.asarray(domain, dtype=float)
-    if d.shape != (2, 2) or not (d[0, 1] > d[0, 0] and d[1, 1] > d[1, 0]):
+        d = _finite(domain, (2, 2), "[[x0, x1], [y0, y1]] of finite numbers")
+    if not (d[0, 1] > d[0, 0] and d[1, 1] > d[1, 0]):
         raise ConfigError(f"problem.domain: need [[x0,x1],[y0,y1]] increasing, got {domain!r}")
     if "boundary" not in spec:
         raise ConfigError("problem.boundary: missing boundary expression")
@@ -373,9 +380,8 @@ def parse_config(path):
         with _at(f"checks[{i}]"):
             _validate_check(c, f"checks[{i}]")
     solver = _validate_solver(raw.get("solver", {}))
-    seed = raw.get("seed", 0)
-    if not isinstance(seed, int):
-        raise ConfigError(f"config.seed: need an integer, got {seed!r}")
+    with _at("config.seed"):
+        seed = _count(0)(raw.get("seed", 0))
     return ExperimentConfig(
         integrand_spec=raw["integrand"], integrand=F,
         problem_spec=raw["problem"], boundary=boundary,

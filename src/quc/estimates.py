@@ -120,7 +120,7 @@ def _ball_mean(mesh, mask, values):
 
 def _above_level(solution, ell_c, ell_b):
     """Triangles where F(Du) >= ell(Du) = ell_c + (ell_b, Du)."""
-    return solution.energy_density() >= ell_c + solution.du @ np.asarray(ell_b, dtype=float)
+    return solution.energy_density >= ell_c + solution.du @ np.asarray(ell_b, dtype=float)
 
 
 def _straddling_count(mesh, member, region):
@@ -169,7 +169,7 @@ def caccioppoli_check(solution, ell, rho, R, center, H=None):
     mesh = solution.mesh
     _require_ball_inside(mesh, center, R)
     ell_c, ell_b = float(ell[0]), np.asarray(ell[1], dtype=float).reshape(2)
-    st = stress_field(solution)
+    dv = stress_field(solution)
 
     member = _above_level(solution, ell_c, ell_b)
     ball_rho = _ball_tris(mesh, center, rho)
@@ -184,11 +184,11 @@ def caccioppoli_check(solution, ell, rho, R, center, H=None):
             f"super-level set {{F(Du) >= {ell_c:g} + ({ell_b[0]:g}, {ell_b[1]:g}).Du}} "
             f"holds no triangle barycenter in B_{R:g}({center[0]:g},{center[1]:g}) "
             f"on the grid n={mesh.n}")
-    dv2 = (st.dv_tri**2).sum(axis=(1, 2))
+    dv2 = (dv**2).sum(axis=(1, 2))
     lhs = float((mesh.area * dv2[inner]).sum())
     Hval = _h_est(solution, H)
     const = (np.pi * Hval / (R - rho)) ** 2
-    vshift = st.v - ell_b
+    vshift = solution.v - ell_b
     v2 = (vshift**2).sum(axis=1)
     rhs = const * float((mesh.area * v2[outer]).sum())
 
@@ -213,12 +213,12 @@ def caccioppoli_l1_check(solution, R, center, H=None):
     """
     mesh = solution.mesh
     _require_ball_inside(mesh, center, 2.0 * R)
-    st = stress_field(solution)
+    dv = stress_field(solution)
     inner = _ball_tris(mesh, center, R)
     outer = _ball_tris(mesh, center, 2.0 * R)
-    dv2 = (st.dv_tri**2).sum(axis=(1, 2))
+    dv2 = (dv**2).sum(axis=(1, 2))
     lhs = float((mesh.area * dv2[inner]).sum())
-    v1 = np.hypot(st.v[:, 0], st.v[:, 1])
+    v1 = np.hypot(solution.v[:, 0], solution.v[:, 1])
     const = R ** (-4.0)  # N + 2 = 4 in the plane
     rhs = const * float((mesh.area * v1[outer]).sum()) ** 2
     return VerificationReport(
@@ -242,19 +242,19 @@ def sobolev_stress_check(solution, R, center, H=None):
     """
     mesh = solution.mesh
     _require_ball_inside(mesh, center, 2.0 * R)
-    st = stress_field(solution)
+    dv = stress_field(solution)
     F = solution.problem.integrand
     Hval = _h_est(solution, H)
     prof = EtaProfile(Hval / (Hval + 1.0), 1.0 / (Hval + 1.0))
     inner = _ball_tris(mesh, center, R)
     outer = _ball_tris(mesh, center, 2.0 * R)
-    mean_energy = _ball_mean(mesh, outer, solution.energy_density())
+    mean_energy = _ball_mean(mesh, outer, solution.energy_density)
     core = prof(mean_energy)
 
-    dv2 = (st.dv_tri**2).sum(axis=(1, 2))
+    dv2 = (dv**2).sum(axis=(1, 2))
     lhs_dv = np.sqrt(_ball_mean(mesh, inner, dv2))
     rhs_dv = core / R
-    v2 = (st.v**2).sum(axis=1)
+    v2 = (solution.v**2).sum(axis=1)
     lhs_v = np.sqrt(_ball_mean(mesh, inner, v2))
     rhs_v = core
 
@@ -279,7 +279,7 @@ def lipschitz_check(solution, R, center):
     mesh = solution.mesh
     _require_ball_inside(mesh, center, 2.0 * R)
     F = solution.problem.integrand
-    fvals = solution.energy_density()
+    fvals = solution.energy_density
     inner = _ball_tris(mesh, center, 0.5 * R)
     outer = _ball_tris(mesh, center, 2.0 * R)
     lhs = float(fvals[inner].max())
@@ -328,8 +328,9 @@ def degiorgi_iterate(X0, C, b, R, N_dim, max_steps=10**4):
     "diverges/stalls" (overflow counts as divergence).  The loop is plain
     float arithmetic, hence bitwise reproducible.
     """
-    if X0 < 0.0 or C <= 0.0 or b <= 0.0 or R <= 0.0 or N_dim < 2:
-        raise ValueError("need X0 >= 0, C, b, R > 0 and N >= 2")
+    if not (X0 >= 0.0 and C > 0.0 and b > 0.0 and R > 0.0 and N_dim >= 2
+            and np.isfinite([X0, C, b, R]).all()):
+        raise ValueError("need X0 >= 0, C, b, R > 0 and N >= 2, all finite")
     thr = degiorgi_threshold(C, b, R, N_dim)
     seq = [float(X0)]
     x = float(X0)

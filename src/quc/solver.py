@@ -16,7 +16,10 @@ D2F(Du) that lands on one 7-point stencil coefficient of one vertex.  The
 energy sum_T area_T F(Du_T) over per-triangle constant gradients is
 minimised by damped inexact Newton with Armijo backtracking; a
 Barzilai-Borwein gradient method with the same safeguard serves as
-fallback and as an independent cross-check.
+fallback and as an independent cross-check.  The solution keeps what the
+last integrand pass computed at the final iterate: Du, F(Du) and the
+stress V = DF(Du) per triangle (``GridSolution``); ``stress_field``
+recovers DV from V by patchwise affine fits.
 
 Every operator of the linear solves is a 7-point stencil on a grid
 (``StencilMatrix``), held as seven coefficient arrays, so the solve path
@@ -387,19 +390,19 @@ def _tri_gradients(mesh, u):
 
 
 def assemble_energy(F, mesh, u, *, order):
-    """Discrete energy, its nodal gradient and the per-triangle derivatives
-    of F from one ``F.derivs`` pass of orders 0..``order`` over the triangle
-    gradients Du.
+    """Discrete energy, its nodal gradient and the per-triangle values and
+    derivatives of F from one ``F.derivs`` pass of orders 0..``order`` over
+    the triangle gradients Du.
 
     Energy is sum_T area_T F(Du_T), all areas being equal the area times
     sum_T F(Du_T); the gradient follows by the chain rule through the
     per-triangle linear interpolation.  The result is (energy, gradient,
-    DF(Du), D2F(Du), Du), each derivative None above ``order``: the
-    per-triangle derivatives that the Newton matrix and the stress
-    V = DF(Du) need, and the gradients they were taken at.  A ``derivs``
-    result does not depend on which orders are computed with it, so the
-    energy of an order-2 pass has the same bits as that of an order-0
-    pass at the same u.
+    F(Du), DF(Du), D2F(Du), Du), each derivative None above ``order``: the
+    energy density that the estimates read, the per-triangle derivatives
+    that the Newton matrix and the stress V = DF(Du) need, and the
+    gradients they were taken at.  A ``derivs`` result does not depend on
+    which orders are computed with it, so the energy of an order-2 pass has
+    the same bits as that of an order-0 pass at the same u.
     """
     du = np.ascontiguousarray(_tri_gradients(mesh, u))
     fvals, v, hz = F.derivs(du, range(order + 1))
@@ -408,7 +411,7 @@ def assemble_energy(F, mesh, u, *, order):
         raise AssemblyError(f"non-finite integrand value at triangle {t}, Du = {du[t]}")
     energy = float(mesh.area * fvals.sum())
     g = None if v is None else _pair_with_hats(mesh, v)
-    return energy, g, v, hz, du
+    return energy, g, fvals, v, hz, du
 
 
 # The (orientation, vertex) slots in the order in which bincount over the
@@ -845,9 +848,9 @@ def _armijo(F, mesh, u, d, energy, slope, order, *, c1=1e-4, max_halvings=60):
 
     Each trial is a full ``assemble_energy`` pass of orders 0..``order`` at
     u + alpha d, so the accepted trial is also the next iterate's pass.
-    Returns (alpha, (energy, gradient, DF(Du), D2F(Du) or None, Du)) of
-    the first trial that satisfies the Armijo condition, or None when
-    ``max_halvings`` trials find no decrease.  A rejected trial's fields
+    Returns (alpha, (energy, gradient, F(Du), DF(Du), D2F(Du) or None,
+    Du)) of the first trial that satisfies the Armijo condition, or None
+    when ``max_halvings`` trials find no decrease.  A rejected trial's fields
     die before the next trial's pass.
     """
     alpha = 1.0
@@ -866,21 +869,24 @@ def _armijo(F, mesh, u, d, energy, slope, order, *, c1=1e-4, max_halvings=60):
 
 
 @dataclass
-class StressField:
-    """Per-triangle stress V = DF(Du) with the recovered derivative field."""
-
-    v: np.ndarray            # (M, 2)
-    dv_nodes: np.ndarray     # (N, 2, 2), dv[n, c, j] = d_j V_c at node n
-    dv_tri: np.ndarray       # (M, 2, 2), vertex average per triangle
-    divergence: float        # max interior pairing of V with hat gradients
-
-
-@dataclass
 class GridSolution:
+    """The result of ``solve``: the last iterate and the fields of the
+    integrand pass at it.
+
+    ``u`` (N,) holds the nodal values; ``du`` (M, 2), ``energy_density``
+    (M,) and ``v`` (M, 2) are Du, F(Du) and the stress V = DF(Du) per
+    triangle, from the pass that gave ``energy``, so no estimate evaluates
+    F again.  ``residual`` is the max-norm of the energy gradient on the
+    interior nodes, which is the pairing of V with the interior hat
+    gradients: the weak divergence of the stress.  ``stress_field``
+    recovers DV on first use and keeps it in ``_dv``.
+    """
+
     problem: GridProblem
     mesh: Mesh
     u: np.ndarray
     du: np.ndarray
+    energy_density: np.ndarray
     v: np.ndarray
     energy: float
     residual: float
@@ -891,18 +897,7 @@ class GridSolution:
     # per Newton step: CG iterations, 0 for a direct solve, -1 where a
     # fallback fired (SuperLU after CG, or a gradient step)
     linear_iterations: list
-    _stress: StressField | None = field(default=None, repr=False, compare=False)
-    _energy_density: np.ndarray | None = field(default=None, repr=False, compare=False)
-
-    def stress(self):
-        return stress_field(self)
-
-    def energy_density(self):
-        """F(Du) per triangle, evaluated on first use and kept, so every
-        estimate check reads the same values from one pass."""
-        if self._energy_density is None:
-            self._energy_density = self.problem.integrand._eval(np.ascontiguousarray(self.du))
-        return self._energy_density
+    _dv: np.ndarray | None = field(default=None, repr=False, compare=False)
 
 
 def _bb_step(s, y, fallback):
@@ -932,14 +927,15 @@ def solve(problem, *, method="newton", tol_rel=1e-9, max_iter=60,
     for BB): one at the initial guess, then one per Armijo trial, and the
     accepted trial is the next iterate, so no pass repeats a u.  It gives
     the energy, the nodal gradient, the D2F(Du) of the next Newton matrix
-    and, at the last iterate, the stress V = DF(Du) and Du itself.  The last
-    iterate's V and Du are dropped at the top of each step, before its
-    linear solve, and its gradient before the trials, so a stalled search
-    makes one more orders 0..1 pass at the iterate it returns.  Each Newton
-    matrix and its multigrid hierarchy are freed when the step's linear
-    solve returns, and the Newton pattern and the levels' keep masks, built
-    once per call, when ``solve`` returns, so the solver's memory is bounded
-    per step, not per run, and the mesh keeps none of it.
+    and, at the last iterate, the solution's F(Du), stress V = DF(Du) and
+    Du.  The last iterate's F(Du), V and Du are dropped at the top of each
+    step, before its linear solve, and its gradient before the trials, so
+    a stalled search makes one more orders 0..1 pass at the iterate it
+    returns.  Each Newton matrix and its multigrid hierarchy are freed when
+    the step's linear solve returns, and the Newton pattern and the levels'
+    keep masks, built once at the first Newton step, when ``solve``
+    returns, so the solver's memory is bounded per step, not per run, and
+    the mesh keeps none of it.
     ``method="gradient"`` forces the Barzilai-Borwein fallback throughout.
     Terminates when the interior gradient max-norm drops below tol_rel
     (1 + initial residual); hitting the iteration cap or an Armijo search
@@ -974,7 +970,7 @@ def solve(problem, *, method="newton", tol_rel=1e-9, max_iter=60,
     ii = mesh.interior_idx
 
     order = 2 if newton else 1
-    energy, g, v, hz, du = assemble_energy(F, mesh, u, order=order)
+    energy, g, f, v, hz, du = assemble_energy(F, mesh, u, order=order)
     res0 = float(np.abs(g[ii]).max()) if ii.size else 0.0
     tol = tol_rel * (1.0 + res0)
     res = res0
@@ -987,16 +983,19 @@ def solve(problem, *, method="newton", tol_rel=1e-9, max_iter=60,
     gnorm = _norm(g[ii])
     eta = ETA_MAX
     linear_iterations = []
-    if newton:
-        pattern, levels = newton_pattern(mesh), prolongations(mesh)
+    pattern = levels = None
 
     # "not <=" keeps iterating on a NaN residual, so that case ends with a
     # failed line search instead of passing as an untried iteration cap.
     while not res <= tol and iterations < cap:
-        v = du = None               # the last iterate's fields die before the linear solve
+        f = v = du = None           # the last iterate's fields die before the linear solve
         d = np.zeros_like(u)
         slope = None
         if newton:
+            if pattern is None:
+                # built once the initial pass's fields are dropped, so these
+                # arrays of the whole solve do not sit beside them in the heap
+                pattern, levels = newton_pattern(mesh), prolongations(mesh)
             # the Newton matrix lives only inside spsolve, and D2F(Du) only
             # until the matrix is built
             Kii, hz = _newton_matrix(mesh, hz, 1e-10 * (1.0 + res), pattern), None
@@ -1026,9 +1025,9 @@ def solve(problem, *, method="newton", tol_rel=1e-9, max_iter=60,
         accepted = _armijo(F, mesh, u, d, energy, slope, order)
         if accepted is None:
             stop_reason = "line_search_stalled"
-            _, _, v, _, du = assemble_energy(F, mesh, u, order=1)
+            _, _, f, v, _, du = assemble_energy(F, mesh, u, order=1)
             break
-        alpha, (energy, g, v, hz, du) = accepted
+        alpha, (energy, g, f, v, hz, du) = accepted
         accepted = None             # else it keeps D2F(Du) alive through the next solve
         u = u + alpha * d
         res = float(np.abs(g[ii]).max()) if ii.size else 0.0
@@ -1038,7 +1037,7 @@ def solve(problem, *, method="newton", tol_rel=1e-9, max_iter=60,
 
     converged = bool(res <= tol)
     return GridSolution(
-        problem=problem, mesh=mesh, u=u, du=du, v=v, energy=energy,
+        problem=problem, mesh=mesh, u=u, du=du, energy_density=f, v=v, energy=energy,
         residual=res, iterations=iterations, converged=converged,
         method=method, stop_reason="tol" if converged else stop_reason,
         linear_iterations=linear_iterations,
@@ -1138,18 +1137,10 @@ def _vertex_average(mesh, nodal):
 
 
 def stress_field(solution):
-    """Stress field with recovered DV and the weak-divergence pairing.
-
-    The pairing of V with interior hat gradients coincides with the energy
-    gradient at the solution, so it inherits the solver residual.
-    """
-    if solution._stress is not None:
-        return solution._stress
-    mesh = solution.mesh
-    v = solution.v
-    dv_nodes = _recover_dv(mesh, v)
-    dv_tri = _vertex_average(mesh, dv_nodes)
-    pair = _pair_with_hats(mesh, v)
-    div = float(np.abs(pair[mesh.interior_idx]).max()) if mesh.interior_idx.size else 0.0
-    solution._stress = StressField(v=v, dv_nodes=dv_nodes, dv_tri=dv_tri, divergence=div)
-    return solution._stress
+    """Recovered DV of the solution's stress V = ``solution.v``, (M, 2, 2):
+    per triangle, the vertex average of the nodal fits of ``_recover_dv``,
+    dv[t, c, j] = d_j V_c.  It is computed on first use and kept on the
+    solution; the nodal fits are not."""
+    if solution._dv is None:
+        solution._dv = _vertex_average(solution.mesh, _recover_dv(solution.mesh, solution.v))
+    return solution._dv

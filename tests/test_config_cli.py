@@ -219,6 +219,7 @@ def _check(base, **changes):
 _CAC = {"name": "caccioppoli", "rho": 0.1, "R": 0.2, "center": [0.5, 0.5], "k": 0.1}
 _LIP = {"name": "lipschitz", "R": 0.2, "center": [0.5, 0.5]}
 _DG = {"name": "degiorgi", "X0": 0.2, "C": 1.0, "b": 4.0, "R": 1.0, "N": 2}
+_NAN, _INF = float("nan"), float("inf")
 _MALFORMED = {
     "p": ({"integrand": {"kind": "power", "p": "three"}}, "integrand"),
     "domain": ({"problem": {"n": 17, "domain": "abc", "boundary": "x"}}, "problem.domain"),
@@ -251,6 +252,23 @@ _MALFORMED = {
     "max_iter": ({"solver": {"max_iter": 2.5}}, "solver.max_iter"),
     "max_iter_negative": ({"solver": {"max_iter": -1}}, "solver.max_iter"),
     "gd_max_iter": ({"solver": {"gd_max_iter": "many"}}, "solver.gd_max_iter"),
+    # json reads NaN and Infinity: every number the pipeline uses is finite
+    "center_nan": (_check(_LIP, center=[_NAN, 0.5]), r"checks\[0\]\.center"),
+    "k_nan": (_check(_CAC, k=_NAN), r"checks\[0\]\.k"),
+    "ell_c_inf": (_check(_CAC, ell={"c": _INF, "b": [0.0, 0.0]}), r"checks\[0\]\.ell"),
+    "ell_b_nan": (_check(_CAC, ell={"c": 0.1, "b": [0.0, _NAN]}), r"checks\[0\]\.ell"),
+    "assert_max_ratio_inf": (_check(_LIP, assert_max_ratio=_INF),
+                             r"checks\[0\]\.assert_max_ratio"),
+    "X0_nan": (_check(_DG, X0=_NAN), r"checks\[0\]\.X0"),
+    "C_inf": (_check(_DG, C=_INF), r"checks\[0\]\.C"),
+    "b_nan": (_check(_DG, b=_NAN), r"checks\[0\]\.b"),
+    "mask_center_nan": ({"problem": {"n": 17, "boundary": "x",
+                                     "mask": {"center": [0.5, _NAN], "radius": 0.4}}},
+                        "problem.mask.center"),
+    "domain_inf": ({"problem": {"n": 17, "domain": [[0, _INF], [0, 1]], "boundary": "x"}},
+                   "problem.domain"),
+    "seed_negative": ({"seed": -5}, "config.seed"),
+    "seed_bool": ({"seed": True}, "config.seed"),
 }
 
 
@@ -330,11 +348,37 @@ def test_cli_degiorgi(tmp_path, capsys):
 
 
 
-@pytest.mark.parametrize("flags", [["--R", "0"], ["--R", "1", "--N", "1"]])
+@pytest.mark.parametrize("flags", [["--R", "0"], ["--R", "1", "--N", "1"], ["--R", "inf"],
+                                   ["--R", "1", "--C", "nan"]])
 def test_cli_degiorgi_rejects_bad_parameters(capsys, flags):
     code = main(["degiorgi", "--X0", "1", "--C", "1", "--b", "1"] + flags)
     assert code == 1
     assert "error: need X0 >= 0, C, b, R > 0 and N >= 2" in capsys.readouterr().err
+
+
+def test_cli_rejects_a_negative_seed_flag(tmp_path, capsys):
+    with pytest.raises(SystemExit) as err:
+        main(["--seed", "-3", "validate", str(_config(tmp_path))])
+    assert err.value.code == 2
+    assert "argument --seed: need an integer >= 0" in capsys.readouterr().err
+
+
+_UNWRITABLE = {
+    "solve_out_in_missing_dir": lambda tmp, cfg: [
+        "--out-dir", str(tmp), "solve", str(cfg), "--out", str(tmp / "missing" / "x.csv")],
+    "out_dir_is_a_file": lambda tmp, cfg: ["--out-dir", str(cfg), "validate", str(cfg)],
+    "degiorgi_out_in_missing_dir": lambda tmp, cfg: [
+        "degiorgi", "--X0", "0.2", "--C", "1", "--b", "4", "--R", "1",
+        "--out", str(tmp / "missing" / "x.csv")],
+}
+
+
+@pytest.mark.parametrize("argv", list(_UNWRITABLE.values()), ids=list(_UNWRITABLE))
+def test_cli_unwritable_output_is_an_error(tmp_path, capsys, argv):
+    # an output path the OS refuses ends in one error line, not a traceback
+    assert main(argv(tmp_path, _config(tmp_path))) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
 
 
 @pytest.mark.parametrize("n", ["0", "8"])

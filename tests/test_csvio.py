@@ -19,7 +19,7 @@ from quc.config import parse_config
 from quc.csvio import (_SLOT, BLOCK_ROWS, BlockTable, _ascii8, _encode_block, read_csv,
                        write_csv)
 from quc.integrand import normalise
-from quc.solver import GridProblem, GridSolution, StressField
+from quc.solver import GridProblem, GridSolution, stress_field
 
 EDGE_VALUES = [
     float("nan"), float("inf"), float("-inf"), 0.0, -0.0,
@@ -95,9 +95,9 @@ def _solution_and_cells(tmp_path, config):
     assert cli.main(["--out-dir", str(out), "solve", str(config)]) == 0
     cfg = parse_config(config)
     sol = cli._solve(cfg, normalise(cfg.integrand))
-    stress, mesh = sol.stress(), sol.mesh
+    mesh = sol.mesh
     u_bary = sol.u[mesh.triangles()].mean(axis=1)
-    bary, v, dv = _barycenters(mesh), stress.v, stress.dv_tri
+    bary, v, dv = _barycenters(mesh), sol.v, stress_field(sol)
     rows = [[float(bary[t, 0]), float(bary[t, 1]), float(u_bary[t]),
              float(sol.du[t, 0]), float(sol.du[t, 1]), float(v[t, 0]), float(v[t, 1]),
              float(dv[t, 0, 0]), float(dv[t, 0, 1]), float(dv[t, 1, 0]), float(dv[t, 1, 1])]
@@ -129,18 +129,18 @@ def test_cli_disk_blend_solution_matches_per_cell(tmp_path):
 
 def _random_solution(n, mask, seed, spread):
     """A GridSolution with random fields of magnitude e^-spread..e^spread
-    and random signs on an n-grid, its stress given, so nothing is solved."""
+    and random signs on an n-grid, its recovered DV given, so nothing is
+    solved."""
     rng = np.random.default_rng(seed)
     problem = GridProblem(integrand=None, n=n, boundary=None, mask=mask)
     mesh = problem.mesh()
     field = lambda *shape: rng.choice([-1.0, 1.0], shape) * np.exp(rng.uniform(-spread, spread,
                                                                                shape))
     M = mesh.n_tris
-    stress = StressField(v=field(M, 2), dv_nodes=None, dv_tri=field(M, 2, 2), divergence=0.0)
     return GridSolution(problem=problem, mesh=mesh, u=field(mesh.n_nodes), du=field(M, 2),
-                        v=stress.v, energy=0.0, residual=0.0, iterations=0, converged=True,
-                        method="newton", stop_reason="tol", linear_iterations=[],
-                        _stress=stress)
+                        energy_density=field(M), v=field(M, 2), energy=0.0, residual=0.0,
+                        iterations=0, converged=True, method="newton", stop_reason="tol",
+                        linear_iterations=[], _dv=field(M, 2, 2))
 
 
 @pytest.mark.parametrize("n, mask", [
@@ -155,9 +155,9 @@ def test_streamed_solution_rows_match_the_whole_table(tmp_path, n, mask):
     whole bands of cell rows hold no triangle."""
     sol = _random_solution(n, mask, 4, spread=30.0)
     sol.u[np.random.default_rng(5).random(sol.u.size) < 0.5] = -0.0
-    mesh, stress = sol.mesh, sol.stress()
+    mesh = sol.mesh
     table = np.column_stack([_barycenters(mesh), sol.u[mesh.triangles()].mean(axis=1), sol.du,
-                             stress.v, stress.dv_tri.reshape(-1, 4)])
+                             sol.v, stress_field(sol).reshape(-1, 4)])
     rows = cli._solution_rows(sol)
     assert len(rows) == mesh.n_tris > BLOCK_ROWS
     got, ref = _array_and_cells(tmp_path, cli.SOLUTION_FIELDS, rows, table)
@@ -172,7 +172,7 @@ def test_solution_rows_are_written_one_block_at_a_time(tmp_path):
     itself, 8 bytes per cell.  At n = 257 the whole (M, 11) table alone
     would exceed that."""
     sol = _random_solution(257, None, 6, spread=1.0)
-    sol.stress()
+    stress_field(sol)
     bound = BLOCK_ROWS * 11 * (18 * 8 + 4 * _SLOT + 8)
     assert sol.mesh.n_tris * 11 * 8 > bound
     tracemalloc.start()

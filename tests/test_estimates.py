@@ -148,8 +148,9 @@ def test_lipschitz_harmonic_closed_form(sol_harmonic):
 
 def test_checks_read_one_evaluation_of_F_at_Du(monkeypatch):
     # the level set of the Caccioppoli check, the mean energy of the
-    # Sobolev check and both sides of the Lipschitz check read F(Du) from
-    # one pass over the M triangles, kept on the solution
+    # Sobolev check and both sides of the Lipschitz check read the F(Du)
+    # of the solve's last pass, kept on the solution: once solve returns,
+    # no check evaluates F at any point
     from quc.config import compile_boundary_expression
 
     sol = quc.solve(quc.GridProblem(
@@ -162,10 +163,12 @@ def test_checks_read_one_evaluation_of_F_at_Du(monkeypatch):
     monkeypatch.setattr(type(F), "_eval", lambda self, z: points.append(len(z)) or evaluate(self, z))
     center = (1.5, 1.5)
     quc.caccioppoli_check(sol, (0.1, np.zeros(2)), 0.1, 0.2, center, H=2.0)
+    quc.caccioppoli_l1_check(sol, 0.2, center, H=2.0)
     quc.sobolev_stress_check(sol, 0.2, center, H=2.0)
     quc.lipschitz_check(sol, 0.2, center)
-    assert points == [sol.mesh.n_tris]
-    assert np.array_equal(sol.energy_density(), evaluate(F, sol.du))
+    assert points == []
+    assert sol.energy_density.shape == (sol.mesh.n_tris,)
+    assert np.array_equal(sol.energy_density, evaluate(F, sol.du))
 
 
 # ---------------------------------------------------------------------------

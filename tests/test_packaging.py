@@ -89,7 +89,7 @@ prob = lambda: quc.GridProblem(integrand=quc.make_power(3.0), n=33,
                                bounds=((1.0, 2.0), (1.0, 2.0)))
 m = prob().mesh()
 u = S._coons_init(m, prob().boundary_values(m))
-_, g, _, hz, _ = S.assemble_energy(prob().integrand, m, u, order=2)
+_, g, _, _, hz, _ = S.assemble_energy(prob().integrand, m, u, order=2)
 K, b = S._newton_matrix(m, hz, 0.0), -g[m.interior_idx]
 S.PCG_MAXITER = 0
 assert "scipy" not in sys.modules

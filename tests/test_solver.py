@@ -13,7 +13,7 @@ from quc.regularize import MoreauIntegrand
 from quc.solver import (COARSEST_N, Mesh, SolverError, StencilMatrix, _coons_init, _dot,
                         _galerkin, _line_factor, _newton_matrix, _norm, _pair_with_hats, _pcg,
                         _prolong, _recover_dv, _restrict, _tri_gradients, assemble_energy,
-                        newton_pattern, prolongations, spsolve)
+                        newton_pattern, prolongations, spsolve, stress_field)
 
 
 # ---------------------------------------------------------------------------
@@ -666,7 +666,7 @@ def _disk_blend(n):
 def _first_newton_system(prob):
     m = prob.mesh()
     u = _coons_init(m, prob.boundary_values(m))
-    _, g, _, hz, _ = assemble_energy(prob.integrand, m, u, order=2)
+    _, g, _, _, hz, _ = assemble_energy(prob.integrand, m, u, order=2)
     return m, _newton_matrix(m, hz, 0.0), -g[m.interior_idx]
 
 
@@ -839,15 +839,15 @@ def test_solve_leaves_no_solver_state_on_the_mesh(monkeypatch):
 
 
 def test_last_iterate_fields_are_freed_before_the_linear_solve(monkeypatch):
-    # V = DF(Du) and Du of every integrand pass are unreachable by the time
-    # a Newton step's linear solve runs: the last iterate's die at the top
-    # of the step, a rejected trial's before the next trial
+    # F(Du), V = DF(Du) and Du of every integrand pass are unreachable by
+    # the time a Newton step's linear solve runs: the last iterate's die at
+    # the top of the step, a rejected trial's before the next trial
     refs, dead_at_solve = [], []
     assemble, linear_solve = quc.solver.assemble_energy, quc.solver.spsolve
 
     def record(*args, **kwargs):
         out = assemble(*args, **kwargs)
-        refs.extend(weakref.ref(x) for x in (out[2], out[4]))
+        refs.extend(weakref.ref(x) for x in (out[2], out[3], out[5]))
         return out
 
     def check(*args, **kwargs):
@@ -1012,8 +1012,7 @@ def test_affine_data_reproduced(sol_affine):
     assert np.abs(sol.u - exact).max() <= 1e-8
     # V is constant and the recovered DV vanishes
     assert np.abs(sol.v - sol.v[0]).max() <= 1e-10
-    st = sol.stress()
-    assert np.abs(st.dv_nodes).max() <= 1e-8
+    assert np.abs(_recover_dv(m, sol.v)).max() <= 1e-8
 
 
 def test_harmonic_quadratic_exact(sol_harmonic):
@@ -1159,9 +1158,10 @@ def test_rejected_trials_leave_the_fields_of_the_accepted_iterate():
     prob.integrand = Recorder()
     sol = quc.solve(prob)
     assert sol.iterations >= 1 and len(passes) > 1 + sol.iterations
-    energy, _, v, _, du = assemble_energy(F, sol.mesh, sol.u, order=1)
+    energy, _, f, v, _, du = assemble_energy(F, sol.mesh, sol.u, order=1)
     assert sol.energy == energy
     assert np.array_equal(sol.du, du) and np.array_equal(sol.v, v)
+    assert np.array_equal(sol.energy_density, f)
 
 
 def test_spsolve_matches_scipy_within_conditioning():
@@ -1276,17 +1276,16 @@ def test_stress_harmonic_closed_form(sol_harmonic):
     # V oscillates at grid scale by triangle orientation, so one-sided fits
     # along the boundary strip are biased; away from it recovery is exact.
     sol = sol_harmonic[33]
-    st = sol.stress()
     m = sol.mesh
     inner = (np.abs(m.nodes[:, 0] - 0.5) < 0.3) & (np.abs(m.nodes[:, 1] - 0.5) < 0.3)
-    dv = st.dv_nodes[inner & m.interior]
+    dv = _recover_dv(m, sol.v)[inner & m.interior]
     expect = np.array([[2.0, 0.0], [0.0, -2.0]])
     assert np.abs(dv - expect).max() <= 1e-10
     h = m.hx
     bary = m.barycenters()
     core = ((np.abs(bary[:, 0] - 0.5) < 0.5 - 2.5 * h)
             & (np.abs(bary[:, 1] - 0.5) < 0.5 - 2.5 * h))
-    np.testing.assert_allclose((st.dv_tri[core]**2).sum(axis=(1, 2)), 8.0, atol=1e-9)
+    np.testing.assert_allclose((stress_field(sol)[core]**2).sum(axis=(1, 2)), 8.0, atol=1e-9)
 
 
 @pytest.mark.parametrize("mask", [None, (np.array([0.5, 0.5]), 0.44)])
@@ -1322,6 +1321,12 @@ def test_stress_recovery_exact_for_affine_stress(mask):
     assert not dv[~m.used].any()
 
 
-def test_divergence_pairing_small(sol_harmonic, sol_p3_oracle):
+def test_residual_is_the_weak_divergence_of_the_stress(sol_harmonic, sol_p3_oracle):
+    # the pairing of V with the interior hat gradients is the energy
+    # gradient at the solution, so its max is the solver's residual, bit
+    # for bit, and below the stopping threshold
     for sol in (sol_harmonic[33], sol_p3_oracle[33]):
-        assert sol.stress().divergence <= 1e-8
+        m = sol.mesh
+        divergence = np.abs(_pair_with_hats(m, sol.v)[m.interior_idx]).max()
+        assert divergence == sol.residual
+        assert divergence <= 1e-8
