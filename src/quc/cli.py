@@ -34,23 +34,9 @@ def _provenance(cfg, seed):
     return f"quc-version={__version__} config-sha256={cfg.sha256()} seed={seed}"
 
 
-def _make_problem(cfg, F, n=None):
-    spec = cfg.problem_spec
-    domain = spec.get("domain", [[0.0, 1.0], [0.0, 1.0]])
-    mask = spec.get("mask")
-    return GridProblem(
-        integrand=F,
-        n=spec["n"] if n is None else n,
-        boundary=cfg.boundary,
-        bounds=tuple(tuple(map(float, ax)) for ax in domain),
-        mask=(np.asarray(mask["center"], dtype=float), float(mask["radius"]))
-        if mask else None,
-        descriptor=F.describe(),
-    )
-
-
 def _solve(cfg, F, n=None):
-    return solve(_make_problem(cfg, F, n), **cfg.solver)
+    problem = cfg.problem if n is None else {**cfg.problem, "n": n}
+    return solve(GridProblem(integrand=F, boundary=cfg.boundary, **problem), **cfg.solver)
 
 
 def _solution_rows(sol):
@@ -167,9 +153,11 @@ def cmd_analyze(cfg, args, out_dir, rng):
 
 
 def cmd_solve(cfg, args, out_dir, rng):
+    path = args.out or os.path.join(out_dir, "solution.csv")
+    if not os.path.isdir(os.path.dirname(path) or "."):
+        raise FileNotFoundError(f"no directory to write {path}")
     F = normalise(cfg.integrand)
     sol = _solve(cfg, F, n=args.n)
-    path = args.out or os.path.join(out_dir, "solution.csv")
     write_csv(path, SOLUTION_FIELDS, _solution_rows(sol), _provenance(cfg, args.seed))
     print(f"solve n={sol.problem.n} energy={sol.energy:.12g} residual={sol.residual:.3g} "
           f"iterations={sol.iterations} converged={sol.converged}")
@@ -209,36 +197,27 @@ def cmd_gauge(cfg, args, out_dir, rng):
 
 
 def _run_one_check(spec, sol, H):
-    name = spec["name"]
-    center = tuple(map(float, spec.get("center", (0.0, 0.0))))
+    name, center = spec["name"], spec.get("center")
     if name == "caccioppoli":
-        if "ell" in spec:
-            ell = (float(spec["ell"]["c"]), np.asarray(spec["ell"]["b"], dtype=float))
-        else:
-            ell = (float(spec["k"]), np.zeros(2))
-        rep = est.caccioppoli_check(sol, ell, float(spec["rho"]), float(spec["R"]),
-                                    center, H=H)
-        return [rep]
+        ell = spec["ell"] if "ell" in spec else (spec["k"], np.zeros(2))
+        return [est.caccioppoli_check(sol, ell, spec["rho"], spec["R"], center, H=H)]
     if name == "caccioppoli_l1":
-        return [est.caccioppoli_l1_check(sol, float(spec["R"]), center, H=H)]
+        return [est.caccioppoli_l1_check(sol, spec["R"], center, H=H)]
     if name == "sobolev":
-        return est.sobolev_stress_check(sol, float(spec["R"]), center, H=H)
+        return est.sobolev_stress_check(sol, spec["R"], center, H=H)
     if name == "lipschitz":
-        return [est.lipschitz_check(sol, float(spec["R"]), center)]
-    res = est.degiorgi_iterate(float(spec["X0"]), float(spec["C"]), float(spec["b"]),
-                               float(spec["R"]), int(spec["N"]))
-    rep = res.to_report()
-    rep.extra["expected"] = spec.get("expect")
-    rep._degiorgi = res
-    return [rep]
+        return [est.lipschitz_check(sol, spec["R"], center)]
+    return [est.degiorgi_iterate(spec["X0"], spec["C"], spec["b"], spec["R"],
+                                 spec["N"]).to_report()]
 
 
 def run(cfg, out_dir=".", seed=None, checks=None):
     """Pipeline: normalise, analyze, solve, run checks; write one CSV each.
 
-    Returns (exit_code, report list).  Exit is nonzero on the first failed
-    hard assertion (non-convergence, assert_max_ratio violations, degiorgi
-    verdict mismatches).
+    ``checks`` (default ``cfg.checks``) are checks as ``parse_config``
+    converts them, and each is run with its values as given.  Returns the
+    exit code, nonzero when a hard assertion failed (non-convergence,
+    assert_max_ratio violations, degiorgi verdict mismatches).
     """
     seed = cfg.seed if seed is None else seed
     rng = np.random.default_rng(seed)
@@ -254,8 +233,8 @@ def run(cfg, out_dir=".", seed=None, checks=None):
         if r["margin"] is not None and r["margin"] < 0:
             failures.append(f"analyze:{r['check']}")
 
-    check_specs = cfg.checks if checks is None else checks
-    needs_solve = any(c["name"] != "degiorgi" for c in check_specs)
+    checks = cfg.checks if checks is None else checks
+    needs_solve = any(c["name"] != "degiorgi" for c in checks)
     sol = None
     if needs_solve:
         sol = _solve(cfg, F)
@@ -267,22 +246,19 @@ def run(cfg, out_dir=".", seed=None, checks=None):
             failures.append(f"solver non-converged ({sol.stop_reason})")
 
     H = qa.estimate_H(F, rng=np.random.default_rng(seed + 1)).H_est if needs_solve else None
-    reports = []
-    for i, spec in enumerate(check_specs):
+    for spec in checks:
         reps = _run_one_check(spec, sol, H)
-        reports.extend(reps)
-        out = spec.get("out", f"{spec['name']}_{i}.csv")
-        write_csv(os.path.join(out_dir, out), est.REPORT_FIELDS,
+        write_csv(os.path.join(out_dir, spec["out"]), est.REPORT_FIELDS,
                   [r.to_row() for r in reps], prov)
         for rep in reps:
             line = f"check {rep.name}: lhs={rep.lhs:.6g} rhs={rep.rhs:.6g} ratio={rep.ratio:.6g}"
             if "assert_max_ratio" in spec:
-                bound = float(spec["assert_max_ratio"])
+                bound = spec["assert_max_ratio"]
                 passed = rep.ratio <= bound
                 line += f" [ratio <= {bound:g}: {'PASS' if passed else 'FAIL'}]"
                 if not passed:
                     failures.append(f"{rep.name}: ratio {rep.ratio:g} > {bound:g}")
-            if rep.name == "degiorgi" and spec.get("expect"):
+            if "expect" in spec:
                 verdict = rep.extra["verdict"]
                 passed = verdict == spec["expect"]
                 line += f" verdict={verdict} [{'PASS' if passed else 'FAIL'}]"
@@ -292,8 +268,8 @@ def run(cfg, out_dir=".", seed=None, checks=None):
 
     if failures:
         print(f"run: FAILED ({failures[0]})", file=sys.stderr)
-        return 1, reports
-    return 0, reports
+        return 1
+    return 0
 
 
 def cmd_verify(cfg, args, out_dir, rng):
@@ -308,20 +284,17 @@ def cmd_verify(cfg, args, out_dir, rng):
             spec["k"] = args.k
         if args.ell is not None:
             with _at("--ell"):
-                c, b1, b2 = (float(v) for v in args.ell.split(","))
+                c, b1, b2 = args.ell.split(",")
             spec["ell"] = {"c": c, "b": [b1, b2]}
         if args.center is not None:
-            with _at("--center"):
-                spec["center"] = [float(v) for v in args.center.split(",")]
+            spec["center"] = args.center.split(",")
         if args.out:
             spec["out"] = args.out
-        _validate_check(spec, "--check")
-        checks = [spec]
-    code, _ = run(cfg, out_dir=out_dir, seed=args.seed, checks=checks)
-    return code
+        checks = [_validate_check(spec, "--check", cfg.problem["bounds"])]
+    return run(cfg, out_dir=out_dir, seed=args.seed, checks=checks)
 
 
-def cmd_degiorgi(args, out_dir):
+def cmd_degiorgi(args):
     res = est.degiorgi_iterate(args.X0, args.C, args.b, args.R, args.N,
                                max_steps=args.steps)
     print(f"degiorgi threshold={res.threshold:.17g} X0={res.X0:.17g} "
@@ -441,7 +414,7 @@ def main(argv=None):
                "solve": cmd_solve, "gauge": cmd_gauge, "verify": cmd_verify}
     try:
         if args.command == "degiorgi":
-            return cmd_degiorgi(args, args.out_dir or ".")
+            return cmd_degiorgi(args)
         out_dir = args.out_dir or cfg.out_dir
         os.makedirs(out_dir, exist_ok=True)
         args.seed = cfg.seed if args.seed is None else args.seed

@@ -3,8 +3,9 @@
 A config is one integrand plus one grid problem plus a list of checks.
 Unknown keys are rejected with their full key path.  Every value is checked
 at parse time: integrand parameters by actually constructing the
-integrand, check, mask and solver values by converting them as the
-pipeline will (and the De Giorgi parameters against
+integrand, problem, check and solver values by converting them into the
+values the pipeline runs (checks also against the domain each ball must
+lie in, ``estimates.CHECK_BALL``, and the De Giorgi parameters against
 ``estimates.degiorgi_iterate``'s preconditions), so a bad value is a
 ``ConfigError`` naming its key path, never a failure after the solve.
 
@@ -18,6 +19,7 @@ from __future__ import annotations
 import ast
 import hashlib
 import json
+import os
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 
@@ -208,6 +210,8 @@ _CHECK_KEYS = {
     "lipschitz": {"name", "R", "center", "assert_max_ratio", "out"},
     "degiorgi": {"name", "X0", "C", "b", "R", "N", "expect", "out"},
 }
+# the artifacts ``quc.cli.run`` writes next to the check reports
+_PIPELINE_CSVS = ("analyze.csv", "solution.csv")
 _CHECK_REQUIRED = {
     "caccioppoli": ("rho", "R", "center"),
     "caccioppoli_l1": ("R", "center"),
@@ -255,39 +259,49 @@ def _affine(v):
     return _finite(v["c"]), _point(v["b"])
 
 
-def _filename(v):
-    if not isinstance(v, str) or not v:
-        raise ValueError(f"need a file name, got {v!r}")
+def _report_name(v):
+    """A check report's file name in the output directory."""
+    if not isinstance(v, str) or not v or os.path.basename(v) != v:
+        raise ValueError(f"need a file name without a directory, got {v!r}")
+    if v in _PIPELINE_CSVS:
+        raise ValueError(f"{v!r} is written by the pipeline itself")
     return v
 
 
-def _method(v):
-    if v not in ("newton", "gradient"):
-        raise ValueError(f"need 'newton' or 'gradient', got {v!r}")
-    return v
+def _one_of(*choices):
+    def convert(v):
+        if v not in choices:
+            raise ValueError(f"need {' or '.join(map(repr, choices))}, got {v!r}")
+        return v
+    return convert
 
 
 _CHECK_VALUES = {
     "rho": _positive, "R": _positive, "center": _point, "k": _finite, "ell": _affine,
     "assert_max_ratio": _finite, "X0": _finite, "C": _finite, "b": _finite, "N": _count(2),
-    "out": _filename,
+    "expect": _one_of("vanishes", "diverges/stalls"), "out": _report_name,
 }
-_SOLVER_VALUES = {"method": _method, "tol_rel": _positive,
+_SOLVER_VALUES = {"method": _one_of("newton", "gradient"), "tol_rel": _positive,
                   "max_iter": _count(0), "gd_max_iter": _count(0)}
 
 
 @dataclass
 class ExperimentConfig:
-    integrand_spec: dict
+    """A parsed config: the values the pipeline runs.
+
+    ``problem`` holds ``GridProblem``'s ``n``, ``bounds`` and ``mask``; each
+    check is a dict of its converted values under the config's keys, with
+    ``out`` always set.
+    """
+
     integrand: object
-    problem_spec: dict
+    problem: dict
     boundary: object
     checks: list
     solver: dict = field(default_factory=dict)
     seed: int = 0
     out_dir: str = "."
     source_text: str = ""
-    path: str = ""
 
     def sha256(self):
         return hashlib.sha256(self.source_text.encode()).hexdigest()[:16]
@@ -312,12 +326,16 @@ def _validate_problem(spec):
         if not isinstance(mask, dict) or set(mask) != {"center", "radius"}:
             raise ConfigError("problem.mask: need {'center': [x,y], 'radius': r}")
         with _at("problem.mask.center"):
-            _point(mask["center"])
+            center = _point(mask["center"])
         with _at("problem.mask.radius"):
-            _positive(mask["radius"])
+            mask = (center, _positive(mask["radius"]))
+    return {"n": n, "bounds": tuple(map(tuple, d.tolist())), "mask": mask}
 
 
-def _validate_check(spec, path):
+def _validate_check(spec, path, bounds, index=0):
+    """The converted values of the config's check number ``index``, whose
+    report ``out`` defaults to ``{name}_{index}.csv`` and whose balls must
+    lie in the domain ``bounds``."""
     if not isinstance(spec, dict) or "name" not in spec:
         raise ConfigError(f"{path}: each check needs a 'name'")
     name = spec["name"]
@@ -328,7 +346,7 @@ def _validate_check(spec, path):
     for key in _CHECK_REQUIRED[name]:
         if key not in spec:
             raise ConfigError(f"{path}: {name} needs {key!r}")
-    vals = {}
+    vals = {"name": name, "out": f"{name}_{index}.csv"}
     for key, convert in _CHECK_VALUES.items():
         if key in spec:
             with _at(f"{path}.{key}"):
@@ -338,10 +356,14 @@ def _validate_check(spec, path):
             raise ConfigError(f"{path}: need rho < R")
         if "k" not in spec and "ell" not in spec:
             raise ConfigError(f"{path}: caccioppoli needs 'k' or 'ell'")
-    elif name == "degiorgi":
-        with _at(path):
+    with _at(path):
+        if name == "degiorgi":
             est.degiorgi_iterate(vals["X0"], vals["C"], vals["b"], vals["R"], vals["N"],
                                  max_steps=0)
+        else:
+            est._require_ball_inside(bounds, vals["center"],
+                                     est.CHECK_BALL[name] * vals["R"])
+    return vals
 
 
 def _validate_solver(spec):
@@ -371,21 +393,23 @@ def parse_config(path):
     if "problem" not in raw:
         raise ConfigError("config.problem: missing")
     F = build_integrand(raw["integrand"])
-    _validate_problem(raw["problem"])
+    problem = _validate_problem(raw["problem"])
     boundary = compile_boundary_expression(str(raw["problem"]["boundary"]))
-    checks = raw.get("checks", [])
-    if not isinstance(checks, list):
+    specs = raw.get("checks", [])
+    if not isinstance(specs, list):
         raise ConfigError("config.checks: expected a list")
-    for i, c in enumerate(checks):
-        with _at(f"checks[{i}]"):
-            _validate_check(c, f"checks[{i}]")
+    checks = []
+    for i, c in enumerate(specs):
+        path = f"checks[{i}]"
+        with _at(path):
+            check = _validate_check(c, path, problem["bounds"], i)
+        if any(check["out"] == other["out"] for other in checks):
+            raise ConfigError(f"{path}.out: another check already writes {check['out']!r}")
+        checks.append(check)
     solver = _validate_solver(raw.get("solver", {}))
     with _at("config.seed"):
         seed = _count(0)(raw.get("seed", 0))
     return ExperimentConfig(
-        integrand_spec=raw["integrand"], integrand=F,
-        problem_spec=raw["problem"], boundary=boundary,
-        checks=checks, solver=solver,
-        seed=seed, out_dir=str(raw.get("out_dir", ".")),
-        source_text=text, path=str(path),
+        integrand=F, problem=problem, boundary=boundary, checks=checks, solver=solver,
+        seed=seed, out_dir=str(raw.get("out_dir", ".")), source_text=text,
     )

@@ -103,13 +103,17 @@ def _ball_tris(mesh, center, radius):
     return inside
 
 
-def _require_ball_inside(mesh, center, radius):
-    (x0, x1), (y0, y1) = mesh.bounds
+# The radius of the largest ball each check reads, in units of its R: that
+# ball must lie in the domain, which the config checks before the solve.
+CHECK_BALL = {"caccioppoli": 1.0, "caccioppoli_l1": 2.0, "sobolev": 2.0, "lipschitz": 2.0}
+
+
+def _require_ball_inside(bounds, center, radius):
+    (x0, x1), (y0, y1) = bounds
     if not (center[0] - radius >= x0 - 1e-12 and center[0] + radius <= x1 + 1e-12
             and center[1] - radius >= y0 - 1e-12 and center[1] + radius <= y1 + 1e-12):
         raise ValueError(
-            f"ball B_{radius:g}({center[0]:g},{center[1]:g}) leaves the domain "
-            f"{mesh.bounds}")
+            f"ball B_{radius:g}({center[0]:g},{center[1]:g}) leaves the domain {bounds}")
 
 
 def _ball_mean(mesh, mask, values):
@@ -167,7 +171,7 @@ def caccioppoli_check(solution, ell, rho, R, center, H=None):
     if not rho < R:
         raise ValueError(f"need rho < R, got rho={rho}, R={R}")
     mesh = solution.mesh
-    _require_ball_inside(mesh, center, R)
+    _require_ball_inside(mesh.bounds, center, CHECK_BALL["caccioppoli"] * R)
     ell_c, ell_b = float(ell[0]), np.asarray(ell[1], dtype=float).reshape(2)
     dv = stress_field(solution)
 
@@ -212,7 +216,7 @@ def caccioppoli_l1_check(solution, R, center, H=None):
     empirical constant; stability across refinements is what gets asserted.
     """
     mesh = solution.mesh
-    _require_ball_inside(mesh, center, 2.0 * R)
+    _require_ball_inside(mesh.bounds, center, CHECK_BALL["caccioppoli_l1"] * R)
     dv = stress_field(solution)
     inner = _ball_tris(mesh, center, R)
     outer = _ball_tris(mesh, center, 2.0 * R)
@@ -241,7 +245,7 @@ def sobolev_stress_check(solution, R, center, H=None):
     measured ratios are the empirical constants.
     """
     mesh = solution.mesh
-    _require_ball_inside(mesh, center, 2.0 * R)
+    _require_ball_inside(mesh.bounds, center, CHECK_BALL["sobolev"] * R)
     dv = stress_field(solution)
     F = solution.problem.integrand
     Hval = _h_est(solution, H)
@@ -277,7 +281,7 @@ def lipschitz_check(solution, R, center):
     refinement stability of the measured ratio is the desk-scale proxy.
     """
     mesh = solution.mesh
-    _require_ball_inside(mesh, center, 2.0 * R)
+    _require_ball_inside(mesh.bounds, center, CHECK_BALL["lipschitz"] * R)
     F = solution.problem.integrand
     fvals = solution.energy_density
     inner = _ball_tris(mesh, center, 0.5 * R)
@@ -334,24 +338,16 @@ def degiorgi_iterate(X0, C, b, R, N_dim, max_steps=10**4):
     thr = degiorgi_threshold(C, b, R, N_dim)
     seq = [float(X0)]
     x = float(X0)
-    verdict = "diverges/stalls"
     expo = 1.0 + 2.0 / N_dim
     coef = C / R**2
     for n in range(max_steps):
-        if x <= 1e-300:
-            verdict = "vanishes"
-            break
-        if x > 1e300 or not np.isfinite(x):
-            verdict = "diverges/stalls"
+        if not 1e-300 < x <= 1e300:  # vanished, or overflowed or nan
             break
         try:
             x = coef * b**n * x**expo
         except OverflowError:
             x = float("inf")
         seq.append(x)
-    else:
-        verdict = "vanishes" if x <= 1e-300 else "diverges/stalls"
-    if x <= 1e-300:
-        verdict = "vanishes"
+    verdict = "vanishes" if x <= 1e-300 else "diverges/stalls"
     return DeGiorgiResult(X0=float(X0), threshold=thr, verdict=verdict,
                           sequence=np.array(seq), steps=len(seq) - 1)

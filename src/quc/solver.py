@@ -334,7 +334,6 @@ class GridProblem:
     boundary: object
     bounds: tuple = ((0.0, 1.0), (0.0, 1.0))
     mask: tuple | None = None
-    descriptor: str = ""
     _mesh: Mesh | None = field(default=None, repr=False, compare=False)
 
     def mesh(self):
@@ -848,21 +847,22 @@ def _armijo(F, mesh, u, d, energy, slope, order, *, c1=1e-4, max_halvings=60):
 
     Each trial is a full ``assemble_energy`` pass of orders 0..``order`` at
     u + alpha d, so the accepted trial is also the next iterate's pass.
-    Returns (alpha, (energy, gradient, F(Du), DF(Du), D2F(Du) or None,
-    Du)) of the first trial that satisfies the Armijo condition, or None
-    when ``max_halvings`` trials find no decrease.  A rejected trial's fields
-    die before the next trial's pass.
+    Returns (u + alpha d, (energy, gradient, F(Du), DF(Du), D2F(Du) or
+    None, Du)) of the first trial that satisfies the Armijo condition, or
+    None when ``max_halvings`` trials find no decrease.  A rejected trial's
+    fields die before the next trial's pass.
     """
     alpha = 1.0
     floor = 1e-14 * abs(energy) + 1e-300  # rounding floor near convergence
     for _ in range(max_halvings):
+        point = u + alpha * d
         try:
-            trial = assemble_energy(F, mesh, u + alpha * d, order=order)
+            trial = assemble_energy(F, mesh, point, order=order)
         except AssemblyError:
             alpha *= 0.5
             continue
         if trial[0] <= energy + c1 * alpha * slope + floor:
-            return alpha, trial
+            return point, trial
         trial = None
         alpha *= 0.5
     return None
@@ -1027,9 +1027,8 @@ def solve(problem, *, method="newton", tol_rel=1e-9, max_iter=60,
             stop_reason = "line_search_stalled"
             _, _, f, v, _, du = assemble_energy(F, mesh, u, order=1)
             break
-        alpha, (energy, g, f, v, hz, du) = accepted
+        u, (energy, g, f, v, hz, du) = accepted
         accepted = None             # else it keeps D2F(Du) alive through the next solve
-        u = u + alpha * d
         res = float(np.abs(g[ii]).max()) if ii.size else 0.0
         gnorm_prev, gnorm = gnorm, _norm(g[ii])
         eta = min(ETA_MAX, EW_GAMMA * (gnorm / gnorm_prev) ** EW_ALPHA)

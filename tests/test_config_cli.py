@@ -96,8 +96,9 @@ def _config(tmp_path, name="cfg.json", **overrides):
 def test_parse_valid_config(tmp_path):
     cfg = parse_config(_config(tmp_path))
     assert cfg.integrand.kind == "power"
-    assert cfg.problem_spec["n"] == 17
+    assert cfg.problem["n"] == 17
     assert len(cfg.checks) == 1
+    assert cfg.checks[0]["out"] == "lipschitz_0.csv"
 
 
 def test_parse_rejects_unknown_top_key(tmp_path):
@@ -269,6 +270,20 @@ _MALFORMED = {
                    "problem.domain"),
     "seed_negative": ({"seed": -5}, "config.seed"),
     "seed_bool": ({"seed": True}, "config.seed"),
+    "expect": (_check(_DG, expect="vanish"), r"checks\[0\]\.expect"),
+    # a report is one file in the output directory, beside the pipeline's own
+    "out_solution": (_check(_LIP, out="solution.csv"), r"checks\[0\]\.out"),
+    "out_analyze": (_check(_LIP, out="analyze.csv"), r"checks\[0\]\.out"),
+    "out_absolute": (_check(_LIP, out="/tmp/x.csv"), r"checks\[0\]\.out"),
+    "out_subdir": (_check(_LIP, out="sub/x.csv"), r"checks\[0\]\.out"),
+    "out_twice": ({"checks": [{**_LIP, "out": "a.csv"}, {**_LIP, "out": "a.csv"}]},
+                  r"checks\[1\]\.out"),
+    "out_a_default": ({"checks": [_LIP, {**_LIP, "out": "lipschitz_0.csv"}]},
+                      r"checks\[1\]\.out"),
+    # B_R must lie in [0, 1]^2 for caccioppoli, B_2R for the other checks
+    "ball_R": (_check(_CAC, R=0.6), r"checks\[0\]"),
+    "ball_2R": (_check(_LIP, R=0.3), r"checks\[0\]"),
+    "ball_2R_sobolev": (_check(_LIP, name="sobolev", center=[0.2, 0.5]), r"checks\[0\]"),
 }
 
 
@@ -278,12 +293,22 @@ def test_cli_malformed_value_is_config_error(tmp_path, capsys, overrides, where)
     assert capsys.readouterr().err.startswith("config error: ")
     with pytest.raises(ConfigError, match=f"^{where}: "):
         parse_config(tmp_path / "cfg.json")
+    # rejected before anything runs
+    out = tmp_path / "out"
+    assert main(["--out-dir", str(out), "verify", str(tmp_path / "cfg.json")]) == 2
+    assert capsys.readouterr().err.startswith("config error: ")
+    assert not list(out.glob("*.csv"))
 
 
 _BAD_CHECK_FLAGS = {
     "caccioppoli_without_rho_or_k": ["--check", "caccioppoli", "--R", "0.4",
                                      "--center", "1.5,1.5"],
     "lipschitz_negative_R": ["--check", "lipschitz", "--R", "-0.4", "--center", "0.5,0.5"],
+    "ball_leaves_the_domain": ["--check", "lipschitz", "--R", "0.4", "--center", "0.5,0.5"],
+    "out_is_the_solution": ["--check", "lipschitz", "--R", "0.2", "--center", "0.5,0.5",
+                            "--out", "solution.csv"],
+    "out_in_a_directory": ["--check", "lipschitz", "--R", "0.2", "--center", "0.5,0.5",
+                           "--out", "sub/lip.csv"],
 }
 
 
@@ -379,6 +404,20 @@ def test_cli_unwritable_output_is_an_error(tmp_path, capsys, argv):
     assert main(argv(tmp_path, _config(tmp_path))) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_cli_solve_checks_its_output_directory_before_the_solve(tmp_path, capsys,
+                                                                monkeypatch):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved although the output cannot be written")
+
+    monkeypatch.setattr(quc.cli, "solve", no_solve)
+    cfg = _config(tmp_path)
+    assert main(["--out-dir", str(tmp_path), "solve", str(cfg),
+                 "--out", str(tmp_path / "missing" / "x.csv")]) == 1
+    std = capsys.readouterr()
+    assert std.err.startswith("error: ") and std.out == ""
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
 
 
 @pytest.mark.parametrize("n", ["0", "8"])
