@@ -290,7 +290,7 @@ def cmd_verify(cfg, args, out_dir, rng):
             spec["center"] = args.center.split(",")
         if args.out:
             spec["out"] = args.out
-        checks = [_validate_check(spec, "--check", cfg.problem["bounds"])]
+        checks = [_validate_check(spec, "--check", cfg.problem)]
     return run(cfg, out_dir=out_dir, seed=args.seed, checks=checks)
 
 

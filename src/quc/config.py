@@ -332,10 +332,11 @@ def _validate_problem(spec):
     return {"n": n, "bounds": tuple(map(tuple, d.tolist())), "mask": mask}
 
 
-def _validate_check(spec, path, bounds, index=0):
+def _validate_check(spec, path, problem, index=0):
     """The converted values of the config's check number ``index``, whose
     report ``out`` defaults to ``{name}_{index}.csv`` and whose balls must
-    lie in the domain ``bounds``."""
+    lie in the domain of ``problem`` (``_validate_problem``): its rectangle
+    and its mask's disk."""
     if not isinstance(spec, dict) or "name" not in spec:
         raise ConfigError(f"{path}: each check needs a 'name'")
     name = spec["name"]
@@ -361,7 +362,7 @@ def _validate_check(spec, path, bounds, index=0):
             est.degiorgi_iterate(vals["X0"], vals["C"], vals["b"], vals["R"], vals["N"],
                                  max_steps=0)
         else:
-            est._require_ball_inside(bounds, vals["center"],
+            est._require_ball_inside(problem["bounds"], problem["mask"], vals["center"],
                                      est.CHECK_BALL[name] * vals["R"])
     return vals
 
@@ -402,7 +403,7 @@ def parse_config(path):
     for i, c in enumerate(specs):
         path = f"checks[{i}]"
         with _at(path):
-            check = _validate_check(c, path, problem["bounds"], i)
+            check = _validate_check(c, path, problem, i)
         if any(check["out"] == other["out"] for other in checks):
             raise ConfigError(f"{path}.out: another check already writes {check['out']!r}")
         checks.append(check)

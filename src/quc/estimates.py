@@ -104,16 +104,24 @@ def _ball_tris(mesh, center, radius):
 
 
 # The radius of the largest ball each check reads, in units of its R: that
-# ball must lie in the domain, which the config checks before the solve.
+# ball must lie in the domain, the rectangle and the mask's disk, which the
+# config checks before the solve.
 CHECK_BALL = {"caccioppoli": 1.0, "caccioppoli_l1": 2.0, "sobolev": 2.0, "lipschitz": 2.0}
 
 
-def _require_ball_inside(bounds, center, radius):
+def _require_ball_inside(bounds, mask, center, radius):
+    """Raise ValueError unless the ball lies in the rectangle ``bounds`` and
+    in the disk ``mask`` = (center, radius), when there is one."""
     (x0, x1), (y0, y1) = bounds
     if not (center[0] - radius >= x0 - 1e-12 and center[0] + radius <= x1 + 1e-12
             and center[1] - radius >= y0 - 1e-12 and center[1] + radius <= y1 + 1e-12):
         raise ValueError(
             f"ball B_{radius:g}({center[0]:g},{center[1]:g}) leaves the domain {bounds}")
+    if mask is not None:
+        (cx, cy), r = mask
+        if not np.hypot(center[0] - cx, center[1] - cy) + radius <= r + 1e-12:
+            raise ValueError(f"ball B_{radius:g}({center[0]:g},{center[1]:g}) leaves the "
+                             f"mask disk B_{r:g}({cx:g},{cy:g})")
 
 
 def _ball_mean(mesh, mask, values):
@@ -171,7 +179,8 @@ def caccioppoli_check(solution, ell, rho, R, center, H=None):
     if not rho < R:
         raise ValueError(f"need rho < R, got rho={rho}, R={R}")
     mesh = solution.mesh
-    _require_ball_inside(mesh.bounds, center, CHECK_BALL["caccioppoli"] * R)
+    _require_ball_inside(mesh.bounds, solution.problem.mask, center,
+                         CHECK_BALL["caccioppoli"] * R)
     ell_c, ell_b = float(ell[0]), np.asarray(ell[1], dtype=float).reshape(2)
     dv = stress_field(solution)
 
@@ -216,7 +225,8 @@ def caccioppoli_l1_check(solution, R, center, H=None):
     empirical constant; stability across refinements is what gets asserted.
     """
     mesh = solution.mesh
-    _require_ball_inside(mesh.bounds, center, CHECK_BALL["caccioppoli_l1"] * R)
+    _require_ball_inside(mesh.bounds, solution.problem.mask, center,
+                         CHECK_BALL["caccioppoli_l1"] * R)
     dv = stress_field(solution)
     inner = _ball_tris(mesh, center, R)
     outer = _ball_tris(mesh, center, 2.0 * R)
@@ -245,7 +255,8 @@ def sobolev_stress_check(solution, R, center, H=None):
     measured ratios are the empirical constants.
     """
     mesh = solution.mesh
-    _require_ball_inside(mesh.bounds, center, CHECK_BALL["sobolev"] * R)
+    _require_ball_inside(mesh.bounds, solution.problem.mask, center,
+                         CHECK_BALL["sobolev"] * R)
     dv = stress_field(solution)
     F = solution.problem.integrand
     Hval = _h_est(solution, H)
@@ -281,7 +292,8 @@ def lipschitz_check(solution, R, center):
     refinement stability of the measured ratio is the desk-scale proxy.
     """
     mesh = solution.mesh
-    _require_ball_inside(mesh.bounds, center, CHECK_BALL["lipschitz"] * R)
+    _require_ball_inside(mesh.bounds, solution.problem.mask, center,
+                         CHECK_BALL["lipschitz"] * R)
     F = solution.problem.integrand
     fvals = solution.energy_density
     inner = _ball_tris(mesh, center, 0.5 * R)

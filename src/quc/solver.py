@@ -23,12 +23,16 @@ recovers DV from V by patchwise affine fits.
 
 Every operator of the linear solves is a 7-point stencil on a grid
 (``StencilMatrix``), held as seven coefficient arrays, so the solve path
-needs numpy only.  The Newton systems are solved by CG preconditioned with
-a geometric multigrid V-cycle over the nested grids n_0, (n_0 + 1) / 2, ...
-(Briggs, Henson & McCormick, *A Multigrid Tutorial*), stopped at an
-Eisenstat-Walker forcing term (Eisenstat & Walker, SISC 17, 1996), so the
-cost of a Newton step grows linearly with the grid; n_0 = 2^k m + 1 >= n,
-m <= 16, holds the n x n unknowns in its corner.  The P1 prolongation
+needs numpy only.  The Newton solve has one vector layout, the flat grid
+vector of n^2 nodal values, zero off the unknowns: the gradient, the
+Newton step, the search direction and every vector of the linear solvers
+and their multigrid levels.  The Newton systems are solved by CG
+preconditioned with a geometric multigrid V-cycle over the nested grids
+n_0, (n_0 + 1) / 2, ... (Briggs, Henson & McCormick, *A Multigrid
+Tutorial*), stopped at an Eisenstat-Walker forcing term (Eisenstat &
+Walker, SISC 17, 1996), so the cost of a Newton step grows linearly with
+the grid; n_0 = 2^k m + 1 >= n, m <= 16, holds the n x n unknowns in its
+corner.  The P1 prolongation
 and its transpose are strided slices of grid vectors, and the Galerkin
 operators P^T A P are 7-point stencils again, summed from strided slices
 of the finer level's coefficients.  Grids up to n = 17 and the coarsest
@@ -77,7 +81,7 @@ class Mesh:
     whole vertex and barycenter tables on demand.
 
     Attributes: ``nodes`` (N, 2); boolean node masks ``interior``,
-    ``dirichlet`` and ``used``, and ``interior_idx``; ``kept``; the ints
+    ``dirichlet`` and ``used``; ``kept``; the ints
     ``n_lower`` and ``n_tris``; ``stencil_offsets``, ``stencil_grads`` and
     the scalar ``area``.  A mesh holds geometry only: ``solve`` builds the
     Newton pattern and the prolongations once per call.
@@ -117,7 +121,6 @@ class Mesh:
         self.used = (code > 0).ravel()
         self.interior = (code == 63).ravel()
         self.dirichlet = self.used & ~self.interior
-        self.interior_idx = np.flatnonzero(self.interior)
 
         ix, iy = 1.0 / self.hx, 1.0 / self.hy
         self.stencil_grads = np.array([[[-ix, 0.0], [ix, -iy], [0.0, iy]],
@@ -493,23 +496,19 @@ def _newton_matrix(mesh, hz, mu, pattern=None):
 
 class StencilMatrix:
     """Symmetric operator on the kept nodes of an n x n grid, with the
-    7-point stencil ``OFFSETS``.
+    7-point stencil ``OFFSETS``, acting on flat grid vectors.
 
     ``coef`` (7, n, n) holds at node a the coefficient of offset k, zero off
-    ``pattern`` (``_pattern``); the unknowns are the kept nodes
-    ``pattern[3]`` in row-major order, none on the border.  ``A @ x`` on a
-    vector of unknowns and ``apply`` on a flat grid vector (n^2 values, zero
-    off the unknowns) are seven shifted multiply-adds in the order of the
-    CSR columns, which give the bits of the CSR row products.  ``nnz``
-    counts the pattern, the stored entries of the CSR matrix that ``tocsr``
-    gathers; scipy is imported there, on first use.
+    ``pattern`` (``_pattern``); the unknowns are the kept nodes ``keep`` =
+    ``pattern[3]``, none on the border.  A vector is a flat grid vector, n^2
+    values that are zero off the unknowns, and ``apply`` is seven shifted
+    multiply-adds in the order of the offsets.  ``nnz`` counts the pattern:
+    the entries of the operator on its unknowns.
     """
 
     def __init__(self, coef, pattern):
         self.coef, self.pattern = coef, pattern
         self.n = n = coef.shape[1]
-        self.index = np.flatnonzero(pattern[3])
-        self.shape = (self.index.size, self.index.size)
         # nodes n + 1 to n^2 - n - 2 cover every unknown, and the neighbours
         # of each lie on the grid: one contiguous slice per offset
         flat = coef.reshape(7, n * n)
@@ -525,18 +524,6 @@ class StencilMatrix:
     def nnz(self):
         return int(np.count_nonzero(self.pattern))
 
-    def diagonal(self):
-        return self.coef[3].reshape(-1)[self.index]
-
-    def to_grid(self, x):
-        """A vector of unknowns as a flat grid vector, zero elsewhere."""
-        grid = np.zeros(self.n * self.n)
-        grid[self.index] = x
-        return grid
-
-    def from_grid(self, grid):
-        return grid[self.index]
-
     def apply(self, x):
         """A x for a flat grid vector x."""
         y = np.empty(self.n * self.n)
@@ -548,26 +535,6 @@ class StencilMatrix:
             if k:
                 acc += tmp
         return y
-
-    def __matmul__(self, x):
-        return self.from_grid(self.apply(self.to_grid(x)))
-
-    def tocsr(self):
-        """The CSR matrix: row by row, the pattern's entries in offset
-        order.  Its index arrays are int32 (int64 only past 2^31 - 1
-        entries), the dtype scipy picks."""
-        from scipy import sparse
-
-        n, ii = self.n, self.index
-        present = self.pattern.reshape(7, -1)[:, ii].T
-        pos = np.full(n * n, -1, dtype=np.int64)
-        pos[ii] = np.arange(ii.size)
-        indptr = np.concatenate([[0], np.cumsum(present.sum(axis=1))])
-        gather = (np.arange(7) * n * n + ii[:, None])[present]
-        indices = pos[ii[:, None] + _stencil(n)][present]
-        index = np.int32 if indptr[-1] <= np.iinfo(np.int32).max else np.int64
-        return sparse.csr_matrix((np.take(self.coef, gather), indices.astype(index),
-                                  indptr.astype(index)), shape=self.shape)
 
 
 def _galerkin_terms():
@@ -684,15 +651,26 @@ def _line_solve(inv, inv_u, L, keep, b):
 
 
 def _superlu(A):
-    """SuperLU factor of A with Liu's multiple minimum degree ordering of
-    A + A^T (ACM TOMS 1985) in symmetric mode, which prefers diagonal pivots.
-    On the Newton matrices this factor has a third less fill than a COLAMD
-    ordering.  scipy is imported here, on first use.  A singular matrix
-    raises RuntimeError."""
+    """SuperLU factor of A on flat grid vectors, as a function b -> x.
+
+    The n^2 x n^2 matrix holds the nodes off ``A.keep`` as identity rows, as
+    ``_line_factor`` does.  It is built from the seven coefficient arrays as
+    diagonals: A[a, a + d_k] = coef[k, a] lies in column a + d_k of
+    diagonal d_k, and what ``np.roll`` wraps around falls outside the
+    matrix, where ``dia_array`` drops it, as it drops zeros.  Liu's
+    multiple minimum degree ordering of A + A^T (ACM TOMS 1985) in
+    symmetric mode, which prefers diagonal pivots, gives a third less fill
+    than a COLAMD ordering on the Newton matrices.  scipy is imported here, on first use.  A
+    singular matrix raises RuntimeError."""
+    from scipy import sparse
     from scipy.sparse.linalg import splu
 
-    return splu(A.tocsr().tocsc(), permc_spec="MMD_AT_PLUS_A",
-                options=dict(SymmetricMode=True))
+    flat = A.coef.reshape(7, -1)
+    offsets = _stencil(A.n)
+    diagonals = np.stack([np.roll(c, d) for c, d in zip(flat, offsets)])
+    diagonals[3] = np.where(A.keep.reshape(-1), flat[3], 1.0)
+    matrix = sparse.dia_array((diagonals, offsets), shape=(A.n ** 2,) * 2).tocsc()
+    return splu(matrix, permc_spec="MMD_AT_PLUS_A", options=dict(SymmetricMode=True)).solve
 
 
 # V(2, 2) cycle with damped Jacobi smoothing
@@ -806,40 +784,42 @@ def _pcg(matvec, b, precondition, rtol):
 
 
 def spsolve(A, b, prolongations=(), *, rtol=1e-8):
-    """Solve A x = b for a symmetric positive definite ``StencilMatrix``.
+    """Solve A x = b for a symmetric positive definite ``StencilMatrix``, on
+    flat grid vectors: b and x are zero off the unknowns ``A.keep``.
 
     Without ``prolongations`` (grids up to ``COARSEST_N``, at most 15^2
     unknowns) the solve is the block LDL^T over grid lines of
     ``_line_factor``.  With ``prolongations`` (``prolongations(mesh)``) it
-    is CG preconditioned by one multigrid V(2, 2) cycle on grid vectors.
-    Where their finest grid n_0 = 2 n_1 - 1 is larger than A's, A's
-    coefficients go into its corner, zero outside; the unknowns keep their
-    row-major order, so b and x map unchanged.  The cycle has Galerkin
-    operators P^T A P on the coarser levels, summed as 7-point stencils
-    (``_galerkin``), two damped Jacobi sweeps (omega = 0.7) before and
-    after each coarse correction, and the line-block factor of the
-    coarsest operator (grid 17 or smaller).  CG starts from zero and stops
-    once |b - A x|_2 <= rtol |b|_2.  If it hits ``PCG_MAXITER`` iterations,
-    meets p.Ap <= 0 (or r.z <= 0) or a non-finite value, SuperLU
-    (``_superlu``, which imports scipy) solves the system instead.  A
-    singular matrix raises RuntimeError from SuperLU, or
-    ``np.linalg.LinAlgError`` from the line-block factor.
+    is CG preconditioned by one multigrid V(2, 2) cycle.  Where their
+    finest grid n_0 = 2 n_1 - 1 is larger than A's, A's coefficients and b
+    go into its (n, n) corner, zero outside, and x is cropped from it.  The
+    cycle has Galerkin operators P^T A P on the coarser levels, summed as
+    7-point stencils (``_galerkin``), two damped Jacobi sweeps
+    (omega = 0.7) before and after each coarse correction, and the
+    line-block factor of the coarsest operator (grid 17 or smaller).  CG
+    starts from zero and stops once |b - A x|_2 <= rtol |b|_2.  If it hits
+    ``PCG_MAXITER`` iterations, meets p.Ap <= 0 (or r.z <= 0) or a
+    non-finite value, SuperLU (``_superlu``, which imports scipy) solves the
+    system on A's own grid instead.  A singular matrix raises RuntimeError
+    from SuperLU, or ``np.linalg.LinAlgError`` from the line-block factor.
 
     The result is (x, iterations): the CG iteration count, 0 for a direct
     solve and -1 where SuperLU took over from CG.
     """
     if not prolongations:
-        return A.from_grid(_line_factor(A)(A.to_grid(b))), 0
+        return _line_factor(A)(b), 0
     n = 2 * prolongations[0].shape[0] - 1
-    pad = ((0, 0), (0, n - A.n), (0, n - A.n))
-    B = StencilMatrix(np.pad(A.coef, pad), np.pad(A.pattern, pad)) if n > A.n else A
-    # CG on grid vectors, as the V-cycle works: nothing is scattered or
-    # gathered per iteration
-    result = _pcg(B.apply, B.to_grid(b), _vcycle(B, prolongations), rtol)
+    B, rhs = A, b
+    if n > A.n:
+        pad = ((0, 0), (0, n - A.n), (0, n - A.n))
+        B = StencilMatrix(np.pad(A.coef, pad), np.pad(A.pattern, pad))
+        rhs = np.pad(b.reshape(A.n, A.n), pad[1:]).reshape(-1)
+    result = _pcg(B.apply, rhs, _vcycle(B, prolongations), rtol)
     if result is not None:
-        return B.from_grid(result[0]), result[1]
-    B = None                    # the padded copy dies before SuperLU factors A
-    return _superlu(A).solve(b), -1
+        x, its = result
+        return x.reshape(n, n)[:A.n, :A.n].reshape(-1), its
+    B = rhs = None              # the padded copy dies before SuperLU factors A
+    return _superlu(A)(b), -1
 
 
 def _armijo(F, mesh, u, d, energy, slope, order, *, c1=1e-4, max_halvings=60):
@@ -929,13 +909,15 @@ def solve(problem, *, method="newton", tol_rel=1e-9, max_iter=60,
     the energy, the nodal gradient, the D2F(Du) of the next Newton matrix
     and, at the last iterate, the solution's F(Du), stress V = DF(Du) and
     Du.  The last iterate's F(Du), V and Du are dropped at the top of each
-    step, before its linear solve, and its gradient before the trials, so
-    a stalled search makes one more orders 0..1 pass at the iterate it
-    returns.  Each Newton matrix and its multigrid hierarchy are freed when
-    the step's linear solve returns, and the Newton pattern and the levels'
-    keep masks, built once at the first Newton step, when ``solve``
-    returns, so the solver's memory is bounded per step, not per run, and
-    the mesh keeps none of it.
+    step, before its linear solve, so a stalled search makes one more
+    orders 0..1 pass at the iterate it returns.  The gradient g is zeroed
+    off the interior once per pass; g, the Newton step and the direction
+    are flat grid vectors, and the previous iterate and gradient, which
+    the BB step reads, are the arrays themselves, not copies.  Each Newton
+    matrix and its multigrid hierarchy are freed when the step's linear
+    solve returns, and the Newton pattern and the levels' keep masks, built
+    once at the first Newton step, when ``solve`` returns, so the solver's
+    memory is bounded per step, not per run, and the mesh keeps none of it.
     ``method="gradient"`` forces the Barzilai-Borwein fallback throughout.
     Terminates when the interior gradient max-norm drops below tol_rel
     (1 + initial residual); hitting the iteration cap or an Armijo search
@@ -948,10 +930,12 @@ def solve(problem, *, method="newton", tol_rel=1e-9, max_iter=60,
     gradient g_k in the 2-norm, with the Eisenstat-Walker choice 2 forcing
     term eta_k = min(ETA_MAX, EW_GAMMA (|g_k| / |g_{k-1}|)^EW_ALPHA) and
     eta_0 = ETA_MAX.  Smaller grids solve each step directly.  Where CG
-    fails SuperLU solves the step, and where the direct solve fails or the
-    step is not a descent direction a BB step is taken.  ``linear_iterations`` records,
-    per Newton step, the CG iterations, 0 for a direct solve and -1 where
-    one of these fallbacks fired.
+    fails SuperLU solves the step, and where the direct solve fails (the
+    RuntimeError of a singular SuperLU factor or the
+    ``np.linalg.LinAlgError`` of a singular line block; any other error
+    propagates) or the step is not a descent direction a BB step is taken.
+    ``linear_iterations`` records, per Newton step, the CG iterations, 0
+    for a direct solve and -1 where one of these fallbacks fired.
 
     The initial guess is the Coons interpolation of the outer-edge data;
     interior nodes where it is not finite (the outer edges of a masked
@@ -967,11 +951,12 @@ def solve(problem, *, method="newton", tol_rel=1e-9, max_iter=60,
     u = _coons_init(mesh, data)
     u[mesh.dirichlet] = data[mesh.dirichlet]
     u[mesh.interior & ~np.isfinite(u)] = data[mesh.dirichlet].mean()
-    ii = mesh.interior_idx
+    off = ~mesh.interior
 
     order = 2 if newton else 1
     energy, g, f, v, hz, du = assemble_energy(F, mesh, u, order=order)
-    res0 = float(np.abs(g[ii]).max()) if ii.size else 0.0
+    g[off] = 0.0
+    res0 = float(np.abs(g).max())
     tol = tol_rel * (1.0 + res0)
     res = res0
     iterations = 0
@@ -980,7 +965,7 @@ def solve(problem, *, method="newton", tol_rel=1e-9, max_iter=60,
     alpha_gd = 1.0
     cap = max_iter if newton else gd_max_iter
     stop_reason = "max_iter"
-    gnorm = _norm(g[ii])
+    gnorm = _norm(g)
     eta = ETA_MAX
     linear_iterations = []
     pattern = levels = None
@@ -989,7 +974,6 @@ def solve(problem, *, method="newton", tol_rel=1e-9, max_iter=60,
     # failed line search instead of passing as an untried iteration cap.
     while not res <= tol and iterations < cap:
         f = v = du = None           # the last iterate's fields die before the linear solve
-        d = np.zeros_like(u)
         slope = None
         if newton:
             if pattern is None:
@@ -998,30 +982,30 @@ def solve(problem, *, method="newton", tol_rel=1e-9, max_iter=60,
                 pattern, levels = newton_pattern(mesh), prolongations(mesh)
             # the Newton matrix lives only inside spsolve, and D2F(Du) only
             # until the matrix is built
-            Kii, hz = _newton_matrix(mesh, hz, 1e-10 * (1.0 + res), pattern), None
+            K, hz = _newton_matrix(mesh, hz, 1e-10 * (1.0 + res), pattern), None
             try:
-                step, its = spsolve(Kii, -g[ii], levels, rtol=eta)
-            except Exception:
-                step = None
-            Kii = None
-            if step is not None and np.isfinite(step).all():
-                sl = _dot(g[ii], step)
-                if sl < 0.0:
-                    d[ii] = step
-                    slope = sl
+                d, its = spsolve(K, -g, levels, rtol=eta)
+            except (RuntimeError, np.linalg.LinAlgError):
+                d = None
+            K = None
+            if d is not None and np.isfinite(d).all():
+                slope = _dot(g, d)
+                if not slope < 0.0:
+                    slope = None
             linear_iterations.append(its if slope is not None else -1)
         if slope is None:
-            step = -g[ii]
             if u_prev is not None:
-                alpha_gd = _bb_step(u[ii] - u_prev, g[ii] - g_prev, alpha_gd)
+                # on the interior only: u keeps the guess off the used nodes,
+                # which may be NaN or inf
+                s = np.subtract(u, u_prev, out=np.zeros_like(u), where=mesh.interior)
+                alpha_gd = _bb_step(s, g - g_prev, alpha_gd)
+                s = None
             else:
                 alpha_gd = 1.0 / max(1.0, res)
-            step = alpha_gd * step
-            d[ii] = step
-            slope = _dot(g[ii], step)
+            d = alpha_gd * -g
+            slope = _dot(g, d)
 
-        u_prev, g_prev = u[ii].copy(), g[ii].copy()
-        g = step = None             # the last iterate's gradient dies before the trials
+        u_prev, g_prev = u, g
         accepted = _armijo(F, mesh, u, d, energy, slope, order)
         if accepted is None:
             stop_reason = "line_search_stalled"
@@ -1029,8 +1013,9 @@ def solve(problem, *, method="newton", tol_rel=1e-9, max_iter=60,
             break
         u, (energy, g, f, v, hz, du) = accepted
         accepted = None             # else it keeps D2F(Du) alive through the next solve
-        res = float(np.abs(g[ii]).max()) if ii.size else 0.0
-        gnorm_prev, gnorm = gnorm, _norm(g[ii])
+        g[off] = 0.0
+        res = float(np.abs(g).max())
+        gnorm_prev, gnorm = gnorm, _norm(g)
         eta = min(ETA_MAX, EW_GAMMA * (gnorm / gnorm_prev) ** EW_ALPHA)
         iterations += 1
 

@@ -284,6 +284,10 @@ _MALFORMED = {
     "ball_R": (_check(_CAC, R=0.6), r"checks\[0\]"),
     "ball_2R": (_check(_LIP, R=0.3), r"checks\[0\]"),
     "ball_2R_sobolev": (_check(_LIP, name="sobolev", center=[0.2, 0.5]), r"checks\[0\]"),
+    # and in the mask's disk: B_2R(0.1, 0.1) lies in the square, not in B_0.49(0.5, 0.5)
+    "ball_mask": ({"problem": {"n": 33, "boundary": "x",
+                               "mask": {"center": [0.5, 0.5], "radius": 0.49}},
+                   **_check(_LIP, R=0.05, center=[0.1, 0.1])}, r"checks\[0\]"),
 }
 
 

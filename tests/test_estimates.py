@@ -101,6 +101,20 @@ def test_caccioppoli_validates_geometry(sol_harmonic):
                               (0.5, 0.5))
 
 
+def test_checks_reject_a_ball_outside_the_mask():
+    # B_0.1(0.1, 0.1) lies in the square but not in the disk B_0.49(0.5, 0.5)
+    sol = quc.solve(quc.GridProblem(integrand=quc.make_power(2.0), n=17,
+                                    boundary=lambda x, y: x * x - y * y,
+                                    mask=(np.array([0.5, 0.5]), 0.49)))
+    center = (0.1, 0.1)
+    for check in (lambda: quc.caccioppoli_check(sol, (0.0, np.zeros(2)), 0.05, 0.1, center),
+                  lambda: quc.caccioppoli_l1_check(sol, 0.05, center),
+                  lambda: quc.sobolev_stress_check(sol, 0.05, center),
+                  lambda: quc.lipschitz_check(sol, 0.05, center)):
+        with pytest.raises(ValueError, match="leaves the mask disk"):
+            check()
+
+
 def test_caccioppoli_l1_stability(sol_harmonic):
     reps = {n: quc.caccioppoli_l1_check(sol_harmonic[n], 0.2, (0.5, 0.5), H=1.0)
             for n in (33, 65)}

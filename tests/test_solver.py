@@ -11,7 +11,7 @@ import quc
 from quc.config import compile_boundary_expression
 from quc.regularize import MoreauIntegrand
 from quc.solver import (COARSEST_N, Mesh, SolverError, StencilMatrix, _coons_init, _dot,
-                        _galerkin, _line_factor, _newton_matrix, _norm, _pair_with_hats, _pcg,
+                        _galerkin, _newton_matrix, _norm, _pair_with_hats, _pcg,
                         _prolong, _recover_dv, _restrict, _tri_gradients, assemble_energy,
                         newton_pattern, prolongations, spsolve, stress_field)
 
@@ -139,7 +139,7 @@ def _scatter_newton_data(m, hz, mu):
     (or to a dropped extra place when a or b is not interior), one bincount
     sums the element matrices in the order of their rows, and mu joins the
     diagonal last."""
-    n, ii = m.n, m.interior_idx
+    n, ii = m.n, np.flatnonzero(m.interior)
     stencil = np.array([-n - 1, -n, -1, 0, 1, n, n + 1])
     pos = np.full(m.n_nodes, -1, dtype=np.int64)
     pos[ii] = np.arange(ii.size)
@@ -162,6 +162,21 @@ def _scatter_newton_data(m, hz, mu):
     return data
 
 
+def _csr(K):
+    """K on its unknowns ``K.keep``, in row-major order, as the CSR matrix
+    it is checked against: row by row, the pattern's entries in offset
+    order."""
+    n, ii = K.n, np.flatnonzero(K.keep)
+    present = K.pattern.reshape(7, -1)[:, ii].T
+    pos = np.full(n * n, -1, dtype=np.int64)
+    pos[ii] = np.arange(ii.size)
+    indptr = np.concatenate([[0], np.cumsum(present.sum(axis=1))])
+    gather = (np.arange(7) * n * n + ii[:, None])[present]
+    indices = pos[ii[:, None] + quc.solver._stencil(n)][present]
+    return sparse.csr_matrix((np.take(K.coef, gather), indices, indptr),
+                             shape=(ii.size, ii.size))
+
+
 @pytest.mark.parametrize("n, bounds, mask", [
     (33, ((0.0, 1.0), (0.0, 1.0)), None),
     (33, ((0.0, 1.0), (0.0, 1.0)), DISK),
@@ -176,7 +191,7 @@ def test_stencil_newton_matrix_equals_the_element_scatter(n, bounds, mask, rng):
     hz = A @ A.transpose(0, 2, 1)
     K = _newton_matrix(m, hz, 0.25)
     ref = _scatter_newton_data(m, hz, 0.25)
-    assert np.array_equal(K.tocsr().data.view(np.int64), ref.view(np.int64))
+    assert np.array_equal(_csr(K).data.view(np.int64), ref.view(np.int64))
 
 
 def _coo_pattern(m):
@@ -202,15 +217,15 @@ def test_newton_matrix_matches_coo_path(mask, rng):
     A = rng.standard_normal((m.n_tris, 2, 2))
     hz = A @ A.transpose(0, 2, 1)
     mu = 0.25
-    ii = m.interior_idx
+    ii = np.flatnonzero(m.interior)
     shift = mu * sparse.identity(ii.size, format="csr")
     ref = (_assemble_hessian(m, hz)[ii][:, ii] + shift).toarray()
     K = _newton_matrix(m, hz, mu)
     local = np.abs(_element_matrices(m, hz)).T.ravel()
     terms = sparse.coo_matrix((local, _coo_pattern(m)),
                               shape=(m.n_nodes, m.n_nodes)).tocsr()[ii][:, ii] + shift
-    assert K.tocsr().has_sorted_indices
-    assert np.all(np.abs(K.tocsr().toarray() - ref) <= 6 * np.finfo(float).eps * terms.toarray())
+    assert np.array_equal(K.keep.ravel(), m.interior)
+    assert np.all(np.abs(_csr(K).toarray() - ref) <= 6 * np.finfo(float).eps * terms.toarray())
     assert K.nnz == np.count_nonzero(terms.toarray())
 
 
@@ -223,8 +238,6 @@ def test_newton_matrices_share_the_pattern(mask, rng):
         A = rng.standard_normal((m.n_tris, 2, 2))
         K = _newton_matrix(m, A @ A.transpose(0, 2, 1), 0.25, pattern)
         assert np.shares_memory(K.pattern, pattern)
-        csr = K.tocsr()
-        assert csr.indptr.dtype == csr.indices.dtype == np.int32
 
 
 def _general_geometry(m):
@@ -318,12 +331,12 @@ def test_stencil_kernels_match_general_triangles(bounds, mask, rng):
     local = _element_matrices(m, hz).T.reshape(-1, 3, 3)
     assert np.all(np.abs(local - ref) <= 25 * delta * size)
     # an entry of the Newton matrix sums at most 6 such terms and the shift
-    ii = m.interior_idx
+    ii = np.flatnonzero(m.interior)
     mu = 0.25
     shift = mu * sparse.identity(ii.size, format="csr")
     scatter = lambda x: sparse.coo_matrix((x.ravel(), _coo_pattern(m)),
                                           shape=(m.n_nodes, m.n_nodes)).tocsr()[ii][:, ii]
-    K = _newton_matrix(m, hz, mu).tocsr().toarray()
+    K = _csr(_newton_matrix(m, hz, mu)).toarray()
     assert np.all(np.abs(K - (scatter(ref) + shift).toarray())
                   <= 37 * delta * (scatter(size) + shift).toarray())
 
@@ -593,14 +606,14 @@ def test_galerkin_coarsening_is_exact():
     K, Kc = _newton_matrix(fine, ident(fine), 0.0), _newton_matrix(coarse, ident(coarse), 0.0)
     (keep,) = prolongations(fine)
     P, _ = _p1_prolongation(fine.n, fine.interior)
-    Kf, Kc = K.tocsr(), Kc.tocsr().toarray()
+    Kf, Kc = _csr(K), _csr(Kc).toarray()
     k = np.diff(Kf.indptr).max() + np.diff(P.tocsc().indptr).max()
     gamma = k * np.finfo(float).eps / (1 - k * np.finfo(float).eps)
     bound = gamma * (abs(P).T @ abs(Kf) @ abs(P)).toarray()
     assert np.all(np.abs((P.T @ Kf @ P).toarray() - Kc) <= bound)
     gamma = 18 * np.finfo(float).eps / (1 - 18 * np.finfo(float).eps)
     bound = gamma * (abs(P).T @ abs(Kf) @ abs(P)).toarray()
-    assert np.all(np.abs(_galerkin(K, keep).tocsr().toarray() - Kc) <= bound)
+    assert np.all(np.abs(_csr(_galerkin(K, keep)).toarray() - Kc) <= bound)
 
 
 @pytest.mark.parametrize("n, mask", [(33, None), (33, DISK), (65, None), (65, DISK),
@@ -619,13 +632,13 @@ def test_stencil_galerkin_matches_scipy(n, mask, rng):
     keep, sizes = m.interior, []
     for coarse in prolongations(m):
         P, _ = _p1_prolongation(B.n, keep)
-        Bf = B.tocsr()
+        Bf = _csr(B)
         k = 18 + np.diff(Bf.indptr).max() + np.diff(P.tocsc().indptr).max()
         gamma = k * np.finfo(float).eps / (1 - k * np.finfo(float).eps)
         B = _galerkin(B, coarse)
-        excess = abs(B.tocsr() - P.T @ Bf @ P) - gamma * (abs(P).T @ abs(Bf) @ abs(P))
+        excess = abs(_csr(B) - P.T @ Bf @ P) - gamma * (abs(P).T @ abs(Bf) @ abs(P))
         assert excess.max() <= 0
-        assert np.array_equal(B.keep, coarse) and B.nnz == B.tocsr().nnz
+        assert np.array_equal(B.keep, coarse) and B.nnz == _csr(B).nnz
         keep = coarse.ravel()
         sizes.append(B.n)
     assert sizes == {33: [17], 65: [33, 17], 193: [97, 49, 25, 13]}[n]
@@ -639,15 +652,15 @@ def test_stencil_matrix_matches_its_csr_matrix(n, mask, rng):
     m = Mesh(((0.0, 1.0), (0.0, 1.0)), n, mask=mask)
     A = rng.standard_normal((m.n_tris, 2, 2))
     K = _newton_matrix(m, A @ A.transpose(0, 2, 1), 0.25)
-    C = K.tocsr()
-    x = rng.standard_normal(K.shape[0])
-    assert K.shape == C.shape == (m.interior_idx.size,) * 2
-    assert np.array_equal(K.index, m.interior_idx)
-    assert np.array_equal(K @ x, C @ x)
-    assert np.array_equal(K.diagonal(), C.diagonal())
+    C = _csr(K)
+    keep = K.keep.ravel()
+    assert np.array_equal(keep, m.interior)
+    x = np.zeros(n * n)
+    x[keep] = rng.standard_normal(C.shape[0])
+    y = K.apply(x)
+    assert np.array_equal(y[keep], C @ x[keep]) and not y[~keep].any()
+    assert np.array_equal(K.coef[3].ravel()[keep], C.diagonal())
     assert K.nnz == C.nnz
-    y = K.apply(K.to_grid(x))
-    assert np.array_equal(K.from_grid(y), C @ x) and not np.delete(y, K.index).any()
 
 
 def _p3_oracle(n):
@@ -664,10 +677,12 @@ def _disk_blend(n):
 
 
 def _first_newton_system(prob):
+    """The mesh, the first Newton matrix and its right-hand side, a grid
+    vector zero off the interior."""
     m = prob.mesh()
     u = _coons_init(m, prob.boundary_values(m))
     _, g, _, _, hz, _ = assemble_energy(prob.integrand, m, u, order=2)
-    return m, _newton_matrix(m, hz, 0.0), -g[m.interior_idx]
+    return m, _newton_matrix(m, hz, 0.0), np.where(m.interior, -g, 0.0)
 
 
 @pytest.mark.parametrize("make_problem, sizes", [
@@ -680,7 +695,7 @@ def test_pcg_iterations_do_not_grow_with_the_grid(make_problem, sizes):
     for n in sizes:
         m, K, b = _first_newton_system(make_problem(n))
         x, its = spsolve(K, b, prolongations(m), rtol=1e-8)
-        assert its > 0 and np.linalg.norm(b - K @ x) <= 1e-8 * np.linalg.norm(b)
+        assert its > 0 and np.linalg.norm(b - K.apply(x)) <= 1e-8 * np.linalg.norm(b)
         counts.append(its)
         sol = quc.solve(make_problem(n))
         assert sol.converged and len(sol.linear_iterations) == sol.iterations
@@ -726,21 +741,22 @@ def test_pcg_failure_falls_back_to_superlu(monkeypatch):
     from scipy.sparse.linalg import spsolve as scipy_spsolve
 
     m, K, b = _first_newton_system(_p3_oracle(33))
-    ref = scipy_spsolve(K.tocsr().tocsc(), b)
-    bound = 2.0 * np.linalg.cond(K.tocsr().toarray()) * np.finfo(float).eps
+    ii = np.flatnonzero(K.keep)
+    ref = scipy_spsolve(_csr(K).tocsc(), b[ii])
+    bound = 2.0 * np.linalg.cond(_csr(K).toarray()) * np.finfo(float).eps
     # a negative definite matrix: r.z < 0 and p.Ap < 0 at the first step
     negative = StencilMatrix(-K.coef, K.pattern)
     x, its = spsolve(negative, b, prolongations(m))
     assert its == -1
-    assert np.linalg.norm(x + ref) <= bound * np.linalg.norm(ref)
+    assert np.linalg.norm(x[ii] + ref) <= bound * np.linalg.norm(ref)
     # plain CG would converge on -K within this cap; the curvature test stops it
-    monkeypatch.setattr(quc.solver, "PCG_MAXITER", 10 * K.shape[0])
-    assert quc.solver._pcg(negative.__matmul__, b, lambda r: r, 1e-8) is None
+    monkeypatch.setattr(quc.solver, "PCG_MAXITER", 10 * ii.size)
+    assert quc.solver._pcg(negative.apply, b, lambda r: r, 1e-8) is None
     # an iteration cap of 0
     monkeypatch.setattr(quc.solver, "PCG_MAXITER", 0)
     x, its = spsolve(K, b, prolongations(m))
     assert its == -1
-    assert np.linalg.norm(x - ref) <= bound * np.linalg.norm(ref)
+    assert np.linalg.norm(x[ii] - ref) <= bound * np.linalg.norm(ref)
     sol = quc.solve(_p3_oracle(33))
     assert sol.stop_reason == "tol"
     assert sol.linear_iterations == [-1] * sol.iterations
@@ -782,7 +798,7 @@ def test_superlu_fallback_runs_after_the_hierarchy_is_freed(monkeypatch):
         return cycle
 
     def record_superlu(A):
-        if A.shape == K.shape:
+        if A is K:
             alive.append(sum(ref() is not None for ref in preconditioners))
         return superlu(A)
 
@@ -864,11 +880,11 @@ def test_last_iterate_fields_are_freed_before_the_linear_solve(monkeypatch):
 
 def test_mesh_keeps_per_node_and_per_cell_arrays_only():
     # Counted per node of the n^2: the coordinates (16 B), the used,
-    # interior and Dirichlet masks (1 B each), interior_idx (8 B per
-    # interior node) and the kept cells (2 (n - 1)^2 bools, under 2 B),
-    # 29 B in all; the stencils, the scalars and the object itself fit in
-    # 4 KiB.  The per-triangle vertex table, barycenters, areas and
-    # orientations would add about 98 B per node.
+    # interior and Dirichlet masks (1 B each) and the kept cells
+    # (2 (n - 1)^2 bools, under 2 B), 21 B in all; the stencils, the
+    # scalars and the object itself fit in 4 KiB.  The per-triangle vertex
+    # table, barycenters, areas and orientations would add about 98 B per
+    # node.
     n = 257
     tracemalloc.start()
     try:
@@ -877,7 +893,7 @@ def test_mesh_keeps_per_node_and_per_cell_arrays_only():
     finally:
         tracemalloc.stop()
     assert mesh.n_tris == 2 * (n - 1) ** 2
-    assert kept <= 29 * n * n + 4096
+    assert kept <= 21 * n * n + 4096
 
 
 @pytest.mark.parametrize("config", [
@@ -1184,27 +1200,67 @@ def _check_direct_solve(make_problem, n):
 
     m, K, b = _first_newton_system(make_problem(n))
     x, its = spsolve(K, b)
-    ref = scipy_spsolve(K.tocsr().tocsc(), b)
-    bound = 2.0 * np.linalg.cond(K.tocsr().toarray()) * np.finfo(float).eps
+    ii = np.flatnonzero(K.keep)
+    ref = scipy_spsolve(_csr(K).tocsc(), b[ii])
+    bound = 2.0 * np.linalg.cond(_csr(K).toarray()) * np.finfo(float).eps
     assert its == 0 and m.n <= COARSEST_N
-    assert np.linalg.norm(x - ref) <= bound * np.linalg.norm(ref)
+    assert np.linalg.norm(x[ii] - ref) <= bound * np.linalg.norm(ref)
 
 
-def test_line_block_factor_solves_the_coarsest_level():
-    # the coarsest level of the disk hierarchy: a masked 13 x 13 grid whose
-    # nodes off the mask are identity rows of the factor
+@pytest.mark.parametrize("n, maxiter, path", [(193, None, "line"), (33, None, "cg"),
+                                              (34, None, "cg"), (33, 0, "superlu")],
+                         ids=["line-193-coarsest", "cg-33", "cg-34-padded", "superlu-33"])
+def test_every_spsolve_path_takes_and_returns_grid_vectors(n, maxiter, path, monkeypatch):
+    # Every path of spsolve takes and returns grid vectors, x zero off the
+    # unknowns, on the disk, where the nodes off the mask lie inside the
+    # grid: the line-block factor on the coarsest level of the n = 193
+    # hierarchy (a masked 13 x 13 grid whose nodes off the mask are
+    # identity rows of the factor), multigrid CG at n = 33 and on the
+    # padded grid 37 of n = 34, and SuperLU where CG may take no
+    # iteration.  A backward-stable direct solve is within cond(B) eps of
+    # scipy's, and CG stops at |b - B x|_2 <= 1e-8 |b|_2.
     from scipy.sparse.linalg import spsolve as scipy_spsolve
 
-    m, B, _ = _first_newton_system(_disk_blend(193))
-    for coarse in prolongations(m):
-        B = _galerkin(B, coarse)
-    assert B.n == 13 and not B.keep.all()
-    b = np.random.default_rng(5).standard_normal(B.shape[0])
-    x = B.from_grid(_line_factor(B)(B.to_grid(b)))
-    ref = scipy_spsolve(B.tocsr().tocsc(), b)
-    bound = 2.0 * np.linalg.cond(B.tocsr().toarray()) * np.finfo(float).eps
-    assert np.linalg.norm(x - ref) <= bound * np.linalg.norm(ref)
-    assert not _line_factor(B)(B.to_grid(b))[~B.keep.ravel()].any()
+    m, B, b = _first_newton_system(_disk_blend(n))
+    levels = prolongations(m)
+    if path == "line":
+        for coarse in levels:
+            B = _galerkin(B, coarse)
+        assert B.n == 13 and not B.keep.all()
+        b = np.where(B.keep.ravel(), np.random.default_rng(5).standard_normal(B.n ** 2), 0.0)
+        levels = []
+    if maxiter is not None:
+        monkeypatch.setattr(quc.solver, "PCG_MAXITER", maxiter)
+    x, its = spsolve(B, b, levels)
+    keep = B.keep.ravel()
+    assert x.shape == (B.n ** 2,) and not x[~keep].any()
+    if path == "cg":
+        assert its > 0 and np.linalg.norm(b - B.apply(x)) <= 1e-8 * np.linalg.norm(b)
+        return
+    assert its == {"line": 0, "superlu": -1}[path]
+    ref = scipy_spsolve(_csr(B).tocsc(), b[keep])
+    bound = 2.0 * np.linalg.cond(_csr(B).toarray()) * np.finfo(float).eps
+    assert np.linalg.norm(x[keep] - ref) <= bound * np.linalg.norm(ref)
+
+
+@pytest.mark.parametrize("error", [np.linalg.LinAlgError, TypeError])
+def test_only_a_documented_linear_solve_failure_becomes_a_gradient_step(error, monkeypatch):
+    # a singular pivot block of the line-block factor is a documented
+    # failure, and the step falls back to BB; a programming error in a
+    # linear solver propagates
+    def broken(A):
+        raise error("broken line factor")
+
+    monkeypatch.setattr(quc.solver, "_line_factor", broken)
+    prob = quc.GridProblem(integrand=quc.make_power(3.0), n=17,
+                           boundary=compile_boundary_expression("x*y + x^3"))
+    if error is TypeError:
+        with pytest.raises(TypeError, match="broken line factor"):
+            quc.solve(prob)
+        return
+    sol = quc.solve(prob)
+    assert sol.iterations >= 1 and sol.linear_iterations
+    assert set(sol.linear_iterations) == {-1}
 
 
 def test_iteration_cap_flags_nonconverged():
@@ -1235,18 +1291,23 @@ def test_stop_reason(monkeypatch):
 def test_masked_solve_where_coons_guess_is_undefined():
     # 0.2 - r^2 < 0 on the outer square's edges, so the Coons interpolation
     # of their data is NaN on every used node, while the data are finite on
-    # the disk's Dirichlet nodes (r <= 0.44).
+    # the disk's Dirichlet nodes (r <= 0.44).  u keeps that NaN on the nodes
+    # the mask removes, which the Barzilai-Borwein step must not read: with
+    # its fixed fallback step the gradient method needs about 24600 steps
+    # here, with BB steps about 1000.
     prob = quc.GridProblem(
         integrand=quc.make_power(3.0), n=33,
         boundary=compile_boundary_expression("1/sqrt(0.2 - (x-0.5)^2 - (y-0.5)^2)"),
         mask=(np.array([0.5, 0.5]), 0.44))
-    with np.errstate(invalid="ignore"):
-        sol = quc.solve(prob)
-        data = prob.boundary_values(sol.mesh)
-    assert (sol.converged, sol.stop_reason) == (True, "tol")
-    m = sol.mesh
-    assert np.isfinite(sol.u[m.used]).all()
-    np.testing.assert_array_equal(sol.u[m.dirichlet], data[m.dirichlet])
+    for method in ("newton", "gradient"):
+        with np.errstate(invalid="ignore"):
+            sol = quc.solve(prob, method=method)
+            data = prob.boundary_values(sol.mesh)
+        assert (sol.converged, sol.stop_reason) == (True, "tol")
+        assert method == "newton" or sol.iterations < 2000
+        m = sol.mesh
+        assert np.isfinite(sol.u[m.used]).all()
+        np.testing.assert_array_equal(sol.u[m.dirichlet], data[m.dirichlet])
 
 
 def test_masked_solve_smoke():
@@ -1327,6 +1388,6 @@ def test_residual_is_the_weak_divergence_of_the_stress(sol_harmonic, sol_p3_orac
     # for bit, and below the stopping threshold
     for sol in (sol_harmonic[33], sol_p3_oracle[33]):
         m = sol.mesh
-        divergence = np.abs(_pair_with_hats(m, sol.v)[m.interior_idx]).max()
+        divergence = np.abs(_pair_with_hats(m, sol.v)[m.interior]).max()
         assert divergence == sol.residual
         assert divergence <= 1e-8
