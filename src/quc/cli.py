@@ -28,6 +28,7 @@ from .solver import GridProblem, SolverError, solve, stress_field
 
 SOLUTION_FIELDS = ["x", "y", "u", "du1", "du2", "v1", "v2",
                    "dv11", "dv12", "dv21", "dv22"]
+VERIFY_CHECKS = ("caccioppoli", "caccioppoli_l1", "sobolev", "lipschitz")
 
 
 def _provenance(cfg, seed):
@@ -273,25 +274,20 @@ def run(cfg, out_dir=".", seed=None, checks=None):
 
 
 def cmd_verify(cfg, args, out_dir, rng):
-    checks = cfg.checks
-    if args.check:
-        spec = {"name": args.check}
-        if args.R is not None:
-            spec["R"] = args.R
-        if args.rho is not None:
-            spec["rho"] = args.rho
-        if args.k is not None:
-            spec["k"] = args.k
-        if args.ell is not None:
-            with _at("--ell"):
-                c, b1, b2 = args.ell.split(",")
-            spec["ell"] = {"c": c, "b": [b1, b2]}
-        if args.center is not None:
-            spec["center"] = args.center.split(",")
-        if args.out:
-            spec["out"] = args.out
-        checks = [_validate_check(spec, "--check", cfg.problem)]
-    return run(cfg, out_dir=out_dir, seed=args.seed, checks=checks)
+    flags = {key: getattr(args, key) for key in ("R", "rho", "k", "ell", "center", "out")
+             if getattr(args, key) is not None}
+    if not args.check:
+        if flags:
+            raise ConfigError(f"--{next(iter(flags))}: only used with --check")
+        return run(cfg, out_dir=out_dir, seed=args.seed)
+    if "ell" in flags:
+        with _at("--ell"):
+            c, b1, b2 = flags["ell"].split(",")
+        flags["ell"] = {"c": c, "b": [b1, b2]}
+    if "center" in flags:
+        flags["center"] = flags["center"].split(",")
+    check = _validate_check({"name": args.check, **flags}, "--check", cfg.problem)
+    return run(cfg, out_dir=out_dir, seed=args.seed, checks=[check])
 
 
 def cmd_degiorgi(args):
@@ -348,9 +344,8 @@ def _build_parser():
 
     p = sub.add_parser("verify")
     p.add_argument("config")
-    p.add_argument("--check", default=None,
-                   choices=["caccioppoli", "caccioppoli_l1", "sobolev",
-                            "lipschitz", "degiorgi"])
+    # verify has no flags for a De Giorgi check's X0, C, b and N: ``quc degiorgi`` runs it
+    p.add_argument("--check", default=None, choices=VERIFY_CHECKS)
     p.add_argument("--k", type=float, default=None)
     p.add_argument("--ell", default=None, help="affine level c,b1,b2")
     p.add_argument("--rho", type=float, default=None)

@@ -1,13 +1,17 @@
 """Experiment configuration: JSON schema, validation, boundary expressions.
 
 A config is one integrand plus one grid problem plus a list of checks.
-Unknown keys are rejected with their full key path.  Every value is checked
-at parse time: integrand parameters by actually constructing the
-integrand, problem, check and solver values by converting them into the
-values the pipeline runs (checks also against the domain each ball must
-lie in, ``estimates.CHECK_BALL``, and the De Giorgi parameters against
-``estimates.degiorgi_iterate``'s preconditions), so a bad value is a
-``ConfigError`` naming its key path, never a failure after the solve.
+Every mapping below the top level is read by one loop, ``_values``, from a
+table of its required and optional keys: an unknown or missing key is a
+``ConfigError`` naming its key path, and each value is converted by its
+key's converter into the value the pipeline runs, also at its key path
+(json reads NaN and Infinity; no converter passes them).  Then the values
+are checked together: an integrand's by its kind's constructor, which
+checks the mathematics (p > 1, SPD matrices, blend admissibility), a
+check's balls against the domain they must lie in
+(``estimates.CHECK_BALL``), and the De Giorgi parameters against
+``estimates.degiorgi_iterate``'s preconditions.  So a bad value is a
+``ConfigError`` naming its path, never a failure after the solve.
 
 Boundary data is a tiny arithmetic expression over x and y supporting
 +, -, *, /, ** (also ^), abs and sqrt, so oracle solutions such as
@@ -36,12 +40,10 @@ class ConfigError(ValueError):
 
 @contextmanager
 def _at(path):
-    """Report a missing key, or a value that fails conversion or validation
-    (TypeError, ValueError, IntegrandError), as one ConfigError at ``path``."""
+    """Report a value that fails conversion or validation (TypeError,
+    ValueError, IntegrandError) as one ConfigError at ``path``."""
     try:
         yield
-    except KeyError as e:
-        raise ConfigError(f"{path}: missing required key {e.args[0]!r}") from e
     except ConfigError:
         raise
     except (TypeError, ValueError) as e:
@@ -104,121 +106,21 @@ def compile_boundary_expression(text):
 
 
 # ---------------------------------------------------------------------------
-# integrand schema
-# ---------------------------------------------------------------------------
-
-_PROFILE_KEYS = {"power": {"type", "p"}, "power_sum": {"type", "terms"}}
-
-_KIND_KEYS = {
-    "power": {"kind", "p"},
-    "anisotropic_quadratic": {"kind", "A"},
-    "uhlenbeck": {"kind", "profile"},
-    "finsler": {"kind", "gauge_matrix", "profile"},
-    "blend": {"kind", "p", "q", "w", "eps"},
-    "sum": {"kind", "parts"},
-    "scaled": {"kind", "part", "scale"},
-    "shifted": {"kind", "part", "shift"},
-    "affine_add": {"kind", "part", "w", "c"},
-    "moreau": {"kind", "part", "delta"},
-    "mollified": {"kind", "part", "eps", "mu"},
-}
-
-
-def _check_keys(spec, allowed, path):
-    for key in spec:
-        if key not in allowed:
-            raise ConfigError(f"{path}.{key}: unknown key (allowed: {sorted(allowed)})")
-
-
-def _build_profile(spec, path):
-    if not isinstance(spec, dict) or "type" not in spec:
-        raise ConfigError(f"{path}: profile needs a 'type' key")
-    ptype = spec["type"]
-    if ptype not in _PROFILE_KEYS:
-        raise ConfigError(f"{path}.type: unknown profile {ptype!r}")
-    _check_keys(spec, _PROFILE_KEYS[ptype], path)
-    if ptype == "power":
-        return ig.power_profile(float(spec["p"]))
-    return ig.power_sum_profile(spec["terms"])
-
-
-def build_integrand(spec, path="integrand"):
-    """Construct the integrand described by a nested config dict."""
-    if not isinstance(spec, dict):
-        raise ConfigError(f"{path}: expected a mapping, got {type(spec).__name__}")
-    kind = spec.get("kind")
-    if kind is None:
-        raise ConfigError(f"{path}: missing 'kind'")
-    base = dict(spec)
-    derivatives = base.pop("derivatives", "analytic")
-    if derivatives not in ("analytic", "finite_difference"):
-        raise ConfigError(f"{path}.derivatives: must be 'analytic' or 'finite_difference'")
-    if kind not in _KIND_KEYS:
-        raise ConfigError(f"{path}.kind: unknown integrand kind {kind!r}")
-    _check_keys(base, _KIND_KEYS[kind], path)
-    with _at(path):
-        if kind == "power":
-            out = ig.make_power(float(base["p"]))
-        elif kind == "anisotropic_quadratic":
-            out = ig.make_anisotropic_quadratic(np.asarray(base["A"], dtype=float))
-        elif kind == "uhlenbeck":
-            out = ig.make_uhlenbeck(_build_profile(base["profile"], f"{path}.profile"))
-        elif kind == "finsler":
-            out = ig.make_finsler(np.asarray(base["gauge_matrix"], dtype=float),
-                                  _build_profile(base["profile"], f"{path}.profile"))
-        elif kind == "blend":
-            out = ig.make_blend(float(base["p"]), float(base["q"]),
-                                np.asarray(base["w"], dtype=float),
-                                base.get("eps"))
-        elif kind == "sum":
-            parts = [build_integrand(p, f"{path}.parts[{i}]")
-                     for i, p in enumerate(base["parts"])]
-            out = ig.combine("sum", parts)
-        elif kind == "scaled":
-            out = ig.combine("scaled", [build_integrand(base["part"], f"{path}.part")],
-                             scale=float(base["scale"]))
-        elif kind == "shifted":
-            out = ig.combine("shifted", [build_integrand(base["part"], f"{path}.part")],
-                             shift=np.asarray(base["shift"], dtype=float))
-        elif kind == "affine_add":
-            out = ig.combine("affine_add", [build_integrand(base["part"], f"{path}.part")],
-                             w=np.asarray(base["w"], dtype=float),
-                             c=float(base.get("c", 0.0)))
-        elif kind == "moreau":
-            out = rg.moreau_yosida(build_integrand(base["part"], f"{path}.part"),
-                                   float(base["delta"]))
-        else:
-            out = rg.mollify_plus_quadratic(build_integrand(base["part"], f"{path}.part"),
-                                            float(base["eps"]), float(base["mu"]))
-    if derivatives == "finite_difference":
-        out = ig.with_fd_derivatives(out)
-    return out
-
-
-# ---------------------------------------------------------------------------
-# experiment config
+# config keys and value converters
 # ---------------------------------------------------------------------------
 
 _TOP_KEYS = {"integrand", "problem", "solver", "checks", "seed", "out_dir"}
-_PROBLEM_KEYS = {"n", "domain", "boundary", "mask"}
-_SOLVER_KEYS = {"method", "tol_rel", "max_iter", "gd_max_iter"}
 
-_CHECK_KEYS = {
-    "caccioppoli": {"name", "rho", "R", "center", "k", "ell", "assert_max_ratio", "out"},
-    "caccioppoli_l1": {"name", "R", "center", "out"},
-    "sobolev": {"name", "R", "center", "out"},
-    "lipschitz": {"name", "R", "center", "assert_max_ratio", "out"},
-    "degiorgi": {"name", "X0", "C", "b", "R", "N", "expect", "out"},
+# name: (required keys, optional keys)
+_CHECKS = {
+    "caccioppoli": (("rho", "R", "center"), ("k", "ell", "assert_max_ratio", "out")),
+    "caccioppoli_l1": (("R", "center"), ("out",)),
+    "sobolev": (("R", "center"), ("out",)),
+    "lipschitz": (("R", "center"), ("assert_max_ratio", "out")),
+    "degiorgi": (("X0", "C", "b", "R", "N"), ("expect", "out")),
 }
 # the artifacts ``quc.cli.run`` writes next to the check reports
 _PIPELINE_CSVS = ("analyze.csv", "solution.csv")
-_CHECK_REQUIRED = {
-    "caccioppoli": ("rho", "R", "center"),
-    "caccioppoli_l1": ("R", "center"),
-    "sobolev": ("R", "center"),
-    "lipschitz": ("R", "center"),
-    "degiorgi": ("X0", "C", "b", "R", "N"),
-}
 
 
 # Value converters: each returns the value the pipeline uses or raises
@@ -245,6 +147,14 @@ def _point(v):
     return _finite(v, (2,), "a point [x, y] of finite numbers")
 
 
+def _matrix(v):
+    return _finite(v, (2, 2), "a 2x2 matrix [[a, b], [c, d]] of finite numbers")
+
+
+def _terms(v):
+    return _finite(v, (len(v), 2), "a list of [c, p] pairs of finite numbers")
+
+
 def _count(least):
     def convert(v):
         if isinstance(v, bool) or not isinstance(v, int) or v < least:
@@ -257,6 +167,22 @@ def _affine(v):
     if not isinstance(v, dict) or set(v) != {"c", "b"}:
         raise ValueError(f"need {{'c': c, 'b': [b1, b2]}}, got {v!r}")
     return _finite(v["c"]), _point(v["b"])
+
+
+def _domain(v):
+    d = _finite(v, (2, 2), "[[x0, x1], [y0, y1]] of finite numbers")
+    if not (d[0, 1] > d[0, 0] and d[1, 1] > d[1, 0]):
+        raise ValueError(f"need [[x0,x1],[y0,y1]] increasing, got {v!r}")
+    return tuple(map(tuple, d.tolist()))
+
+
+def _mask(v):
+    """The disk ``(center, radius)`` of ``problem.mask``; null is no mask."""
+    if v is None:
+        return None
+    disk = _values(v, "problem.mask", "mask", ("center", "radius"), (),
+                   {"center": _point, "radius": _positive})
+    return disk["center"], disk["radius"]
 
 
 def _report_name(v):
@@ -276,6 +202,44 @@ def _one_of(*choices):
     return convert
 
 
+def _check_keys(spec, allowed, path):
+    for key in spec:
+        if key not in allowed:
+            raise ConfigError(f"{path}.{key}: unknown key (allowed: {sorted(allowed)})")
+
+
+def _values(spec, path, what, required, optional, convert):
+    """The values of mapping ``spec`` at ``path``, in table order: the
+    ``required`` keys, then the ``optional`` keys it gives, each converted
+    by ``convert[key]`` under ``_at(f"{path}.{key}")``.  Any other key is
+    rejected, and a missing required key is reported as ``what`` needing it."""
+    if not isinstance(spec, dict):
+        raise ConfigError(f"{path}: expected a mapping, got {type(spec).__name__}")
+    _check_keys(spec, required + optional, path)
+    for key in required:
+        if key not in spec:
+            raise ConfigError(f"{path}: {what} needs {key!r}")
+    out = {}
+    for key in required + optional:
+        if key in spec:
+            with _at(f"{path}.{key}"):
+                out[key] = convert[key](spec[key])
+    return out
+
+
+def _pick(spec, path, key, table, what):
+    """The ``table`` entry that ``spec[key]`` names, and the rest of ``spec``."""
+    if not isinstance(spec, dict):
+        raise ConfigError(f"{path}: expected a mapping, got {type(spec).__name__}")
+    rest = dict(spec)
+    name = rest.pop(key, None)
+    if name is None:
+        raise ConfigError(f"{path}: missing {key!r}")
+    if not isinstance(name, str) or name not in table:
+        raise ConfigError(f"{path}.{key}: unknown {what} {name!r} (known: {sorted(table)})")
+    return name, rest
+
+
 _CHECK_VALUES = {
     "rho": _positive, "R": _positive, "center": _point, "k": _finite, "ell": _affine,
     "assert_max_ratio": _finite, "X0": _finite, "C": _finite, "b": _finite, "N": _count(2),
@@ -283,7 +247,83 @@ _CHECK_VALUES = {
 }
 _SOLVER_VALUES = {"method": _one_of("newton", "gradient"), "tol_rel": _positive,
                   "max_iter": _count(0), "gd_max_iter": _count(0)}
+_PROBLEM_VALUES = {"n": _count(9), "boundary": lambda v: compile_boundary_expression(str(v)),
+                   "domain": _domain, "mask": _mask}
 
+
+# ---------------------------------------------------------------------------
+# integrand schema
+# ---------------------------------------------------------------------------
+
+# name: (constructor, required keys, optional keys).  The constructor is
+# called with the converted values as keyword arguments named by the keys,
+# and checks the mathematics itself (p > 1, SPD matrices, admissibility).
+_KINDS = {
+    "power": (ig.make_power, ("p",), ()),
+    "anisotropic_quadratic": (ig.make_anisotropic_quadratic, ("A",), ()),
+    "uhlenbeck": (ig.make_uhlenbeck, ("profile",), ()),
+    "finsler": (ig.make_finsler, ("gauge_matrix", "profile"), ()),
+    "blend": (ig.make_blend, ("p", "q", "w"), ("eps",)),
+    "sum": (lambda parts: ig.combine("sum", parts), ("parts",), ()),
+    "scaled": (lambda part, scale: ig.combine("scaled", [part], scale=scale),
+               ("part", "scale"), ()),
+    "shifted": (lambda part, shift: ig.combine("shifted", [part], shift=shift),
+                ("part", "shift"), ()),
+    "affine_add": (lambda part, w, c=0.0: ig.combine("affine_add", [part], w=w, c=c),
+                   ("part", "w"), ("c",)),
+    "moreau": (lambda part, delta: rg.moreau_yosida(part, delta), ("part", "delta"), ()),
+    "mollified": (lambda part, eps, mu: rg.mollify_plus_quadratic(part, eps, mu),
+                  ("part", "eps", "mu"), ()),
+}
+_PROFILES = {
+    "power": (ig.power_profile, ("p",), ()),
+    "power_sum": (ig.power_sum_profile, ("terms",), ()),
+}
+_INTEGRAND_VALUES = {
+    "p": _finite, "q": _finite, "A": _matrix, "gauge_matrix": _matrix, "terms": _terms,
+    "w": _point, "eps": _positive, "mu": _positive, "scale": _positive, "shift": _point,
+    "c": _finite, "delta": _positive,
+}
+
+
+def _construct(table, name, rest, path, convert):
+    make, required, optional = table[name]
+    values = _values(rest, path, name, required, optional, convert)
+    with _at(path):
+        return make(**values)
+
+
+def _integrand_values(path):
+    """The integrand converters, with ``part``, ``parts`` and ``profile``
+    building their nested specs at their own key paths below ``path``."""
+    def parts(v):
+        if not isinstance(v, list):
+            raise ValueError(f"need a list of integrands, got {v!r}")
+        return [build_integrand(s, f"{path}.parts[{i}]") for i, s in enumerate(v)]
+
+    def profile(v):
+        ptype, rest = _pick(v, f"{path}.profile", "type", _PROFILES, "profile")
+        return _construct(_PROFILES, ptype, rest, f"{path}.profile", _INTEGRAND_VALUES)
+
+    return {**_INTEGRAND_VALUES, "parts": parts, "profile": profile,
+            "part": lambda v: build_integrand(v, f"{path}.part")}
+
+
+def build_integrand(spec, path="integrand"):
+    """Construct the integrand described by a nested config dict."""
+    kind, rest = _pick(spec, path, "kind", _KINDS, "integrand kind")
+    derivatives = rest.pop("derivatives", "analytic")
+    if derivatives not in ("analytic", "finite_difference"):
+        raise ConfigError(f"{path}.derivatives: must be 'analytic' or 'finite_difference'")
+    out = _construct(_KINDS, kind, rest, path, _integrand_values(path))
+    if derivatives == "finite_difference":
+        out = ig.with_fd_derivatives(out)
+    return out
+
+
+# ---------------------------------------------------------------------------
+# experiment config
+# ---------------------------------------------------------------------------
 
 @dataclass
 class ExperimentConfig:
@@ -307,56 +347,19 @@ class ExperimentConfig:
         return hashlib.sha256(self.source_text.encode()).hexdigest()[:16]
 
 
-def _validate_problem(spec):
-    if not isinstance(spec, dict):
-        raise ConfigError("problem: expected a mapping")
-    _check_keys(spec, _PROBLEM_KEYS, "problem")
-    n = spec.get("n")
-    if not isinstance(n, int) or n < 9:
-        raise ConfigError(f"problem.n: need an integer >= 9, got {n!r}")
-    domain = spec.get("domain", [[0.0, 1.0], [0.0, 1.0]])
-    with _at("problem.domain"):
-        d = _finite(domain, (2, 2), "[[x0, x1], [y0, y1]] of finite numbers")
-    if not (d[0, 1] > d[0, 0] and d[1, 1] > d[1, 0]):
-        raise ConfigError(f"problem.domain: need [[x0,x1],[y0,y1]] increasing, got {domain!r}")
-    if "boundary" not in spec:
-        raise ConfigError("problem.boundary: missing boundary expression")
-    mask = spec.get("mask")
-    if mask is not None:
-        if not isinstance(mask, dict) or set(mask) != {"center", "radius"}:
-            raise ConfigError("problem.mask: need {'center': [x,y], 'radius': r}")
-        with _at("problem.mask.center"):
-            center = _point(mask["center"])
-        with _at("problem.mask.radius"):
-            mask = (center, _positive(mask["radius"]))
-    return {"n": n, "bounds": tuple(map(tuple, d.tolist())), "mask": mask}
-
-
 def _validate_check(spec, path, problem, index=0):
     """The converted values of the config's check number ``index``, whose
     report ``out`` defaults to ``{name}_{index}.csv`` and whose balls must
-    lie in the domain of ``problem`` (``_validate_problem``): its rectangle
-    and its mask's disk."""
-    if not isinstance(spec, dict) or "name" not in spec:
-        raise ConfigError(f"{path}: each check needs a 'name'")
-    name = spec["name"]
-    if name not in _CHECK_KEYS:
-        raise ConfigError(f"{path}.name: unknown check {name!r} "
-                          f"(known: {sorted(_CHECK_KEYS)})")
-    _check_keys(spec, _CHECK_KEYS[name], path)
-    for key in _CHECK_REQUIRED[name]:
-        if key not in spec:
-            raise ConfigError(f"{path}: {name} needs {key!r}")
-    vals = {"name": name, "out": f"{name}_{index}.csv"}
-    for key, convert in _CHECK_VALUES.items():
-        if key in spec:
-            with _at(f"{path}.{key}"):
-                vals[key] = convert(spec[key])
+    lie in the domain of ``problem`` (``ExperimentConfig.problem``): its
+    rectangle and its mask's disk."""
+    name, rest = _pick(spec, path, "name", _CHECKS, "check")
+    vals = {"name": name, "out": f"{name}_{index}.csv",
+            **_values(rest, path, name, *_CHECKS[name], _CHECK_VALUES)}
     if name == "caccioppoli":
         if not vals["rho"] < vals["R"]:
             raise ConfigError(f"{path}: need rho < R")
-        if "k" not in spec and "ell" not in spec:
-            raise ConfigError(f"{path}: caccioppoli needs 'k' or 'ell'")
+        if ("k" in vals) == ("ell" in vals):
+            raise ConfigError(f"{path}: caccioppoli needs one of 'k' and 'ell'")
     with _at(path):
         if name == "degiorgi":
             est.degiorgi_iterate(vals["X0"], vals["C"], vals["b"], vals["R"], vals["N"],
@@ -365,17 +368,6 @@ def _validate_check(spec, path, problem, index=0):
             est._require_ball_inside(problem["bounds"], problem["mask"], vals["center"],
                                      est.CHECK_BALL[name] * vals["R"])
     return vals
-
-
-def _validate_solver(spec):
-    if not isinstance(spec, dict):
-        raise ConfigError("solver: expected a mapping")
-    _check_keys(spec, _SOLVER_KEYS, "solver")
-    out = {}
-    for key, value in spec.items():
-        with _at(f"solver.{key}"):
-            out[key] = _SOLVER_VALUES[key](value)
-    return out
 
 
 def parse_config(path):
@@ -394,23 +386,29 @@ def parse_config(path):
     if "problem" not in raw:
         raise ConfigError("config.problem: missing")
     F = build_integrand(raw["integrand"])
-    problem = _validate_problem(raw["problem"])
-    boundary = compile_boundary_expression(str(raw["problem"]["boundary"]))
+    values = _values(raw["problem"], "problem", "problem", ("n", "boundary"),
+                     ("domain", "mask"), _PROBLEM_VALUES)
+    boundary = values["boundary"]
+    problem = {"n": values["n"], "bounds": values.get("domain", ((0.0, 1.0), (0.0, 1.0))),
+               "mask": values.get("mask")}
     specs = raw.get("checks", [])
     if not isinstance(specs, list):
         raise ConfigError("config.checks: expected a list")
     checks = []
     for i, c in enumerate(specs):
         path = f"checks[{i}]"
-        with _at(path):
-            check = _validate_check(c, path, problem, i)
+        check = _validate_check(c, path, problem, i)
         if any(check["out"] == other["out"] for other in checks):
             raise ConfigError(f"{path}.out: another check already writes {check['out']!r}")
         checks.append(check)
-    solver = _validate_solver(raw.get("solver", {}))
+    solver = _values(raw.get("solver", {}), "solver", "solver", (), tuple(_SOLVER_VALUES),
+                     _SOLVER_VALUES)
     with _at("config.seed"):
         seed = _count(0)(raw.get("seed", 0))
+    out_dir = raw.get("out_dir", ".")
+    if not isinstance(out_dir, str) or not out_dir:
+        raise ConfigError(f"config.out_dir: need a directory name, got {out_dir!r}")
     return ExperimentConfig(
         integrand=F, problem=problem, boundary=boundary, checks=checks, solver=solver,
-        seed=seed, out_dir=str(raw.get("out_dir", ".")), source_text=text,
+        seed=seed, out_dir=out_dir, source_text=text,
     )

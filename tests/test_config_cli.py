@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 import quc
-from quc.cli import main
-from quc.config import ConfigError, build_integrand, compile_boundary_expression, parse_config
+from quc.cli import VERIFY_CHECKS, main
+from quc.config import (_KINDS, ConfigError, build_integrand, compile_boundary_expression,
+                        parse_config)
 from quc.csvio import read_csv
 
 
@@ -67,6 +68,51 @@ def test_build_rejects_unknown_key():
     with pytest.raises(ConfigError, match=r"integrand\.parts\[0\]\.mesh_style"):
         build_integrand({"kind": "sum",
                          "parts": [{"kind": "power", "p": 2.0, "mesh_style": "x"}]})
+
+
+_A = [[2.0, 0.5], [0.5, 1.0]]
+_POWER_SPEC = {"kind": "power", "p": 3.0}
+# every kind with distinct values, as a config dict and through the public API
+_EVERY_KIND = {
+    "power": (_POWER_SPEC, lambda: quc.make_power(3.0)),
+    "anisotropic_quadratic": ({"kind": "anisotropic_quadratic", "A": _A},
+                              lambda: quc.make_anisotropic_quadratic(np.array(_A))),
+    "uhlenbeck": ({"kind": "uhlenbeck",
+                   "profile": {"type": "power_sum", "terms": [[1.0, 2.0], [0.5, 3.0]]}},
+                  lambda: quc.make_uhlenbeck(quc.power_sum_profile([(1.0, 2.0), (0.5, 3.0)]))),
+    "finsler": ({"kind": "finsler", "gauge_matrix": _A,
+                 "profile": {"type": "power", "p": 2.5}},
+                lambda: quc.make_finsler(np.array(_A), quc.power_profile(2.5))),
+    "blend": ({"kind": "blend", "p": 3.0, "q": 1.5, "w": [0.5, 0.25], "eps": 2e-4},
+              lambda: quc.make_blend(3.0, 1.5, [0.5, 0.25], 2e-4)),
+    "sum": ({"kind": "sum", "parts": [_POWER_SPEC, {"kind": "anisotropic_quadratic", "A": _A}]},
+            lambda: quc.combine("sum", [quc.make_power(3.0),
+                                        quc.make_anisotropic_quadratic(np.array(_A))])),
+    "scaled": ({"kind": "scaled", "scale": 0.5, "part": _POWER_SPEC},
+               lambda: quc.combine("scaled", [quc.make_power(3.0)], scale=0.5)),
+    "shifted": ({"kind": "shifted", "shift": [0.3, -0.2], "part": _POWER_SPEC},
+                lambda: quc.combine("shifted", [quc.make_power(3.0)], shift=[0.3, -0.2])),
+    "affine_add": ({"kind": "affine_add", "w": [0.1, 0.2], "c": 0.7, "part": _POWER_SPEC},
+                   lambda: quc.combine("affine_add", [quc.make_power(3.0)], w=[0.1, 0.2],
+                                       c=0.7)),
+    "moreau": ({"kind": "moreau", "delta": 0.25, "part": _POWER_SPEC},
+               lambda: quc.moreau_yosida(quc.make_power(3.0), 0.25)),
+    "mollified": ({"kind": "mollified", "eps": 0.3, "mu": 0.1, "part": _POWER_SPEC},
+                  lambda: quc.mollify_plus_quadratic(quc.make_power(3.0), 0.3, 0.1)),
+}
+
+
+def test_every_kind_is_covered():
+    assert set(_EVERY_KIND) == set(_KINDS)
+
+
+@pytest.mark.parametrize("spec, public", list(_EVERY_KIND.values()), ids=list(_EVERY_KIND))
+def test_config_builds_what_the_public_constructors_build(spec, public):
+    # a swapped key (eps for mu, say) changes describe(); affine_add's c shows in values
+    F, G = build_integrand(spec), public()
+    assert F.describe() == G.describe()
+    z = np.array([[0.7, -0.4], [1.5, 2.0]])
+    np.testing.assert_array_equal(F.eval(z), G.eval(z))
 
 
 def test_build_fd_mode(rng):
@@ -198,6 +244,48 @@ def test_cli_verify_single_check_flags(tmp_path):
     assert float(rows[0]["ratio"]) <= 1.2
 
 
+_VERIFY_FLAGS = {
+    "caccioppoli": ["--ell", "0.05,0.1,0", "--rho", "0.2", "--R", "0.4",
+                    "--center", "0.5,0.5"],
+    "caccioppoli_l1": ["--R", "0.2", "--center", "0.5,0.5"],
+    "sobolev": ["--R", "0.2", "--center", "0.5,0.5"],
+    "lipschitz": ["--R", "0.2", "--center", "0.5,0.5"],
+}
+
+
+def test_every_verify_check_has_flags():
+    assert set(_VERIFY_FLAGS) == set(VERIFY_CHECKS)
+
+
+@pytest.mark.parametrize("check", list(_VERIFY_FLAGS))
+def test_cli_verify_runs_every_check_choice(tmp_path, check):
+    code = main(["--out-dir", str(tmp_path), "verify", str(_config(tmp_path)),
+                 "--check", check, "--out", "check.csv"] + _VERIFY_FLAGS[check])
+    assert code == 0
+    _, _, rows = read_csv(tmp_path / "check.csv")
+    assert rows and all(r["name"].startswith(check) for r in rows)
+    assert not (tmp_path / "lipschitz_0.csv").exists()
+
+
+def test_cli_verify_has_no_degiorgi_check(tmp_path, capsys):
+    # verify has no X0, C, b or N flags; ``quc degiorgi`` runs that check
+    with pytest.raises(SystemExit) as err:
+        main(["--out-dir", str(tmp_path), "verify", str(_config(tmp_path)),
+              "--check", "degiorgi"])
+    assert err.value.code == 2
+    assert "invalid choice: 'degiorgi'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag, value", [("--R", "0.1"), ("--rho", "0.05"), ("--k", "0.1"),
+                                         ("--ell", "0.1,0,0"), ("--center", "0.5,0.5"),
+                                         ("--out", "mine.csv")])
+def test_cli_verify_check_flag_without_check_is_config_error(tmp_path, capsys, flag, value):
+    out = tmp_path / "out"
+    assert main(["--out-dir", str(out), "verify", str(_config(tmp_path)), flag, value]) == 2
+    assert capsys.readouterr().err.startswith(f"config error: {flag}: ")
+    assert not list(out.glob("*.csv"))
+
+
 def test_cli_nonconverged_exit(tmp_path, capsys):
     cfg = _config(tmp_path, solver={"max_iter": 0},
                   integrand={"kind": "power", "p": 3.0},
@@ -221,8 +309,15 @@ _CAC = {"name": "caccioppoli", "rho": 0.1, "R": 0.2, "center": [0.5, 0.5], "k": 
 _LIP = {"name": "lipschitz", "R": 0.2, "center": [0.5, 0.5]}
 _DG = {"name": "degiorgi", "X0": 0.2, "C": 1.0, "b": 4.0, "R": 1.0, "N": 2}
 _NAN, _INF = float("nan"), float("inf")
+_BLEND = {"kind": "blend", "p": 3.0, "q": 1.5, "w": [0.5, 0.0]}
+
+
+def _integrand(kind, **values):
+    return {"integrand": {"kind": kind, "part": _POWER_SPEC, **values}}
+
+
 _MALFORMED = {
-    "p": ({"integrand": {"kind": "power", "p": "three"}}, "integrand"),
+    "p": ({"integrand": {"kind": "power", "p": "three"}}, r"integrand\.p"),
     "domain": ({"problem": {"n": 17, "domain": "abc", "boundary": "x"}}, "problem.domain"),
     "mask_radius": ({"problem": {"n": 17, "boundary": "x",
                                  "mask": {"center": [0.5, 0.5], "radius": "r"}}},
@@ -288,6 +383,25 @@ _MALFORMED = {
     "ball_mask": ({"problem": {"n": 33, "boundary": "x",
                                "mask": {"center": [0.5, 0.5], "radius": 0.49}},
                    **_check(_LIP, R=0.05, center=[0.1, 0.1])}, r"checks\[0\]"),
+    "k_and_ell": (_check(_CAC, ell={"c": 0.1, "b": [0.0, 0.0]}), r"checks\[0\]"),
+    "out_dir_null": ({"out_dir": None}, "config.out_dir"),
+    "out_dir_empty": ({"out_dir": ""}, "config.out_dir"),
+    # a key that picks a table entry is a name, not any json value
+    "kind_list": ({"integrand": {"kind": ["power"], "p": 3.0}}, r"integrand\.kind"),
+    "check_name_list": (_check(_LIP, name=["lipschitz"]), r"checks\[0\]\.name"),
+    # every integrand number is finite, at its own key path
+    "scale_nan": (_integrand("scaled", scale=_NAN), r"integrand\.scale"),
+    "shift_inf": (_integrand("shifted", shift=[_INF, 0.0]), r"integrand\.shift"),
+    "affine_w_nan": (_integrand("affine_add", w=[_NAN, 0.0]), r"integrand\.w"),
+    "affine_c_inf": (_integrand("affine_add", w=[0.1, 0.0], c=_INF), r"integrand\.c"),
+    "delta_inf": (_integrand("moreau", delta=_INF), r"integrand\.delta"),
+    "mollifier_eps_nan": (_integrand("mollified", eps=_NAN, mu=0.25), r"integrand\.eps"),
+    "mollifier_mu_inf": (_integrand("mollified", eps=0.25, mu=_INF), r"integrand\.mu"),
+    "blend_w_nan": ({"integrand": {**_BLEND, "w": [_NAN, 0.0]}}, r"integrand\.w"),
+    "blend_eps_nan": ({"integrand": {**_BLEND, "eps": _NAN}}, r"integrand\.eps"),
+    "nested_shift_nan": ({"integrand": {"kind": "sum", "parts": [
+        _POWER_SPEC, {"kind": "shifted", "shift": [0.0, _NAN], "part": _POWER_SPEC}]}},
+        r"integrand\.parts\[1\]\.shift"),
 }
 
 
