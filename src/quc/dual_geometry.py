@@ -75,18 +75,17 @@ def G_eval(F, y, **kw):
     return float(out[0]) if single else out
 
 
-def coercivity_check(F, H, *, rng=None, n_rays=32, t_pair=(10.0, 1e3)):
-    """Empirical coercivity exponent of G along random rays.
+def coercivity_check(F, H):
+    """Empirical coercivity exponent of G along 32 random rays (seed 0).
 
-    Measured as the two-point log-log slope between the radii in ``t_pair``
+    Measured as the two-point log-log slope between the radii 10 and 1e3
     (a single-radius quotient log G / log t is polluted by the constant in
     G and undershoots the true exponent even for plain powers).  Compared
     against the predicted 1 + 1/H.
     """
-    rng = np.random.default_rng(0) if rng is None else rng
-    theta = rng.uniform(0.0, 2.0 * np.pi, n_rays)
+    theta = np.random.default_rng(0).uniform(0.0, 2.0 * np.pi, 32)
     u = np.stack([np.cos(theta), np.sin(theta)], axis=1)
-    t1, t2 = t_pair
+    t1, t2 = 10.0, 1e3
     g1 = G_eval(F, t1 * u)
     g2 = G_eval(F, t2 * u)
     expo = (np.log(g2) - np.log(g1)) / (np.log(t2) - np.log(t1))
@@ -106,21 +105,17 @@ class StarShapeReport:
         return self.margin >= -1e-9
 
 
-def star_shape_check(F, directions=None, radii=None, *, n_rays=64, n_radii=32,
-                     radius_range=(1e-3, 1e2)):
+def star_shape_check(F, *, n_rays=64, n_radii=32):
     """Monotonicity of t -> G(t z) along sampled rays.
 
-    The margin is the worst consecutive difference, normalised by
-    max(1, G); nonnegative margins (up to -1e-9) certify star-shapedness of
-    the sublevel sets on the sample.
+    G is sampled on ``n_rays`` equally spaced directions times ``n_radii``
+    log-spaced radii from 1e-3 to 1e2.  The margin is the worst consecutive
+    difference, normalised by max(1, G); nonnegative margins (up to -1e-9)
+    certify star-shapedness of the sublevel sets on the sample.
     """
-    if directions is None:
-        theta = np.linspace(0.0, 2.0 * np.pi, n_rays, endpoint=False)
-        directions = np.stack([np.cos(theta), np.sin(theta)], axis=1)
-    directions = np.asarray(directions, dtype=float)
-    if radii is None:
-        radii = np.geomspace(*radius_range, n_radii)
-    radii = np.asarray(radii, dtype=float)
+    theta = np.linspace(0.0, 2.0 * np.pi, n_rays, endpoint=False)
+    directions = np.stack([np.cos(theta), np.sin(theta)], axis=1)
+    radii = np.geomspace(1e-3, 1e2, n_radii)
     pts = (radii[:, None, None] * directions[None, :, :]).reshape(-1, 2)
     g = G_eval(F, pts).reshape(len(radii), len(directions))
     diff = np.diff(g, axis=0) / np.maximum(1.0, np.abs(g[:-1]))
@@ -135,12 +130,13 @@ def star_shape_check(F, directions=None, radii=None, *, n_rays=64, n_radii=32,
     )
 
 
-def gauge(F, k, z, *, rtol=1e-10, max_doublings=200):
+def gauge(F, k, z):
     """The Minkowski gauge g_k(z): the unique t with G(z/t) = k.
 
     t -> G(z/t) is nonincreasing, so an envelope-seeded bracket plus
-    bisection converges unconditionally; failure to bracket means G is not
-    coercive and signals an invalid integrand.  g_k(0) = 0.
+    bisection to a relative width of 1e-10 converges unconditionally;
+    failure to bracket within 200 doublings means G is not coercive and
+    signals an invalid integrand.  g_k(0) = 0.
     """
     if not k > 0.0:
         raise ValueError(f"gauge level k must be positive, got {k}")
@@ -165,7 +161,7 @@ def gauge(F, k, z, *, rtol=1e-10, max_doublings=200):
             return F._eval(w)
 
         lo = t0.copy()
-        for _ in range(max_doublings):
+        for _ in range(200):
             vals = G_of(lo)
             need = vals < k
             if not need.any():
@@ -174,7 +170,7 @@ def gauge(F, k, z, *, rtol=1e-10, max_doublings=200):
         else:
             raise GaugeBracketError("lower bracket expansion failed")
         hi = np.maximum(t0, lo) * 2.0
-        for _ in range(max_doublings):
+        for _ in range(200):
             vals = G_of(hi)
             need = vals > k
             if not need.any():
@@ -183,7 +179,7 @@ def gauge(F, k, z, *, rtol=1e-10, max_doublings=200):
         else:
             raise GaugeBracketError("upper bracket expansion failed")
         for _ in range(200):
-            if np.all(hi - lo <= rtol * lo):
+            if np.all(hi - lo <= 1e-10 * lo):
                 break
             mid = 0.5 * (lo + hi)
             vals = G_of(mid)
@@ -242,21 +238,18 @@ class LevelGapReport:
     H_used: float
 
 
-def gauge_level_gap(F, h, k, *, n_angles=256, H=None):
+def gauge_level_gap(F, h, k, *, H):
     """Measured inf over {G >= k} of g_h - 1 against the two-exponent bound.
 
     Valid for h < k <= 2h.  The infimum is attained on the level set
     {G = k}, whose points along direction u are u / g_k(u); by homogeneity
-    g_h there equals g_h(u) / g_k(u), so two angular tables suffice.
+    g_h there equals g_h(u) / g_k(u), so two tables over 256 angles suffice.
     The constant C(H, N) is not explicit in the source theory; the report
     carries the empirical constant bound/measured instead.
     """
     if not (0.0 < h < k <= 2.0 * h):
         raise ValueError(f"need h < k <= 2h, got h={h}, k={k}")
-    if H is None:
-        from .qc_analysis import estimate_H
-        H = estimate_H(F).H_est
-    theta = np.linspace(0.0, 2.0 * np.pi, n_angles, endpoint=False)
+    theta = np.linspace(0.0, 2.0 * np.pi, 256, endpoint=False)
     dirs = np.stack([np.cos(theta), np.sin(theta)], axis=1)
     gh = gauge(F, h, dirs)
     gk = gauge(F, k, dirs)

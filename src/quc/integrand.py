@@ -112,8 +112,6 @@ class Integrand:
         Catalogue kind tag (matches the config schema).
     analytic_H : float or None
         Exact ellipticity-ratio bound when known.
-    minimum : ndarray or None
-        Argmin of F when known.
     singular_points : tuple of ndarray
         Points to exclude (small balls around them) from Hessian sampling,
         where lmax blows up or lmin vanishes.
@@ -125,7 +123,6 @@ class Integrand:
 
     kind = "base"
     analytic_H = None
-    minimum = None
     singular_points = ()
     constant_hessian = False
     exact_prox = False
@@ -260,7 +257,7 @@ def power_sum_profile(terms):
     )
 
 
-def radial_prox_radius(profile, r, delta, s0=None, max_iter=100):
+def radial_prox_radius(profile, r, delta, s0=None):
     """s in [0, r] with s + delta G'(s) = r at each radius r >= 0.
 
     g(s) = s + delta G'(s) - r increases, so the root lies below any s0
@@ -271,14 +268,14 @@ def radial_prox_radius(profile, r, delta, s0=None, max_iter=100):
     leaves the bracket, or is 0 at g != 0 (G'' overflowing at a subnormal
     s), is replaced by its midpoint.  A row stops once its step moves s by
     at most 4 ulp or its bracket holds no double inside; rows still moving
-    after ``max_iter`` steps keep their last iterate for the caller to judge.
+    after 100 steps keep their last iterate for the caller to judge.
     """
     s = np.zeros_like(r)
     idx = np.flatnonzero((r > delta * profile.deriv(np.zeros(1))[0]) & (r < np.inf))
     ra = r[idx]
     sa = ra.copy() if s0 is None else s0[idx]
     lo, hi = np.zeros_like(ra), sa.copy()
-    for _ in range(max_iter):
+    for _ in range(100):
         if idx.size == 0:
             break
         g = sa + delta * profile.deriv(sa) - ra
@@ -412,7 +409,6 @@ class PowerIntegrand(RadialIntegrand):
         self.p = p
         self.profile = power_profile(p)
         self.analytic_H = max(p - 1.0, 1.0 / (p - 1.0))
-        self.minimum = np.zeros(2)
         if p != 2.0:
             self.singular_points = (np.zeros(2),)
 
@@ -458,9 +454,7 @@ class AnisotropicQuadratic(Integrand):
         if lam[0] <= 0.0:
             raise IntegrandError(f"matrix must be positive definite, eigenvalues {lam}")
         self.A = 0.5 * (A + A.T)
-        self.eigenvalues = lam
         self.analytic_H = float(lam[-1] / lam[0])
-        self.minimum = np.zeros(2)
 
     def _eval(self, z):
         return 0.5 * np.einsum("mi,ij,mj->m", z, self.A, z)
@@ -491,7 +485,6 @@ class UhlenbeckIntegrand(RadialIntegrand):
     def __init__(self, profile, analytic_H=None):
         self.profile = profile
         self.analytic_H = analytic_H
-        self.minimum = np.zeros(2)
         self.singular_points = (np.zeros(2),)
 
     def _eval(self, z):
@@ -527,7 +520,6 @@ class FinslerIntegrand(Integrand):
             raise IntegrandError("gauge matrix must be positive definite")
         self.A = 0.5 * (A + A.T)
         self.profile = profile
-        self.minimum = np.zeros(2)
         self.singular_points = (np.zeros(2),)
 
     def _gauge(self, z):
@@ -580,9 +572,11 @@ class BlendIntegrand(Integrand):
     lmax -> infinity at w, so the degenerate and singular sets are {0} and
     {w} simultaneously.
 
-    The admissibility threshold eps < alpha / (2 beta) is computed by
-    sampling; alpha, beta, gamma, delta_s (the extremal Hessian quantities of
-    the construction) are recorded in ``admissibility``.
+    The admissibility threshold ``eps_threshold`` = alpha / (2 beta) is
+    sampled: alpha is the least |z|^{p-2} over 512 radii from |w|/2 to 8|w|,
+    beta the largest Frobenius norm sqrt(psi''^2 + (psi'/rho)^2) of the
+    bump's Hessian over 2048 radii rho = |z - w| of the quintic shell
+    [|w|/4, |w|/2].  ``eps`` must lie in (0, eps_threshold).
     """
 
     kind = "blend"
@@ -605,8 +599,7 @@ class BlendIntegrand(Integrand):
         )
         self._coef_d = np.polyder(self._coef)
         self._coef_dd = np.polyder(self._coef_d)
-        self.admissibility = self._sample_admissibility()
-        self.eps_threshold = self.admissibility["alpha"] / (2.0 * self.admissibility["beta"])
+        self.eps_threshold = self._sample_admissibility()
         if eps is None:
             eps = 0.5 * self.eps_threshold
         eps = float(eps)
@@ -617,22 +610,17 @@ class BlendIntegrand(Integrand):
                 f"blend weight eps={eps:g} is not admissible; sampled threshold "
                 f"alpha/(2 beta) = {self.eps_threshold:g}")
         self.eps = eps
-        self.minimum = np.zeros(2)
         self.singular_points = (np.zeros(2), w.copy())
 
     def _sample_admissibility(self):
-        p, q, r = self.p, self.q, self.r
-        rad = np.geomspace(r / 2.0, 8.0 * r, 512)
-        alpha = float(np.min(rad ** (p - 2.0)))
+        """The sampled threshold alpha / (2 beta) of the class docstring."""
+        rad = np.geomspace(self.r / 2.0, 8.0 * self.r, 512)
+        alpha = float(np.min(rad ** (self.p - 2.0)))
         rho = np.linspace(self.rho1, self.rho2, 2048)
         psi1 = np.polyval(self._coef_d, rho)
         psi2 = np.polyval(self._coef_dd, rho)
         beta = float(np.max(np.sqrt(psi2**2 + (psi1 / rho) ** 2)))
-        rad_near = np.linspace(0.75 * r, 1.25 * r, 512)
-        gamma = float(np.max((p - 1.0) * rad_near ** (p - 2.0)))
-        rho_in = np.linspace(self.rho1 / 64.0, self.rho1, 512)
-        delta_s = float(np.min((q - 1.0) * rho_in ** (q - 2.0)))
-        return {"alpha": alpha, "beta": beta, "gamma": gamma, "delta_s": delta_s}
+        return alpha / (2.0 * beta)
 
     def _phi_parts(self, rho):
         """(psi, psi', psi'') of the radial bump profile at radii rho."""
@@ -700,9 +688,6 @@ class SumIntegrand(Integrand):
         self.parts = list(parts)
         hs = [f.analytic_H for f in self.parts]
         self.analytic_H = max(hs) if all(h is not None for h in hs) else None
-        mins = [f.minimum for f in self.parts]
-        if all(m is not None and np.allclose(m, 0.0) for m in mins):
-            self.minimum = np.zeros(2)
         pts = []
         for f in self.parts:
             pts.extend(f.singular_points)
@@ -728,7 +713,6 @@ class ScaledIntegrand(Integrand):
         self.part = part
         self.lam = lam
         self.analytic_H = part.analytic_H
-        self.minimum = part.minimum
         self.singular_points = part.singular_points
         self.constant_hessian = part.constant_hessian
         self.exact_prox = part.exact_prox
@@ -762,8 +746,6 @@ class ShiftedIntegrand(Integrand):
         self.zbar = np.asarray(zbar, dtype=float).reshape(2)
         self._offset = part.eval(self.zbar)
         self.analytic_H = part.analytic_H
-        if part.minimum is not None:
-            self.minimum = part.minimum - self.zbar
         self.singular_points = tuple(s - self.zbar for s in part.singular_points)
         self.constant_hessian = part.constant_hessian
         self.exact_prox = part.exact_prox
@@ -835,7 +817,6 @@ class FiniteDifferenceIntegrand(Integrand):
     def __init__(self, part):
         self.part = part
         self.analytic_H = part.analytic_H
-        self.minimum = part.minimum
         self.singular_points = part.singular_points
 
     def _eval(self, z):
@@ -894,13 +875,13 @@ def make_blend(p, q, w, eps=None):
     return BlendIntegrand(p, q, w, eps)
 
 
-def make_uhlenbeck(profile, *, ratio_bound=1e3, t_range=(1e-4, 1e4), n_samples=257):
+def make_uhlenbeck(profile):
     """G(|z|) after validating the radial ellipticity ratio t G''(t) / G'(t).
 
-    The ratio must stay within [1/ratio_bound, ratio_bound] on log-spaced
-    sample radii; a violation is reported with the offending radius.
+    The ratio must stay within [1e-3, 1e3] on 257 log-spaced radii from
+    1e-4 to 1e4; a violation is reported with the offending radius.
     """
-    t = np.geomspace(*t_range, n_samples)
+    t = np.geomspace(1e-4, 1e4, 257)
     gp = np.asarray(profile.deriv(t), dtype=float)
     gpp = np.asarray(profile.second(t), dtype=float)
     if np.any(gp <= 0.0):
@@ -910,21 +891,21 @@ def make_uhlenbeck(profile, *, ratio_bound=1e3, t_range=(1e-4, 1e4), n_samples=2
     if abs(g0) > 1e-12:
         raise IntegrandError(f"profile must satisfy G(0) = 0, got {g0:g}")
     ratio = t * gpp / gp
-    bad = (ratio < 1.0 / ratio_bound) | (ratio > ratio_bound) | ~np.isfinite(ratio)
+    bad = (ratio < 1e-3) | (ratio > 1e3) | ~np.isfinite(ratio)
     if bad.any():
         t_bad = float(t[np.argmax(bad)])
         raise IntegrandError(
             f"radial ellipticity ratio t G''/G' = {float(ratio[np.argmax(bad)]):g} at "
-            f"t = {t_bad:g} is outside [{1.0 / ratio_bound:g}, {ratio_bound:g}]")
+            f"t = {t_bad:g} is outside [0.001, 1000]")
     # the sampled ratio extremes bound the ellipticity ratio of G(|z|)
     lo = min(float(ratio.min()), 1.0)
     hi = max(float(ratio.max()), 1.0)
     return UhlenbeckIntegrand(profile, analytic_H=max(hi, 1.0 / lo))
 
 
-def make_finsler(gauge_matrix, profile, *, ratio_bound=1e3):
+def make_finsler(gauge_matrix, profile):
     """G(h(z)) for the elliptic gauge h(z) = sqrt((A z, z))."""
-    make_uhlenbeck(profile, ratio_bound=ratio_bound)  # validates the profile
+    make_uhlenbeck(profile)  # validates the profile
     return FinslerIntegrand(gauge_matrix, profile)
 
 
@@ -1038,12 +1019,12 @@ def newton_minimise(F, W0, tol, *, c=0.0, Z=None, Y=None, max_iter):
     return W, np.hypot(G[:, 0], G[:, 1])
 
 
-def _prox_solve(part, delta, Z, W0, *, grad_tol=PROX_GRAD_TOL, max_iter=80):
+def _prox_solve(part, delta, Z, W0, *, max_iter=80):
     """Newton (``newton_minimise``) for the proximal problem
     w -> F(w) + |w - z|^2 / (2 delta), started at W0.  The inner Hessian is
     bounded below by Id/delta, so convergence is quadratic from any start."""
     Z = np.ascontiguousarray(Z, dtype=float)
-    tol = grad_tol * (1.0 + np.hypot(Z[:, 0], Z[:, 1]))
+    tol = PROX_GRAD_TOL * (1.0 + np.hypot(Z[:, 0], Z[:, 1]))
     W, gn = newton_minimise(part, W0, tol, c=1.0 / delta, Z=Z, max_iter=max_iter)
     if not np.all(gn <= 100.0 * tol):
         raise ProxError(
@@ -1095,7 +1076,7 @@ def gradient_infimum_on_circle(F, *, n_angles=720):
     return best
 
 
-def normalise(F, *, n_angles=720):
+def normalise(F):
     """Shift the minimum to the origin and rescale so that i_F = 1.
 
     Returns (F(z + zbar) - F(zbar)) / i_F where zbar is the argmin and i_F
@@ -1103,18 +1084,16 @@ def normalise(F, *, n_angles=720):
     result carries ``normalisation = {"zbar": ..., "i_F": ...}``.
     """
     zbar = find_minimum(F)
-    shifted = ShiftedIntegrand(F, zbar) if np.any(zbar != 0.0) or shifted_needed(F) else F
-    i_f = gradient_infimum_on_circle(shifted, n_angles=n_angles)
+    if np.any(zbar != 0.0) or abs(F.eval(np.zeros(2))) > 0.0:
+        shifted = ShiftedIntegrand(F, zbar)
+    else:
+        shifted = F
+    i_f = gradient_infimum_on_circle(shifted)
     if not np.isfinite(i_f) or i_f <= 0.0:
         raise NormalisationError(f"gradient infimum on the unit circle is {i_f}")
     out = ScaledIntegrand(shifted, 1.0 / i_f)
     out.normalisation = {"zbar": zbar, "i_F": i_f}
-    out.minimum = np.zeros(2)
     return out
-
-
-def shifted_needed(F):
-    return abs(F.eval(np.zeros(2))) > 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -1130,14 +1109,13 @@ class IsotropicEnvelope:
     A accumulates the per-segment power-law integrals.
     """
 
-    def __init__(self, radii, a_table, n_angles):
+    def __init__(self, radii, a_table):
         radii = np.asarray(radii, dtype=float)
         a_table = np.asarray(a_table, dtype=float)
         if np.any(np.diff(a_table) <= 0.0):
             raise IntegrandError("envelope table a(t) is not strictly increasing")
         self.radii = radii
         self.a_table = a_table
-        self.n_angles = n_angles
         self._log_t = np.log(radii)
         self._log_a = np.log(a_table)
         slopes = np.diff(self._log_a) / np.diff(self._log_t)
@@ -1174,10 +1152,10 @@ class IsotropicEnvelope:
         lv = np.log(np.clip(v, self.A_table[0], self.A_table[-1]))
         return np.exp(np.interp(lv, np.log(self.A_table), self._log_t))
 
-    def check_envelope(self, F, rng, n=2000):
-        """Empirical C with (1/C) A(|z|) <= F(z) <= C A(|z|) on random points."""
-        t = np.exp(rng.uniform(np.log(self.radii[0] * 2), np.log(self.radii[-1] / 2), n))
-        th = rng.uniform(0.0, 2.0 * np.pi, n)
+    def check_envelope(self, F, rng):
+        """Empirical C with (1/C) A(|z|) <= F(z) <= C A(|z|) on 2000 random points."""
+        t = np.exp(rng.uniform(np.log(self.radii[0] * 2), np.log(self.radii[-1] / 2), 2000))
+        th = rng.uniform(0.0, 2.0 * np.pi, 2000)
         z = t[:, None] * np.stack([np.cos(th), np.sin(th)], axis=1)
         fv = F._eval(z)
         av = self.A(t)
@@ -1193,16 +1171,17 @@ class IsotropicEnvelope:
         return float(np.max(self.a(2.0 * t) / (eta2 * self.a(t))))
 
 
-def isotropic_envelope(F, *, t_range=(1e-4, 1e4), n_radii=257, n_angles=256):
-    """Build the isotropic envelope tables of a normalised integrand."""
-    radii = np.geomspace(*t_range, n_radii)
+def isotropic_envelope(F, *, n_radii=257, n_angles=256):
+    """Build the isotropic envelope tables of a normalised integrand on
+    ``n_radii`` log-spaced radii from 1e-4 to 1e4."""
+    radii = np.geomspace(1e-4, 1e4, n_radii)
     theta = np.linspace(0.0, 2.0 * np.pi, n_angles, endpoint=False)
     dirs = np.stack([np.cos(theta), np.sin(theta)], axis=1)
     pts = (radii[:, None, None] * dirs[None, :, :]).reshape(-1, 2)
     g = F._grad(pts).reshape(n_radii, n_angles, 2)
     per_radius = np.hypot(g[:, :, 0], g[:, :, 1]).max(axis=1)
     a_table = np.maximum.accumulate(per_radius)
-    return IsotropicEnvelope(radii, a_table, n_angles)
+    return IsotropicEnvelope(radii, a_table)
 
 
 # ---------------------------------------------------------------------------
@@ -1219,9 +1198,10 @@ def check_midpoint_convexity(F, rng, n=10**4, radius=100.0):
     return float(np.min(gap / scale))
 
 
-def check_gradient_finite_differences(F, rng, n=10**3, radius=10.0):
-    """Max relative mismatch between DF and central differences of F."""
-    z = rng.uniform(-radius, radius, (n, 2))
+def check_gradient_finite_differences(F, rng, n=10**3):
+    """Max relative mismatch between DF and central differences of F at n
+    random points of the square [-10, 10]^2."""
+    z = rng.uniform(-10.0, 10.0, (n, 2))
     g = F._grad(z)
     fd = FiniteDifferenceIntegrand(F)._grad(z)
     num = np.hypot(*(g - fd).T)
@@ -1229,11 +1209,12 @@ def check_gradient_finite_differences(F, rng, n=10**3, radius=10.0):
     return float(np.max(num / den))
 
 
-def check_hessian_symmetry(F, rng, n=10**3, radius=10.0, exclude=1e-8):
-    """Max Frobenius asymmetry |H - H^T| over random sample points."""
-    z = rng.uniform(-radius, radius, (n, 2))
+def check_hessian_symmetry(F, rng, n=10**3):
+    """Max Frobenius asymmetry |H - H^T| at n random points of the square
+    [-10, 10]^2, less those within 1e-8 of a singular point."""
+    z = rng.uniform(-10.0, 10.0, (n, 2))
     for s in F.singular_points:
-        close = np.hypot(z[:, 0] - s[0], z[:, 1] - s[1]) < exclude
+        close = np.hypot(z[:, 0] - s[0], z[:, 1] - s[1]) < 1e-8
         z = z[~close]
     H = F._hess(z)
     return float(np.max(np.abs(H - np.transpose(H, (0, 2, 1)))))

@@ -9,7 +9,7 @@ inequality used by the Caccioppoli argument.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -172,36 +172,38 @@ class DilatationEstimate:
     n_samples: int
     n_skipped: int = 0
     delta_est: float | None = None
-    extra: dict = field(default_factory=dict)
 
 
-def default_sampling_plan(rng, *, n_radii=64, radius_range=(1e-3, 1e3),
-                          n_angles=128, n_random=10**4, random_radius=10.0):
-    """Log-radial x angular grid plus uniform random points in a disk."""
-    radii = np.geomspace(*radius_range, n_radii)
-    theta = np.linspace(0.0, 2.0 * np.pi, n_angles, endpoint=False)
+def default_sampling_plan(rng):
+    """Log-radial x angular grid plus uniform random points in a disk.
+
+    The grid takes 64 log-spaced radii from 1e-3 to 1e3 times 128 equally
+    spaced angles; then come 10^4 points drawn from ``rng`` uniformly in
+    the disk of radius 10.
+    """
+    radii = np.geomspace(1e-3, 1e3, 64)
+    theta = np.linspace(0.0, 2.0 * np.pi, 128, endpoint=False)
     dirs = np.stack([np.cos(theta), np.sin(theta)], axis=1)
     grid = (radii[:, None, None] * dirs[None, :, :]).reshape(-1, 2)
-    r = random_radius * np.sqrt(rng.uniform(0.0, 1.0, n_random))
-    th = rng.uniform(0.0, 2.0 * np.pi, n_random)
+    r = 10.0 * np.sqrt(rng.uniform(0.0, 1.0, 10**4))
+    th = rng.uniform(0.0, 2.0 * np.pi, 10**4)
     rnd = np.stack([r * np.cos(th), r * np.sin(th)], axis=1)
     return np.concatenate([grid, rnd], axis=0)
 
 
-def _exclude_singular(points, singular_points, radius=1e-8):
+def _exclude_singular(points, singular_points):
+    """The points at distance at least 1e-8 from every singular point."""
     keep = np.ones(points.shape[0], dtype=bool)
     for s in singular_points:
-        keep &= np.hypot(points[:, 0] - s[0], points[:, 1] - s[1]) >= radius
+        keep &= np.hypot(points[:, 0] - s[0], points[:, 1] - s[1]) >= 1e-8
     return points[keep]
 
 
-def estimate_H(F, points=None, rng=None, *, exclude_radius=1e-8):
-    """Max sampled Hessian eigenvalue ratio of F over the sampling plan."""
-    if points is None:
-        rng = np.random.default_rng(0) if rng is None else rng
-        points = default_sampling_plan(rng)
-    points = _exclude_singular(np.asarray(points, dtype=float), F.singular_points,
-                               exclude_radius)
+def estimate_H(F, rng=None):
+    """Max sampled Hessian eigenvalue ratio of F over the sampling plan
+    drawn from ``rng`` (seed 0 when None)."""
+    rng = np.random.default_rng(0) if rng is None else rng
+    points = _exclude_singular(default_sampling_plan(rng), F.singular_points)
     H = F._hess(points)
     lo, hi = sym2_eig_bounds(H)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -230,20 +232,18 @@ def _sharp_pair(F):
     return v, np.zeros(2)
 
 
-def measure_delta_monotonicity(F, pairs=None, rng=None, *, n_pairs=4000,
-                               radius=10.0, H_est=None):
+def measure_delta_monotonicity(F, rng=None, *, H_est):
     """Min over sampled pairs of (DF(z)-DF(w), z-w) / (|DF(z)-DF(w)| |z-w|).
 
-    For constant-Hessian integrands the sharp eigenvector pair is always
+    The 4000 pairs are drawn from ``rng`` (seed 0 when None) uniformly in
+    the square [-10, 10]^2; the report carries the caller's ``H_est``.  For
+    constant-Hessian integrands the sharp eigenvector pair is always
     included, where the quotient equals 2 sqrt(l1 lN) / (l1 + lN) exactly.
     Degenerate pairs with DF(z) = DF(w) are skipped and counted.
     """
-    if pairs is None:
-        rng = np.random.default_rng(0) if rng is None else rng
-        z = rng.uniform(-radius, radius, (n_pairs, 2))
-        w = rng.uniform(-radius, radius, (n_pairs, 2))
-    else:
-        z, w = (np.asarray(p, dtype=float) for p in pairs)
+    rng = np.random.default_rng(0) if rng is None else rng
+    z = rng.uniform(-10.0, 10.0, (4000, 2))
+    w = rng.uniform(-10.0, 10.0, (4000, 2))
     if F.constant_hessian:
         v, o = _sharp_pair(F)
         z = np.concatenate([z, v.reshape(1, 2)])
@@ -255,8 +255,6 @@ def measure_delta_monotonicity(F, pairs=None, rng=None, *, n_pairs=4000,
     good = (ng > 0.0) & (nz > 0.0)
     quot = np.where(good, (dg * dz).sum(axis=1) / np.where(good, ng * nz, 1.0), np.inf)
     k = int(np.argmin(quot))
-    if H_est is None:
-        H_est = estimate_H(F, rng=np.random.default_rng(1)).H_est
     return DilatationEstimate(
         H_est=H_est,
         worst_point=z[k].copy(),
@@ -270,21 +268,22 @@ def measure_delta_monotonicity(F, pairs=None, rng=None, *, n_pairs=4000,
 # Cassels quotient oracle
 # ---------------------------------------------------------------------------
 
-def cassels_oracle(lams, trials=20000, rng=None, refine=True):
+def cassels_oracle(lams, trials=20000):
     """Brute-force infimum of (sum l v^2) / (sqrt(sum l^2 v^2) |v|) over v != 0.
 
-    Random unit vectors followed by Nelder-Mead polish from the best
-    candidates.  The quotient is scale invariant so the polish runs
-    unconstrained.  ``scipy.optimize`` is imported on the first call with
-    ``refine=True``, not with the package: nothing on the command-line
-    path polishes, and importing it costs about a quarter of a second.
+    The quotient is sampled at ``trials`` random unit vectors (seed 0) and
+    polished by a compass search on the unit sphere from the 8 best: each
+    candidate v moves to the best of its neighbours v +- s e_i, rescaled to
+    unit length, that lowers the quotient, and halves s (from 1/2) when none
+    does, until every s is at most 1e-9.  The quotient is smooth in v, so
+    the polished minimum is off by O(s^2) at its stop.
     """
     lams = np.asarray(lams, dtype=float)
     if lams.size == 0:
         raise ValueError("eigenvalue list must be nonempty")
     if np.any(lams <= 0.0):
         raise ValueError("eigenvalues must be positive")
-    rng = np.random.default_rng(0) if rng is None else rng
+    rng = np.random.default_rng(0)
     d = lams.size
 
     def quotient(v):
@@ -295,16 +294,21 @@ def cassels_oracle(lams, trials=20000, rng=None, refine=True):
     V = rng.normal(size=(trials, d))
     V /= np.linalg.norm(V, axis=1, keepdims=True)
     q = quotient(V)
-    best = float(q.min())
-    if refine:
-        from scipy.optimize import minimize
-        order = np.argsort(q)[:8]
-        for k in order:
-            res = minimize(lambda v: quotient(v) if np.linalg.norm(v) > 1e-12 else 1.0,
-                           V[k], method="Nelder-Mead",
-                           options={"xatol": 1e-12, "fatol": 1e-14, "maxiter": 2000})
-            best = min(best, float(res.fun))
-    return best
+    best = np.argsort(q)[:8]
+    X, fx = V[best], q[best]
+    rows = np.arange(X.shape[0])
+    moves = np.concatenate([np.eye(d), -np.eye(d)])
+    step = np.full(X.shape[0], 0.5)
+    while step.max() > 1e-9:
+        T = X[:, None, :] + step[:, None, None] * moves
+        T /= np.linalg.norm(T, axis=2, keepdims=True)
+        fT = quotient(T)
+        j = np.argmin(fT, axis=1)
+        better = fT[rows, j] < fx
+        X[better] = T[rows, j][better]
+        fx = np.where(better, fT[rows, j], fx)
+        step = np.where(better, step, 0.5 * step)
+    return float(fx.min())
 
 
 # ---------------------------------------------------------------------------
@@ -319,21 +323,21 @@ class QuasisymmetryReport:
     H_used: float
 
 
-def quasisymmetry_check(F, triples=None, rng=None, *, n_triples=10**4,
-                        radius=5.0, H=None):
+def quasisymmetry_check(F, triples=None, rng=None, *, n_triples=10**4, H=None):
     """Empirical constant C in the gradient distortion estimate.
 
     Measures the max over triples (z0, z, w) of
-    |DF(z)-DF(z0)| / (|DF(w)-DF(z0)| eta_H(|z-z0| / |w-z0|)).
+    |DF(z)-DF(z0)| / (|DF(w)-DF(z0)| eta_H(|z-z0| / |w-z0|)), with
+    ``n_triples`` random triples in the square [-5, 5]^2 unless given.
     """
     if H is None:
         H = estimate_H(F, rng=np.random.default_rng(1)).H_est
     prof = eta_H(max(H, 1.0))
     if triples is None:
         rng = np.random.default_rng(0) if rng is None else rng
-        z0 = rng.uniform(-radius, radius, (n_triples, 2))
-        z = rng.uniform(-radius, radius, (n_triples, 2))
-        w = rng.uniform(-radius, radius, (n_triples, 2))
+        z0 = rng.uniform(-5.0, 5.0, (n_triples, 2))
+        z = rng.uniform(-5.0, 5.0, (n_triples, 2))
+        w = rng.uniform(-5.0, 5.0, (n_triples, 2))
     else:
         z0, z, w = (np.asarray(t, dtype=float) for t in triples)
     g0 = F._grad(z0)
@@ -382,11 +386,11 @@ def sym_eig_bounds(M):
     return lo, hi
 
 
-def matrix_inequality_check(P, S, tol=1e-12):
+def matrix_inequality_check(P, S):
     """Margin of (P S, S P)_2 - (lmin(P)/lmax(P)) |P S|_2^2 over a batch.
 
-    The normalised margin divides by max(1, |P S|_2^2) so the tolerance is
-    meaningful at any scale.  Raises on shape mismatch.
+    The normalised margin divides by max(1, |P S|_2^2) so its tolerance,
+    1e-12, is meaningful at any scale.  Raises on shape mismatch.
     """
     P = np.asarray(P, dtype=float)
     S = np.asarray(S, dtype=float)
@@ -409,5 +413,5 @@ def matrix_inequality_check(P, S, tol=1e-12):
     return MatrixInequalityMargin(
         margin=float(margin[k]),
         margin_normalised=float(margin_n[k]),
-        ok=bool(margin_n[k] >= -tol),
+        ok=bool(margin_n[k] >= -1e-12),
     )

@@ -29,19 +29,18 @@ from .integrand import PROX_GRAD_TOL, Integrand, IntegrandError, ProxError
 class MollifierSpec:
     """Quadrature for integration against the polynomial bump.
 
-    Nodes live on the unit disk; callers scale them by eps.  ``weights`` are
-    the bump-weighted quadrature weights (summing to 1), ``grad_weights``
-    the weights against the bump's gradient (summing to 0 componentwise).
+    Nodes live on the unit disk, 16 Gauss-Legendre radii by 36 uniform
+    angles; callers scale them by eps.  ``weights`` are the bump-weighted
+    quadrature weights (summing to 1), ``grad_weights`` the weights against
+    the bump's gradient (summing to 0 componentwise).
     """
 
-    def __init__(self, n_radial=16, n_angular=36):
-        self.n_radial = n_radial
-        self.n_angular = n_angular
-        r, wr = np.polynomial.legendre.leggauss(n_radial)
+    def __init__(self):
+        r, wr = np.polynomial.legendre.leggauss(16)
         r = 0.5 * (r + 1.0)
         wr = 0.5 * wr
-        theta = 2.0 * np.pi * np.arange(n_angular) / n_angular
-        dth = 2.0 * np.pi / n_angular
+        theta = 2.0 * np.pi * np.arange(36) / 36
+        dth = 2.0 * np.pi / 36
         R, TH = np.meshgrid(r, theta, indexing="ij")
         self.nodes = np.stack([(R * np.cos(TH)).ravel(), (R * np.sin(TH)).ravel()], axis=1)
         base = (wr[:, None] * r[:, None] * dth * np.ones_like(TH)).ravel()
@@ -94,7 +93,6 @@ class MoreauIntegrand(Integrand):
         self.part = part
         self.delta = delta
         self.analytic_H = part.analytic_H
-        self.minimum = part.minimum
 
     def prox(self, z):
         """Proximal points, checked on every path against the optimality
@@ -150,7 +148,7 @@ def moreau_yosida(F, delta):
 # mollification plus quadratic
 # ---------------------------------------------------------------------------
 
-# Shifted points per convolution batch: 56 rows of z against the 576 default
+# Shifted points per convolution batch: 56 rows of z against the 576 quadrature
 # nodes.  Each (N, 2) array of a batch (the points, the part's gradient, its
 # temporaries) then takes N * 16 B = 512 KiB, so the few a leaf pass keeps
 # live stay within a 2 MiB L2 cache.  Every point is reduced on its own, so
@@ -178,14 +176,14 @@ class MollifiedIntegrand(Integrand):
 
     kind = "mollified"
 
-    def __init__(self, part, eps, mu, spec=None):
+    def __init__(self, part, eps, mu):
         eps, mu = float(eps), float(mu)
         if eps <= 0.0 or mu <= 0.0:
             raise IntegrandError(f"mollifier needs eps, mu > 0, got {eps}, {mu}")
         self.part = part
         self.eps = eps
         self.mu = mu
-        self.spec = spec if spec is not None else MollifierSpec()
+        self.spec = MollifierSpec()
         self._node_cols = [np.ascontiguousarray(c) for c in (self.eps * self.spec.nodes).T]
         self.analytic_H = part.analytic_H
 
@@ -233,9 +231,9 @@ class MollifiedIntegrand(Integrand):
         return f"mollified({self.part.describe()}, eps={self.eps:g}, mu={self.mu:g})"
 
 
-def mollify_plus_quadratic(F, eps, mu, spec=None):
+def mollify_plus_quadratic(F, eps, mu):
     """(F * phi_eps) + (mu/2)|z|^2; pointwise above F and uniformly convex."""
-    return MollifiedIntegrand(F, eps, mu, spec)
+    return MollifiedIntegrand(F, eps, mu)
 
 
 def approximation_schedule(n):
@@ -246,10 +244,10 @@ def approximation_schedule(n):
     return s, s, s
 
 
-def strongly_elliptic_approx(F, n, spec=None):
+def strongly_elliptic_approx(F, n):
     """Ladder step n: Moreau envelope then mollification plus quadratic.
 
     Sampled Hessian eigenvalues satisfy mu_n <= lmin <= lmax <= 1/delta_n + mu_n.
     """
     delta, eps, mu = approximation_schedule(n)
-    return MollifiedIntegrand(MoreauIntegrand(F, delta), eps, mu, spec)
+    return MollifiedIntegrand(MoreauIntegrand(F, delta), eps, mu)

@@ -822,26 +822,27 @@ def spsolve(A, b, prolongations=(), *, rtol=1e-8):
     return _superlu(A)(b), -1
 
 
-def _armijo(F, mesh, u, d, energy, slope, order, *, c1=1e-4, max_halvings=60):
-    """Backtracking Armijo search along d from u, halving alpha from 1.
+def _armijo(F, mesh, u, d, energy, slope, order):
+    """Backtracking Armijo search along d from u, halving alpha from 1,
+    with sufficient-decrease constant 1e-4.
 
     Each trial is a full ``assemble_energy`` pass of orders 0..``order`` at
     u + alpha d, so the accepted trial is also the next iterate's pass.
     Returns (u + alpha d, (energy, gradient, F(Du), DF(Du), D2F(Du) or
     None, Du)) of the first trial that satisfies the Armijo condition, or
-    None when ``max_halvings`` trials find no decrease.  A rejected trial's
+    None when 60 trials find no decrease.  A rejected trial's
     fields die before the next trial's pass.
     """
     alpha = 1.0
     floor = 1e-14 * abs(energy) + 1e-300  # rounding floor near convergence
-    for _ in range(max_halvings):
+    for _ in range(60):
         point = u + alpha * d
         try:
             trial = assemble_energy(F, mesh, point, order=order)
         except AssemblyError:
             alpha *= 0.5
             continue
-        if trial[0] <= energy + c1 * alpha * slope + floor:
+        if trial[0] <= energy + 1e-4 * alpha * slope + floor:
             return point, trial
         trial = None
         alpha *= 0.5
