@@ -171,11 +171,10 @@ def cmd_solve(cfg, args, out_dir, rng):
 
 def cmd_gauge(cfg, args, out_dir, rng):
     F = normalise(cfg.integrand)
-    levels = [float(k) for k in args.k.split(",")]
     H = qa.estimate_H(F, rng=rng).H_est
     table_rows, check_rows = [], []
     ok = True
-    for k in levels:
+    for k in args.k:
         gs = dg.gauge_bounds(F, k, n_angles=args.angles, H=H)
         table_rows.append(np.column_stack([np.full(gs.angles.shape, k), gs.angles, gs.values]))
         check_rows.append({
@@ -319,6 +318,20 @@ def _int_at_least(lo):
     return integer
 
 
+def _levels(text):
+    """argparse type: comma-separated gauge levels, each finite and > 0."""
+    levels = []
+    for item in text.split(","):
+        try:
+            k = float(item)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"not a number: {item!r}") from None
+        if not (np.isfinite(k) and k > 0.0):
+            raise argparse.ArgumentTypeError(f"need finite levels > 0, got {item!r}")
+        levels.append(k)
+    return levels
+
+
 def _build_parser():
     ap = argparse.ArgumentParser(prog="quc", description=__doc__)
     ap.add_argument("--out-dir", default=None, help="output directory (default: config)")
@@ -338,7 +351,8 @@ def _build_parser():
 
     p = sub.add_parser("gauge")
     p.add_argument("config")
-    p.add_argument("--k", required=True, help="comma-separated gauge levels")
+    p.add_argument("--k", type=_levels, required=True,
+                   help="comma-separated gauge levels, each finite and > 0")
     # the Lipschitz estimate differences neighbouring angles
     p.add_argument("--angles", type=_int_at_least(2), default=256)
 
@@ -359,7 +373,7 @@ def _build_parser():
     p.add_argument("--b", type=float, required=True)
     p.add_argument("--R", type=float, required=True)
     p.add_argument("--N", type=int, default=2)
-    p.add_argument("--steps", type=int, default=10**4)
+    p.add_argument("--steps", type=_int_at_least(1), default=10**4)
     p.add_argument("--out", default=None)
     return ap
 

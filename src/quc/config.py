@@ -247,8 +247,16 @@ _CHECK_VALUES = {
 }
 _SOLVER_VALUES = {"method": _one_of("newton", "gradient"), "tol_rel": _positive,
                   "max_iter": _count(0), "gd_max_iter": _count(0)}
-_PROBLEM_VALUES = {"n": _count(9), "boundary": lambda v: compile_boundary_expression(str(v)),
-                   "domain": _domain, "mask": _mask}
+def _boundary(v):
+    """The compiled expression; its ConfigError, which carries no key path,
+    passes to ``_at`` as a ValueError so it is reported at the key."""
+    try:
+        return compile_boundary_expression(str(v))
+    except ConfigError as e:
+        raise ValueError(str(e)) from e
+
+
+_PROBLEM_VALUES = {"n": _count(9), "boundary": _boundary, "domain": _domain, "mask": _mask}
 
 
 # ---------------------------------------------------------------------------

@@ -1048,7 +1048,11 @@ def _recover_dv(mesh, v):
     stencil to v, slot by slot, for interior, boundary and masked nodes
     alike.  Coordinates are scaled by the mesh width for conditioning.
     Degenerate patterns (corner nodes) fall back to a fit over the node's
-    two-ring neighbourhood, taken in cell order, the order of v's rows."""
+    two-ring neighbourhood, taken in cell order, the order of v's rows: one
+    stacked ``np.linalg.pinv`` over the (b, 108) table of the b such nodes'
+    two-rings, whose absent and repeated entries are zero rows.  Zero rows
+    leave the minimum-norm least-squares fit as it is, for a rank-deficient
+    patch too."""
     n, h = mesh.n, min(mesh.hx, mesh.hy)
     j, i = np.divmod(mesh.stencil_offsets, n)
     corner = np.stack([i * mesh.hx, j * mesh.hy], axis=-1)             # (2, 3, 2)
@@ -1091,18 +1095,19 @@ def _recover_dv(mesh, v):
         vertices = (c + c // (n - 1))[..., None, None] + d.reshape(2, 3)[o, :, None]
         ring = np.where(code[vertices] >> slots & 1, cell_at(vertices, slots), -1)
         ring[own < 0] = -1                                               # (b, 6, 3, 6)
+        # each patch in increasing cell order, each cell once
+        r = np.sort(ring.reshape(bad.size, -1), axis=1)
+        first = r >= 0
+        first[:, 1:] &= r[:, 1:] != r[:, :-1]
+        r = np.maximum(r, 0)
+        o, c = np.divmod(r, (n - 1) ** 2)
+        j, i = np.divmod(c, n - 1)
         bx, by = mesh.bary_axes()
-        for nidx, r in zip(bad, ring.reshape(bad.size, -1)):
-            # the patch in increasing cell order, each once (np.unique
-            # imports numpy.ma)
-            r = np.sort(r)
-            r = r[(r >= 0) & np.concatenate([[True], r[1:] != r[:-1]])]
-            o, c = np.divmod(r, (n - 1) ** 2)
-            j, i = np.divmod(c, n - 1)
-            bary = np.column_stack([bx[o, i], by[o, j]])
-            A = np.column_stack([np.ones(r.size), (bary - mesh.nodes[nidx]) / h])
-            coef, *_ = np.linalg.lstsq(A, cells[r], rcond=None)
-            dv[nidx] = coef[1:].T / h
+        A = np.stack([np.ones(r.shape), (bx[o, i] - mesh.nodes[bad, 0, None]) / h,
+                      (by[o, j] - mesh.nodes[bad, 1, None]) / h], axis=-1)
+        first = first[..., None]
+        coef = np.linalg.pinv(np.where(first, A, 0.0)) @ np.where(first, cells[r], 0.0)
+        dv[bad] = coef[:, 1:].transpose(0, 2, 1) / h
     return dv
 
 

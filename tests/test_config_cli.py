@@ -363,6 +363,8 @@ _MALFORMED = {
                         "problem.mask.center"),
     "domain_inf": ({"problem": {"n": 17, "domain": [[0, _INF], [0, 1]], "boundary": "x"}},
                    "problem.domain"),
+    "boundary_name": ({"problem": {"n": 17, "boundary": "x + z"}}, "problem.boundary"),
+    "boundary_syntax": ({"problem": {"n": 17, "boundary": "x +"}}, "problem.boundary"),
     "seed_negative": ({"seed": -5}, "config.seed"),
     "seed_bool": ({"seed": True}, "config.seed"),
     "expect": (_check(_DG, expect="vanish"), r"checks\[0\]\.expect"),
@@ -499,6 +501,16 @@ def test_cli_degiorgi_rejects_bad_parameters(capsys, flags):
     assert "error: need X0 >= 0, C, b, R > 0 and N >= 2" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("steps", ["0", "-5"])
+def test_cli_degiorgi_rejects_a_step_count_below_one(capsys, steps):
+    # X0 = 0.2 lies below the threshold 0.25: no step is no verdict
+    with pytest.raises(SystemExit) as err:
+        main(["degiorgi", "--X0", "0.2", "--C", "1", "--b", "4", "--R", "1", "--steps", steps])
+    assert err.value.code == 2
+    std = capsys.readouterr()
+    assert "argument --steps: need an integer >= 1" in std.err and std.out == ""
+
+
 def test_cli_rejects_a_negative_seed_flag(tmp_path, capsys):
     with pytest.raises(SystemExit) as err:
         main(["--seed", "-3", "validate", str(_config(tmp_path))])
@@ -555,6 +567,15 @@ def test_cli_gauge_rejects_fewer_than_two_angles(tmp_path, capsys, angles):
               "--k", "1", "--angles", angles])
     assert err.value.code == 2
     assert "argument --angles: need an integer >= 2" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("levels", ["inf", "1,,2", "0", "nan"])
+def test_cli_gauge_rejects_unusable_levels(tmp_path, capsys, levels):
+    with pytest.raises(SystemExit) as err:
+        main(["--out-dir", str(tmp_path), "gauge", str(_config(tmp_path)), "--k", levels])
+    assert err.value.code == 2
+    assert "argument --k: " in capsys.readouterr().err
+    assert not list(tmp_path.glob("*.csv"))
 
 
 def test_cli_reproducible_bytes(tmp_path):

@@ -40,9 +40,13 @@ guard("import quc.cli")
 for cfg_path in cfg_paths:
     parse_config(cfg_path)
     guard("parse_config")
-    for command in ("solve", "analyze", "verify"):
-        assert quc.cli.main(["--out-dir", out_dir, command, cfg_path]) == 0, command
-        guard("quc " + command + " on " + cfg_path)
+    for command in (["validate"], ["solve"], ["analyze"], ["verify"],
+                    ["gauge", "--k", "1", "--angles", "16"]):
+        argv = ["--out-dir", out_dir, command[0], cfg_path] + command[1:]
+        assert quc.cli.main(argv) == 0, command
+        guard("quc " + command[0] + " on " + cfg_path)
+assert abs(quc.cassels_oracle([1.0, 4.0]) - 0.8) <= 1e-12
+guard("quc.cassels_oracle")
 """
 
 
@@ -67,8 +71,8 @@ def _run(script, *args):
 
 
 def test_cli_path_does_not_import_scipy(tmp_path):
-    # scipy serves only the refine step of cassels_oracle and the SuperLU
-    # fallback of the solver; its import costs more than a small solve.
+    # scipy serves only the SuperLU fallback of the solver; its import costs
+    # more than a small solve.
     # n = 17 solves directly, n = 33 by multigrid CG, with and without a mask,
     # and the even n = 34 by multigrid CG on the padded grid 37.
     configs = [_config(tmp_path, "n17", 17), _config(tmp_path, "n33", 33),

@@ -442,8 +442,9 @@ def _node_tri_table(m):
 def _slot_table_recover_dv(m, v):
     """The patch fits of ``_recover_dv`` through the (N, 6) node-triangle
     table and triangle ids: per slot pattern one stencil of normal
-    equations gathered through the table, and on degenerate patterns lstsq
-    over the two-ring in increasing triangle order."""
+    equations gathered through the table, and on degenerate patterns one
+    stacked pinv over the two-rings in increasing triangle order, with zero
+    rows for absent and repeated triangles."""
     N, h = m.n_nodes, min(m.hx, m.hy)
     j, i = np.divmod(m.stencil_offsets, m.n)
     corner = np.stack([i * m.hx, j * m.hy], axis=-1)
@@ -475,16 +476,14 @@ def _slot_table_recover_dv(m, v):
         own = slot_tri[bad]
         ring = slot_tri[m.triangles()[np.maximum(own, 0)]]
         ring[own < 0] = -1
-        ring = ring.reshape(bad.size, -1)
-        bary = m.barycenters()[np.maximum(ring, 0)]
-        for nidx, r, b in zip(bad, ring, bary):
-            order = np.argsort(r, kind="stable")
-            r = r[order]
-            first = (r >= 0) & np.concatenate([[True], r[1:] != r[:-1]])
-            A = np.column_stack([np.ones(np.count_nonzero(first)),
-                                 (b[order[first]] - m.nodes[nidx]) / h])
-            coef, *_ = np.linalg.lstsq(A, v[r[first]], rcond=None)
-            dv[nidx] = coef[1:].T / h
+        ring = np.sort(ring.reshape(bad.size, -1), axis=1)
+        first = (ring >= 0)[..., None]
+        first[:, 1:] &= (ring[:, 1:] != ring[:, :-1])[..., None]
+        t = np.maximum(ring, 0)
+        offset = (m.barycenters()[t] - m.nodes[bad, None]) / h
+        A = np.concatenate([np.ones(t.shape + (1,)), offset], axis=-1)
+        coef = np.linalg.pinv(np.where(first, A, 0.0)) @ np.where(first, v[t], 0.0)
+        dv[bad] = coef[:, 1:].transpose(0, 2, 1) / h
     return dv
 
 
