@@ -320,15 +320,12 @@ def _int_at_least(lo):
 
 def _levels(text):
     """argparse type: comma-separated gauge levels, each finite and > 0."""
-    levels = []
-    for item in text.split(","):
-        try:
-            k = float(item)
-        except ValueError:
-            raise argparse.ArgumentTypeError(f"not a number: {item!r}") from None
-        if not (np.isfinite(k) and k > 0.0):
-            raise argparse.ArgumentTypeError(f"need finite levels > 0, got {item!r}")
-        levels.append(k)
+    try:
+        levels = [float(k) for k in text.split(",")]
+    except ValueError as e:
+        raise argparse.ArgumentTypeError(str(e)) from None
+    if not all(np.isfinite(k) and k > 0.0 for k in levels):
+        raise argparse.ArgumentTypeError(f"need finite levels > 0, got {text!r}")
     return levels
 
 

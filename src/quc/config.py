@@ -248,8 +248,7 @@ _CHECK_VALUES = {
 _SOLVER_VALUES = {"method": _one_of("newton", "gradient"), "tol_rel": _positive,
                   "max_iter": _count(0), "gd_max_iter": _count(0)}
 def _boundary(v):
-    """The compiled expression; its ConfigError, which carries no key path,
-    passes to ``_at`` as a ValueError so it is reported at the key."""
+    """The compiled expression; its error passes to ``_at`` to get the key."""
     try:
         return compile_boundary_expression(str(v))
     except ConfigError as e:

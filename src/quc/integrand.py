@@ -1084,10 +1084,8 @@ def normalise(F):
     result carries ``normalisation = {"zbar": ..., "i_F": ...}``.
     """
     zbar = find_minimum(F)
-    if np.any(zbar != 0.0) or abs(F.eval(np.zeros(2))) > 0.0:
-        shifted = ShiftedIntegrand(F, zbar)
-    else:
-        shifted = F
+    moved = np.any(zbar != 0.0) or abs(F.eval(np.zeros(2))) > 0.0
+    shifted = ShiftedIntegrand(F, zbar) if moved else F
     i_f = gradient_infimum_on_circle(shifted)
     if not np.isfinite(i_f) or i_f <= 0.0:
         raise NormalisationError(f"gradient infimum on the unit circle is {i_f}")

@@ -175,12 +175,8 @@ class DilatationEstimate:
 
 
 def default_sampling_plan(rng):
-    """Log-radial x angular grid plus uniform random points in a disk.
-
-    The grid takes 64 log-spaced radii from 1e-3 to 1e3 times 128 equally
-    spaced angles; then come 10^4 points drawn from ``rng`` uniformly in
-    the disk of radius 10.
-    """
+    """Log-radial x angular grid, 64 radii from 1e-3 to 1e3 times 128
+    angles, plus 10^4 points drawn uniformly in the disk of radius 10."""
     radii = np.geomspace(1e-3, 1e3, 64)
     theta = np.linspace(0.0, 2.0 * np.pi, 128, endpoint=False)
     dirs = np.stack([np.cos(theta), np.sin(theta)], axis=1)
@@ -191,19 +187,13 @@ def default_sampling_plan(rng):
     return np.concatenate([grid, rnd], axis=0)
 
 
-def _exclude_singular(points, singular_points):
-    """The points at distance at least 1e-8 from every singular point."""
-    keep = np.ones(points.shape[0], dtype=bool)
-    for s in singular_points:
-        keep &= np.hypot(points[:, 0] - s[0], points[:, 1] - s[1]) >= 1e-8
-    return points[keep]
-
-
 def estimate_H(F, rng=None):
     """Max sampled Hessian eigenvalue ratio of F over the sampling plan
-    drawn from ``rng`` (seed 0 when None)."""
-    rng = np.random.default_rng(0) if rng is None else rng
-    points = _exclude_singular(default_sampling_plan(rng), F.singular_points)
+    drawn from ``rng`` (seed 0 when None), less the points within 1e-8 of
+    a singular point."""
+    points = default_sampling_plan(np.random.default_rng(0) if rng is None else rng)
+    for s in F.singular_points:
+        points = points[np.hypot(points[:, 0] - s[0], points[:, 1] - s[1]) >= 1e-8]
     H = F._hess(points)
     lo, hi = sym2_eig_bounds(H)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -235,9 +225,8 @@ def _sharp_pair(F):
 def measure_delta_monotonicity(F, rng=None, *, H_est):
     """Min over sampled pairs of (DF(z)-DF(w), z-w) / (|DF(z)-DF(w)| |z-w|).
 
-    The 4000 pairs are drawn from ``rng`` (seed 0 when None) uniformly in
-    the square [-10, 10]^2; the report carries the caller's ``H_est``.  For
-    constant-Hessian integrands the sharp eigenvector pair is always
+    The 4000 pairs are drawn from ``rng`` (seed 0 when None) in [-10, 10]^2.
+    For constant-Hessian integrands the sharp eigenvector pair is always
     included, where the quotient equals 2 sqrt(l1 lN) / (l1 + lN) exactly.
     Degenerate pairs with DF(z) = DF(w) are skipped and counted.
     """

@@ -1048,11 +1048,9 @@ def _recover_dv(mesh, v):
     stencil to v, slot by slot, for interior, boundary and masked nodes
     alike.  Coordinates are scaled by the mesh width for conditioning.
     Degenerate patterns (corner nodes) fall back to a fit over the node's
-    two-ring neighbourhood, taken in cell order, the order of v's rows: one
-    stacked ``np.linalg.pinv`` over the (b, 108) table of the b such nodes'
-    two-rings, whose absent and repeated entries are zero rows.  Zero rows
-    leave the minimum-norm least-squares fit as it is, for a rank-deficient
-    patch too."""
+    two-ring neighbourhood, taken in cell order, the order of v's rows, by
+    one stacked ``np.linalg.pinv`` whose zero rows (absent and repeated
+    cells) leave each minimum-norm least-squares fit as it is."""
     n, h = mesh.n, min(mesh.hx, mesh.hy)
     j, i = np.divmod(mesh.stencil_offsets, n)
     corner = np.stack([i * mesh.hx, j * mesh.hy], axis=-1)             # (2, 3, 2)
