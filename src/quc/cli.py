@@ -179,10 +179,10 @@ def cmd_gauge(cfg, args, out_dir, rng):
         table_rows.append(np.column_stack([np.full(gs.angles.shape, k), gs.angles, gs.values]))
         check_rows.append({
             "k": k, "sup": gs.sup, "inf": gs.inf, "lipschitz": gs.lipschitz,
-            "lip_bound": gs.checks.get("lipschitz_bound"),
-            "sup_inf_ratio": gs.checks.get("sup_inf_ratio"), "H": H,
+            "lip_bound": gs.checks["lipschitz_bound"],
+            "sup_inf_ratio": gs.checks["sup_inf_ratio"], "H": H,
         })
-        lip_ok = gs.checks.get("lipschitz_ok", True)
+        lip_ok = gs.checks["lipschitz_ok"]
         ok &= lip_ok
         print(f"gauge k={k:g}: sup={gs.sup:.6g} inf={gs.inf:.6g} "
               f"lip={gs.lipschitz:.6g} {'PASS' if lip_ok else 'FAIL'}")

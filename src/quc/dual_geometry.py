@@ -33,20 +33,20 @@ def _envelope_of(F):
     return env
 
 
-def df_inverse(F, y, *, tol=1e-10, max_iter=100, x0=None):
+def df_inverse(F, y, *, max_iter=100, x0=None):
     """Solve DF(w) = y for a normalised, strictly convex F.
 
     Minimises the strictly convex dual objective w -> F(w) - (y, w), whose
     unique minimiser satisfies DF(w) = y; convexity makes damped Newton
     globally convergent from the radial envelope-based initial guess.
     Accepts a single covector or a batch; the residual target is
-    |DF(w) - y| <= tol (1 + |y|) per point.
+    |DF(w) - y| <= 1e-10 (1 + |y|) per point.
     """
     yy = np.asarray(y, dtype=float)
     single = yy.ndim == 1
     Y = np.ascontiguousarray(yy.reshape(-1, 2))
     ny = np.hypot(Y[:, 0], Y[:, 1])
-    target = tol * (1.0 + ny)
+    target = 1e-10 * (1.0 + ny)
 
     if x0 is not None:
         W = np.asarray(x0, dtype=float).reshape(-1, 2)
@@ -66,11 +66,11 @@ def df_inverse(F, y, *, tol=1e-10, max_iter=100, x0=None):
     return W[0] if single else W
 
 
-def G_eval(F, y, **kw):
+def G_eval(F, y):
     """G(y) = F(DF^{-1}(y)) for a normalised integrand."""
     yy = np.asarray(y, dtype=float)
     single = yy.ndim == 1
-    W = df_inverse(F, yy.reshape(-1, 2), **kw)
+    W = df_inverse(F, yy.reshape(-1, 2))
     out = F._eval(W)
     return float(out[0]) if single else out
 
@@ -203,7 +203,7 @@ class GaugeSample:
     checks: dict = field(default_factory=dict)
 
 
-def gauge_bounds(F, k, *, n_angles=256, H=None):
+def gauge_bounds(F, k, *, n_angles=256, H):
     """Tabulate g_k on the unit circle and measure its quantitative bounds.
 
     Checks recorded: the finite-difference Lipschitz constant along the
@@ -217,13 +217,9 @@ def gauge_bounds(F, k, *, n_angles=256, H=None):
     sup, inf = float(vals.max()), float(vals.min())
     chord = 2.0 * np.sin(np.pi / n_angles)
     lip = float(np.max(np.abs(np.diff(np.concatenate([vals, vals[:1]])))) / chord)
-    checks = {}
-    if H is not None:
-        bound = 1.1 * H * sup
-        checks["lipschitz_bound"] = bound
-        checks["lipschitz_ok"] = bool(lip <= bound)
-        checks["H"] = float(H)
-    checks["sup_inf_ratio"] = sup / inf
+    bound = 1.1 * H * sup
+    checks = {"lipschitz_bound": bound, "lipschitz_ok": bool(lip <= bound), "H": float(H),
+              "sup_inf_ratio": sup / inf}
     return GaugeSample(k=float(k), angles=theta, values=vals, sup=sup, inf=inf,
                        lipschitz=lip, checks=checks)
 

@@ -187,11 +187,10 @@ def default_sampling_plan(rng):
     return np.concatenate([grid, rnd], axis=0)
 
 
-def estimate_H(F, rng=None):
+def estimate_H(F, rng):
     """Max sampled Hessian eigenvalue ratio of F over the sampling plan
-    drawn from ``rng`` (seed 0 when None), less the points within 1e-8 of
-    a singular point."""
-    points = default_sampling_plan(np.random.default_rng(0) if rng is None else rng)
+    drawn from ``rng``, less the points within 1e-8 of a singular point."""
+    points = default_sampling_plan(rng)
     for s in F.singular_points:
         points = points[np.hypot(points[:, 0] - s[0], points[:, 1] - s[1]) >= 1e-8]
     H = F._hess(points)
