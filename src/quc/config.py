@@ -240,13 +240,6 @@ def _pick(spec, path, key, table, what):
     return name, rest
 
 
-_CHECK_VALUES = {
-    "rho": _positive, "R": _positive, "center": _point, "k": _finite, "ell": _affine,
-    "assert_max_ratio": _finite, "X0": _finite, "C": _finite, "b": _finite, "N": _count(2),
-    "expect": _one_of("vanishes", "diverges/stalls"), "out": _report_name,
-}
-_SOLVER_VALUES = {"method": _one_of("newton", "gradient"), "tol_rel": _positive,
-                  "max_iter": _count(0), "gd_max_iter": _count(0)}
 def _boundary(v):
     """The compiled expression; its error passes to ``_at`` to get the key."""
     try:
@@ -255,6 +248,13 @@ def _boundary(v):
         raise ValueError(str(e)) from e
 
 
+_CHECK_VALUES = {
+    "rho": _positive, "R": _positive, "center": _point, "k": _finite, "ell": _affine,
+    "assert_max_ratio": _finite, "X0": _finite, "C": _finite, "b": _finite, "N": _count(2),
+    "expect": _one_of("vanishes", "diverges/stalls"), "out": _report_name,
+}
+_SOLVER_VALUES = {"method": _one_of("newton", "gradient"), "tol_rel": _positive,
+                  "max_iter": _count(0), "gd_max_iter": _count(0)}
 _PROBLEM_VALUES = {"n": _count(9), "boundary": _boundary, "domain": _domain, "mask": _mask}
 
 

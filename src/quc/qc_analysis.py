@@ -271,7 +271,6 @@ def cassels_oracle(lams, trials=20000):
         raise ValueError("eigenvalue list must be nonempty")
     if np.any(lams <= 0.0):
         raise ValueError("eigenvalues must be positive")
-    rng = np.random.default_rng(0)
     d = lams.size
 
     def quotient(v):
@@ -279,7 +278,7 @@ def cassels_oracle(lams, trials=20000):
         denom = np.sqrt((lams**2 * v2).sum(axis=-1)) * np.sqrt(v2.sum(axis=-1))
         return (lams * v2).sum(axis=-1) / denom
 
-    V = rng.normal(size=(trials, d))
+    V = np.random.default_rng(0).normal(size=(trials, d))
     V /= np.linalg.norm(V, axis=1, keepdims=True)
     q = quotient(V)
     best = np.argsort(q)[:8]
