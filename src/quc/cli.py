@@ -116,6 +116,16 @@ def analyze_rows(F, rng):
     return rows
 
 
+def _analyze_verdict(row):
+    """'FAIL' for an analyze row whose measurement is not finite or whose
+    margin is not >= 0 (nan included), else 'PASS', or '' for a row without
+    a bound."""
+    margin = row["margin"]
+    if not np.isfinite(row["measured"]) or not (margin is None or margin >= 0):
+        return "FAIL"
+    return "" if margin is None else "PASS"
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
@@ -144,10 +154,8 @@ def cmd_analyze(cfg, args, out_dir, rng):
               _provenance(cfg, args.seed))
     bad = 0
     for r in rows:
-        verdict = ""
-        if r["margin"] is not None:
-            verdict = "PASS" if r["margin"] >= 0 else "FAIL"
-            bad += verdict == "FAIL"
+        verdict = _analyze_verdict(r)
+        bad += verdict == "FAIL"
         print(f"analyze {r['check']}: measured={r['measured']:.6g} {verdict}")
     print(f"analyze: wrote {path}")
     return 0 if bad == 0 else 1
@@ -229,9 +237,7 @@ def run(cfg, out_dir=".", seed=None, checks=None):
     rows = analyze_rows(F, rng)
     write_csv(os.path.join(out_dir, "analyze.csv"),
               ["check", "measured", "bound", "margin"], rows, prov)
-    for r in rows:
-        if r["margin"] is not None and r["margin"] < 0:
-            failures.append(f"analyze:{r['check']}")
+    failures += [f"analyze:{r['check']}" for r in rows if _analyze_verdict(r) == "FAIL"]
 
     checks = cfg.checks if checks is None else checks
     needs_solve = any(c["name"] != "degiorgi" for c in checks)

@@ -87,13 +87,28 @@ def _validate_expr(node, text):
         raise ConfigError(f"syntax element {type(node).__name__} not allowed in {text!r}")
 
 
+def _user_column(text, src, err):
+    """1-based column in ``text`` of the syntax error ``err`` raised on
+    ``src``, the text with each ``^`` written as ``**``.  An error that
+    Python places at column 0 or past the end (input that ends early) is
+    reported one past the last character."""
+    lines = src.splitlines(keepends=True)
+    if not err.lineno or not err.offset or err.lineno > len(lines):
+        return len(text) + 1
+    at = sum(map(len, lines[:err.lineno - 1])) + err.offset - 1
+    # the first character of text whose src version reaches past index at
+    return next((i + 1 for i in range(len(text))
+                 if len(text[:i + 1].replace("^", "**")) > at), len(text) + 1)
+
+
 def compile_boundary_expression(text):
     """Compile an expression over x, y into a vectorised callable."""
     src = text.replace("^", "**")
     try:
         tree = ast.parse(src, mode="eval")
     except SyntaxError as e:
-        raise ConfigError(f"boundary expression syntax error at column {e.offset}: {text!r}")
+        raise ConfigError(f"boundary expression syntax error at column "
+                          f"{_user_column(text, src, e)} ({e.msg}): {text!r}")
     _validate_expr(tree, text)
     code = compile(tree, "<boundary>", "eval")
 

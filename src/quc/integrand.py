@@ -311,6 +311,16 @@ class RadialIntegrand(Integrand):
 
     exact_prox = True
 
+    def _radial_coeff(self, x, y):
+        """G'(r)/r at the points (x, y), r = |(x, y)|, for coordinate arrays
+        of any one shape; 0 at r = 0, and nan where the leaf has no faithful
+        coefficient.  DF(w) = (G'(r)/r) w."""
+        raise NotImplementedError
+
+    def _radial_value(self, x, y):
+        """G(r) at the points (x, y), for coordinate arrays of any one shape."""
+        raise NotImplementedError
+
     def _prox_radius(self, r, delta):
         return radial_prox_radius(self.profile, r, delta)
 
@@ -342,31 +352,46 @@ class RadialIntegrand(Integrand):
 # catalogue kinds
 # ---------------------------------------------------------------------------
 
-def _power_eval(z, p):
-    r2 = z[:, 0] ** 2 + z[:, 1] ** 2
-    return r2 ** (p / 2.0) / p
+def _power_value(x, y, p):
+    """|w|^p / p at the points w = (x, y)."""
+    return (x ** 2 + y ** 2) ** (p / 2.0) / p
+
+
+# below this r2 = |z|^2 is not a normal double or (p-2) r2^{p/2-2} overflows
+# (its exponent exceeds -3/2 for p > 1)
+_TINY_R2 = np.finfo(float).max ** (-2.0 / 3.0)
 
 
 def _tiny_rows(z, r2):
-    """(rows, |z|, z/|z|) where z != 0 but r2 = |z|^2 < lim = max^(-2/3), or
-    None after one min over r2.  There r2 is not a normal double or (p-2)
-    r2^{p/2-2} overflows (its exponent exceeds -3/2 for p > 1)."""
-    lim = np.finfo(float).max ** (-2.0 / 3.0)
-    if not (r2.size and r2.min() < lim):
+    """(rows, |z|, z/|z|) where z != 0 but r2 = |z|^2 < _TINY_R2, or None
+    after one min over r2."""
+    if not (r2.size and r2.min() < _TINY_R2):
         return None
-    idx = np.flatnonzero(r2 < lim)
+    idx = np.flatnonzero(r2 < _TINY_R2)
     r = np.hypot(z[idx, 0], z[idx, 1])
     idx, r = idx[r > 0.0], r[r > 0.0]
     return idx, r, z[idx] / r[:, None]
 
 
-def _power_grad(z, p):
-    r2 = z[:, 0] ** 2 + z[:, 1] ** 2
+def _power_coeff(x, y, p):
+    """(s, r2) at the points w = (x, y): s = r2^{(p-2)/2}, the radial
+    coefficient G'(r)/r of |w|^p / p, with r2 = |w|^2.  r2 is returned as
+    None when every r2 is at least _TINY_R2.  Otherwise s is set to 0 where
+    r2 is 0 or nan; where 0 < |w| but r2 < _TINY_R2 it has lost its bits or
+    overflowed."""
+    r2 = x ** 2 + y ** 2
     with np.errstate(divide="ignore", invalid="ignore"):
         s = r2 ** ((p - 2.0) / 2.0)
-    s[~(r2 > 0.0)] = 0.0  # in place, not np.where: one (m,) temporary fewer
+    if r2.size and r2.min() >= _TINY_R2:  # false on nan
+        return s, None
+    s[~(r2 > 0.0)] = 0.0  # in place, not np.where: one temporary fewer
+    return s, r2
+
+
+def _power_grad(z, p):
+    s, r2 = _power_coeff(z[:, 0], z[:, 1], p)
     out = _scale_rows(s, z)
-    tiny = _tiny_rows(z, r2)
+    tiny = None if r2 is None else _tiny_rows(z, r2)
     if tiny is not None:
         idx, r, u = tiny
         out[idx] = _scale_rows(r ** (p - 1.0), u)
@@ -412,8 +437,18 @@ class PowerIntegrand(RadialIntegrand):
         if p != 2.0:
             self.singular_points = (np.zeros(2),)
 
+    def _radial_value(self, x, y):
+        return _power_value(x, y, self.p)
+
+    def _radial_coeff(self, x, y):
+        # nan where _power_grad takes its tiny-row fix, and where r2 is nan
+        s, r2 = _power_coeff(x, y, self.p)
+        if r2 is not None:
+            s[~(r2 >= _TINY_R2) & ((x != 0.0) | (y != 0.0))] = np.nan
+        return s
+
     def _eval(self, z):
-        return _power_eval(z, self.p)
+        return self._radial_value(z[:, 0], z[:, 1])
 
     def _grad(self, z):
         return _power_grad(z, self.p)
@@ -487,14 +522,20 @@ class UhlenbeckIntegrand(RadialIntegrand):
         self.analytic_H = analytic_H
         self.singular_points = (np.zeros(2),)
 
-    def _eval(self, z):
-        return np.asarray(self.profile(np.hypot(z[:, 0], z[:, 1])), dtype=float)
+    def _radial_value(self, x, y):
+        return np.asarray(self.profile(np.hypot(x, y)), dtype=float)
 
-    def _grad(self, z):
-        r = np.hypot(z[:, 0], z[:, 1])
+    def _radial_coeff(self, x, y):
+        r = np.hypot(x, y)
         with np.errstate(divide="ignore", invalid="ignore"):
             gp = self.profile.deriv(r)
-        return _scale_rows(_ratio(gp, r), z)
+        return _ratio(gp, r)
+
+    def _eval(self, z):
+        return self._radial_value(z[:, 0], z[:, 1])
+
+    def _grad(self, z):
+        return _scale_rows(self._radial_coeff(z[:, 0], z[:, 1]), z)
 
     def _hess(self, z):
         r = np.hypot(z[:, 0], z[:, 1])
@@ -645,7 +686,7 @@ class BlendIntegrand(Integrand):
         return psi, d1, d2
 
     def _eval(self, z):
-        base = _power_eval(z, self.p)
+        base = _power_value(z[:, 0], z[:, 1], self.p)
         rho = np.hypot(z[:, 0] - self.w[0], z[:, 1] - self.w[1])
         psi, _, _ = self._phi_parts(rho)
         return base + self.eps * psi

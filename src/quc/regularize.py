@@ -17,13 +17,18 @@ The bump is phi(x) = (5/pi) (1 - |x|^2)^4 on the unit disk.  Convolutions
 use a polar tensor rule (Gauss-Legendre radially, uniform angularly); the
 radial integrand of the bump's mass is a polynomial, so the rule integrates
 the bump exactly, unlike a tensor rule on the bounding square.
+
+Mollifying a radial part F(w) = G(|w|) needs one scalar per node: with
+s_k = G'(r_k)/r_k at r_k = |z - eps e_k|, DF(z - eps e_k) = s_k (z - eps e_k),
+so the gradient and Hessian of the convolution are fixed linear forms in
+the s_k (``MollifiedIntegrand``), and no vector field of samples is built.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .integrand import PROX_GRAD_TOL, Integrand, IntegrandError, ProxError
+from .integrand import PROX_GRAD_TOL, Integrand, IntegrandError, ProxError, RadialIntegrand
 
 
 class MollifierSpec:
@@ -171,7 +176,27 @@ class MollifiedIntegrand(Integrand):
     whole rows of z at a time, so a batch's arrays stay in cache.  Each
     row's k samples are reduced against the weights by its own stacked
     ``np.matmul`` product, so a point's value, gradient and Hessian do not
-    depend on the batch it is evaluated in.
+    depend on the batch it is evaluated in.  (A gemm or gemv over a whole
+    batch, ``s @ table``, gives bits that depend on the batch on OpenBLAS.)
+
+    A radial part (``RadialIntegrand``) is sampled by coordinates: X = z_x -
+    eps e_x and Y = z_y - eps e_y as contiguous (rows, k) arrays, the values
+    G(r_k) where order 0 is wanted (the same doubles and the same product as
+    the vector path), and otherwise one coefficient s_k = G'(r_k)/r_k per
+    node.  With node tables built once,
+        DF_eps(z)_i = z_i sum_k w_k s_k - sum_k (w_k eps e_k,i) s_k,
+        D2F_eps(z)_ij = (z_i sum_k s_k gw_k,j - sum_k (eps e_k,i gw_k,j) s_k) / eps,
+    the second being the integration by parts above.  Each entry is within
+    gamma_{k+6} M of its exact value, where M sums |c_k| s_k (|z_i| + eps
+    |e_k,i|) over the nodes (c_k = w_k or gw_k,j / eps) plus the mu term;
+    the vector path's error is bounded by the same sum with |z_i - eps e_k,i|
+    in place of |z_i| + eps |e_k,i|.  The two bounds are alike unless s_k is
+    large at a sample near 0, which only a profile with G'(r)/r unbounded
+    at 0 (power p < 2) and a point z very close to a node can make.  A row
+    with a coefficient that is not finite, among them every sample in the
+    power leaf's tiny-radius regime, where ``_radial_coeff`` gives nan, or
+    a point z that is not finite takes the vector path, by itself, so that
+    its bits do not depend on its batch either.
     """
 
     kind = "mollified"
@@ -186,6 +211,15 @@ class MollifiedIntegrand(Integrand):
         self.spec = MollifierSpec()
         self._node_cols = [np.ascontiguousarray(c) for c in (self.eps * self.spec.nodes).T]
         self.analytic_H = part.analytic_H
+        if isinstance(part, RadialIntegrand):
+            # rows paired with s_k: w and w eps e_k for DF (the weights are
+            # positive, so the first row's sum is finite only where every s_k
+            # is), then gw_j and eps e_k,i gw_j for D2F
+            w, (ex, ey) = self.spec.weights, self._node_cols
+            gw = self.spec.grad_weights.T
+            self._radial_tables = (np.stack([w, w * ex, w * ey]),
+                                   np.stack([*gw, *(ex * gw), *(ey * gw)]))
+            self._shift_tables = [np.stack([np.ones_like(c), -c]) for c in (ex, ey)]
 
     def _shifted(self, z):
         # one subtraction per component keeps numpy's inner loop on the k nodes
@@ -200,23 +234,64 @@ class MollifiedIntegrand(Integrand):
         for lo in range(0, m, rows):
             yield lo, min(lo + rows, m)
 
-    def derivs(self, z, orders=(0, 1, 2)):
-        m, k = z.shape[0], len(self.spec.nodes)
-        w = self.spec.weights
-        f = np.empty(m) if 0 in orders else None
-        g = np.empty_like(z) if 1 in orders else None
-        h = np.empty((m, 2, 2)) if 2 in orders else None
+    def _sampled(self, zb, orders):
+        """The convolution's (F, DF, D2F) at the rows zb, without mu, from one
+        ``part.derivs`` pass over the shifted points."""
+        k, w = len(self.spec.nodes), self.spec.weights
         sampled = {min(j, 1) for j in orders}  # the Hessian pairs the DF samples
+        vals, grads, _ = self.part.derivs(self._shifted(zb), sampled)
+        if grads is not None:
+            grads = grads.reshape(-1, k, 2).transpose(0, 2, 1)
+        return (np.matmul(vals.reshape(-1, 1, k), w)[:, 0] if 0 in orders else None,
+                np.matmul(grads, w) if 1 in orders else None,
+                np.matmul(grads, self.spec.grad_weights) / self.eps if 2 in orders else None)
+
+    def _radial(self, zb, orders):
+        """The same from one coefficient s_k per node, for a radial part; rows
+        with a coefficient that is not finite, or a point that is not, are
+        taken from ``_sampled``."""
+        k = len(self.spec.nodes)
+        # [z_c, 1] @ [1; -eps e_c] is z_c - eps e_c in one rounding, the double
+        # np.subtract gives up to the sign of a zero, which no radial part
+        # sees; the gemm writes the (rows, k) array faster than a broadcast
+        A = np.ones((zb.shape[0], 2))
+        A[:, 0] = zb[:, 0]
+        X = np.matmul(A, self._shift_tables[0])
+        A[:, 0] = zb[:, 1]
+        Y = np.matmul(A, self._shift_tables[1])
+        f = g = h = None
+        if 0 in orders:
+            v = self.part._radial_value(X, Y).reshape(-1, 1, k)
+            f = np.matmul(v, self.spec.weights)[:, 0]
+        if not (1 in orders or 2 in orders):
+            return f, g, h
+        s = self.part._radial_coeff(X, Y).reshape(-1, k, 1)
+        grad_tab, hess_tab = self._radial_tables
+        a = np.matmul(grad_tab, s)[:, :, 0]
+        bad = ~(np.isfinite(a[:, 0]) & np.isfinite(zb).all(axis=1))
+        with np.errstate(invalid="ignore"):  # inf - inf only in the bad rows
+            if 1 in orders:
+                g = zb * a[:, :1] - a[:, 1:]
+            if 2 in orders:
+                b = np.matmul(hess_tab, s)[:, :, 0]
+                h = (zb[:, :, None] * b[:, None, :2] - b[:, 2:].reshape(-1, 2, 2)) / self.eps
+        if bad.any():
+            for res, fix in zip((f, g, h), self._sampled(zb[bad], orders)):
+                if res is not None:
+                    res[bad] = fix
+        return f, g, h
+
+    def derivs(self, z, orders=(0, 1, 2)):
+        m = z.shape[0]
+        out = (np.empty(m) if 0 in orders else None,
+               np.empty_like(z) if 1 in orders else None,
+               np.empty((m, 2, 2)) if 2 in orders else None)
+        batch = self._radial if isinstance(self.part, RadialIntegrand) else self._sampled
         for lo, hi in self._chunks(m):
-            vals, grads, _ = self.part.derivs(self._shifted(z[lo:hi]), sampled)
-            if f is not None:
-                f[lo:hi] = np.matmul(vals.reshape(-1, 1, k), w)[:, 0]
-            if grads is not None:
-                grads = grads.reshape(-1, k, 2).transpose(0, 2, 1)
-            if g is not None:
-                g[lo:hi] = np.matmul(grads, w)
-            if h is not None:
-                h[lo:hi] = np.matmul(grads, self.spec.grad_weights) / self.eps
+            for dst, res in zip(out, batch(z[lo:hi], orders)):
+                if dst is not None:
+                    dst[lo:hi] = res
+        f, g, h = out
         if f is not None:
             f += 0.5 * self.mu * (z[:, 0] ** 2 + z[:, 1] ** 2)
         if g is not None:

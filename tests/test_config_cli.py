@@ -33,6 +33,18 @@ def test_expression_rejects(bad):
         compile_boundary_expression(bad)
 
 
+@pytest.mark.parametrize("text, column, reason", [
+    ("x +", 4, "invalid syntax"),                 # ends early: one past the end
+    ("x^2 +* y", 6, "invalid syntax"),            # the *, after a ^ became **
+    ("(x", 1, "'(' was never closed"),
+])
+def test_expression_syntax_error_names_the_users_column_and_the_reason(text, column, reason):
+    with pytest.raises(ConfigError) as err:
+        compile_boundary_expression(text)
+    assert str(err.value) == (f"boundary expression syntax error at column {column} "
+                              f"({reason}): {text!r}")
+
+
 # ---------------------------------------------------------------------------
 # integrand schema
 # ---------------------------------------------------------------------------
@@ -200,6 +212,45 @@ def test_cli_analyze(tmp_path):
     _, fields, rows = read_csv(tmp_path / "analyze.csv")
     assert fields == ["check", "measured", "bound", "margin"]
     assert any(r["check"] == "H_est_vs_analytic" for r in rows)
+
+
+def _analyze_rows_with(row):
+    def rows(F, rng):
+        return [{"check": "fine", "measured": 1.0, "bound": 2.0, "margin": 1.0}, row]
+    return rows
+
+
+# a nan margin (nan measurement against a bound), and a nan or infinite
+# measurement without a bound: each is a failed analyze row
+_UNUSABLE_ROWS = {
+    "nan_margin": {"check": "H_est_vs_analytic", "measured": np.nan, "bound": 2.0,
+                   "margin": np.nan},
+    "nan_unbounded": {"check": "quasisymmetry_C", "measured": np.nan, "bound": None,
+                      "margin": None},
+    "inf_unbounded": {"check": "envelope_C", "measured": np.inf, "bound": None,
+                      "margin": None},
+}
+
+
+@pytest.mark.parametrize("row", list(_UNUSABLE_ROWS.values()), ids=list(_UNUSABLE_ROWS))
+def test_cli_analyze_fails_an_unusable_row(tmp_path, capsys, monkeypatch, row):
+    monkeypatch.setattr(quc.cli, "analyze_rows", _analyze_rows_with(row))
+    assert main(["--out-dir", str(tmp_path), "analyze", str(_config(tmp_path))]) == 1
+    out = capsys.readouterr().out
+    assert f"analyze {row['check']}: measured={row['measured']:.6g} FAIL" in out
+    assert "analyze fine: measured=1 PASS" in out
+
+
+@pytest.mark.parametrize("row", list(_UNUSABLE_ROWS.values()), ids=list(_UNUSABLE_ROWS))
+def test_run_fails_an_unusable_analyze_row(tmp_path, capsys, monkeypatch, row):
+    monkeypatch.setattr(quc.cli, "analyze_rows", _analyze_rows_with(row))
+    cfg = parse_config(_config(tmp_path, checks=[]))
+    assert quc.cli.run(cfg, out_dir=str(tmp_path)) == 1
+    assert f"analyze:{row['check']}" in capsys.readouterr().err
+    # the same rows with a usable one in its place pass
+    monkeypatch.setattr(quc.cli, "analyze_rows", _analyze_rows_with(
+        {"check": "quasisymmetry_C", "measured": 3.0, "bound": None, "margin": None}))
+    assert quc.cli.run(cfg, out_dir=str(tmp_path)) == 0
 
 
 def test_cli_analyze_small_p_moreau_ladder(tmp_path):

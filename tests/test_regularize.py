@@ -435,12 +435,22 @@ def test_mollified_lower_eigenvalue(rng):
     assert lo.min() >= mu - 1e-6
 
 
+def _radial_parts():
+    return [(f"power_{p:g}", quc.make_power(p)) for p in (1.1, 1.5, 2.0, 3.0)] + [
+        ("uhlenbeck", quc.make_uhlenbeck(quc.power_sum_profile([(1.0, 1.5), (0.5, 3.0)])))]
+
+
 def _mollified_cases():
-    return [
-        ("power_3", quc.mollify_plus_quadratic(quc.make_power(3.0), 0.25, 0.25)),
+    return [(name, quc.mollify_plus_quadratic(F, 0.25, 0.25)) for name, F in _radial_parts()] + [
         ("moreau_power_1.5", quc.mollify_plus_quadratic(
             quc.moreau_yosida(quc.make_power(1.5), 0.25), 0.25, 0.25)),
     ]
+
+
+def _vector_path(Mo):
+    """The same convolution sampled through the part's vector gradient: a
+    scaling by 1 multiplies every sample exactly and is not a radial part."""
+    return MollifiedIntegrand(ScaledIntegrand(Mo.part, 1.0), Mo.eps, Mo.mu)
 
 
 @pytest.mark.parametrize("name,Mo", _mollified_cases(), ids=[n for n, _ in _mollified_cases()])
@@ -464,14 +474,6 @@ def test_mollified_point_does_not_depend_on_its_batch(name, Mo, rng):
                 assert np.array_equal(np.concatenate(parts), whole), (key, size)
 
 
-def _reference_power_grad(z, p):
-    # the leaf gradient with its row scaling written as a broadcast
-    r2 = z[:, 0] ** 2 + z[:, 1] ** 2
-    with np.errstate(divide="ignore", invalid="ignore"):
-        s = np.where(r2 > 0.0, r2 ** ((p - 2.0) / 2.0), 0.0)
-    return s[:, None] * z
-
-
 def _reference_convolution(Mo, z, vals, grads):
     """Value, gradient and Hessian of Mo at z from the part's samples, reduced
     as a gemv and two einsums over all rows, with the magnitudes A that bound
@@ -490,36 +492,117 @@ def _reference_convolution(Mo, z, vals, grads):
     return (f, g, h), (fa, ga, ha)
 
 
-@pytest.mark.parametrize("name,Mo", _mollified_cases(), ids=[n for n, _ in _mollified_cases()])
-def test_mollified_matches_reference_convolution(name, Mo, rng):
-    """Both reductions sum the same rounded samples in different orders.
+def _radial_magnitudes(Mo, z, s):
+    """Per entry, the sums M of |terms| that the radial path's two products
+    form from the coefficients s (m, k): z_i sum_k w_k s_k and sum_k w_k
+    eps e_k,i s_k for DF_i, and the same with the bump-gradient weights
+    gw_k,j / eps for D2F_ij, symmetrised as the Hessian is, plus the mu terms."""
+    w, gw = Mo.spec.weights, Mo.spec.grad_weights
+    ez = np.abs(Mo.eps * Mo.spec.nodes)                            # (k, 2)
+    near = np.abs(z)[:, None, :] + ez[None, :, :]                 # |z_i| + eps |e_k,i|
+    ga = np.einsum("mk,k,mki->mi", s, np.abs(w), near) + Mo.mu * np.abs(z)
+    ha = np.einsum("mk,kj,mki->mij", s, np.abs(gw), near) / Mo.eps
+    ha = 0.5 * (ha + np.transpose(ha, (0, 2, 1))) + Mo.mu * np.eye(2)
+    return ga, ha
 
-    Every entry is a sum of terms over the k = 576 nodes plus the mu term.
-    A term passes through at most k + 3 roundings: its product and at most
-    k - 1 additions inside the dot product, then the division by eps, the
-    symmetrising addition and the mu addition (the Hessian; value and
-    gradient have fewer), whatever the summation order.  So each result is
-    within gamma_n(u) A of the exact sum (Higham, Accuracy and Stability of
-    Numerical Algorithms, lemma 3.1 and eq. 3.5), n = k + 3, u = eps/2 and A
-    the sum of the terms' magnitudes, and the two results are within
-    2 gamma_n(u) A <= gamma_n A of each other, gamma_n = n eps / (1 - n eps).
-    """
-    k = len(Mo.spec.nodes)
+
+def _gamma(n):
+    return n * np.finfo(float).eps / (1.0 - n * np.finfo(float).eps)
+
+
+def _test_points(Mo, rng):
+    # six decades of radius, z = eps e_k (the part is sampled at 0) and z = 0
     r = 10.0 ** rng.uniform(-3.0, 3.0, 400)
     th = rng.uniform(0.0, 2.0 * np.pi, 400)
     z = r[:, None] * np.stack([np.cos(th), np.sin(th)], axis=1)
+    return np.concatenate([z, Mo.eps * Mo.spec.nodes[[0, 300, 575]], np.zeros((1, 2))])
+
+
+@pytest.mark.parametrize("name,Mo", _mollified_cases(), ids=[n for n, _ in _mollified_cases()])
+def test_mollified_matches_reference_convolution(name, Mo, rng):
+    """Against the convolution of the part's own samples, summed in another order.
+
+    Moreau part: both reductions sum the same rounded samples in different
+    orders.  Every entry is a sum of terms over the k = 576 nodes plus the
+    mu term.  A term passes through at most k + 3 roundings: its product and
+    at most k - 1 additions inside the dot product, then the division by
+    eps, the symmetrising addition and the mu addition (the Hessian; value
+    and gradient have fewer), whatever the summation order.  So each result
+    is within gamma_n(u) A of the exact sum (Higham, Accuracy and Stability
+    of Numerical Algorithms, lemma 3.1 and eq. 3.5), n = k + 3, u = eps/2
+    and A the sum of the terms' magnitudes, and the two results are within
+    2 gamma_n(u) A <= gamma_n A of each other, gamma_n = n eps / (1 - n eps).
+
+    Radial part: the value sums the same samples as the reference, so the
+    bound above holds for it.  DF and D2F come from the coefficients s_k =
+    G'(r_k)/r_k, the same doubles the part's gradient scales its points by
+    (asserted), as DF_i = z_i sum_k w_k s_k - sum_k (w_k eps e_k,i) s_k and
+    D2F_ij = (z_i sum_k s_k gw_k,j - sum_k (eps e_k,i gw_k,j) s_k) / eps.
+    A term there passes through at most k + 6 roundings: the table product,
+    its product with s_k and k - 1 additions, the product with z_i, the
+    subtraction, the division by eps, the symmetrising and the mu additions.
+    So the result is within gamma_{k+6}(u) M of the exact sum S = sum_k c_k
+    s_k (z_i - eps e_k,i) + mu z_i, c_k = w_k or gw_k,j / eps, where M sums
+    |c_k| s_k (|z_i| + eps |e_k,i|) and the mu term (``_radial_magnitudes``).
+    The reference sums the samples fl(s_k fl(z_i - eps e_k,i)), each within
+    gamma_2(u) s_k |z_i - eps e_k,i| of s_k (z_i - eps e_k,i), so its exact
+    sum lies within gamma_2(u) M of S, and it lies within gamma_{k+3}(u) A of
+    its exact sum.  Together: |fast - reference| <= gamma_{k+8}(u) M +
+    gamma_{k+3}(u) A <= gamma_{k+8} M + gamma_{k+3} A with the gamma above.
+    """
+    k = len(Mo.spec.nodes)
+    z = _test_points(Mo, rng)
     pts = (z[:, None, :] - Mo.eps * Mo.spec.nodes[None, :, :]).reshape(-1, 2)
     assert np.array_equal(Mo._shifted(z), pts)
-    if isinstance(Mo.part, MoreauIntegrand):
-        vals, grads, _ = Mo.part.derivs(pts, (0, 1))
-    else:
-        vals, grads = Mo.part._eval(pts), _reference_power_grad(pts, Mo.part.p)
-        assert np.array_equal(Mo.part._grad(pts), grads)
+    vals, grads, _ = Mo.part.derivs(pts, (0, 1))
     want, size = _reference_convolution(Mo, z, vals, grads)
-    n = k + 3
-    gamma = n * np.finfo(float).eps / (1.0 - n * np.finfo(float).eps)
-    for got, ref, a in zip(Mo.derivs(z), want, size):
-        assert np.all(np.abs(got - ref) <= gamma * a)
+    got = Mo.derivs(z)
+    if isinstance(Mo.part, MoreauIntegrand):
+        for g, ref, a in zip(got, want, size):
+            assert np.all(np.abs(g - ref) <= _gamma(k + 3) * a)
+        return
+    s = Mo.part._radial_coeff(pts[:, 0], pts[:, 1])
+    assert np.array_equal(grads, _scale_rows(s, pts))
+    assert np.all(np.abs(got[0] - want[0]) <= _gamma(k + 3) * size[0])
+    for g, ref, a, m in zip(got[1:], want[1:], size[1:], _radial_magnitudes(Mo, z, s.reshape(-1, k))):
+        assert np.all(np.abs(g - ref) <= _gamma(k + 8) * m + _gamma(k + 3) * a), name
+
+
+@pytest.mark.parametrize("name,F", _radial_parts(), ids=[n for n, _ in _radial_parts()])
+def test_radial_mollifier_value_is_the_vector_paths(name, F, rng):
+    # the value sums the same samples in the same per-row product
+    Mo = quc.mollify_plus_quadratic(F, 0.25, 0.25)
+    z = _test_points(Mo, rng)
+    assert np.array_equal(Mo._eval(z), _vector_path(Mo)._eval(z))
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("name,F", _radial_parts(), ids=[n for n, _ in _radial_parts()])
+def test_radial_mollifier_rows_without_a_coefficient_take_the_vector_path(name, F, rng):
+    # a point 1e-160 above a node on the x axis puts a sample in the power
+    # leaf's tiny-radius regime (|w|^2 underflows), where its coefficient is
+    # nan; points that are not finite fall back for every radial part.
+    # Those rows give the vector path's bits, and the others their own bits,
+    # in any batch.
+    Mo = quc.mollify_plus_quadratic(F, 0.25, 0.25)
+    node = Mo.eps * Mo.spec.nodes[36]
+    assert node[1] == 0.0
+    odd = np.array([node + [0.0, 1e-160], [np.inf, 0.5], [np.nan, 0.0], [0.3, -np.inf]])
+    z = np.concatenate([rng.uniform(-2.0, 2.0, (5, 2)), odd, rng.uniform(-2.0, 2.0, (5, 2))])
+    fallback = np.arange(5, 9)
+    if not isinstance(F, PowerIntegrand):
+        fallback = fallback[1:]
+        X, Y = node[0] - Mo._node_cols[0], 1e-160 - Mo._node_cols[1]
+        assert np.isfinite(F._radial_coeff(X, Y)).all()
+    else:
+        assert np.isnan(F._radial_coeff(np.array([0.0]), np.array([1e-160]))).all()
+    vector = _vector_path(Mo)
+    for order in range(3):
+        got = Mo.derivs(z, (order,))[order]
+        want = vector.derivs(z[fallback], (order,))[order]
+        assert np.array_equal(got[fallback], want, equal_nan=True), (name, order)
+        alone = [Mo.derivs(z[i:i + 1], (order,))[order][0] for i in range(len(z))]
+        assert np.array_equal(np.stack(alone), got, equal_nan=True), (name, order)
 
 
 def test_scale_rows_matches_the_broadcast_product(rng):
@@ -579,6 +662,9 @@ def _derivs_cases():
         ("moreau", moreau),
         ("moreau_blend", quc.moreau_yosida(quc.make_blend(3.0, 1.5, (0.5, 0.0)), 0.5)),
         ("mollified", quc.mollify_plus_quadratic(power3, 0.25, 0.25)),
+        ("mollified_power_1.1", quc.mollify_plus_quadratic(quc.make_power(1.1), 0.25, 0.25)),
+        ("mollified_uhlenbeck", quc.mollify_plus_quadratic(quc.make_uhlenbeck(
+            quc.power_sum_profile([(1.0, 1.5), (0.5, 3.0)])), 0.25, 0.25)),
         ("ladder", quc.normalise(quc.strongly_elliptic_approx(power3, 2))),
         ("fd", quc.with_fd_derivatives(quc.make_power(2.5))),
     ]
@@ -645,18 +731,20 @@ def test_wrapper_derivatives_match_their_per_order_formulas(name, F, rng):
 def test_gradient_passes_evaluate_no_leaf_value(monkeypatch, rng):
     # the mollifier's Hessian pairs gradient samples, and the Moreau envelope
     # needs F(prox) only for its value: no pass without order 0 reaches a
-    # leaf value
+    # leaf value, by the leaf's _eval or, on the mollifier's radial path,
+    # by its _radial_value
     power3 = quc.make_power(3.0)
     cases = [quc.normalise(quc.mollify_plus_quadratic(power3, 0.25, 0.25)),
              quc.normalise(quc.strongly_elliptic_approx(power3, 2))]
     calls = []
-    real = PowerIntegrand._eval
+    for method in ("_eval", "_radial_value"):
+        real = getattr(PowerIntegrand, method)
 
-    def counting(self, z):
-        calls.append(len(z))
-        return real(self, z)
+        def counting(self, *args, _real=real):
+            calls.append(len(args[0]))
+            return _real(self, *args)
 
-    monkeypatch.setattr(PowerIntegrand, "_eval", counting)
+        monkeypatch.setattr(PowerIntegrand, method, counting)
     z = rng.uniform(-2.0, 2.0, (30, 2))
     for F in cases:
         F._grad(z), F._hess(z), F.derivs(z, (1, 2))
