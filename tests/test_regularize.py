@@ -7,7 +7,7 @@ import quc
 from quc.integrand import (AffineAddIntegrand, IntegrandError, PowerIntegrand, ProxError,
                            ScaledIntegrand, ShiftedIntegrand, SumIntegrand, _prox_solve,
                            _scale_rows)
-from quc.regularize import _CHUNK, MollifiedIntegrand, MoreauIntegrand
+from quc.regularize import _CHUNK, _RADIAL_SLACK, MollifiedIntegrand, MoreauIntegrand
 from conftest import catalogue
 
 
@@ -511,11 +511,13 @@ def _gamma(n):
 
 
 def _test_points(Mo, rng):
-    # six decades of radius, z = eps e_k (the part is sampled at 0) and z = 0
+    # six decades of radius, z = eps e_k (the part is sampled at 0), z = 0,
+    # and z above a node on the x axis by 1e-8 to 1e-100 (a sample near 0)
     r = 10.0 ** rng.uniform(-3.0, 3.0, 400)
     th = rng.uniform(0.0, 2.0 * np.pi, 400)
     z = r[:, None] * np.stack([np.cos(th), np.sin(th)], axis=1)
-    return np.concatenate([z, Mo.eps * Mo.spec.nodes[[0, 300, 575]], np.zeros((1, 2))])
+    near = Mo.eps * Mo.spec.nodes[36] + np.array([[0.0, d] for d in (1e-8, 1e-20, 1e-50, 1e-100)])
+    return np.concatenate([z, Mo.eps * Mo.spec.nodes[[0, 300, 575]], np.zeros((1, 2)), near])
 
 
 @pytest.mark.parametrize("name,Mo", _mollified_cases(), ids=[n for n, _ in _mollified_cases()])
@@ -549,6 +551,13 @@ def test_mollified_matches_reference_convolution(name, Mo, rng):
     sum lies within gamma_2(u) M of S, and it lies within gamma_{k+3}(u) A of
     its exact sum.  Together: |fast - reference| <= gamma_{k+8}(u) M +
     gamma_{k+3}(u) A <= gamma_{k+8} M + gamma_{k+3} A with the gamma above.
+    M is large where z lies near a node and G'(r)/r blows up at 0 (p < 2).
+    A row keeps the coefficient path only where sum_k c_k s_k <= L G'(rho) /
+    rho, with L = _RADIAL_SLACK sum_k c_k, c_k = w_k + |gw_k,x| + |gw_k,y|
+    >= |w_k|, |gw_k,j| and rho = |z| + eps >= |z_i| + eps |e_k,i|.  There M
+    <= M' = L G'(rho), over eps for D2F, plus the mu term, so the error is
+    within gamma_{k+8} min(M, M') + gamma_{k+3} A.  Every other row is the
+    vector path's, within gamma_{k+3} A of the reference.
     """
     k = len(Mo.spec.nodes)
     z = _test_points(Mo, rng)
@@ -564,8 +573,13 @@ def test_mollified_matches_reference_convolution(name, Mo, rng):
     s = Mo.part._radial_coeff(pts[:, 0], pts[:, 1])
     assert np.array_equal(grads, _scale_rows(s, pts))
     assert np.all(np.abs(got[0] - want[0]) <= _gamma(k + 3) * size[0])
-    for g, ref, a, m in zip(got[1:], want[1:], size[1:], _radial_magnitudes(Mo, z, s.reshape(-1, k))):
-        assert np.all(np.abs(g - ref) <= _gamma(k + 8) * m + _gamma(k + 3) * a), name
+    rho = np.hypot(z[:, 0], z[:, 1]) + Mo.eps
+    c = Mo.spec.weights + np.abs(Mo.spec.grad_weights).sum(axis=1)
+    top = _RADIAL_SLACK * c.sum() * Mo.part.profile.deriv(rho)
+    ceiling = (top[:, None] + Mo.mu * np.abs(z), top[:, None, None] / Mo.eps + Mo.mu * np.eye(2))
+    magnitudes = _radial_magnitudes(Mo, z, s.reshape(-1, k))
+    for g, ref, a, m, m_top in zip(got[1:], want[1:], size[1:], magnitudes, ceiling):
+        assert np.all(np.abs(g - ref) <= _gamma(k + 8) * np.minimum(m, m_top) + _gamma(k + 3) * a)
 
 
 @pytest.mark.parametrize("name,F", _radial_parts(), ids=[n for n, _ in _radial_parts()])
