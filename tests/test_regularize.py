@@ -474,6 +474,14 @@ def test_mollified_point_does_not_depend_on_its_batch(name, Mo, rng):
                 assert np.array_equal(np.concatenate(parts), whole), (key, size)
 
 
+def _reference_power_grad(z, p):
+    # the leaf gradient with its row scaling written as a broadcast
+    r2 = z[:, 0] ** 2 + z[:, 1] ** 2
+    with np.errstate(divide="ignore", invalid="ignore"):
+        s = np.where(r2 > 0.0, r2 ** ((p - 2.0) / 2.0), 0.0)
+    return s[:, None] * z
+
+
 def _reference_convolution(Mo, z, vals, grads):
     """Value, gradient and Hessian of Mo at z from the part's samples, reduced
     as a gemv and two einsums over all rows, with the magnitudes A that bound
@@ -570,6 +578,8 @@ def test_mollified_matches_reference_convolution(name, Mo, rng):
         for g, ref, a in zip(got, want, size):
             assert np.all(np.abs(g - ref) <= _gamma(k + 3) * a)
         return
+    if isinstance(Mo.part, PowerIntegrand):
+        assert np.array_equal(grads, _reference_power_grad(pts, Mo.part.p))
     s = Mo.part._radial_coeff(pts[:, 0], pts[:, 1])
     assert np.array_equal(grads, _scale_rows(s, pts))
     assert np.all(np.abs(got[0] - want[0]) <= _gamma(k + 3) * size[0])
@@ -595,21 +605,18 @@ def test_radial_mollifier_value_is_the_vector_paths(name, F, rng):
 def test_radial_mollifier_rows_without_a_coefficient_take_the_vector_path(name, F, rng):
     # a point 1e-160 above a node on the x axis puts a sample in the power
     # leaf's tiny-radius regime (|w|^2 underflows), where its coefficient is
-    # nan; points that are not finite fall back for every radial part.
-    # Those rows give the vector path's bits, and the others their own bits,
-    # in any batch.
+    # nan; the Uhlenbeck profile's coefficient there, 1e80 from its t^1.5
+    # term, fails the row test instead.  Points that are not finite fall
+    # back for every radial part.  Those rows give the vector path's bits,
+    # and every row its own bits, in any batch.
     Mo = quc.mollify_plus_quadratic(F, 0.25, 0.25)
     node = Mo.eps * Mo.spec.nodes[36]
     assert node[1] == 0.0
     odd = np.array([node + [0.0, 1e-160], [np.inf, 0.5], [np.nan, 0.0], [0.3, -np.inf]])
     z = np.concatenate([rng.uniform(-2.0, 2.0, (5, 2)), odd, rng.uniform(-2.0, 2.0, (5, 2))])
     fallback = np.arange(5, 9)
-    if not isinstance(F, PowerIntegrand):
-        fallback = fallback[1:]
-        X, Y = node[0] - Mo._node_cols[0], 1e-160 - Mo._node_cols[1]
-        assert np.isfinite(F._radial_coeff(X, Y)).all()
-    else:
-        assert np.isnan(F._radial_coeff(np.array([0.0]), np.array([1e-160]))).all()
+    tiny = F._radial_coeff(np.array([0.0]), np.array([1e-160]))
+    assert np.isnan(tiny).all() == isinstance(F, PowerIntegrand)
     vector = _vector_path(Mo)
     for order in range(3):
         got = Mo.derivs(z, (order,))[order]
