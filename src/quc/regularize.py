@@ -164,7 +164,8 @@ _CHUNK = 1 << 15
 # <= _RADIAL_SLACK (sum_k c_k) G'(rho)/rho (``MollifiedIntegrand``): its error
 # bound then stays within _RADIAL_SLACK of the vector path's.  Over 4000
 # points at radii 1e-4 to 1e4 the ratio of the two sides read at most 4.4
-# (power p = 1.1), 1.8 (p = 1.5) and 1 (p >= 2).
+# (power p = 1.1), 1.8 (p = 1.5), 1.7 (the Uhlenbeck profile power_sum((1, 1.5),
+# (0.5, 3))) and 1 (p >= 2).
 _RADIAL_SLACK = 16.0
 
 
@@ -196,14 +197,14 @@ class MollifiedIntegrand(Integrand):
     the second being the integration by parts above.  Each entry is within
     gamma_{k+6} M of its exact value, where M sums |b_k| s_k (|z_i| + eps
     |e_k,i|) over the nodes (b_k = w_k or gw_k,j / eps) plus the mu term.
-    The vector path's bound has |z_i - eps e_k,i| = r_k in place of |z_i| +
-    eps |e_k,i|, so it is at most gamma_{k+3} G'(rho) sum_k |b_k|, rho =
+    The vector path's bound has |z_i - eps e_k,i| <= r_k in place of |z_i|
+    + eps |e_k,i|, so it is at most gamma_{k+3} G'(rho) sum_k |b_k|, rho =
     |z| + eps >= r_k, as G' increases.  M is larger where s_k is large at a
     sample near 0: a profile with G'(r)/r unbounded at 0 (power p < 2) and
     z within a small fraction of rho of a node.  So a row keeps this path
     only where sum_k c_k s_k <= _RADIAL_SLACK (sum_k c_k) G'(rho)/rho, with
     c_k = w_k + |gw_k,x| + |gw_k,y|, which bounds M by _RADIAL_SLACK (sum_k
-    c_k) G'(rho) up to the mu term.  The test also fails where a coefficient
+    c_k) G'(rho), over eps for D2F, up to the mu term.  The test also fails where a coefficient
     is not finite, among them every sample in the power leaf's tiny-radius
     regime, where ``_radial_coeff`` gives nan.  Those rows, and points z
     that are not finite, take the vector path, each by itself, so that
