@@ -299,8 +299,23 @@ def radial_prox_radius(profile, r, delta, s0=None):
 
 
 class RadialIntegrand(Integrand):
-    """F(z) = G(|z|) for a convex profile ``self.profile`` with G(0) = 0.
+    """F(z) = G(|z|) for a convex G with G(0) = 0, sampled per point from
+    r = |z| alone (``_radial_samples``): DF(z) = (G'(r)/r) z, so one scalar
+    per point carries the gradient.  The mollifier samples such a part by
+    these scalars instead of by its vector gradient."""
 
+    def _radial_samples(self, x, y, orders):
+        """(G(r), G'(r)/r) at the points (x, y), r = |(x, y)|, for coordinate
+        arrays of any one shape: the value where 0 is in ``orders``, the
+        coefficient where 1 is, and None in the other slot.  The coefficient
+        is 0 at r = 0, and nan where the part has no faithful coefficient."""
+        raise NotImplementedError
+
+
+class RadialLeaf(RadialIntegrand):
+    """A radial leaf whose G is the profile ``self.profile``.
+
+    Its Moreau envelope is radial too (``regularize.RadialMoreauIntegrand``).
     The Moreau proximal point lies on the ray of z: prox(z) = s z / |z|
     with s + delta G'(s) = |z| (``_prox_radius``).  The envelope Hessian at
     z has the radial eigenvalue G''(s) / (1 + delta G''(s)) and the
@@ -311,18 +326,13 @@ class RadialIntegrand(Integrand):
 
     exact_prox = True
 
-    def _radial_coeff(self, x, y):
-        """G'(r)/r at the points (x, y), r = |(x, y)|, for coordinate arrays
-        of any one shape; 0 at r = 0, and nan where the leaf has no faithful
-        coefficient.  DF(w) = (G'(r)/r) w."""
-        raise NotImplementedError
-
-    def _radial_value(self, x, y):
-        """G(r) at the points (x, y), for coordinate arrays of any one shape."""
-        raise NotImplementedError
-
     def _prox_radius(self, r, delta):
+        """The root s of s + delta G'(s) = r at each radius of the 1-D array r."""
         return radial_prox_radius(self.profile, r, delta)
+
+    def _profile_value(self, t, gp):
+        """G(t) at the radii t, where gp = G'(t)."""
+        return self.profile(t)
 
     def _prox_underflows(self, Z, delta):
         """Rows whose proximal radius, the root of s + delta G'(s) = |z|,
@@ -364,8 +374,9 @@ _TINY_R2 = np.finfo(float).max ** (-2.0 / 3.0)
 
 def _tiny_rows(z, r2):
     """(rows, |z|, z/|z|) where z != 0 but r2 = |z|^2 < _TINY_R2, or None
-    after one min over r2."""
-    if not (r2.size and r2.min() < _TINY_R2):
+    after one min over r2 that skips nan, so that a nan row does not hide
+    the tiny rows of its batch."""
+    if not (r2.size and np.fmin.reduce(r2) < _TINY_R2):
         return None
     idx = np.flatnonzero(r2 < _TINY_R2)
     r = np.hypot(z[idx, 0], z[idx, 1])
@@ -416,7 +427,7 @@ def _power_hess(z, p):
     return _rank_one_hess(s, c, z)
 
 
-class PowerIntegrand(RadialIntegrand):
+class PowerIntegrand(RadialLeaf):
     """F(z) = |z|^p / p with exact derivatives.
 
     Hessian eigenvalues are |z|^{p-2} and (p-1)|z|^{p-2}, so the ellipticity
@@ -437,18 +448,18 @@ class PowerIntegrand(RadialIntegrand):
         if p != 2.0:
             self.singular_points = (np.zeros(2),)
 
-    def _radial_value(self, x, y):
-        return _power_value(x, y, self.p)
-
-    def _radial_coeff(self, x, y):
-        # nan where _power_grad takes its tiny-row fix, and where r2 is nan
-        s, r2 = _power_coeff(x, y, self.p)
-        if r2 is not None:
-            s[~(r2 >= _TINY_R2) & ((x != 0.0) | (y != 0.0))] = np.nan
-        return s
+    def _radial_samples(self, x, y, orders):
+        f = _power_value(x, y, self.p) if 0 in orders else None
+        s = None
+        if 1 in orders:
+            s, r2 = _power_coeff(x, y, self.p)
+            if r2 is not None:
+                # nan where _power_grad takes its tiny-row fix, and where r2 is nan
+                s[~(r2 >= _TINY_R2) & ((x != 0.0) | (y != 0.0))] = np.nan
+        return f, s
 
     def _eval(self, z):
-        return self._radial_value(z[:, 0], z[:, 1])
+        return _power_value(z[:, 0], z[:, 1], self.p)
 
     def _grad(self, z):
         return _power_grad(z, self.p)
@@ -467,6 +478,12 @@ class PowerIntegrand(RadialIntegrand):
         with np.errstate(over="ignore"):
             s0 = np.minimum(r, (r / delta) ** (1.0 / (self.p - 1.0)))
         return radial_prox_radius(self.profile, r, delta, s0)
+
+    def _profile_value(self, t, gp):
+        # t^p / p = t G'(t) / p, without a second power
+        out = t * gp
+        out /= self.p
+        return out
 
     def describe(self):
         return f"power(p={self.p:g})"
@@ -508,7 +525,7 @@ class AnisotropicQuadratic(Integrand):
         return f"aniso(A={self.A.tolist()})"
 
 
-class UhlenbeckIntegrand(RadialIntegrand):
+class UhlenbeckIntegrand(RadialLeaf):
     """F(z) = G(|z|) for a validated radial profile G.
 
     Hessian eigenvalues are G''(r) (radial direction) and G'(r)/r
@@ -522,20 +539,22 @@ class UhlenbeckIntegrand(RadialIntegrand):
         self.analytic_H = analytic_H
         self.singular_points = (np.zeros(2),)
 
-    def _radial_value(self, x, y):
-        return np.asarray(self.profile(np.hypot(x, y)), dtype=float)
-
-    def _radial_coeff(self, x, y):
+    def _radial_samples(self, x, y, orders):
         r = np.hypot(x, y)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            gp = self.profile.deriv(r)
-        return _ratio(gp, r)
+        f = s = None
+        if 0 in orders:
+            f = np.asarray(self.profile(r), dtype=float)
+        if 1 in orders:
+            with np.errstate(divide="ignore", invalid="ignore"):
+                gp = self.profile.deriv(r)
+            s = _ratio(gp, r)
+        return f, s
 
     def _eval(self, z):
-        return self._radial_value(z[:, 0], z[:, 1])
+        return self._radial_samples(z[:, 0], z[:, 1], (0,))[0]
 
     def _grad(self, z):
-        return _scale_rows(self._radial_coeff(z[:, 0], z[:, 1]), z)
+        return _scale_rows(self._radial_samples(z[:, 0], z[:, 1], (1,))[1], z)
 
     def _hess(self, z):
         r = np.hypot(z[:, 0], z[:, 1])

@@ -22,13 +22,19 @@ Mollifying a radial part F(w) = G(|w|) needs one scalar per node: with
 s_k = G'(r_k)/r_k at r_k = |z - eps e_k|, DF(z - eps e_k) = s_k (z - eps e_k),
 so the gradient and Hessian of the convolution are fixed linear forms in
 the s_k (``MollifiedIntegrand``), and no vector field of samples is built.
+The envelope of a radial leaf is radial too (``RadialMoreauIntegrand``):
+with rho the proximal radius of r = |z|, its value is G(rho) + (r - rho)^2
+/ (2 delta) and its coefficient G'(rho)/r, so the ladder's step
+mollify(moreau(F)) samples one proximal radius per node and no proximal
+point.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .integrand import PROX_GRAD_TOL, Integrand, IntegrandError, ProxError, RadialIntegrand
+from .integrand import (_TINY_R2, PROX_GRAD_TOL, Integrand, IntegrandError, ProxError,
+                        RadialIntegrand, RadialLeaf, _ratio)
 
 
 class MollifierSpec:
@@ -86,7 +92,10 @@ class MoreauIntegrand(Integrand):
     also behind scaling, shifts and affine terms; every other part (blend,
     Finsler, sums, finite differences, nested envelopes and mollifiers)
     solves the proximal problem by batched Newton.  Every ``prox`` call
-    keeps no state, so results do not depend on earlier calls.
+    keeps no state, so results do not depend on earlier calls.  The
+    envelope of a power or Uhlenbeck leaf (``moreau_yosida``) is the
+    subclass ``RadialMoreauIntegrand``, which also samples itself radially
+    for the mollifier.
     """
 
     kind = "moreau"
@@ -117,18 +126,23 @@ class MoreauIntegrand(Integrand):
         bad = ~(gn <= tol) | (zn == np.inf)
         if bad.any():
             i = int(np.argmax(bad))
-            wn = float(np.hypot(*W[i]))
-            why = ""
-            if self.part._prox_underflows(Z[i:i + 1], self.delta)[0]:
-                why = ("; its radius underflows below the smallest positive double, so no "
-                       "representable point meets the condition")
-            elif 0.0 < wn < np.finfo(float).tiny:
-                why = (f"; its radius {wn:g} is subnormal, so the point carries too few "
-                       "significant bits to meet the condition")
-            raise ProxError(
-                f"proximal point of {self.part.describe()} at z = {Z[i].tolist()} misses "
-                f"its optimality condition: |grad| = {gn[i]:g} (tolerance {tol[i]:g})" + why)
+            raise self._missed(Z[i], gn[i], tol[i], float(np.hypot(*W[i])))
         return W[0] if single else W
+
+    def _missed(self, z, gn, tol, wn):
+        """The ``ProxError`` for the point z whose proximal point, of radius
+        wn, misses the optimality condition by gn > tol; it says why where
+        that radius underflows or is subnormal."""
+        why = ""
+        if self.part._prox_underflows(z[None], self.delta)[0]:
+            why = ("; its radius underflows below the smallest positive double, so no "
+                   "representable point meets the condition")
+        elif 0.0 < wn < np.finfo(float).tiny:
+            why = (f"; its radius {wn:g} is subnormal, so the point carries too few "
+                   "significant bits to meet the condition")
+        return ProxError(
+            f"proximal point of {self.part.describe()} at z = {z.tolist()} misses "
+            f"its optimality condition: |grad| = {gn:g} (tolerance {tol:g})" + why)
 
     def derivs(self, z, orders=(0, 1, 2)):
         W = self.prox(z)
@@ -144,8 +158,97 @@ class MoreauIntegrand(Integrand):
         return f"moreau({self.part.describe()}, delta={self.delta:g})"
 
 
+def _radii(x, y):
+    """|(x, y)| as sqrt(x^2 + y^2), the doubles of the radial leaves' proximal
+    map, except below x^2 + y^2 = _TINY_R2, where the squares can lose bits
+    to underflow: there from ``np.hypot``.  It overflows to inf above about
+    1e154, as the proximal map's radius does."""
+    r = x ** 2
+    r += y ** 2
+    low = None
+    if r.size and np.fmin.reduce(r, axis=None) < _TINY_R2:  # a min that skips nan
+        low = r < _TINY_R2
+    np.sqrt(r, out=r)
+    if low is not None:
+        r[low] = np.hypot(x[low], y[low])
+    return r
+
+
+class RadialMoreauIntegrand(MoreauIntegrand, RadialIntegrand):
+    """The Moreau envelope of a radial leaf, itself radial.
+
+    With r = |z| and rho the proximal radius, the root of rho + delta
+    G'(rho) = r, F_delta(z) = G(rho) + (r - rho)^2 / (2 delta) and DF_delta(z)
+    = (G'(rho)/r) z.  So ``_radial_samples`` gives the value and the
+    coefficient of a sample from one ``part._prox_radius`` call on its
+    radius, and the mollifier reduces one coefficient per node instead of a
+    vector field of proximal points.  Every radius is checked against the
+    optimality condition |G'(rho) + (rho - r)/delta| <= 100 PROX_GRAD_TOL
+    (1 + r), and a miss raises the ``ProxError`` that ``prox`` raises for
+    the same point.  ``prox`` and ``derivs`` are inherited unchanged, so
+    the envelope's own values, gradients and Hessians keep their bits.  It
+    is not a radial leaf: the envelope of this envelope solves its
+    proximal problem by Newton, as for every part without an exact map.
+
+    The coefficient.  G'(rho) - G'(rho*) and (rho - rho*)/delta, rho* the
+    exact root, have the sign of rho - rho* and sum to the residual above,
+    so each is at most the tolerance: s r is within 100 PROX_GRAD_TOL (1 +
+    r) of G_delta'(r) = G'(rho*), the guarantee (z - prox(z))/delta has.
+    That is what the mollifier's sums need: in exact arithmetic they
+    multiply s by z_i - eps e_k,i, of size at most r.  Their rounding scales
+    with s itself, so s is also kept good relative to its own size.  s =
+    G'(rho)/r is: its relative error is t G''(t)/G'(t) times rho's (the
+    4-ulp stop of ``radial_prox_radius``, or the closed form's few
+    roundings) plus that of G' and one division, with no cancellation where
+    rho is close to r (p > 2 near 0), unlike (r - rho)/(delta r).  It loses
+    that only where G'(rho) leaves the normal doubles, and then by at most
+    2^-1075 / r (p = 3 below r = 1.5e-154).  Where rho is subnormal or 0,
+    rho has too few bits for G'(rho): s = ((r - rho)/r)/delta there, off by
+    |rho - rho*| / (delta r), a few subnormal spacings over delta r.  At rho
+    = 0 < r (p < 2 at tiny r) that is the limit 1/delta in one rounding;
+    G'(0)/r = 0 would miss the whole coefficient, within the tolerance only
+    because r/delta is.  At r = 0, s = 0.
+    """
+
+    def _radial_samples(self, x, y, orders):
+        part, delta = self.part, self.delta
+        r = _radii(x, y).reshape(-1)  # _prox_radius takes 1-D radii
+        rho = part._prox_radius(r, delta)
+        gp = part.profile.deriv(rho)
+        res = rho - r
+        res /= delta
+        res += gp
+        np.abs(res, out=res)
+        tol = r + 1.0
+        tol *= 100.0 * PROX_GRAD_TOL
+        ok = res <= tol
+        if not (ok.all() and r.max() < np.inf):  # r = inf leaves no test, as in prox
+            i = int(np.argmax(~ok | (r == np.inf)))
+            raise self._missed(np.array([x.flat[i], y.flat[i]]), res[i], tol[i], rho[i])
+        f = s = None
+        if 0 in orders:
+            d = r - rho
+            d *= d
+            d *= 0.5 / delta
+            d += part._profile_value(rho, gp)
+            f = d.reshape(x.shape)
+        if 1 in orders:
+            with np.errstate(divide="ignore", invalid="ignore"):  # 0/0 at r = 0 is replaced
+                s = gp / r
+            few = np.finfo(float).tiny
+            if rho.min() < few:
+                low = np.flatnonzero(rho < few)
+                r_low = r[low]
+                s[low] = _ratio(r_low - rho[low], r_low) / delta
+            s = s.reshape(x.shape)
+        return f, s
+
+
 def moreau_yosida(F, delta):
-    """The Moreau-Yosida envelope of F at parameter delta > 0."""
+    """The Moreau-Yosida envelope of F at parameter delta > 0; for a radial
+    leaf, the radial envelope ``RadialMoreauIntegrand``."""
+    if isinstance(F, RadialLeaf):
+        return RadialMoreauIntegrand(F, delta)
     return MoreauIntegrand(F, delta)
 
 
@@ -187,11 +290,15 @@ class MollifiedIntegrand(Integrand):
     depend on the batch it is evaluated in.  (A gemm or gemv over a whole
     batch, ``s @ table``, gives bits that depend on the batch on OpenBLAS.)
 
-    A radial part (``RadialIntegrand``) is sampled by coordinates: X = z_x -
-    eps e_x and Y = z_y - eps e_y as contiguous (rows, k) arrays, the values
-    G(r_k) where order 0 is wanted (the same doubles and the same product as
-    the vector path), and otherwise one coefficient s_k = G'(r_k)/r_k per
-    node.  With node tables built once,
+    A radial part (``RadialIntegrand``: a power or Uhlenbeck leaf, or the
+    Moreau envelope of one) is sampled by coordinates: X = z_x - eps e_x and
+    Y = z_y - eps e_y as contiguous (rows, k) arrays, from which one
+    ``part._radial_samples`` call gives the values G(r_k) where order 0 is
+    wanted and one coefficient s_k = G'(r_k)/r_k per node where order 1 or
+    2 is.  For a leaf the values are the vector path's doubles, reduced by
+    the same product; for an envelope both come from one proximal radius per
+    sample (``RadialMoreauIntegrand``), checked as ``prox`` checks its
+    points.  With node tables built once,
         DF_eps(z)_i = z_i sum_k w_k s_k - sum_k (w_k eps e_k,i) s_k,
         D2F_eps(z)_ij = (z_i sum_k s_k gw_k,j - sum_k (eps e_k,i gw_k,j) s_k) / eps,
     the second being the integration by parts above.  Each entry is within
@@ -204,11 +311,14 @@ class MollifiedIntegrand(Integrand):
     z within a small fraction of rho of a node.  So a row keeps this path
     only where sum_k c_k s_k <= _RADIAL_SLACK (sum_k c_k) G'(rho)/rho, with
     c_k = w_k + |gw_k,x| + |gw_k,y|, which bounds M by _RADIAL_SLACK (sum_k
-    c_k) G'(rho), over eps for D2F, up to the mu term.  The test also fails where a coefficient
-    is not finite, among them every sample in the power leaf's tiny-radius
-    regime, where ``_radial_coeff`` gives nan.  Those rows, and points z
-    that are not finite, take the vector path, each by itself, so that
-    their bits do not depend on the batch either.
+    c_k) G'(rho), over eps for D2F, up to the mu term.  The test also fails
+    where a coefficient is not finite, among them every sample in the power
+    leaf's tiny-radius regime, where ``_radial_samples`` gives nan.  Those
+    rows, and points z that are not finite, take the vector path, each by
+    itself, so that their bits do not depend on the batch either.  An
+    envelope's coefficient is at most 1/delta, its gradient's Lipschitz
+    constant, and it raises ``ProxError`` at a point that is not finite, as
+    its vector path does.
     """
 
     kind = "mollified"
@@ -272,17 +382,17 @@ class MollifiedIntegrand(Integrand):
         X = np.matmul(A, self._shift_tables[0])
         A[:, 0] = zb[:, 1]
         Y = np.matmul(A, self._shift_tables[1])
+        v, s = self.part._radial_samples(X, Y, {min(j, 1) for j in orders})
         f = g = h = None
-        if 0 in orders:
-            v = self.part._radial_value(X, Y).reshape(-1, 1, k)
-            f = np.matmul(v, self.spec.weights)[:, 0]
-        if not (1 in orders or 2 in orders):
+        if v is not None:
+            f = np.matmul(v.reshape(-1, 1, k), self.spec.weights)[:, 0]
+        if s is None:
             return f, g, h
-        s = self.part._radial_coeff(X, Y).reshape(-1, k, 1)
+        s = s.reshape(-1, k, 1)
         grad_tab, hess_tab = self._radial_tables
         a = np.matmul(grad_tab, s)[:, :, 0]
         rho = np.hypot(zb[:, 0], zb[:, 1]) + self.eps
-        s_rho = self.part._radial_coeff(rho, np.zeros_like(rho))
+        s_rho = self.part._radial_samples(rho, np.zeros_like(rho), (1,))[1]
         bad = ~((a[:, 0] <= self._radial_limit * s_rho) & np.isfinite(zb).all(axis=1))
         with np.errstate(invalid="ignore"):  # inf - inf only in the bad rows
             if 1 in orders:
@@ -340,4 +450,4 @@ def strongly_elliptic_approx(F, n):
     Sampled Hessian eigenvalues satisfy mu_n <= lmin <= lmax <= 1/delta_n + mu_n.
     """
     delta, eps, mu = approximation_schedule(n)
-    return MollifiedIntegrand(MoreauIntegrand(F, delta), eps, mu)
+    return MollifiedIntegrand(moreau_yosida(F, delta), eps, mu)

@@ -3,8 +3,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import quc
-from quc.integrand import (IntegrandError, NormalisationError, RadialProfile,
-                           check_gradient_finite_differences,
+from quc.integrand import (IntegrandError, NormalisationError, RadialProfile, _power_grad,
+                           _power_hess, check_gradient_finite_differences,
                            check_hessian_symmetry, check_midpoint_convexity,
                            find_minimum, gradient_infimum_on_circle)
 from conftest import catalogue
@@ -197,6 +197,22 @@ def test_power_gradient_below_squared_underflow():
         r = np.hypot(z[:, 0], z[:, 1])
         want = (r ** (p - 1.0))[:, None] * (z / r[:, None])
         np.testing.assert_allclose(quc.make_power(p).grad(z), want, rtol=4 * np.finfo(float).eps)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("p", [1.1, 1.5])
+def test_power_tiny_rows_do_not_depend_on_nan_or_inf_neighbours(p):
+    # a nan |z|^2 in the batch must not hide the tiny-radius rows' fix: each
+    # row gives its own bits in a batch with nan and inf rows around it
+    rows = np.array([[1e-170, 0.0], [0.0, -3e-200], [2e-160, 1e-161], [0.5, 0.25],
+                     [0.0, 0.0], [1e-300, -1e-300]])
+    odd = np.array([[np.nan, 0.0], [np.inf, 1.0], [0.0, -np.inf], [np.nan, np.nan]])
+    batch = np.concatenate([odd[:1], rows[:3], odd[1:3], rows[3:], odd[3:]])
+    at = [1, 2, 3, 6, 7, 8]
+    for fn in (_power_grad, _power_hess):
+        got = fn(batch, p)
+        for i, j in enumerate(at):
+            assert np.array_equal(fn(rows[i:i + 1], p)[0], got[j]), (fn.__name__, rows[i])
 
 
 def test_uhlenbeck_hessian_matches_eigen_structure(rng):

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 import quc
-from quc.integrand import (AffineAddIntegrand, IntegrandError, PowerIntegrand, ProxError,
-                           ScaledIntegrand, ShiftedIntegrand, SumIntegrand, _prox_solve,
-                           _scale_rows)
+from quc.integrand import (PROX_GRAD_TOL, AffineAddIntegrand, IntegrandError, PowerIntegrand,
+                           ProxError, ScaledIntegrand, ShiftedIntegrand, SumIntegrand,
+                           _prox_solve, _scale_rows)
 from quc.regularize import _CHUNK, _RADIAL_SLACK, MollifiedIntegrand, MoreauIntegrand
 from conftest import catalogue
 
@@ -442,9 +442,8 @@ def _radial_parts():
 
 def _mollified_cases():
     return [(name, quc.mollify_plus_quadratic(F, 0.25, 0.25)) for name, F in _radial_parts()] + [
-        ("moreau_power_1.5", quc.mollify_plus_quadratic(
-            quc.moreau_yosida(quc.make_power(1.5), 0.25), 0.25, 0.25)),
-    ]
+    ] + [(f"moreau_power_{p:g}", quc.mollify_plus_quadratic(
+        quc.moreau_yosida(quc.make_power(p), 0.25), 0.25, 0.25)) for p in (1.1, 1.5, 3.0)]
 
 
 def _vector_path(Mo):
@@ -532,19 +531,18 @@ def _test_points(Mo, rng):
 def test_mollified_matches_reference_convolution(name, Mo, rng):
     """Against the convolution of the part's own samples, summed in another order.
 
-    Moreau part: both reductions sum the same rounded samples in different
-    orders.  Every entry is a sum of terms over the k = 576 nodes plus the
-    mu term.  A term passes through at most k + 3 roundings: its product and
-    at most k - 1 additions inside the dot product, then the division by
-    eps, the symmetrising addition and the mu addition (the Hessian; value
-    and gradient have fewer), whatever the summation order.  So each result
-    is within gamma_n(u) A of the exact sum (Higham, Accuracy and Stability
-    of Numerical Algorithms, lemma 3.1 and eq. 3.5), n = k + 3, u = eps/2
-    and A the sum of the terms' magnitudes, and the two results are within
-    2 gamma_n(u) A <= gamma_n A of each other, gamma_n = n eps / (1 - n eps).
+    Every entry is a sum of terms over the k = 576 nodes plus the mu term.
+    Summed from given samples, a term passes through at most k + 3
+    roundings: its product and at most k - 1 additions inside the dot
+    product, then the division by eps, the symmetrising addition and the mu
+    addition (the Hessian; value and gradient have fewer), whatever the
+    summation order.  So the reference is within gamma_n(u) A of the exact
+    sum of its samples (Higham, Accuracy and Stability of Numerical
+    Algorithms, lemma 3.1 and eq. 3.5), n = k + 3, u = eps/2 and A the sum
+    of the terms' magnitudes; gamma_n(u) <= gamma_n = n eps / (1 - n eps).
 
-    Radial part: the value sums the same samples as the reference, so the
-    bound above holds for it.  DF and D2F come from the coefficients s_k =
+    Radial leaf: the value sums the same samples as the reference, so it is
+    within gamma_{k+3} A of it.  DF and D2F come from the coefficients s_k =
     G'(r_k)/r_k, the same doubles the part's gradient scales its points by
     (asserted), as DF_i = z_i sum_k w_k s_k - sum_k (w_k eps e_k,i) s_k and
     D2F_ij = (z_i sum_k s_k gw_k,j - sum_k (eps e_k,i gw_k,j) s_k) / eps.
@@ -556,16 +554,41 @@ def test_mollified_matches_reference_convolution(name, Mo, rng):
     |c_k| s_k (|z_i| + eps |e_k,i|) and the mu term (``_radial_magnitudes``).
     The reference sums the samples fl(s_k fl(z_i - eps e_k,i)), each within
     gamma_2(u) s_k |z_i - eps e_k,i| of s_k (z_i - eps e_k,i), so its exact
-    sum lies within gamma_2(u) M of S, and it lies within gamma_{k+3}(u) A of
-    its exact sum.  Together: |fast - reference| <= gamma_{k+8}(u) M +
-    gamma_{k+3}(u) A <= gamma_{k+8} M + gamma_{k+3} A with the gamma above.
-    M is large where z lies near a node and G'(r)/r blows up at 0 (p < 2).
-    A row keeps the coefficient path only where sum_k c_k s_k <= L G'(rho) /
-    rho, with L = _RADIAL_SLACK sum_k c_k, c_k = w_k + |gw_k,x| + |gw_k,y|
-    >= |w_k|, |gw_k,j| and rho = |z| + eps >= |z_i| + eps |e_k,i|.  There M
-    <= M' = L G'(rho), over eps for D2F, plus the mu term, so the error is
-    within gamma_{k+8} min(M, M') + gamma_{k+3} A.  Every other row is the
-    vector path's, within gamma_{k+3} A of the reference.
+    sum lies within gamma_2(u) M of S.  Together: |fast - reference| <=
+    gamma_{k+8} M + gamma_{k+3} A.  M is large where z lies near a node and
+    G'(r)/r blows up at 0 (p < 2).  A row keeps the coefficient path only
+    where sum_k c_k s_k <= L s_rho, s_rho the part's coefficient at rho = |z|
+    + eps, with L = _RADIAL_SLACK sum_k c_k, c_k = w_k + |gw_k,x| + |gw_k,y|
+    >= |w_k|, |gw_k,j| and rho >= |z_i| + eps |e_k,i|.  There M <= M' = L
+    s_rho rho, over eps for D2F, plus the mu term, so the error is within
+    gamma_{k+8} min(M, M') + gamma_{k+3} A.  Every other row is the vector
+    path's, within gamma_{k+3} A of the reference.
+
+    Radial envelope: the reference samples (w - prox(w))/delta at each
+    shifted point w, and the fast path s_k w from the proximal radius.  Let
+    tau = 100 PROX_GRAD_TOL (1 + r) at r = |w|.  A proximal point that
+    passes its check lies within delta tau (plus the check's rounding) of
+    the exact one, as the proximal objective is (1/delta)-strongly convex,
+    so the reference sample is within tau (1 + gamma_6) + gamma_15 r/delta
+    of DF_delta(w): the check's rounding is at most gamma_3 (|DF(p)| + (|p|
+    + r)/delta), |p| <= r and |DF(p)| <= r/delta + tau, and the division
+    rounds twice.  For s_k the class docstring of ``RadialMoreauIntegrand``
+    gives |s r - G_delta'(r)| <= tau plus the check's rounding and that of
+    G' and s, within tau (1 + gamma_6) + gamma_18 r/delta; the rounding of r
+    moves G_delta' by at most gamma_2 r/delta (its Lipschitz constant is
+    1/delta) and the direction w/r by gamma_2.  So the two samples differ by
+    at most e_k = 2 tau (1 + gamma_6) + gamma_40 r/delta, and the sums by
+    T = sum_k |c_k| e_k, symmetrised for D2F.  The fast sums keep their
+    gamma_{k+6} min(M, M') (s_k is the coefficient the row test saw) and the
+    reference its gamma_{k+3} A: the error is within gamma_{k+6} min(M, M')
+    + gamma_{k+3} A + T.  Values: each computed sample exceeds the exact
+    envelope by at most delta tau^2 / 2 at its own radius (the objective's
+    gap at a point whose residual is at most tau), plus its rounding: at
+    most 8 roundings of nonnegative terms, and the rounding of r, which
+    moves F_delta by at most gamma_2 r G_delta'(r) <= gamma_2 r^2 s (1 +
+    gamma_2).  So two samples v, v' differ by at most delta tau^2 +
+    gamma_12 (v + v' + r^2 s), and the values by the sums of these against
+    |w_k| plus gamma_{k+3} of both sums' magnitudes.
     """
     k = len(Mo.spec.nodes)
     z = _test_points(Mo, rng)
@@ -574,22 +597,38 @@ def test_mollified_matches_reference_convolution(name, Mo, rng):
     vals, grads, _ = Mo.part.derivs(pts, (0, 1))
     want, size = _reference_convolution(Mo, z, vals, grads)
     got = Mo.derivs(z)
-    if isinstance(Mo.part, MoreauIntegrand):
-        for g, ref, a in zip(got, want, size):
-            assert np.all(np.abs(g - ref) <= _gamma(k + 3) * a)
-        return
-    if isinstance(Mo.part, PowerIntegrand):
-        assert np.array_equal(grads, _reference_power_grad(pts, Mo.part.p))
-    s = Mo.part._radial_coeff(pts[:, 0], pts[:, 1])
-    assert np.array_equal(grads, _scale_rows(s, pts))
-    assert np.all(np.abs(got[0] - want[0]) <= _gamma(k + 3) * size[0])
+    v, s = Mo.part._radial_samples(pts[:, 0], pts[:, 1], (0, 1))
     rho = np.hypot(z[:, 0], z[:, 1]) + Mo.eps
+    s_rho = Mo.part._radial_samples(rho, np.zeros_like(rho), (1,))[1]
     c = Mo.spec.weights + np.abs(Mo.spec.grad_weights).sum(axis=1)
-    top = _RADIAL_SLACK * c.sum() * Mo.part.profile.deriv(rho)
+    top = _RADIAL_SLACK * c.sum() * s_rho * rho
     ceiling = (top[:, None] + Mo.mu * np.abs(z), top[:, None, None] / Mo.eps + Mo.mu * np.eye(2))
     magnitudes = _radial_magnitudes(Mo, z, s.reshape(-1, k))
-    for g, ref, a, m, m_top in zip(got[1:], want[1:], size[1:], magnitudes, ceiling):
-        assert np.all(np.abs(g - ref) <= _gamma(k + 8) * np.minimum(m, m_top) + _gamma(k + 3) * a)
+    envelope = isinstance(Mo.part, MoreauIntegrand)
+    fast = [_gamma(k + (6 if envelope else 8)) * np.minimum(m, m_top)
+            for m, m_top in zip(magnitudes, ceiling)]
+    if not envelope:
+        if isinstance(Mo.part, PowerIntegrand):
+            assert np.array_equal(grads, _reference_power_grad(pts, Mo.part.p))
+        assert np.array_equal(grads, _scale_rows(s, pts))
+        assert np.all(np.abs(got[0] - want[0]) <= _gamma(k + 3) * size[0])
+        for g, ref, a, bound in zip(got[1:], want[1:], size[1:], fast):
+            assert np.all(np.abs(g - ref) <= bound + _gamma(k + 3) * a)
+        return
+    delta, w, gw = Mo.part.delta, np.abs(Mo.spec.weights), np.abs(Mo.spec.grad_weights)
+    r = np.hypot(pts[:, 0], pts[:, 1])
+    tau = 100.0 * PROX_GRAD_TOL * (1.0 + r)
+    e = (2.0 * tau * (1.0 + _gamma(6)) + _gamma(40) * r / delta).reshape(-1, k)
+    t_grad = (e @ w)[:, None]
+    t_hess = np.einsum("mk,kj->mj", e, gw)[:, None, :] / Mo.eps
+    t_hess = 0.5 * (t_hess + np.transpose(t_hess, (0, 2, 1)))
+    for g, ref, a, bound, t in zip(got[1:], want[1:], size[1:], fast, (t_grad, t_hess)):
+        assert np.all(np.abs(g - ref) <= bound + _gamma(k + 3) * a + t), name
+    gap = delta * tau**2 + _gamma(12) * (v + vals + r**2 * s)
+    q = 0.5 * Mo.mu * (z[:, 0] ** 2 + z[:, 1] ** 2)
+    a_fast = v.reshape(-1, k) @ w + q
+    bound = gap.reshape(-1, k) @ w + _gamma(k + 3) * (a_fast + size[0])
+    assert np.all(np.abs(got[0] - want[0]) <= bound), name
 
 
 @pytest.mark.parametrize("name,F", _radial_parts(), ids=[n for n, _ in _radial_parts()])
@@ -615,7 +654,7 @@ def test_radial_mollifier_rows_without_a_coefficient_take_the_vector_path(name, 
     odd = np.array([node + [0.0, 1e-160], [np.inf, 0.5], [np.nan, 0.0], [0.3, -np.inf]])
     z = np.concatenate([rng.uniform(-2.0, 2.0, (5, 2)), odd, rng.uniform(-2.0, 2.0, (5, 2))])
     fallback = np.arange(5, 9)
-    tiny = F._radial_coeff(np.array([0.0]), np.array([1e-160]))
+    tiny = F._radial_samples(np.array([0.0]), np.array([1e-160]), (1,))[1]
     assert np.isnan(tiny).all() == isinstance(F, PowerIntegrand)
     vector = _vector_path(Mo)
     for order in range(3):
@@ -624,6 +663,129 @@ def test_radial_mollifier_rows_without_a_coefficient_take_the_vector_path(name, 
         assert np.array_equal(got[fallback], want, equal_nan=True), (name, order)
         alone = [Mo.derivs(z[i:i + 1], (order,))[order][0] for i in range(len(z))]
         assert np.array_equal(np.stack(alone), got, equal_nan=True), (name, order)
+
+
+def test_radial_envelope_takes_one_prox_radius_per_sample(monkeypatch, rng):
+    # a (0, 1) pass over three convolution chunks solves the proximal radius
+    # of each shifted point once, for the value and the coefficient alike;
+    # each chunk adds one radius per row, rho = |z| + eps, for the row test
+    sizes = []
+    radius = PowerIntegrand._prox_radius
+    monkeypatch.setattr(PowerIntegrand, "_prox_radius",
+                        lambda self, r, delta: sizes.append(r.size) or radius(self, r, delta))
+    Mo = quc.strongly_elliptic_approx(quc.make_power(3.0), 2)
+    k = len(Mo.spec.nodes)
+    rows = _CHUNK // k
+    Mo.derivs(rng.uniform(-2.0, 2.0, (2 * rows + 8, 2)), (0, 1))
+    assert sizes == [rows * k, rows, rows * k, rows, 8 * k, 8]
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("p, z, node, why", [
+    # r / (1 + delta) is not the radius of the power 3: the first sample misses
+    (3.0, [0.7, -0.4], None, ""),
+    # the radius of the sample 2.9e-10 off node 0 underflows, as in
+    # test_moreau_prox_names_an_underflowing_radius
+    (1.01, [2.9e-10, 0.0], 0, "radius underflows below the smallest positive double"),
+    # points that are not finite miss at their first sample
+    (3.0, [np.nan, 0.5], None, ""),
+    (1.5, [np.inf, 0.5], None, ""),
+], ids=["wrong_map", "underflow", "nan", "inf"])
+def test_radial_envelope_names_the_shifted_point_it_misses(p, z, node, why, monkeypatch):
+    # the coefficient path checks every proximal radius and fails as the
+    # vector path does: the same shifted point, tolerance and reason
+    F = quc.make_power(p)
+    Mo = quc.mollify_plus_quadratic(quc.moreau_yosida(F, 0.25), 0.25, 0.25)
+    z = np.array([z])
+    if node is None and np.isfinite(z).all():
+        monkeypatch.setattr(F, "_prox_radius", lambda r, delta: r / (1.0 + delta))
+    if node is not None:
+        z = z + Mo.eps * Mo.spec.nodes[node]
+    messages = []
+    for M in (Mo, _vector_path(Mo)):
+        for orders in ((0,), (1,), (2,)):
+            with pytest.raises(ProxError) as err:
+                M.derivs(z, orders)
+            messages.append(re.sub(r"\|grad\| = \S+ ", "", str(err.value)))
+    assert len(set(messages)) == 1, messages
+    shifted = Mo._shifted(z)
+    i = 0 if node is None else int(np.argmin(np.hypot(*shifted.T)))
+    assert f"at z = {shifted[i].tolist()} " in messages[0]
+    if why:
+        assert why in messages[0]
+    else:
+        assert "underflow" not in messages[0] and "subnormal" not in messages[0]
+
+
+@pytest.mark.parametrize("delta", [0.25, 2.0])
+def test_radial_envelope_coefficient_matches_closed_forms(delta):
+    """G'(rho)/r against closed forms, with delta a power of 2 and r exact
+    (sqrt(fl(r^2)) = r, and np.hypot below the range of r^2).
+
+    p = 2: rho = fl(r / (1 + delta)), 1 + delta exact, G'(rho) = rho**1 =
+    rho, so s = fl(rho / r) is within gamma_2 / (1 + delta) of 1/(1 + delta).
+    p = 3: rho = fl(2 r / q) with q = 1 + sqrt(1 + 4 delta r) computed as the
+    test does, then s = fl(fl(rho^2) / r) = (4 r / q^2)(1 + theta)^4 and the
+    reference fl(4 r / fl(q^2)) = (4 r / q^2)(1 + theta)/(1 + theta'): they
+    agree within gamma_6 relative (Higham, lemma 3.1), plus 2^-1074 / r
+    where rho^2 leaves the normal doubles (r below 1.5e-154).  The closed
+    form 4 r / (1 + sqrt(1 + 4 delta r))^2 has no cancellation.
+    p = 1.1: below r = delta 4.4e-33 the root (about (r/delta)^10) is under
+    2^-1075, so rho = 0, and the optimality test passes, r / delta <= 1e-9.
+    There, and where rho is subnormal, fl(r - rho) = r, so s = fl(1/delta) =
+    1/delta exactly: the limit, not G'(0)/r = 0.
+    """
+    r = np.geomspace(1e-300, 1e8, 601)
+
+    def coeff(p, radii):
+        return quc.moreau_yosida(quc.make_power(p), delta)._radial_samples(
+            radii, np.zeros_like(radii), (1,))[1]
+
+    assert np.all(np.abs(coeff(2.0, r) - 1.0 / (1.0 + delta)) <= _gamma(2) / (1.0 + delta))
+    q = 1.0 + np.sqrt(1.0 + 4.0 * delta * r)
+    want = 4.0 * r / q**2
+    slack = _gamma(6) * want + np.finfo(float).smallest_subnormal / r
+    assert np.all(np.abs(coeff(3.0, r) - want) <= slack)
+    assert np.all(coeff(3.0, np.zeros(3)) == 0.0)
+    small = np.geomspace(1e-300, delta * 1e-31, 301)
+    rho = quc.make_power(1.1)._prox_radius(small, delta)
+    assert (rho == 0.0).any() and ((rho > 0.0) & (rho < np.finfo(float).tiny)).any()
+    low = rho < np.finfo(float).tiny
+    assert np.all(coeff(1.1, small)[low] == 1.0 / delta)
+
+
+@pytest.mark.parametrize("p", [1.5, 3.0])
+def test_nested_envelopes_compose(p, rng):
+    """e_d2(e_d1 F) = e_{d1+d2} F, values and gradients, at 200 points.
+
+    With tau(z) = 100 PROX_GRAD_TOL (1 + |z|): the direct envelope's
+    proximal point W passes its check, so its gradient (z - W)/delta is
+    within tau(z) of the exact one.  The outer point W2 of the nested
+    envelope passes its own check against the inner gradient, which is
+    within tau(W2) of exact, so its gradient is within tau(z) + tau(W2).
+    The residuals' and divisions' roundings add at most gamma_16 |z| / d2
+    (each is gamma_3 of terms of size at most 3 |z| / d2).  A value at a
+    point whose objective's gradient is at most R exceeds the exact
+    infimum by at most delta R^2 / 2 ((1/delta)-strong convexity): d1
+    tau(W2)^2 / 2 inside, d2 (tau(z) + tau(W2))^2 / 2 outside and (d1 + d2)
+    tau(z)^2 / 2 directly, doubled for the residuals' own rounding; each
+    value is a sum of nonnegative terms with at most 10 roundings.
+    """
+    d1, d2 = 0.25, 0.5
+    r = np.geomspace(1e-3, 1e2, 200)
+    th = rng.uniform(0.0, 2.0 * np.pi, 200)
+    z = r[:, None] * np.stack([np.cos(th), np.sin(th)], axis=1)
+    F = quc.make_power(p)
+    nested = quc.moreau_yosida(quc.moreau_yosida(F, d1), d2)
+    direct = quc.moreau_yosida(F, d1 + d2)
+    fn, gn, _ = nested.derivs(z, (0, 1))
+    fd, gd, _ = direct.derivs(z, (0, 1))
+    tau = 100.0 * PROX_GRAD_TOL * (1.0 + r)
+    W2 = nested.prox(z)
+    tau2 = 100.0 * PROX_GRAD_TOL * (1.0 + np.hypot(W2[:, 0], W2[:, 1]))
+    assert np.all(np.hypot(*(gn - gd).T) <= 2.0 * tau + tau2 + _gamma(16) * r / d2)
+    gap = d1 * tau2**2 + d2 * (tau + tau2) ** 2 + (d1 + d2) * tau**2
+    assert np.all(np.abs(fn - fd) <= gap + _gamma(10) * (fn + fd))
 
 
 def test_scale_rows_matches_the_broadcast_product(rng):
@@ -751,27 +913,35 @@ def test_wrapper_derivatives_match_their_per_order_formulas(name, F, rng):
 
 def test_gradient_passes_evaluate_no_leaf_value(monkeypatch, rng):
     # the mollifier's Hessian pairs gradient samples, and the Moreau envelope
-    # needs F(prox) only for its value: no pass without order 0 reaches a
-    # leaf value, by the leaf's _eval or, on the mollifier's radial path,
-    # by its _radial_value
+    # needs G(rho) or F(prox) only for its value: no pass without order 0
+    # reaches a leaf value, by the leaf's _eval, by its _radial_samples with
+    # order 0 (the mollifier's radial path) or by its _profile_value (the
+    # radial envelope's samples)
     power3 = quc.make_power(3.0)
     cases = [quc.normalise(quc.mollify_plus_quadratic(power3, 0.25, 0.25)),
              quc.normalise(quc.strongly_elliptic_approx(power3, 2))]
     calls = []
-    for method in ("_eval", "_radial_value"):
-        real = getattr(PowerIntegrand, method)
+    real = {name: getattr(PowerIntegrand, name)
+            for name in ("_eval", "_radial_samples", "_profile_value")}
 
-        def counting(self, *args, _real=real):
-            calls.append(len(args[0]))
-            return _real(self, *args)
+    def counting(name, wants_value):
+        def method(self, *args):
+            if wants_value(args):
+                calls.append((name, args[0].size))
+            return real[name](self, *args)
+        return method
 
-        monkeypatch.setattr(PowerIntegrand, method, counting)
+    monkeypatch.setattr(PowerIntegrand, "_eval", counting("_eval", lambda a: True))
+    monkeypatch.setattr(PowerIntegrand, "_radial_samples",
+                        counting("_radial_samples", lambda a: 0 in a[2]))
+    monkeypatch.setattr(PowerIntegrand, "_profile_value",
+                        counting("_profile_value", lambda a: True))
     z = rng.uniform(-2.0, 2.0, (30, 2))
-    for F in cases:
+    for F, seam in zip(cases, ("_radial_samples", "_profile_value")):
         F._grad(z), F._hess(z), F.derivs(z, (1, 2))
         quc.isotropic_envelope(F, n_radii=9, n_angles=8)
         assert not calls, F.describe()
-        # the counter sees a value pass
+        # the counter sees a value pass, on the path each case takes
         F._eval(z)
-        assert calls
+        assert seam in {name for name, _ in calls}, F.describe()
         calls.clear()

@@ -9,7 +9,7 @@ from scipy import sparse
 
 import quc
 from quc.config import compile_boundary_expression
-from quc.regularize import MoreauIntegrand
+from quc.integrand import PowerIntegrand
 from quc.solver import (COARSEST_N, Mesh, SolverError, StencilMatrix, _coons_init, _dot,
                         _galerkin, _newton_matrix, _norm, _pair_with_hats, _pcg,
                         _prolong, _recover_dv, _restrict, _tri_gradients, assemble_energy,
@@ -1110,13 +1110,14 @@ def test_newton_solve_takes_one_integrand_pass_per_iterate(monkeypatch):
     # one orders 0..2 pass at the initial guess and one per Armijo trial,
     # the accepted trial being the next iterate (alpha = 1 is accepted
     # here); each pass through mollify(Moreau(F)) solves the proximal
-    # points of its M triangles' k mollifier samples once, in as many
-    # convolution batches as it takes, so the prox points sum to
-    # (1 + iterations) M k, and one extra pass would add M k more
+    # radii of its M triangles' k mollifier samples once, plus one per
+    # triangle for the mollifier's row test, in as many convolution
+    # batches as it takes, so the radii sum to (1 + iterations) M (k + 1),
+    # and one extra pass would add M (k + 1) more
     points = []
-    prox = MoreauIntegrand.prox
-    monkeypatch.setattr(MoreauIntegrand, "prox",
-                        lambda self, z: points.append(len(z)) or prox(self, z))
+    radius = PowerIntegrand._prox_radius
+    monkeypatch.setattr(PowerIntegrand, "_prox_radius",
+                        lambda self, r, delta: points.append(r.size) or radius(self, r, delta))
     F = quc.strongly_elliptic_approx(quc.make_power(3.0), 2)
     prob = quc.GridProblem(
         integrand=F, n=9,
@@ -1126,7 +1127,7 @@ def test_newton_solve_takes_one_integrand_pass_per_iterate(monkeypatch):
     assert (M, k) == (128, 576)
     sol = quc.solve(prob)
     assert sol.converged and sol.iterations >= 1
-    assert sum(points) == (1 + sol.iterations) * M * k
+    assert sum(points) == (1 + sol.iterations) * M * (k + 1)
 
 
 @pytest.mark.parametrize("make_problem", [_p3_oracle, _disk_blend])
