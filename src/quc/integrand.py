@@ -330,24 +330,20 @@ class RadialLeaf(RadialIntegrand):
         """The root s of s + delta G'(s) = r at each radius of the 1-D array r."""
         return radial_prox_radius(self.profile, r, delta)
 
-    def _profile_value(self, t, gp):
-        """G(t) at the radii t, where gp = G'(t)."""
-        return self.profile(t)
-
     def _prox_underflows(self, Z, delta):
         """Rows whose proximal radius, the root of s + delta G'(s) = |z|,
         lies strictly between 0 and the smallest positive double."""
-        r = np.sqrt(Z[:, 0] ** 2 + Z[:, 1] ** 2)
+        r = _radii(Z[:, 0], Z[:, 1])
         tiny = np.full(1, np.finfo(float).smallest_subnormal)
         G1 = self.profile.deriv
         return (r > delta * G1(np.zeros(1))[0]) & (tiny[0] + delta * G1(tiny)[0] > r)
 
     def _prox(self, Z, delta):
-        r = np.sqrt(Z[:, 0] ** 2 + Z[:, 1] ** 2)
+        r = _radii(Z[:, 0], Z[:, 1])
         return _scale_rows(_ratio(self._prox_radius(r, delta), r), Z)
 
     def _envelope_hess(self, W, delta):
-        s = np.sqrt(W[:, 0] ** 2 + W[:, 1] ** 2)
+        s = _radii(W[:, 0], W[:, 1])
         with np.errstate(divide="ignore", invalid="ignore"):
             radial = self.profile.second(s)
             tang = _ratio(self.profile.deriv(s), s)
@@ -372,13 +368,36 @@ def _power_value(x, y, p):
 _TINY_R2 = np.finfo(float).max ** (-2.0 / 3.0)
 
 
+def _tiny_index(r2):
+    """Flat indices where r2 < _TINY_R2, or None after one min over r2 that
+    skips nan, so that a nan entry does not hide the tiny ones of its batch."""
+    if not (r2.size and np.fmin.reduce(r2, axis=None) < _TINY_R2):
+        return None
+    return np.flatnonzero(r2 < _TINY_R2)
+
+
+def _radii(x, y):
+    """|(x, y)| for coordinate arrays of any one shape: sqrt(x^2 + y^2),
+    except below x^2 + y^2 = _TINY_R2, where the squares lose bits to
+    underflow, and there ``np.hypot``.  It overflows to inf above about
+    1e154.  The radial leaves' proximal maps and the radial envelope's
+    samples (``regularize.RadialMoreauIntegrand``) all take their radii
+    from here, so the vector and coefficient paths see the same r."""
+    r = x ** 2
+    r += y ** 2
+    idx = _tiny_index(r)
+    np.sqrt(r, out=r)
+    if idx is not None:
+        r.flat[idx] = np.hypot(x.flat[idx], y.flat[idx])
+    return r
+
+
 def _tiny_rows(z, r2):
     """(rows, |z|, z/|z|) where z != 0 but r2 = |z|^2 < _TINY_R2, or None
-    after one min over r2 that skips nan, so that a nan row does not hide
-    the tiny rows of its batch."""
-    if not (r2.size and np.fmin.reduce(r2) < _TINY_R2):
+    where ``_tiny_index`` finds no such row."""
+    idx = _tiny_index(r2)
+    if idx is None:
         return None
-    idx = np.flatnonzero(r2 < _TINY_R2)
     r = np.hypot(z[idx, 0], z[idx, 1])
     idx, r = idx[r > 0.0], r[r > 0.0]
     return idx, r, z[idx] / r[:, None]
@@ -478,12 +497,6 @@ class PowerIntegrand(RadialLeaf):
         with np.errstate(over="ignore"):
             s0 = np.minimum(r, (r / delta) ** (1.0 / (self.p - 1.0)))
         return radial_prox_radius(self.profile, r, delta, s0)
-
-    def _profile_value(self, t, gp):
-        # t^p / p = t G'(t) / p, without a second power
-        out = t * gp
-        out /= self.p
-        return out
 
     def describe(self):
         return f"power(p={self.p:g})"

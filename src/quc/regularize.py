@@ -33,8 +33,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .integrand import (_TINY_R2, PROX_GRAD_TOL, Integrand, IntegrandError, ProxError,
-                        RadialIntegrand, RadialLeaf, _ratio)
+from .integrand import (PROX_GRAD_TOL, Integrand, IntegrandError, ProxError, RadialIntegrand,
+                        RadialLeaf, _radii, _ratio)
 
 
 class MollifierSpec:
@@ -158,22 +158,6 @@ class MoreauIntegrand(Integrand):
         return f"moreau({self.part.describe()}, delta={self.delta:g})"
 
 
-def _radii(x, y):
-    """|(x, y)| as sqrt(x^2 + y^2), the doubles of the radial leaves' proximal
-    map, except below x^2 + y^2 = _TINY_R2, where the squares can lose bits
-    to underflow: there from ``np.hypot``.  It overflows to inf above about
-    1e154, as the proximal map's radius does."""
-    r = x ** 2
-    r += y ** 2
-    low = None
-    if r.size and np.fmin.reduce(r, axis=None) < _TINY_R2:  # a min that skips nan
-        low = r < _TINY_R2
-    np.sqrt(r, out=r)
-    if low is not None:
-        r[low] = np.hypot(x[low], y[low])
-    return r
-
-
 class RadialMoreauIntegrand(MoreauIntegrand, RadialIntegrand):
     """The Moreau envelope of a radial leaf, itself radial.
 
@@ -181,8 +165,9 @@ class RadialMoreauIntegrand(MoreauIntegrand, RadialIntegrand):
     G'(rho) = r, F_delta(z) = G(rho) + (r - rho)^2 / (2 delta) and DF_delta(z)
     = (G'(rho)/r) z.  So ``_radial_samples`` gives the value and the
     coefficient of a sample from one ``part._prox_radius`` call on its
-    radius, and the mollifier reduces one coefficient per node instead of a
-    vector field of proximal points.  Every radius is checked against the
+    radius (``integrand._radii``, as the leaf's ``prox`` takes it), and the
+    mollifier reduces one coefficient per node instead of a vector field of
+    proximal points.  Every radius is checked against the
     optimality condition |G'(rho) + (rho - r)/delta| <= 100 PROX_GRAD_TOL
     (1 + r), and a miss raises the ``ProxError`` that ``prox`` raises for
     the same point.  ``prox`` and ``derivs`` are inherited unchanged, so
@@ -230,7 +215,7 @@ class RadialMoreauIntegrand(MoreauIntegrand, RadialIntegrand):
             d = r - rho
             d *= d
             d *= 0.5 / delta
-            d += part._profile_value(rho, gp)
+            d += part.profile(rho)
             f = d.reshape(x.shape)
         if 1 in orders:
             with np.errstate(divide="ignore", invalid="ignore"):  # 0/0 at r = 0 is replaced
@@ -316,9 +301,13 @@ class MollifiedIntegrand(Integrand):
     leaf's tiny-radius regime, where ``_radial_samples`` gives nan.  Those
     rows, and points z that are not finite, take the vector path, each by
     itself, so that their bits do not depend on the batch either.  An
-    envelope's coefficient is at most 1/delta, its gradient's Lipschitz
-    constant, and it raises ``ProxError`` at a point that is not finite, as
-    its vector path does.
+    envelope's coefficients are at most 1/delta, the Lipschitz constant of
+    its gradient, up to its proximal radii's tolerance, so no sample near 0
+    can make them large: its rows compare with 1/delta in place of
+    G'(rho)/rho, which bounds M by _RADIAL_SLACK (sum_k c_k) rho / delta and
+    needs no proximal radius at rho, and fail in effect only where a
+    coefficient is not finite.  An envelope raises ``ProxError`` at a point
+    that is not finite, as its vector path does.
     """
 
     kind = "mollified"
@@ -391,8 +380,11 @@ class MollifiedIntegrand(Integrand):
         s = s.reshape(-1, k, 1)
         grad_tab, hess_tab = self._radial_tables
         a = np.matmul(grad_tab, s)[:, :, 0]
-        rho = np.hypot(zb[:, 0], zb[:, 1]) + self.eps
-        s_rho = self.part._radial_samples(rho, np.zeros_like(rho), (1,))[1]
+        if isinstance(self.part, RadialMoreauIntegrand):
+            s_rho = 1.0 / self.part.delta  # the ceiling of the envelope's coefficients
+        else:
+            rho = np.hypot(zb[:, 0], zb[:, 1]) + self.eps
+            s_rho = self.part._radial_samples(rho, np.zeros_like(rho), (1,))[1]
         bad = ~((a[:, 0] <= self._radial_limit * s_rho) & np.isfinite(zb).all(axis=1))
         with np.errstate(invalid="ignore"):  # inf - inf only in the bad rows
             if 1 in orders:

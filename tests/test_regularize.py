@@ -5,8 +5,8 @@ import pytest
 
 import quc
 from quc.integrand import (PROX_GRAD_TOL, AffineAddIntegrand, IntegrandError, PowerIntegrand,
-                           ProxError, ScaledIntegrand, ShiftedIntegrand, SumIntegrand,
-                           _prox_solve, _scale_rows)
+                           ProxError, RadialIntegrand, RadialProfile, ScaledIntegrand,
+                           ShiftedIntegrand, SumIntegrand, _prox_solve, _scale_rows)
 from quc.regularize import _CHUNK, _RADIAL_SLACK, MollifiedIntegrand, MoreauIntegrand
 from conftest import catalogue
 
@@ -441,9 +441,13 @@ def _radial_parts():
 
 
 def _mollified_cases():
+    # the radial leaves and envelopes take the coefficient path; the plain
+    # MoreauIntegrand is not a radial part and takes the vector path
     return [(name, quc.mollify_plus_quadratic(F, 0.25, 0.25)) for name, F in _radial_parts()] + [
-    ] + [(f"moreau_power_{p:g}", quc.mollify_plus_quadratic(
-        quc.moreau_yosida(quc.make_power(p), 0.25), 0.25, 0.25)) for p in (1.1, 1.5, 3.0)]
+        (f"moreau_power_{p:g}", quc.mollify_plus_quadratic(
+            quc.moreau_yosida(quc.make_power(p), 0.25), 0.25, 0.25)) for p in (1.1, 1.5, 3.0)] + [
+        ("vector_moreau_power_1.5", quc.mollify_plus_quadratic(
+            MoreauIntegrand(quc.make_power(1.5), 0.25), 0.25, 0.25))]
 
 
 def _vector_path(Mo):
@@ -541,6 +545,11 @@ def test_mollified_matches_reference_convolution(name, Mo, rng):
     Algorithms, lemma 3.1 and eq. 3.5), n = k + 3, u = eps/2 and A the sum
     of the terms' magnitudes; gamma_n(u) <= gamma_n = n eps / (1 - n eps).
 
+    Vector path (a part that is not radial): both reductions sum the same
+    rounded samples in different orders, so each is within gamma_{k+3}(u) A
+    of the exact sum, and the two within 2 gamma_{k+3}(u) A <= gamma_{k+3} A
+    of each other.
+
     Radial leaf: the value sums the same samples as the reference, so it is
     within gamma_{k+3} A of it.  DF and D2F come from the coefficients s_k =
     G'(r_k)/r_k, the same doubles the part's gradient scales its points by
@@ -564,9 +573,10 @@ def test_mollified_matches_reference_convolution(name, Mo, rng):
     gamma_{k+8} min(M, M') + gamma_{k+3} A.  Every other row is the vector
     path's, within gamma_{k+3} A of the reference.
 
-    Radial envelope: the reference samples (w - prox(w))/delta at each
-    shifted point w, and the fast path s_k w from the proximal radius.  Let
-    tau = 100 PROX_GRAD_TOL (1 + r) at r = |w|.  A proximal point that
+    Radial envelope: the row test compares with 1/delta in place of s_rho,
+    so there M <= M' = L rho / delta, over eps for D2F, plus the mu term.
+    The reference samples (w - prox(w))/delta at each shifted point w, and
+    the fast path s_k w from the proximal radius.  Let tau = 100 PROX_GRAD_TOL (1 + r) at r = |w|.  A proximal point that
     passes its check lies within delta tau (plus the check's rounding) of
     the exact one, as the proximal objective is (1/delta)-strongly convex,
     so the reference sample is within tau (1 + gamma_6) + gamma_15 r/delta
@@ -597,14 +607,21 @@ def test_mollified_matches_reference_convolution(name, Mo, rng):
     vals, grads, _ = Mo.part.derivs(pts, (0, 1))
     want, size = _reference_convolution(Mo, z, vals, grads)
     got = Mo.derivs(z)
+    if not isinstance(Mo.part, RadialIntegrand):
+        for g, ref, a in zip(got, want, size):
+            assert np.all(np.abs(g - ref) <= _gamma(k + 3) * a), name
+        return
     v, s = Mo.part._radial_samples(pts[:, 0], pts[:, 1], (0, 1))
     rho = np.hypot(z[:, 0], z[:, 1]) + Mo.eps
-    s_rho = Mo.part._radial_samples(rho, np.zeros_like(rho), (1,))[1]
+    envelope = isinstance(Mo.part, MoreauIntegrand)
+    if envelope:
+        s_rho = 1.0 / Mo.part.delta
+    else:
+        s_rho = Mo.part._radial_samples(rho, np.zeros_like(rho), (1,))[1]
     c = Mo.spec.weights + np.abs(Mo.spec.grad_weights).sum(axis=1)
     top = _RADIAL_SLACK * c.sum() * s_rho * rho
     ceiling = (top[:, None] + Mo.mu * np.abs(z), top[:, None, None] / Mo.eps + Mo.mu * np.eye(2))
     magnitudes = _radial_magnitudes(Mo, z, s.reshape(-1, k))
-    envelope = isinstance(Mo.part, MoreauIntegrand)
     fast = [_gamma(k + (6 if envelope else 8)) * np.minimum(m, m_top)
             for m, m_top in zip(magnitudes, ceiling)]
     if not envelope:
@@ -667,8 +684,8 @@ def test_radial_mollifier_rows_without_a_coefficient_take_the_vector_path(name, 
 
 def test_radial_envelope_takes_one_prox_radius_per_sample(monkeypatch, rng):
     # a (0, 1) pass over three convolution chunks solves the proximal radius
-    # of each shifted point once, for the value and the coefficient alike;
-    # each chunk adds one radius per row, rho = |z| + eps, for the row test
+    # of each shifted point once, for the value and the coefficient alike,
+    # and none for the row test, which compares with 1/delta
     sizes = []
     radius = PowerIntegrand._prox_radius
     monkeypatch.setattr(PowerIntegrand, "_prox_radius",
@@ -677,7 +694,7 @@ def test_radial_envelope_takes_one_prox_radius_per_sample(monkeypatch, rng):
     k = len(Mo.spec.nodes)
     rows = _CHUNK // k
     Mo.derivs(rng.uniform(-2.0, 2.0, (2 * rows + 8, 2)), (0, 1))
-    assert sizes == [rows * k, rows, rows * k, rows, 8 * k, 8]
+    assert sizes == [rows * k, rows * k, 8 * k]
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -849,6 +866,8 @@ def _derivs_cases():
         ("mollified_uhlenbeck", quc.mollify_plus_quadratic(quc.make_uhlenbeck(
             quc.power_sum_profile([(1.0, 1.5), (0.5, 3.0)])), 0.25, 0.25)),
         ("ladder", quc.normalise(quc.strongly_elliptic_approx(power3, 2))),
+        ("ladder_vector_path", quc.normalise(quc.mollify_plus_quadratic(
+            MoreauIntegrand(power3, 0.25), 0.25, 0.25))),
         ("fd", quc.with_fd_derivatives(quc.make_power(2.5))),
     ]
 
@@ -915,29 +934,28 @@ def test_gradient_passes_evaluate_no_leaf_value(monkeypatch, rng):
     # the mollifier's Hessian pairs gradient samples, and the Moreau envelope
     # needs G(rho) or F(prox) only for its value: no pass without order 0
     # reaches a leaf value, by the leaf's _eval, by its _radial_samples with
-    # order 0 (the mollifier's radial path) or by its _profile_value (the
-    # radial envelope's samples)
+    # order 0 (the mollifier's radial path) or by a call of its profile G
+    # (the radial envelope's samples)
     power3 = quc.make_power(3.0)
     cases = [quc.normalise(quc.mollify_plus_quadratic(power3, 0.25, 0.25)),
              quc.normalise(quc.strongly_elliptic_approx(power3, 2))]
     calls = []
-    real = {name: getattr(PowerIntegrand, name)
-            for name in ("_eval", "_radial_samples", "_profile_value")}
 
-    def counting(name, wants_value):
+    def counting(cls, name, wants_value):
+        real = getattr(cls, name)
+
         def method(self, *args):
             if wants_value(args):
-                calls.append((name, args[0].size))
-            return real[name](self, *args)
-        return method
+                calls.append((name, np.size(args[0])))
+            return real(self, *args)
 
-    monkeypatch.setattr(PowerIntegrand, "_eval", counting("_eval", lambda a: True))
-    monkeypatch.setattr(PowerIntegrand, "_radial_samples",
-                        counting("_radial_samples", lambda a: 0 in a[2]))
-    monkeypatch.setattr(PowerIntegrand, "_profile_value",
-                        counting("_profile_value", lambda a: True))
+        monkeypatch.setattr(cls, name, method)
+
+    counting(PowerIntegrand, "_eval", lambda a: True)
+    counting(PowerIntegrand, "_radial_samples", lambda a: 0 in a[2])
+    counting(RadialProfile, "__call__", lambda a: True)
     z = rng.uniform(-2.0, 2.0, (30, 2))
-    for F, seam in zip(cases, ("_radial_samples", "_profile_value")):
+    for F, seam in zip(cases, ("_radial_samples", "__call__")):
         F._grad(z), F._hess(z), F.derivs(z, (1, 2))
         quc.isotropic_envelope(F, n_radii=9, n_angles=8)
         assert not calls, F.describe()

@@ -1110,10 +1110,9 @@ def test_newton_solve_takes_one_integrand_pass_per_iterate(monkeypatch):
     # one orders 0..2 pass at the initial guess and one per Armijo trial,
     # the accepted trial being the next iterate (alpha = 1 is accepted
     # here); each pass through mollify(Moreau(F)) solves the proximal
-    # radii of its M triangles' k mollifier samples once, plus one per
-    # triangle for the mollifier's row test, in as many convolution
-    # batches as it takes, so the radii sum to (1 + iterations) M (k + 1),
-    # and one extra pass would add M (k + 1) more
+    # radii of its M triangles' k mollifier samples once, in as many
+    # convolution batches as it takes, so the radii sum to
+    # (1 + iterations) M k, and one extra pass would add M k more
     points = []
     radius = PowerIntegrand._prox_radius
     monkeypatch.setattr(PowerIntegrand, "_prox_radius",
@@ -1127,7 +1126,7 @@ def test_newton_solve_takes_one_integrand_pass_per_iterate(monkeypatch):
     assert (M, k) == (128, 576)
     sol = quc.solve(prob)
     assert sol.converged and sol.iterations >= 1
-    assert sum(points) == (1 + sol.iterations) * M * (k + 1)
+    assert sum(points) == (1 + sol.iterations) * M * k
 
 
 @pytest.mark.parametrize("make_problem", [_p3_oracle, _disk_blend])
