@@ -76,7 +76,8 @@ def _solution_rows(sol):
 # ---------------------------------------------------------------------------
 
 def analyze_rows(F, rng):
-    """CSV rows (check, measured, bound, margin) for one integrand."""
+    """CSV rows (check, measured, bound, margin) for one integrand, and the
+    ellipticity ratio H that ``estimate_H`` measured for its first row."""
     rows = []
 
     def add(check, measured, bound=None):
@@ -99,7 +100,7 @@ def analyze_rows(F, rng):
     rt = np.max(np.abs(qa.H_from_delta(qa.delta_from_H(hs)) / hs - 1.0))
     add("delta_H_roundtrip", float(rt), 1e-12)
 
-    drep = qa.measure_delta_monotonicity(F, rng=rng, H_est=hrep.H_est)
+    drep = qa.measure_delta_monotonicity(F, rng)
     add("delta_monotonicity", -drep.delta_est,
         -(qa.delta_from_H(hrep.H_est) - 1e-6))
 
@@ -113,7 +114,7 @@ def analyze_rows(F, rng):
 
     add("midpoint_convexity_margin", -check_midpoint_convexity(F, rng, n=2000), 1e-12)
     add("gradient_fd_mismatch", check_gradient_finite_differences(F, rng, n=500), 1e-5)
-    return rows
+    return rows, hrep.H_est
 
 
 def _analyze_verdict(row):
@@ -148,7 +149,7 @@ def cmd_validate(cfg, args, out_dir, rng):
 
 def cmd_analyze(cfg, args, out_dir, rng):
     F = normalise(cfg.integrand)
-    rows = analyze_rows(F, rng)
+    rows, _ = analyze_rows(F, rng)
     path = os.path.join(out_dir, "analyze.csv")
     write_csv(path, ["check", "measured", "bound", "margin"], rows,
               _provenance(cfg, args.seed))
@@ -223,7 +224,9 @@ def run(cfg, out_dir=".", seed=None, checks=None):
     """Pipeline: normalise, analyze, solve, run checks; write one CSV each.
 
     ``checks`` (default ``cfg.checks``) are checks as ``parse_config``
-    converts them, and each is run with its values as given.  Returns the
+    converts them, and each is run with its values as given.  The checks
+    take H as an input: the run's one estimate, which ``analyze_rows``
+    measured with the run's rng and analyze.csv reports.  Returns the
     exit code, nonzero when a hard assertion failed (non-convergence,
     assert_max_ratio violations, degiorgi verdict mismatches).
     """
@@ -234,7 +237,7 @@ def run(cfg, out_dir=".", seed=None, checks=None):
     failures = []
 
     F = normalise(cfg.integrand)
-    rows = analyze_rows(F, rng)
+    rows, H = analyze_rows(F, rng)
     write_csv(os.path.join(out_dir, "analyze.csv"),
               ["check", "measured", "bound", "margin"], rows, prov)
     failures += [f"analyze:{r['check']}" for r in rows if _analyze_verdict(r) == "FAIL"]
@@ -251,7 +254,6 @@ def run(cfg, out_dir=".", seed=None, checks=None):
         if not sol.converged:
             failures.append(f"solver non-converged ({sol.stop_reason})")
 
-    H = qa.estimate_H(F, rng=np.random.default_rng(seed + 1)).H_est if needs_solve else None
     for spec in checks:
         reps = _run_one_check(spec, sol, H)
         write_csv(os.path.join(out_dir, spec["out"]), est.REPORT_FIELDS,

@@ -6,7 +6,8 @@ constant (pi H / (R - rho))^2, its L1 corollary, the stress Sobolev bounds,
 and the sup/mean energy comparison behind the Lipschitz estimate.  Super
 level sets are resolved by triangle barycenter, matching the piecewise
 constant gradient representation.  The geometric De Giorgi recursion that
-drives the sup bound is iterated directly.
+drives the sup bound is iterated directly.  No check estimates the
+ellipticity ratio H of F: it is an input, the run's one estimate.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .qc_analysis import EtaProfile, estimate_H
+from .qc_analysis import EtaProfile
 from .solver import stress_field
 
 
@@ -156,25 +157,19 @@ def _straddling_count(mesh, member, region):
     return int(np.count_nonzero(mesh.on_cells(region, fill=False) & differs))
 
 
-def _h_est(solution, H):
-    if H is not None:
-        return float(H)
-    return estimate_H(solution.problem.integrand,
-                      rng=np.random.default_rng(7)).H_est
-
-
 # ---------------------------------------------------------------------------
 # checks
 # ---------------------------------------------------------------------------
 
-def caccioppoli_check(solution, ell, rho, R, center, H=None):
+def caccioppoli_check(solution, ell, rho, R, center, H):
     """Level-set Caccioppoli inequality with constant (pi H / (R - rho))^2.
 
     ``ell`` is the affine function on gradient space, given as (c, b) with
     ell(z) = c + (b, z); the super-level region is {F(Du) >= ell(Du)}.
     LHS integrates |DV|_2^2 over the region in B_rho, RHS integrates
-    |V - b|^2 over the region in B_R times the constant.  A region that
-    holds no triangle barycenter in B_R raises ValueError.
+    |V - b|^2 over the region in B_R times the constant, with H the
+    ellipticity ratio of the solution's integrand.  A region that holds no
+    triangle barycenter in B_R raises ValueError.
     """
     if not rho < R:
         raise ValueError(f"need rho < R, got rho={rho}, R={R}")
@@ -199,8 +194,7 @@ def caccioppoli_check(solution, ell, rho, R, center, H=None):
             f"on the grid n={mesh.n}")
     dv2 = (dv**2).sum(axis=(1, 2))
     lhs = float((mesh.area * dv2[inner]).sum())
-    Hval = _h_est(solution, H)
-    const = (np.pi * Hval / (R - rho)) ** 2
+    const = (np.pi * H / (R - rho)) ** 2
     vshift = solution.v - ell_b
     v2 = (vshift**2).sum(axis=1)
     rhs = const * float((mesh.area * v2[outer]).sum())
@@ -212,17 +206,18 @@ def caccioppoli_check(solution, ell, rho, R, center, H=None):
         params={"ell_c": ell_c, "ell_b1": float(ell_b[0]), "ell_b2": float(ell_b[1]),
                 "rho": float(rho), "R": float(R),
                 "center_x": float(center[0]), "center_y": float(center[1])},
-        extra={"H_est": Hval,
+        extra={"H_est": float(H),
                "straddling": _straddling_count(mesh, member, region),
                "tris_smallest_ball": int(ball_rho.sum())},
     )
 
 
-def caccioppoli_l1_check(solution, R, center, H=None):
+def caccioppoli_l1_check(solution, R, center, H):
     """L1 corollary: int_{B_R} |DV|^2 against R^{-(N+2)} (int_{B_2R} |V|)^2.
 
     The constant C(H, N) is not explicit, so the ratio itself is the
     empirical constant; stability across refinements is what gets asserted.
+    H is only reported.
     """
     mesh = solution.mesh
     _require_ball_inside(mesh.bounds, solution.problem.mask, center,
@@ -241,16 +236,17 @@ def caccioppoli_l1_check(solution, R, center, H=None):
         integrand=solution.problem.integrand.describe(),
         params={"R": float(R), "center_x": float(center[0]),
                 "center_y": float(center[1])},
-        extra={"H_est": _h_est(solution, H),
+        extra={"H_est": float(H),
                "tris_smallest_ball": int(inner.sum())},
     )
 
 
-def sobolev_stress_check(solution, R, center, H=None):
+def sobolev_stress_check(solution, R, center, H):
     """Stress Sobolev bounds: mean-square DV and V on B_R against the
     distortion profile of the mean energy on B_2R.
 
-    Requires a normalised integrand (the gradient-infimum scale equals 1).
+    Requires a normalised integrand (the gradient-infimum scale equals 1),
+    whose ellipticity ratio H sets the profile eta_{H/(H+1), 1/(H+1)}.
     Returns two reports, one for the DV bound and one for the V bound; the
     measured ratios are the empirical constants.
     """
@@ -259,8 +255,7 @@ def sobolev_stress_check(solution, R, center, H=None):
                          CHECK_BALL["sobolev"] * R)
     dv = stress_field(solution)
     F = solution.problem.integrand
-    Hval = _h_est(solution, H)
-    prof = EtaProfile(Hval / (Hval + 1.0), 1.0 / (Hval + 1.0))
+    prof = EtaProfile(H / (H + 1.0), 1.0 / (H + 1.0))
     inner = _ball_tris(mesh, center, R)
     outer = _ball_tris(mesh, center, 2.0 * R)
     mean_energy = _ball_mean(mesh, outer, solution.energy_density)
@@ -276,7 +271,7 @@ def sobolev_stress_check(solution, R, center, H=None):
     common = dict(grid_n=solution.problem.n, integrand=F.describe(),
                   params={"R": float(R), "center_x": float(center[0]),
                           "center_y": float(center[1])},
-                  extra={"H_est": Hval, "tris_smallest_ball": int(inner.sum())})
+                  extra={"H_est": float(H), "tris_smallest_ball": int(inner.sum())})
     return [
         VerificationReport(name="sobolev_dv", lhs=float(lhs_dv), rhs=float(rhs_dv),
                            constant=1.0 / R, **common),

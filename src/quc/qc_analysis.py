@@ -167,10 +167,10 @@ def H_from_delta(delta):
 class DilatationEstimate:
     """Sampled dilatation / monotonicity measurement for one integrand."""
 
-    H_est: float
     worst_point: np.ndarray
     n_samples: int
-    n_skipped: int = 0
+    n_skipped: int
+    H_est: float | None = None
     delta_est: float | None = None
 
 
@@ -189,24 +189,25 @@ def default_sampling_plan(rng):
 
 def estimate_H(F, rng):
     """Max sampled Hessian eigenvalue ratio of F over the sampling plan
-    drawn from ``rng``, less the points within 1e-8 of a singular point."""
+    drawn from ``rng``, less the points within 1e-8 of a singular point.
+    Finite Hessians with lmin <= 0 are skipped and counted; one that is not
+    finite gives a ratio of nan, the worst."""
     points = default_sampling_plan(rng)
     for s in F.singular_points:
         points = points[np.hypot(points[:, 0] - s[0], points[:, 1] - s[1]) >= 1e-8]
     H = F._hess(points)
     lo, hi = sym2_eig_bounds(H)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = hi / lo
-    good = np.isfinite(ratio) & (lo > 0.0)
-    n_skipped = int((~good).sum())
-    if not good.any():
+    skip = (lo <= 0.0) & np.isfinite(H).all(axis=(1, 2))
+    n_skipped = int(skip.sum())
+    if skip.all():
         raise RuntimeError("no valid Hessian samples")
-    ratio = np.where(good, ratio, -np.inf)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = np.where(skip, -np.inf, hi / lo)
     k = int(np.argmax(ratio))
     return DilatationEstimate(
         H_est=float(ratio[k]),
         worst_point=points[k].copy(),
-        n_samples=int(good.sum()),
+        n_samples=skip.size - n_skipped,
         n_skipped=n_skipped,
     )
 
@@ -221,15 +222,15 @@ def _sharp_pair(F):
     return v, np.zeros(2)
 
 
-def measure_delta_monotonicity(F, rng=None, *, H_est):
+def measure_delta_monotonicity(F, rng):
     """Min over sampled pairs of (DF(z)-DF(w), z-w) / (|DF(z)-DF(w)| |z-w|).
 
-    The 4000 pairs are drawn from ``rng`` (seed 0 when None) in [-10, 10]^2.
-    For constant-Hessian integrands the sharp eigenvector pair is always
+    The 4000 pairs are drawn from ``rng`` in [-10, 10]^2.  For
+    constant-Hessian integrands the sharp eigenvector pair is always
     included, where the quotient equals 2 sqrt(l1 lN) / (l1 + lN) exactly.
-    Degenerate pairs with DF(z) = DF(w) are skipped and counted.
+    Pairs with DF(z) = DF(w) or z = w are skipped and counted; a DF that is
+    not finite gives a quotient of nan, the worst.
     """
-    rng = np.random.default_rng(0) if rng is None else rng
     z = rng.uniform(-10.0, 10.0, (4000, 2))
     w = rng.uniform(-10.0, 10.0, (4000, 2))
     if F.constant_hessian:
@@ -240,14 +241,13 @@ def measure_delta_monotonicity(F, rng=None, *, H_est):
     dz = z - w
     ng = np.hypot(dg[:, 0], dg[:, 1])
     nz = np.hypot(dz[:, 0], dz[:, 1])
-    good = (ng > 0.0) & (nz > 0.0)
-    quot = np.where(good, (dg * dz).sum(axis=1) / np.where(good, ng * nz, 1.0), np.inf)
+    skip = np.isfinite(ng) & ((ng == 0.0) | (nz == 0.0))
+    quot = np.where(skip, np.inf, (dg * dz).sum(axis=1) / np.where(skip, 1.0, ng * nz))
     k = int(np.argmin(quot))
     return DilatationEstimate(
-        H_est=H_est,
         worst_point=z[k].copy(),
-        n_samples=int(good.sum()),
-        n_skipped=int((~good).sum()),
+        n_samples=int((~skip).sum()),
+        n_skipped=int(skip.sum()),
         delta_est=float(quot[k]),
     )
 
@@ -310,18 +310,17 @@ class QuasisymmetryReport:
     H_used: float
 
 
-def quasisymmetry_check(F, triples=None, rng=None, *, n_triples=10**4, H=None):
+def quasisymmetry_check(F, triples=None, rng=None, *, n_triples=10**4, H):
     """Empirical constant C in the gradient distortion estimate.
 
     Measures the max over triples (z0, z, w) of
     |DF(z)-DF(z0)| / (|DF(w)-DF(z0)| eta_H(|z-z0| / |w-z0|)), with
-    ``n_triples`` random triples in the square [-5, 5]^2 unless given.
+    ``n_triples`` triples drawn from ``rng`` in the square [-5, 5]^2 unless
+    given.  Triples with DF(w) = DF(z0), z = z0 or w = z0 are skipped; a DF
+    that is not finite gives a quotient of nan, the worst.
     """
-    if H is None:
-        H = estimate_H(F, rng=np.random.default_rng(1)).H_est
     prof = eta_H(max(H, 1.0))
     if triples is None:
-        rng = np.random.default_rng(0) if rng is None else rng
         z0 = rng.uniform(-5.0, 5.0, (n_triples, 2))
         z = rng.uniform(-5.0, 5.0, (n_triples, 2))
         w = rng.uniform(-5.0, 5.0, (n_triples, 2))
@@ -334,14 +333,16 @@ def quasisymmetry_check(F, triples=None, rng=None, *, n_triples=10**4, H=None):
     den = np.hypot(gw[:, 0], gw[:, 1])
     dz = np.hypot(z[:, 0] - z0[:, 0], z[:, 1] - z0[:, 1])
     dw = np.hypot(w[:, 0] - z0[:, 0], w[:, 1] - z0[:, 1])
-    good = (den > 0.0) & (dw > 0.0) & (dz > 0.0)
-    quot = np.where(good, num / (den * prof(np.where(good, dz / np.where(dw > 0, dw, 1), 1.0))),
-                    -np.inf)
+    finite = np.isfinite(num) & np.isfinite(den)
+    skip = finite & ((den == 0.0) | (dw == 0.0) | (dz == 0.0))
+    ratio = np.divide(dz, dw, out=np.ones_like(dz), where=~skip)
+    quot = np.divide(num, den * prof(ratio), out=np.full_like(num, -np.inf), where=~skip)
+    quot[~finite] = np.nan
     k = int(np.argmax(quot))
     return QuasisymmetryReport(
         C=float(quot[k]),
         worst_triple=(z0[k].copy(), z[k].copy(), w[k].copy()),
-        n_triples=int(good.sum()),
+        n_triples=int((~skip).sum()),
         H_used=float(H),
     )
 

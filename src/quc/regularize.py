@@ -320,26 +320,29 @@ class MollifiedIntegrand(Integrand):
         self.eps = eps
         self.mu = mu
         self.spec = MollifierSpec()
-        self._node_cols = [np.ascontiguousarray(c) for c in (self.eps * self.spec.nodes).T]
+        ex, ey = (self.eps * self.spec.nodes).T
+        self._shift_tables = [np.stack([np.ones_like(c), -c]) for c in (ex, ey)]
         self.analytic_H = part.analytic_H
         if isinstance(part, RadialIntegrand):
             # rows paired with s_k: c for the row test (c > 0, so its sum is
             # finite only where every s_k is), w and w eps e_k for DF, then
             # gw_j and eps e_k,i gw_j for D2F
-            w, (ex, ey) = self.spec.weights, self._node_cols
-            gw = self.spec.grad_weights.T
+            w, gw = self.spec.weights, self.spec.grad_weights.T
             c = w + np.abs(gw).sum(axis=0)
             self._radial_tables = (np.stack([c, w, w * ex, w * ey]),
                                    np.stack([*gw, *(ex * gw), *(ey * gw)]))
             self._radial_limit = _RADIAL_SLACK * c.sum()
-            self._shift_tables = [np.stack([np.ones_like(c), -c]) for c in (ex, ey)]
 
-    def _shifted(self, z):
-        # one subtraction per component keeps numpy's inner loop on the k nodes
-        pts = np.empty((z.shape[0], len(self.spec.nodes), 2))
-        for c, col in enumerate(self._node_cols):
-            np.subtract(z[:, c, None], col, out=pts[:, :, c])
-        return pts.reshape(-1, 2)
+    def _shifted_coords(self, zb):
+        """X = z_x - eps e_x and Y = z_y - eps e_y as contiguous (rows, k) arrays."""
+        # [z_c, 1] @ [1; -eps e_c] is z_c - eps e_c in one rounding, the double
+        # np.subtract gives up to the sign of a zero (at z_c = -0, e_c = 0);
+        # the gemm writes the (rows, k) array faster than a broadcast
+        A = np.ones((zb.shape[0], 2))
+        A[:, 0] = zb[:, 0]
+        X = np.matmul(A, self._shift_tables[0])
+        A[:, 0] = zb[:, 1]
+        return X, np.matmul(A, self._shift_tables[1])
 
     def _chunks(self, m):
         k = len(self.spec.nodes)
@@ -352,7 +355,8 @@ class MollifiedIntegrand(Integrand):
         ``part.derivs`` pass over the shifted points."""
         k, w = len(self.spec.nodes), self.spec.weights
         sampled = {min(j, 1) for j in orders}  # the Hessian pairs the DF samples
-        vals, grads, _ = self.part.derivs(self._shifted(zb), sampled)
+        pts = np.stack(self._shifted_coords(zb), axis=-1).reshape(-1, 2)
+        vals, grads, _ = self.part.derivs(pts, sampled)
         if grads is not None:
             grads = grads.reshape(-1, k, 2).transpose(0, 2, 1)
         return (np.matmul(vals.reshape(-1, 1, k), w)[:, 0] if 0 in orders else None,
@@ -363,15 +367,7 @@ class MollifiedIntegrand(Integrand):
         """The same from one coefficient s_k per node, for a radial part; rows
         that fail the class docstring's test are taken from ``_sampled``."""
         k = len(self.spec.nodes)
-        # [z_c, 1] @ [1; -eps e_c] is z_c - eps e_c in one rounding, the double
-        # np.subtract gives up to the sign of a zero, which no radial part
-        # sees; the gemm writes the (rows, k) array faster than a broadcast
-        A = np.ones((zb.shape[0], 2))
-        A[:, 0] = zb[:, 0]
-        X = np.matmul(A, self._shift_tables[0])
-        A[:, 0] = zb[:, 1]
-        Y = np.matmul(A, self._shift_tables[1])
-        v, s = self.part._radial_samples(X, Y, {min(j, 1) for j in orders})
+        v, s = self.part._radial_samples(*self._shifted_coords(zb), {min(j, 1) for j in orders})
         f = g = h = None
         if v is not None:
             f = np.matmul(v.reshape(-1, 1, k), self.spec.weights)[:, 0]

@@ -89,3 +89,23 @@ def sol_blend():
 def sol_affine():
     F = quc.make_power(3.0)
     return _solve(F, 17, "0.7*x - 0.3*y + 0.2")
+
+
+class NanPower(quc.integrand.PowerIntegrand):
+    """|z|^3 / 3 whose Hessian, and gradient unless ``grad_too`` is false,
+    read nan at every 97th sample of a batch."""
+
+    def __init__(self, grad_too=True):
+        super().__init__(3.0)
+        self.grad_too = grad_too
+
+    def _grad(self, z):
+        g = super()._grad(z).copy()
+        if self.grad_too:
+            g[::97] = np.nan
+        return g
+
+    def _hess(self, z):
+        h = super()._hess(z).copy()
+        h[::97] = np.nan
+        return h

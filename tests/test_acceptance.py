@@ -46,7 +46,7 @@ def test_criterion_2_delta_H():
     delta = 0.8
     s = np.sqrt(1.0 - delta**2)
     F = quc.make_anisotropic_quadratic(np.diag([1.0 + s, 1.0 - s]))
-    rep = quc.measure_delta_monotonicity(F, H_est=4.0)
+    rep = quc.measure_delta_monotonicity(F, np.random.default_rng(0))
     sharp_err = abs(rep.delta_est - 0.8)
     _report(2, "delta/H round trip to 1e-12 and sharp pair quotient 0.8",
             rt <= 1e-12 and sharp_err <= 1e-10,
@@ -66,7 +66,7 @@ def test_criterion_3_dilatation(rng):
         details.append(f"p={p}: {est.H_est:.4f}")
     for name, F in catalogue():
         est = quc.estimate_H(F, rng=rng)
-        rep = quc.measure_delta_monotonicity(F, rng=rng, H_est=est.H_est)
+        rep = quc.measure_delta_monotonicity(F, rng)
         good = rep.delta_est >= quc.delta_from_H(est.H_est) - 1e-6
         ok &= good
         if not good:

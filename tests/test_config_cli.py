@@ -8,6 +8,7 @@ from quc.cli import VERIFY_CHECKS, main
 from quc.config import (_KINDS, ConfigError, build_integrand, compile_boundary_expression,
                         parse_config)
 from quc.csvio import read_csv
+from conftest import NanPower
 
 
 # ---------------------------------------------------------------------------
@@ -216,7 +217,7 @@ def test_cli_analyze(tmp_path):
 
 def _analyze_rows_with(row):
     def rows(F, rng):
-        return [{"check": "fine", "measured": 1.0, "bound": 2.0, "margin": 1.0}, row]
+        return [{"check": "fine", "measured": 1.0, "bound": 2.0, "margin": 1.0}, row], 2.0
     return rows
 
 
@@ -251,6 +252,37 @@ def test_run_fails_an_unusable_analyze_row(tmp_path, capsys, monkeypatch, row):
     monkeypatch.setattr(quc.cli, "analyze_rows", _analyze_rows_with(
         {"check": "quasisymmetry_C", "measured": 3.0, "bound": None, "margin": None}))
     assert quc.cli.run(cfg, out_dir=str(tmp_path)) == 0
+
+
+def test_cli_analyze_fails_a_nan_hessian_sample(tmp_path, capsys, monkeypatch):
+    # a nan Hessian at every 97th sample makes the dilatation estimate nan,
+    # where skipping those samples read H = 2 and passed
+    monkeypatch.setattr(quc.cli, "normalise", lambda F: NanPower(grad_too=False))
+    assert main(["--out-dir", str(tmp_path), "analyze", str(_config(tmp_path))]) == 1
+    assert "got nan" in capsys.readouterr().err
+
+
+def test_verify_checks_report_the_one_H_the_run_measured(tmp_path, monkeypatch):
+    # one estimate of H per run, on the run's rng: every check that takes H
+    # reports analyze.csv's measured value.  For this blend at seed 1 an
+    # estimate on seed 2 reads another H.
+    calls = []
+    estimate_H = quc.qc_analysis.estimate_H
+    monkeypatch.setattr(quc.qc_analysis, "estimate_H",
+                        lambda F, rng: calls.append(F) or estimate_H(F, rng))
+    center = [0.5, 0.5]
+    cfg = _config(tmp_path, integrand={"kind": "blend", "p": 3.0, "q": 1.5, "w": [0.5, 0.0]},
+                  checks=[{"name": "caccioppoli", "k": 0.0, "rho": 0.1, "R": 0.2,
+                           "center": center},
+                          {"name": "caccioppoli_l1", "R": 0.2, "center": center},
+                          {"name": "sobolev", "R": 0.2, "center": center}])
+    assert main(["--out-dir", str(tmp_path), "verify", str(cfg)]) == 0
+    assert len(calls) == 1
+    _, _, rows = read_csv(tmp_path / "analyze.csv")
+    assert rows[0]["check"] == "H_est"
+    for name in ("caccioppoli_0.csv", "caccioppoli_l1_1.csv", "sobolev_2.csv"):
+        _, _, reports = read_csv(tmp_path / name)
+        assert [r["H_est"] for r in reports] == [rows[0]["measured"]] * len(reports)
 
 
 def test_cli_analyze_small_p_moreau_ladder(tmp_path):

@@ -95,10 +95,10 @@ def test_caccioppoli_affine_level(sol_harmonic):
 def test_caccioppoli_validates_geometry(sol_harmonic):
     with pytest.raises(ValueError, match="rho < R"):
         quc.caccioppoli_check(sol_harmonic[17], (0.0, np.zeros(2)), 0.4, 0.2,
-                              (0.5, 0.5))
+                              (0.5, 0.5), H=1.0)
     with pytest.raises(ValueError, match="leaves the domain"):
         quc.caccioppoli_check(sol_harmonic[17], (0.0, np.zeros(2)), 0.2, 0.7,
-                              (0.5, 0.5))
+                              (0.5, 0.5), H=1.0)
 
 
 def test_checks_reject_a_ball_outside_the_mask():
@@ -107,9 +107,10 @@ def test_checks_reject_a_ball_outside_the_mask():
                                     boundary=lambda x, y: x * x - y * y,
                                     mask=(np.array([0.5, 0.5]), 0.49)))
     center = (0.1, 0.1)
-    for check in (lambda: quc.caccioppoli_check(sol, (0.0, np.zeros(2)), 0.05, 0.1, center),
-                  lambda: quc.caccioppoli_l1_check(sol, 0.05, center),
-                  lambda: quc.sobolev_stress_check(sol, 0.05, center),
+    for check in (lambda: quc.caccioppoli_check(sol, (0.0, np.zeros(2)), 0.05, 0.1, center,
+                                                H=1.0),
+                  lambda: quc.caccioppoli_l1_check(sol, 0.05, center, H=1.0),
+                  lambda: quc.sobolev_stress_check(sol, 0.05, center, H=1.0),
                   lambda: quc.lipschitz_check(sol, 0.05, center)):
         with pytest.raises(ValueError, match="leaves the mask disk"):
             check()

@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 import quc
 from quc.qc_analysis import compose_profiles, sym_eig_bounds
-from conftest import catalogue
+from conftest import NanPower, catalogue
 
 
 # ---------------------------------------------------------------------------
@@ -123,26 +123,38 @@ def test_estimate_H_constant_hessian(rng):
 
 
 def test_measure_delta_identity_map(rng):
-    rep = quc.measure_delta_monotonicity(quc.make_power(2.0), rng=rng, H_est=1.0)
+    rep = quc.measure_delta_monotonicity(quc.make_power(2.0), rng)
     assert rep.delta_est == pytest.approx(1.0, abs=1e-12)
 
 
 def test_measure_delta_sharp_pair():
     F = quc.make_anisotropic_quadratic([[1.6, 0.0], [0.0, 0.4]])
-    rep = quc.measure_delta_monotonicity(F, H_est=4.0)
+    rep = quc.measure_delta_monotonicity(F, np.random.default_rng(0))
     assert rep.delta_est == pytest.approx(0.8, abs=1e-10)
 
 
 def test_measure_delta_power3(rng):
-    rep = quc.measure_delta_monotonicity(quc.make_power(3.0), rng=rng, H_est=2.0)
+    rep = quc.measure_delta_monotonicity(quc.make_power(3.0), rng)
     assert rep.delta_est >= 2.0 * np.sqrt(2.0) / 3.0 - 1e-6
 
 
 @pytest.mark.parametrize("name,F", catalogue())
 def test_delta_vs_H_lower_bound(name, F, rng):
     est = quc.estimate_H(F, rng=rng)
-    rep = quc.measure_delta_monotonicity(F, rng=rng, H_est=est.H_est)
+    rep = quc.measure_delta_monotonicity(F, rng)
     assert rep.delta_est >= quc.delta_from_H(est.H_est) - 1e-6
+
+
+def test_a_nan_sample_is_the_worst_one(rng):
+    # a nan Hessian or gradient at every 97th sample is measured, not
+    # skipped: each estimate reads nan, which fails its analyze row
+    F = NanPower()
+    est = quc.estimate_H(F, rng=rng)
+    assert np.isnan(est.H_est) and est.n_skipped == 0
+    rep = quc.measure_delta_monotonicity(F, rng)
+    assert np.isnan(rep.delta_est) and rep.n_skipped == 0
+    rep = quc.quasisymmetry_check(F, rng=rng, H=2.0)
+    assert np.isnan(rep.C) and rep.n_triples == 10**4
 
 
 def test_estimate_H_of_sums(rng):
@@ -192,18 +204,21 @@ def test_quasisymmetry_identity(rng):
 
 
 def test_quasisymmetry_radial_triple():
-    # z0 = 0, |z| = 2, |w| = 1 for p = 3: quotient |z|^2/|w|^2 = 4 = eta_2(2)
+    # z0 = 0, |z| = 2, |w| = 1 for p = 3: quotient |z|^2/|w|^2 = 4 = eta_2(2);
+    # the second triple, with w = z0, is skipped and not counted
     F = quc.make_power(3.0)
-    z0 = np.zeros((1, 2))
-    z = np.array([[2.0, 0.0]])
-    w = np.array([[0.0, 1.0]])
+    z0 = np.zeros((2, 2))
+    z = np.array([[2.0, 0.0], [1.0, 0.0]])
+    w = np.array([[0.0, 1.0], [0.0, 0.0]])
     rep = quc.quasisymmetry_check(F, triples=(z0, z, w), H=2.0)
     assert rep.C == pytest.approx(1.0, rel=1e-12)
+    assert rep.n_triples == 1
 
 
 def test_quasisymmetry_blend_finite(rng):
     B = quc.make_blend(3.0, 1.5, (0.5, 0.0))
-    rep = quc.quasisymmetry_check(B, rng=rng, n_triples=10**5)
+    H = quc.estimate_H(B, rng=np.random.default_rng(1)).H_est
+    rep = quc.quasisymmetry_check(B, rng=rng, n_triples=10**5, H=H)
     assert np.isfinite(rep.C) and rep.C > 0
     assert rep.n_triples > 9 * 10**4
 

@@ -603,7 +603,7 @@ def test_mollified_matches_reference_convolution(name, Mo, rng):
     k = len(Mo.spec.nodes)
     z = _test_points(Mo, rng)
     pts = (z[:, None, :] - Mo.eps * Mo.spec.nodes[None, :, :]).reshape(-1, 2)
-    assert np.array_equal(Mo._shifted(z), pts)
+    assert np.array_equal(np.stack(Mo._shifted_coords(z), axis=-1).reshape(-1, 2), pts)
     vals, grads, _ = Mo.part.derivs(pts, (0, 1))
     want, size = _reference_convolution(Mo, z, vals, grads)
     got = Mo.derivs(z)
@@ -725,7 +725,7 @@ def test_radial_envelope_names_the_shifted_point_it_misses(p, z, node, why, monk
                 M.derivs(z, orders)
             messages.append(re.sub(r"\|grad\| = \S+ ", "", str(err.value)))
     assert len(set(messages)) == 1, messages
-    shifted = Mo._shifted(z)
+    shifted = np.stack(Mo._shifted_coords(z), axis=-1).reshape(-1, 2)
     i = 0 if node is None else int(np.argmin(np.hypot(*shifted.T)))
     assert f"at z = {shifted[i].tolist()} " in messages[0]
     if why:
