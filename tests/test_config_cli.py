@@ -255,8 +255,8 @@ def test_run_fails_an_unusable_analyze_row(tmp_path, capsys, monkeypatch, row):
 
 
 def test_cli_analyze_fails_a_nan_hessian_sample(tmp_path, capsys, monkeypatch):
-    # a nan Hessian at every 97th sample makes the dilatation estimate nan,
-    # where skipping those samples read H = 2 and passed
+    # a nan Hessian at every 97th sample is counted, not skipped: the
+    # dilatation estimate reads nan and analyze fails
     monkeypatch.setattr(quc.cli, "normalise", lambda F: NanPower(grad_too=False))
     assert main(["--out-dir", str(tmp_path), "analyze", str(_config(tmp_path))]) == 1
     assert "got nan" in capsys.readouterr().err
