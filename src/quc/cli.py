@@ -22,7 +22,7 @@ from . import estimates as est
 from . import qc_analysis as qa
 from .config import ConfigError, _at, _validate_check, parse_config
 from .csvio import BLOCK_ROWS, BlockTable, write_csv
-from .integrand import (check_gradient_finite_differences, check_hessian_symmetry,
+from .integrand import (_Samples, check_gradient_finite_differences, check_hessian_symmetry,
                         check_midpoint_convexity, isotropic_envelope, normalise)
 from .solver import GridProblem, SolverError, solve, stress_field
 
@@ -90,11 +90,12 @@ def analyze_rows(F, rng):
         add("H_est_vs_analytic", hrep.H_est, 1.02 * F.analytic_H)
     else:
         add("H_est", hrep.H_est)
-    prof = qa.eta_H(max(hrep.H_est, 1.0))
+    prof = qa.eta_H(hrep.H_est)
     s = np.exp(rng.uniform(np.log(1e-6), np.log(1e6), 2000))
     t = np.exp(rng.uniform(np.log(1e-6), np.log(1e6), 2000))
     idrep = qa.eta_identities_check(prof, s, t)
-    add("eta_identities_worst", max(idrep.max_violation.values()), 1e-12)
+    add("eta_identities_worst",
+        float(_Samples.worst(list(idrep.max_violation.values()), True)[0]), 1e-12)
 
     hs = np.geomspace(1.0, 1e6, 50)
     rt = np.max(np.abs(qa.H_from_delta(qa.delta_from_H(hs)) / hs - 1.0))
@@ -226,9 +227,11 @@ def run(cfg, out_dir=".", seed=None, checks=None):
     ``checks`` (default ``cfg.checks``) are checks as ``parse_config``
     converts them, and each is run with its values as given.  The checks
     take H as an input: the run's one estimate, which ``analyze_rows``
-    measured with the run's rng and analyze.csv reports.  Returns the
-    exit code, nonzero when a hard assertion failed (non-convergence,
-    assert_max_ratio violations, degiorgi verdict mismatches).
+    measured with the run's rng and analyze.csv reports.  Every CSV is
+    written even when a measurement reads nan.  Returns the exit code,
+    nonzero when a hard assertion failed (a failed analyze row,
+    non-convergence, assert_max_ratio violations, a check ratio of nan,
+    degiorgi verdict mismatches).
     """
     seed = cfg.seed if seed is None else seed
     rng = np.random.default_rng(seed)
@@ -266,6 +269,9 @@ def run(cfg, out_dir=".", seed=None, checks=None):
                 line += f" [ratio <= {bound:g}: {'PASS' if passed else 'FAIL'}]"
                 if not passed:
                     failures.append(f"{rep.name}: ratio {rep.ratio:g} > {bound:g}")
+            elif np.isnan(rep.ratio):
+                line += " FAIL"
+                failures.append(f"{rep.name}: ratio nan")
             if "expect" in spec:
                 verdict = rep.extra["verdict"]
                 passed = verdict == spec["expect"]

@@ -44,7 +44,7 @@ import csv
 
 import numpy as np
 
-BLOCK_ROWS = 4096
+BLOCK_ROWS = 1024
 
 # One cell is laid out in a slot of _SLOT bytes: sign, the "0.000" lead of
 # values below 1, 17 digits with one point among them, and the separator.

@@ -60,6 +60,41 @@ def _ratio(num, den):
     return out
 
 
+class _Samples(np.errstate):
+    """The one rule for non-finite samples of a sampled measurement.
+
+    Sample arithmetic runs in ``with _Samples():``, where an overflow, a
+    division by zero or an invalid operation (inf - inf, 0/0, inf/inf)
+    makes an inf or nan sample instead of a warning.  ``_Samples.worst``
+    then reduces the samples: a sample that is not finite reads nan, is
+    never dropped and is the worst.
+    """
+
+    def __init__(self):
+        super().__init__(divide="ignore", over="ignore", invalid="ignore")
+
+    @staticmethod
+    def worst(q, largest, degenerate=None, data=()):
+        """(worst sample, its index, samples skipped) along the last axis of q.
+
+        A sample reads nan where it or any array of ``data`` (the sample's
+        inputs, with q's shape and any trailing axes) is not finite, and is
+        skipped where ``degenerate`` marks it and its data are finite.  The
+        first nan is the worst; otherwise it is the largest sample, or the
+        least unless ``largest``, and -inf (inf) when all are skipped.
+        """
+        q = np.asarray(q, dtype=float)
+        finite = np.ones(q.shape, dtype=bool)
+        for x in data:
+            finite &= np.isfinite(x).reshape(*q.shape, -1).all(axis=-1)
+        skip = np.zeros(q.shape, dtype=bool) if degenerate is None else degenerate & finite
+        ranked = np.where(skip, -np.inf if largest else np.inf,
+                          np.where(finite & np.isfinite(q), q, np.nan))
+        k = np.argmax(ranked, axis=-1) if largest else np.argmin(ranked, axis=-1)
+        return (np.take_along_axis(ranked, np.expand_dims(k, -1), -1)[..., 0], k,
+                skip.sum(axis=-1))
+
+
 def _rank_one_hess(tang, c, v, B=None):
     """tang B + c v v^T per row, for B = Id (None) or a symmetric 2x2: every
     radial Hessian, D2 G(|z|) = (G'/r) Id + (G'' - G'/r) zhat zhat^T with
@@ -717,27 +752,38 @@ class BlendIntegrand(Integrand):
         d2[outer] = 0.0
         return psi, d1, d2
 
+    def _bump(self, z):
+        """(rows, d, rho) of the points z with rho = |z - w| < |w|/2 or nan,
+        d = z - w and rho at those rows, where the bump is not flat.
+        Elsewhere psi = 1 and psi' = psi'' = 0, so the bump adds eps to F
+        and nothing to DF or D2F."""
+        d = z - self.w
+        rho = np.hypot(d[:, 0], d[:, 1])
+        rows = np.flatnonzero(~(rho >= self.rho2))
+        return rows, d[rows], rho[rows]
+
     def _eval(self, z):
         base = _power_value(z[:, 0], z[:, 1], self.p)
-        rho = np.hypot(z[:, 0] - self.w[0], z[:, 1] - self.w[1])
+        out = base + self.eps
+        rows, _, rho = self._bump(z)
         psi, _, _ = self._phi_parts(rho)
-        return base + self.eps * psi
+        out[rows] = base[rows] + self.eps * psi
+        return out
 
     def _grad(self, z):
         out = _power_grad(z, self.p)
-        d = z - self.w
-        rho = np.hypot(d[:, 0], d[:, 1])
+        rows, d, rho = self._bump(z)
         _, d1, _ = self._phi_parts(rho)
-        return out + _scale_rows(self.eps * _ratio(d1, rho), d)
+        out[rows] += _scale_rows(self.eps * _ratio(d1, rho), d)
+        return out
 
     def _hess(self, z):
         out = _power_hess(z, self.p)
-        d = z - self.w
-        rho = np.hypot(d[:, 0], d[:, 1])
+        rows, d, rho = self._bump(z)
         _, d1, d2 = self._phi_parts(rho)
         tang = self.eps * _ratio(d1, rho)
-        out += _rank_one_hess(tang, np.where(rho > 0.0, self.eps * d2 - tang, 0.0),
-                              _ratio(d, rho[:, None]))
+        out[rows] += _rank_one_hess(tang, np.where(rho > 0.0, self.eps * d2 - tang, 0.0),
+                                    _ratio(d, rho[:, None]))
         return out
 
     def describe(self):
@@ -791,7 +837,11 @@ class ScaledIntegrand(Integrand):
         self.exact_prox = part.exact_prox
 
     def derivs(self, z, orders=(0, 1, 2)):
-        return tuple(None if d is None else self.lam * d for d in self.part.derivs(z, orders))
+        out = self.part.derivs(z, orders)
+        for d in out:
+            if d is not None:
+                d *= self.lam  # in place: a part's outputs are fresh arrays
+        return out
 
     # the envelope of lam F at delta is lam times that of F at lam delta
     def _prox(self, Z, delta):
@@ -1128,23 +1178,19 @@ def gradient_infimum_on_circle(F, *, n_angles=720):
     Hoelder continuous).  Batched sweeps of 17 equally spaced angles then
     recentre the bracket on their best angle and shrink it 8-fold, until
     its half-width is below the float resolution of the angle.  i_F is the
-    least |DF| sampled.
+    least |DF| sampled, or nan once a sampled DF is not finite.
     """
-    def magnitudes(theta):
+    def least(theta):
         g = F._grad(np.stack([np.cos(theta), np.sin(theta)], axis=1))
-        return np.hypot(g[:, 0], g[:, 1])
+        mag, k, _ = _Samples.worst(np.hypot(g[:, 0], g[:, 1]), False, data=(g,))
+        return float(mag), theta[k]
 
-    theta = np.linspace(0.0, 2.0 * np.pi, n_angles, endpoint=False)
-    mags = magnitudes(theta)
-    k = int(np.argmin(mags))
-    best, th = float(mags[k]), theta[k]
+    best, th = least(np.linspace(0.0, 2.0 * np.pi, n_angles, endpoint=False))
     half = 2.0 * np.pi / n_angles
     offsets = np.linspace(-1.0, 1.0, 17)
     while half > np.spacing(abs(th) + 1.0):
-        theta = th + half * offsets
-        mags = magnitudes(theta)
-        k = int(np.argmin(mags))
-        best, th = min(best, float(mags[k])), theta[k]
+        mag, th = least(th + half * offsets)
+        best = float(np.minimum(best, mag))  # a nan sample wins, as in ``least``
         half /= 8.0
     return best
 
@@ -1250,7 +1296,7 @@ def isotropic_envelope(F, *, n_radii=257, n_angles=256):
     dirs = np.stack([np.cos(theta), np.sin(theta)], axis=1)
     pts = (radii[:, None, None] * dirs[None, :, :]).reshape(-1, 2)
     g = F._grad(pts).reshape(n_radii, n_angles, 2)
-    per_radius = np.hypot(g[:, :, 0], g[:, :, 1]).max(axis=1)
+    per_radius, _, _ = _Samples.worst(np.hypot(g[:, :, 0], g[:, :, 1]), True, data=(g,))
     a_table = np.maximum.accumulate(per_radius)
     return IsotropicEnvelope(radii, a_table)
 
@@ -1263,10 +1309,10 @@ def check_midpoint_convexity(F, rng, n=10**4, radius=100.0):
     """Worst midpoint-convexity margin over random pairs; >= -tol for convex F."""
     z = rng.uniform(-radius, radius, (n, 2))
     w = rng.uniform(-radius, radius, (n, 2))
-    fz, fw = F._eval(z), F._eval(w)
-    gap = 0.5 * (fz + fw) - F._eval(0.5 * (z + w))
-    scale = np.maximum(1.0, np.abs(fz) + np.abs(fw))
-    return float(np.min(gap / scale))
+    fz, fw, fm = F._eval(z), F._eval(w), F._eval(0.5 * (z + w))
+    with _Samples():
+        margin = (0.5 * (fz + fw) - fm) / np.maximum(1.0, np.abs(fz) + np.abs(fw))
+    return float(_Samples.worst(margin, False, data=(fz, fw, fm))[0])
 
 
 def check_gradient_finite_differences(F, rng, n=10**3):
@@ -1274,18 +1320,20 @@ def check_gradient_finite_differences(F, rng, n=10**3):
     random points of the square [-10, 10]^2."""
     z = rng.uniform(-10.0, 10.0, (n, 2))
     g = F._grad(z)
-    fd = FiniteDifferenceIntegrand(F)._grad(z)
-    num = np.hypot(*(g - fd).T)
-    den = 1.0 + np.hypot(*g.T)
-    return float(np.max(num / den))
+    with _Samples():  # the differences of sampled values are sample arithmetic too
+        fd = FiniteDifferenceIntegrand(F)._grad(z)
+        mismatch = np.hypot(*(g - fd).T) / (1.0 + np.hypot(*g.T))
+    return float(_Samples.worst(mismatch, True, data=(g, fd))[0])
 
 
 def check_hessian_symmetry(F, rng, n=10**3):
-    """Max Frobenius asymmetry |H - H^T| at n random points of the square
+    """Max entrywise asymmetry |H - H^T| at n random points of the square
     [-10, 10]^2, less those within 1e-8 of a singular point."""
     z = rng.uniform(-10.0, 10.0, (n, 2))
     for s in F.singular_points:
         close = np.hypot(z[:, 0] - s[0], z[:, 1] - s[1]) < 1e-8
         z = z[~close]
     H = F._hess(z)
-    return float(np.max(np.abs(H - np.transpose(H, (0, 2, 1)))))
+    with _Samples():
+        asym = np.abs(H - np.transpose(H, (0, 2, 1))).max(axis=(1, 2))
+    return float(_Samples.worst(asym, True, data=(H,))[0])

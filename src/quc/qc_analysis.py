@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .integrand import as_points, sym2_eig_bounds
+from .integrand import _Samples, sym2_eig_bounds
 
 
 # ---------------------------------------------------------------------------
@@ -25,14 +25,15 @@ class EtaProfile:
     """Distortion profile eta_{a,b}(t) = max(t^a, t^b) with a, b > 0.
 
     Increasing homeomorphism of [0, inf) with eta(1) = 1 and inverse
-    min(t^{1/a}, t^{1/b}); eta(0) = 0 by continuity.
+    min(t^{1/a}, t^{1/b}); eta(0) = 0 by continuity.  A nan exponent, from
+    a measured H that is nan, is let through and makes every value nan.
     """
 
     a: float
     b: float
 
     def __post_init__(self):
-        if not (self.a > 0.0 and self.b > 0.0):
+        if self.a <= 0.0 or self.b <= 0.0:
             raise ValueError(f"eta profile exponents must be positive, got {self.a}, {self.b}")
 
     def __call__(self, t):
@@ -61,8 +62,8 @@ def eta_inv(profile, t):
 
 
 def eta_H(H):
-    """The dilatation profile eta_{H, 1/H}."""
-    if not H >= 1.0:
+    """The dilatation profile eta_{H, 1/H}; a nan H gives a nan profile."""
+    if H < 1.0:
         raise ValueError(f"H must be >= 1, got {H}")
     return EtaProfile(H, 1.0 / H)
 
@@ -82,11 +83,9 @@ class EtaIdentityReport:
 
 def _log_gap(gap, *logs):
     """A gap between log-profile values, relative to the summed size of the
-    logs it compares (which sets the rounding of each a log t); a non-finite
-    gap is a violation of infinite size."""
+    logs it compares (which sets the rounding of each a log t)."""
     scale = sum(np.abs(x) for x in logs)
-    rel = np.divide(gap, scale, out=np.zeros_like(gap), where=gap != 0.0)
-    return np.where(np.isfinite(rel), rel, np.inf)
+    return np.divide(gap, scale, out=np.zeros_like(gap), where=gap != 0.0)
 
 
 def eta_identities_check(profile, s, t, tol=1e-12):
@@ -94,9 +93,10 @@ def eta_identities_check(profile, s, t, tol=1e-12):
 
     Inputs are positive.  Every identity is compared in log space, where
     log eta_{a,b}(t) = max(a log t, b log t), so no product or composition
-    overflows; gaps are relative to the size of the logs compared and a
-    non-finite gap counts as a violation.  The report carries the worst
-    violation per identity and, when failing, the first offending inputs.
+    overflows; gaps are relative to the size of the logs compared, and a
+    gap that is not finite reads nan, a violation (``integrand._Samples``).
+    The report carries the worst violation per identity and, when failing,
+    the first offending inputs.
     """
     s = np.asarray(s, dtype=float)
     t = np.asarray(t, dtype=float)
@@ -108,22 +108,24 @@ def eta_identities_check(profile, s, t, tol=1e-12):
     def log_inv(prof, x):
         return np.minimum(x / prof.a, x / prof.b)
 
-    e_st, e_s, e_t = log_eta(profile, ls + lt), log_eta(profile, ls), log_eta(profile, lt)
-    i_st, i_s, i_t = log_inv(profile, ls + lt), log_inv(profile, ls), log_inv(profile, lt)
-    r = log_eta(profile.reciprocal(), -lt)
-    po = profile.ordered()
-    c_twice = log_eta(po, log_eta(po, lt))
-    c_comp = log_eta(compose_profiles(profile, profile), lt)
-    gaps = {
-        "submultiplicative": (_log_gap(e_st - e_s - e_t, e_st, e_s, e_t), (s, t)),
-        "inverse_supermultiplicative": (_log_gap(i_s + i_t - i_st, i_st, i_s, i_t), (s, t)),
-        "reflection": (np.abs(_log_gap(i_t + r, i_t, r)), (t,)),
-        "composition": (np.abs(_log_gap(c_twice - c_comp, c_twice, c_comp)), (t,)),
-    }
-    viol = {name: float(np.max(arr)) for name, (arr, _) in gaps.items()}
+    with _Samples():
+        e_st, e_s, e_t = log_eta(profile, ls + lt), log_eta(profile, ls), log_eta(profile, lt)
+        i_st, i_s, i_t = log_inv(profile, ls + lt), log_inv(profile, ls), log_inv(profile, lt)
+        r = log_eta(profile.reciprocal(), -lt)
+        po = profile.ordered()
+        c_twice = log_eta(po, log_eta(po, lt))
+        c_comp = log_eta(compose_profiles(profile, profile), lt)
+        gaps = {
+            "submultiplicative": (_log_gap(e_st - e_s - e_t, e_st, e_s, e_t), (s, t)),
+            "inverse_supermultiplicative": (_log_gap(i_s + i_t - i_st, i_st, i_s, i_t),
+                                            (s, t)),
+            "reflection": (np.abs(_log_gap(i_t + r, i_t, r)), (t,)),
+            "composition": (np.abs(_log_gap(c_twice - c_comp, c_twice, c_comp)), (t,)),
+        }
+    viol = {name: float(_Samples.worst(arr, True)[0]) for name, (arr, _) in gaps.items()}
     first = None
     for name, (arr, inputs) in gaps.items():
-        bad = arr > tol
+        bad = ~(arr <= tol)  # a nan gap is a violation
         if bad.any():
             k = int(np.argmax(bad))
             first = (name, tuple(float(x.ravel()[min(k, x.size - 1)]) for x in inputs))
@@ -191,24 +193,22 @@ def estimate_H(F, rng):
     """Max sampled Hessian eigenvalue ratio of F over the sampling plan
     drawn from ``rng``, less the points within 1e-8 of a singular point.
     Finite Hessians with lmin <= 0 are skipped and counted; one that is not
-    finite gives a ratio of nan, the worst."""
+    finite gives a ratio of nan, the worst (``integrand._Samples``)."""
     points = default_sampling_plan(rng)
     for s in F.singular_points:
         points = points[np.hypot(points[:, 0] - s[0], points[:, 1] - s[1]) >= 1e-8]
     H = F._hess(points)
-    lo, hi = sym2_eig_bounds(H)
-    skip = (lo <= 0.0) & np.isfinite(H).all(axis=(1, 2))
-    n_skipped = int(skip.sum())
-    if skip.all():
+    with _Samples():
+        lo, hi = sym2_eig_bounds(H)
+        ratio = hi / lo
+    H_est, k, n_skipped = _Samples.worst(ratio, True, lo <= 0.0, (H,))
+    if n_skipped == len(points):
         raise RuntimeError("no valid Hessian samples")
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = np.where(skip, -np.inf, hi / lo)
-    k = int(np.argmax(ratio))
     return DilatationEstimate(
-        H_est=float(ratio[k]),
+        H_est=float(H_est),
         worst_point=points[k].copy(),
-        n_samples=skip.size - n_skipped,
-        n_skipped=n_skipped,
+        n_samples=len(points) - int(n_skipped),
+        n_skipped=int(n_skipped),
     )
 
 
@@ -237,18 +237,19 @@ def measure_delta_monotonicity(F, rng):
         v, o = _sharp_pair(F)
         z = np.concatenate([z, v.reshape(1, 2)])
         w = np.concatenate([w, o.reshape(1, 2)])
-    dg = F._grad(z) - F._grad(w)
-    dz = z - w
-    ng = np.hypot(dg[:, 0], dg[:, 1])
-    nz = np.hypot(dz[:, 0], dz[:, 1])
-    skip = np.isfinite(ng) & ((ng == 0.0) | (nz == 0.0))
-    quot = np.where(skip, np.inf, (dg * dz).sum(axis=1) / np.where(skip, 1.0, ng * nz))
-    k = int(np.argmin(quot))
+    gz, gw = F._grad(z), F._grad(w)
+    with _Samples():
+        dg = gz - gw
+        dz = z - w
+        ng = np.hypot(dg[:, 0], dg[:, 1])
+        nz = np.hypot(dz[:, 0], dz[:, 1])
+        quot = (dg * dz).sum(axis=1) / (ng * nz)
+    delta, k, n_skipped = _Samples.worst(quot, False, (ng == 0.0) | (nz == 0.0), (gz, gw))
     return DilatationEstimate(
         worst_point=z[k].copy(),
-        n_samples=int((~skip).sum()),
-        n_skipped=int(skip.sum()),
-        delta_est=float(quot[k]),
+        n_samples=len(z) - int(n_skipped),
+        n_skipped=int(n_skipped),
+        delta_est=float(delta),
     )
 
 
@@ -319,30 +320,27 @@ def quasisymmetry_check(F, triples=None, rng=None, *, n_triples=10**4, H):
     given.  Triples with DF(w) = DF(z0), z = z0 or w = z0 are skipped; a DF
     that is not finite gives a quotient of nan, the worst.
     """
-    prof = eta_H(max(H, 1.0))
+    prof = eta_H(H)
     if triples is None:
         z0 = rng.uniform(-5.0, 5.0, (n_triples, 2))
         z = rng.uniform(-5.0, 5.0, (n_triples, 2))
         w = rng.uniform(-5.0, 5.0, (n_triples, 2))
     else:
         z0, z, w = (np.asarray(t, dtype=float) for t in triples)
-    g0 = F._grad(z0)
-    gz = F._grad(z) - g0
-    gw = F._grad(w) - g0
-    num = np.hypot(gz[:, 0], gz[:, 1])
-    den = np.hypot(gw[:, 0], gw[:, 1])
-    dz = np.hypot(z[:, 0] - z0[:, 0], z[:, 1] - z0[:, 1])
-    dw = np.hypot(w[:, 0] - z0[:, 0], w[:, 1] - z0[:, 1])
-    finite = np.isfinite(num) & np.isfinite(den)
-    skip = finite & ((den == 0.0) | (dw == 0.0) | (dz == 0.0))
-    ratio = np.divide(dz, dw, out=np.ones_like(dz), where=~skip)
-    quot = np.divide(num, den * prof(ratio), out=np.full_like(num, -np.inf), where=~skip)
-    quot[~finite] = np.nan
-    k = int(np.argmax(quot))
+    g0, g1, g2 = F._grad(z0), F._grad(z), F._grad(w)
+    with _Samples():
+        gz, gw = g1 - g0, g2 - g0
+        num = np.hypot(gz[:, 0], gz[:, 1])
+        den = np.hypot(gw[:, 0], gw[:, 1])
+        dz = np.hypot(z[:, 0] - z0[:, 0], z[:, 1] - z0[:, 1])
+        dw = np.hypot(w[:, 0] - z0[:, 0], w[:, 1] - z0[:, 1])
+        quot = num / (den * prof(dz / dw))
+    C, k, n_skipped = _Samples.worst(quot, True, (den == 0.0) | (dw == 0.0) | (dz == 0.0),
+                                     (g0, g1, g2))
     return QuasisymmetryReport(
-        C=float(quot[k]),
+        C=float(C),
         worst_triple=(z0[k].copy(), z[k].copy(), w[k].copy()),
-        n_triples=int((~skip).sum()),
+        n_triples=len(quot) - int(n_skipped),
         H_used=float(H),
     )
 

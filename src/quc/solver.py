@@ -1077,12 +1077,16 @@ def _recover_dv(mesh, v):
             bad.append(nodes)
             continue
         weights = np.linalg.solve(gram, A.T)[1:] / h                    # (2, |s|)
-        taps = [cells[cell_at(nodes, q)] for q in s]
+        # dv[:, :, k] sums w_kq v_q over the slots q in order, gathering one
+        # slot at a time so that no more than one gather is held at once
+        taps = (cells[cell_at(nodes, q)] for q in s)
+        tap = next(taps)
+        acc = [weights[0, 0] * tap, weights[1, 0] * tap]
+        for wq, tap in zip(weights.T[1:], taps):
+            for k in range(2):
+                acc[k] += wq[k] * tap
         for k in range(2):
-            acc = weights[k, 0] * taps[0]
-            for w, tap in zip(weights[k, 1:], taps[1:]):
-                acc += w * tap
-            dv[nodes, :, k] = acc
+            dv[nodes, :, k] = acc[k]
 
     if bad:
         # the two-ring of each degenerate node: the triangles at the vertices

@@ -109,3 +109,26 @@ class NanPower(quc.integrand.PowerIntegrand):
         h = super()._hess(z).copy()
         h[::97] = np.nan
         return h
+
+
+class InfPower(quc.integrand.PowerIntegrand):
+    """|z|^3 / 3 whose F, DF_x and D2F_00 read inf at every 97th sample of
+    a batch."""
+
+    def __init__(self):
+        super().__init__(3.0)
+
+    def _eval(self, z):
+        f = super()._eval(z).copy()
+        f[::97] = np.inf
+        return f
+
+    def _grad(self, z):
+        g = super()._grad(z).copy()
+        g[::97, 0] = np.inf
+        return g
+
+    def _hess(self, z):
+        h = super()._hess(z).copy()
+        h[::97, 0, 0] = np.inf
+        return h

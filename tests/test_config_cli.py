@@ -254,12 +254,66 @@ def test_run_fails_an_unusable_analyze_row(tmp_path, capsys, monkeypatch, row):
     assert quc.cli.run(cfg, out_dir=str(tmp_path)) == 0
 
 
-def test_cli_analyze_fails_a_nan_hessian_sample(tmp_path, capsys, monkeypatch):
-    # a nan Hessian at every 97th sample is counted, not skipped: the
-    # dilatation estimate reads nan and analyze fails
+# the analyze rows that read the measured H, and the four that do not
+_H_ROWS = ("H_est_vs_analytic", "eta_identities_worst", "delta_monotonicity",
+           "quasisymmetry_C", "envelope_doubling_C")
+_H_FREE_ROWS = ("delta_H_roundtrip", "envelope_C", "midpoint_convexity_margin",
+                "gradient_fd_mismatch")
+
+
+def _assert_nan_H_rows(out_dir, err):
+    """analyze.csv holds all nine rows; those that read H are nan (the delta
+    row in its bound and margin, since its measurement needs no H) and
+    fail, the others keep finite values; nothing raised."""
+    assert "Traceback" not in err and "error:" not in err
+    _, _, rows = read_csv(out_dir / "analyze.csv")
+    assert sorted(r["check"] for r in rows) == sorted(_H_ROWS + _H_FREE_ROWS)
+    for r in rows:
+        check = r["check"]
+        row = {k: (None if r[k] == "" else float(r[k])) for k in ("measured", "bound", "margin")}
+        if check in _H_ROWS:
+            assert np.isnan(row["margin" if check == "delta_monotonicity" else "measured"]), r
+            assert quc.cli._analyze_verdict(row) == "FAIL", r
+        else:
+            assert np.isfinite(row["measured"]) and quc.cli._analyze_verdict(row) != "FAIL", r
+    return [r["check"] for r in rows]
+
+
+def test_cli_analyze_reports_a_nan_hessian_sample_on_every_row(tmp_path, capsys, monkeypatch):
+    # a nan Hessian at every 97th sample is counted, not skipped: H reads
+    # nan, and analyze still writes and reports every row
     monkeypatch.setattr(quc.cli, "normalise", lambda F: NanPower(grad_too=False))
     assert main(["--out-dir", str(tmp_path), "analyze", str(_config(tmp_path))]) == 1
-    assert "got nan" in capsys.readouterr().err
+    out, err = capsys.readouterr()
+    for check in _assert_nan_H_rows(tmp_path, err):
+        line = next(x for x in out.splitlines() if x.startswith(f"analyze {check}:"))
+        assert line.endswith(" FAIL") == (check in _H_ROWS), line
+
+
+def test_cli_verify_reports_a_nan_hessian_sample_in_every_csv(tmp_path, capsys, monkeypatch):
+    # the checks that take H report a nan ratio and fail; the one that
+    # needs no H keeps its value; every CSV is written and the run exits 1
+    monkeypatch.setattr(quc.cli, "normalise", lambda F: NanPower(grad_too=False))
+    center = [0.5, 0.5]
+    cfg = _config(tmp_path, checks=[
+        {"name": "caccioppoli", "k": 0.0, "rho": 0.1, "R": 0.2, "center": center},
+        {"name": "sobolev", "R": 0.2, "center": center},
+        {"name": "lipschitz", "R": 0.2, "center": center}])
+    assert main(["--out-dir", str(tmp_path), "verify", str(cfg)]) == 1
+    out, err = capsys.readouterr()
+    _assert_nan_H_rows(tmp_path, err)
+    assert "run: FAILED (analyze:H_est_vs_analytic)" in err
+    assert len(read_csv(tmp_path / "solution.csv")[2]) > 0
+    reports = {}
+    for name in ("caccioppoli_0.csv", "sobolev_1.csv", "lipschitz_2.csv"):
+        reports.update({r["name"]: r for r in read_csv(tmp_path / name)[2]})
+    assert sorted(reports) == ["caccioppoli", "lipschitz", "sobolev_dv", "sobolev_v"]
+    lines = {x.split(":")[0]: x for x in out.splitlines() if x.startswith("check ")}
+    for name in ("caccioppoli", "sobolev_dv", "sobolev_v"):
+        assert reports[name]["H_est"] == "nan" and reports[name]["ratio"] == "nan"
+        assert lines[f"check {name}"].endswith("ratio=nan FAIL")
+    assert np.isfinite(float(reports["lipschitz"]["ratio"]))
+    assert not lines["check lipschitz"].endswith("FAIL")
 
 
 def test_verify_checks_report_the_one_H_the_run_measured(tmp_path, monkeypatch):

@@ -466,6 +466,24 @@ def test_catalogue_hessian_symmetric(name, F, rng):
 
 
 @pytest.mark.parametrize("name,F", catalogue())
+def test_catalogue_derivs_are_fresh_arrays(name, F, rng):
+    # ScaledIntegrand scales its part's outputs in place: no output may
+    # share memory with the input or with another output, nor may those of
+    # the envelopes and mollifiers that combinators wrap, and a second call
+    # gives the same values
+    z = rng.uniform(-3.0, 3.0, (64, 2))
+    for G in (F, quc.normalise(F), quc.moreau_yosida(F, 0.5),
+              quc.mollify_plus_quadratic(F, 0.25, 0.25)):
+        out = G.derivs(z)
+        for i, d in enumerate(out):
+            assert not np.shares_memory(d, z), (G.describe(), i)
+            for e in out[i + 1:]:
+                assert not np.shares_memory(d, e), (G.describe(), i)
+        for d, again in zip(out, quc.integrand.ScaledIntegrand(G, 2.0).derivs(z)):
+            np.testing.assert_array_equal(2.0 * d, again)
+
+
+@pytest.mark.parametrize("name,F", catalogue())
 def test_catalogue_coercivity_exponent(name, F, rng):
     Fn = quc.normalise(F)
     H = quc.estimate_H(Fn, rng=rng).H_est

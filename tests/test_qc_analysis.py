@@ -1,10 +1,13 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import quc
+import quc.cli
 from quc.qc_analysis import compose_profiles, sym_eig_bounds
-from conftest import NanPower, catalogue
+from conftest import InfPower, NanPower, catalogue
 
 
 # ---------------------------------------------------------------------------
@@ -96,6 +99,17 @@ def test_delta_H_domain_errors():
         quc.H_from_delta(1.5)
     with pytest.raises(ValueError):
         quc.H_from_delta(0.0)
+    with pytest.raises(ValueError):
+        quc.eta_H(0.5)
+    with pytest.raises(ValueError):
+        quc.EtaProfile(0.0, 1.0)
+
+
+def test_a_nan_H_gives_nan_profiles():
+    # a measured H that is nan is let through, and every value it sets is nan
+    assert np.isnan(quc.eta_H(np.nan)(2.0))
+    assert np.isnan(quc.EtaProfile(np.nan / (np.nan + 1.0), 1.0 / (np.nan + 1.0))(2.0))
+    assert np.isnan(quc.delta_from_H(np.nan))
 
 
 @settings(max_examples=100, deadline=None)
@@ -155,6 +169,65 @@ def test_a_nan_sample_is_the_worst_one(rng):
     assert np.isnan(rep.delta_est) and rep.n_skipped == 0
     rep = quc.quasisymmetry_check(F, rng=rng, H=2.0)
     assert np.isnan(rep.C) and rep.n_triples == 10**4
+
+
+# each sampler reduced to its worst value
+_SAMPLERS = {
+    "estimate_H": lambda F, rng: quc.estimate_H(F, rng=rng).H_est,
+    "delta_monotonicity": lambda F, rng: quc.measure_delta_monotonicity(F, rng).delta_est,
+    "quasisymmetry": lambda F, rng: quc.quasisymmetry_check(F, rng=rng, H=2.0).C,
+    "isotropic_envelope": lambda F, rng: quc.integrand.isotropic_envelope(F).a_table.max(),
+    "gradient_fd": lambda F, rng: quc.integrand.check_gradient_finite_differences(F, rng),
+    "hessian_symmetry": lambda F, rng: quc.integrand.check_hessian_symmetry(F, rng),
+    "midpoint_convexity": lambda F, rng: quc.integrand.check_midpoint_convexity(F, rng),
+}
+
+
+@pytest.mark.parametrize("sampler", list(_SAMPLERS.values()), ids=list(_SAMPLERS))
+def test_an_inf_sample_is_the_worst_one_without_a_warning(sampler, rng):
+    # an inf value, gradient or Hessian entry at every 97th sample makes
+    # inf - inf in the sample arithmetic: a nan sample, not a RuntimeWarning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        worst = sampler(InfPower(), rng)
+    assert not np.isfinite(worst)
+
+
+def test_eta_identities_worst_keeps_a_nan_violation(monkeypatch, rng):
+    # the builtin max() of [1e-16, nan, 2e-16] is 2e-16
+    report = quc.qc_analysis.EtaIdentityReport(
+        ok=False, max_violation={"a": 1e-16, "b": np.nan, "c": 2e-16})
+    monkeypatch.setattr(quc.qc_analysis, "eta_identities_check", lambda *args: report)
+    rows, _ = quc.cli.analyze_rows(quc.normalise(quc.make_power(3.0)), rng)
+    row = next(r for r in rows if r["check"] == "eta_identities_worst")
+    assert np.isnan(row["measured"]) and quc.cli._analyze_verdict(row) == "FAIL"
+
+
+def test_eta_identities_check_fails_a_nan_profile():
+    rep = quc.eta_identities_check(quc.eta_H(np.nan), np.array([3.0]), np.array([7.0]))
+    assert not rep.ok and rep.first_violation[0] == "submultiplicative"
+    assert all(np.isnan(v) for v in rep.max_violation.values())
+
+
+class _NanOnRefinement(quc.integrand.PowerIntegrand):
+    """|z|^3 / 3 whose gradient reads nan at the first angle of each
+    17-angle refinement sweep of the circle search."""
+
+    def __init__(self):
+        super().__init__(3.0)
+
+    def _grad(self, z):
+        g = super()._grad(z).copy()
+        if len(z) == 17:
+            g[0] = np.nan
+        return g
+
+
+def test_circle_search_keeps_a_nan_refinement_sample():
+    # min(best, nan) is best: the sweep moved to the nan angle but dropped
+    # its value
+    assert np.isnan(quc.integrand.gradient_infimum_on_circle(_NanOnRefinement()))
+    assert quc.integrand.gradient_infimum_on_circle(quc.make_power(3.0)) == pytest.approx(1.0)
 
 
 def test_estimate_H_of_sums(rng):
