@@ -28,7 +28,8 @@ from .solver import GridProblem, SolverError, solve, stress_field
 
 SOLUTION_FIELDS = ["x", "y", "u", "du1", "du2", "v1", "v2",
                    "dv11", "dv12", "dv21", "dv22"]
-VERIFY_CHECKS = ("caccioppoli", "caccioppoli_l1", "sobolev", "lipschitz")
+# the checks that read the solution, which ``quc verify --check`` runs
+VERIFY_CHECKS = tuple(name for name, (ball, *_) in est.CHECKS.items() if ball is not None)
 
 
 def _provenance(cfg, seed):
@@ -206,28 +207,15 @@ def cmd_gauge(cfg, args, out_dir, rng):
     return 0 if ok else 1
 
 
-def _run_one_check(spec, sol, H):
-    name, center = spec["name"], spec.get("center")
-    if name == "caccioppoli":
-        ell = spec["ell"] if "ell" in spec else (spec["k"], np.zeros(2))
-        return [est.caccioppoli_check(sol, ell, spec["rho"], spec["R"], center, H=H)]
-    if name == "caccioppoli_l1":
-        return [est.caccioppoli_l1_check(sol, spec["R"], center, H=H)]
-    if name == "sobolev":
-        return est.sobolev_stress_check(sol, spec["R"], center, H=H)
-    if name == "lipschitz":
-        return [est.lipschitz_check(sol, spec["R"], center)]
-    return [est.degiorgi_iterate(spec["X0"], spec["C"], spec["b"], spec["R"],
-                                 spec["N"]).to_report()]
-
-
 def run(cfg, out_dir=".", seed=None, checks=None):
     """Pipeline: normalise, analyze, solve, run checks; write one CSV each.
 
     ``checks`` (default ``cfg.checks``) are checks as ``parse_config``
-    converts them, and each is run with its values as given.  The checks
-    take H as an input: the run's one estimate, which ``analyze_rows``
-    measured with the run's rng and analyze.csv reports.  Every CSV is
+    converts them, and ``estimates.run_check`` runs each with its values
+    as given.  The solve runs only when some check reads the solution,
+    one with a ball in ``estimates.CHECKS``.  The checks take H as an
+    input: the run's one estimate, which ``analyze_rows`` measured with
+    the run's rng and analyze.csv reports.  Every CSV is
     written even when a measurement reads nan.  Returns the exit code,
     nonzero when a hard assertion failed (a failed analyze row,
     non-convergence, assert_max_ratio violations, a check ratio of nan,
@@ -246,7 +234,7 @@ def run(cfg, out_dir=".", seed=None, checks=None):
     failures += [f"analyze:{r['check']}" for r in rows if _analyze_verdict(r) == "FAIL"]
 
     checks = cfg.checks if checks is None else checks
-    needs_solve = any(c["name"] != "degiorgi" for c in checks)
+    needs_solve = any(est.CHECKS[c["name"]][0] is not None for c in checks)
     sol = None
     if needs_solve:
         sol = _solve(cfg, F)
@@ -258,7 +246,7 @@ def run(cfg, out_dir=".", seed=None, checks=None):
             failures.append(f"solver non-converged ({sol.stop_reason})")
 
     for spec in checks:
-        reps = _run_one_check(spec, sol, H)
+        reps = est.run_check(spec, sol, H)
         write_csv(os.path.join(out_dir, spec["out"]), est.REPORT_FIELDS,
                   [r.to_row() for r in reps], prov)
         for rep in reps:
@@ -273,7 +261,7 @@ def run(cfg, out_dir=".", seed=None, checks=None):
                 line += " FAIL"
                 failures.append(f"{rep.name}: ratio nan")
             if "expect" in spec:
-                verdict = rep.extra["verdict"]
+                verdict = rep.fields["verdict"]
                 passed = verdict == spec["expect"]
                 line += f" verdict={verdict} [{'PASS' if passed else 'FAIL'}]"
                 if not passed:

@@ -7,9 +7,10 @@ table of its required and optional keys: an unknown or missing key is a
 key's converter into the value the pipeline runs, also at its key path
 (json reads NaN and Infinity; no converter passes them).  Then the values
 are checked together: an integrand's by its kind's constructor, which
-checks the mathematics (p > 1, SPD matrices, blend admissibility), a
-check's balls against the domain they must lie in
-(``estimates.CHECK_BALL``), and the De Giorgi parameters against
+checks the mathematics (p > 1, SPD matrices, blend admissibility); a
+check's by the largest ball it reads, whose radius its row of
+``estimates.CHECKS`` gives and which must lie in the domain; and the De
+Giorgi parameters, of the one check without a ball, against
 ``estimates.degiorgi_iterate``'s preconditions.  So a bad value is a
 ``ConfigError`` naming its path, never a failure after the solve.
 
@@ -114,7 +115,8 @@ def compile_boundary_expression(text):
 
     def fn(x, y):
         env = {"x": x, "y": y, **_ALLOWED_CALLS}
-        return eval(code, {"__builtins__": {}}, env)
+        with ig._Samples():  # inf or nan, not a warning: the solve handles it
+            return eval(code, {"__builtins__": {}}, env)
 
     fn.expression = text
     return fn
@@ -126,14 +128,6 @@ def compile_boundary_expression(text):
 
 _TOP_KEYS = {"integrand", "problem", "solver", "checks", "seed", "out_dir"}
 
-# name: (required keys, optional keys)
-_CHECKS = {
-    "caccioppoli": (("rho", "R", "center"), ("k", "ell", "assert_max_ratio", "out")),
-    "caccioppoli_l1": (("R", "center"), ("out",)),
-    "sobolev": (("R", "center"), ("out",)),
-    "lipschitz": (("R", "center"), ("assert_max_ratio", "out")),
-    "degiorgi": (("X0", "C", "b", "R", "N"), ("expect", "out")),
-}
 # the artifacts ``quc.cli.run`` writes next to the check reports
 _PIPELINE_CSVS = ("analyze.csv", "solution.csv")
 
@@ -374,21 +368,22 @@ def _validate_check(spec, path, problem, index=0):
     report ``out`` defaults to ``{name}_{index}.csv`` and whose balls must
     lie in the domain of ``problem`` (``ExperimentConfig.problem``): its
     rectangle and its mask's disk."""
-    name, rest = _pick(spec, path, "name", _CHECKS, "check")
+    name, rest = _pick(spec, path, "name", est.CHECKS, "check")
+    ball, required, optional = est.CHECKS[name]
     vals = {"name": name, "out": f"{name}_{index}.csv",
-            **_values(rest, path, name, *_CHECKS[name], _CHECK_VALUES)}
+            **_values(rest, path, name, required, optional, _CHECK_VALUES)}
     if name == "caccioppoli":
         if not vals["rho"] < vals["R"]:
             raise ConfigError(f"{path}: need rho < R")
         if ("k" in vals) == ("ell" in vals):
             raise ConfigError(f"{path}: caccioppoli needs one of 'k' and 'ell'")
     with _at(path):
-        if name == "degiorgi":
+        if ball is None:
             est.degiorgi_iterate(vals["X0"], vals["C"], vals["b"], vals["R"], vals["N"],
                                  max_steps=0)
         else:
             est._require_ball_inside(problem["bounds"], problem["mask"], vals["center"],
-                                     est.CHECK_BALL[name] * vals["R"])
+                                     ball * vals["R"])
     return vals
 
 

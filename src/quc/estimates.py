@@ -26,15 +26,24 @@ REPORT_FIELDS = [
     "H_est", "straddling", "tris_smallest_ball", "verdict", "threshold",
 ]
 
-_FLOAT_FIELDS = {"lhs", "rhs", "ratio", "constant", "k", "ell_c", "ell_b1",
-                 "ell_b2", "rho", "R", "center_x", "center_y", "H_est",
-                 "threshold"}
-_INT_FIELDS = {"grid_n", "straddling", "tris_smallest_ball"}
+# name: (radius of the largest ball the check reads, in units of its R, or
+# None for a check that reads no solution; required config keys; optional
+# config keys).  The config checks each ball against the domain, the
+# rectangle and the mask's disk, before the solve, and ``run_check`` runs a
+# check on a solution.
+CHECKS = {
+    "caccioppoli": (1.0, ("rho", "R", "center"), ("k", "ell", "assert_max_ratio", "out")),
+    "caccioppoli_l1": (2.0, ("R", "center"), ("out",)),
+    "sobolev": (2.0, ("R", "center"), ("out",)),
+    "lipschitz": (2.0, ("R", "center"), ("assert_max_ratio", "out")),
+    "degiorgi": (None, ("X0", "C", "b", "R", "N"), ("expect", "out")),
+}
 
 
 @dataclass
 class VerificationReport:
-    """One measured estimate: both sides, their ratio and the parameters used."""
+    """One measured estimate: both sides, their ratio, and in ``fields`` the
+    other REPORT_FIELDS cells it fills."""
 
     name: str
     lhs: float
@@ -42,8 +51,7 @@ class VerificationReport:
     constant: float = float("nan")
     grid_n: int | None = None
     integrand: str = ""
-    params: dict = field(default_factory=dict)
-    extra: dict = field(default_factory=dict)
+    fields: dict = field(default_factory=dict)
 
     @property
     def ratio(self):
@@ -52,37 +60,10 @@ class VerificationReport:
         return self.lhs / self.rhs
 
     def to_row(self):
-        row = {k: None for k in REPORT_FIELDS}
-        row.update({"name": self.name, "lhs": self.lhs, "rhs": self.rhs,
-                    "ratio": self.ratio, "constant": self.constant,
-                    "grid_n": self.grid_n, "integrand": self.integrand})
-        for k, v in {**self.params, **self.extra}.items():
-            if k in REPORT_FIELDS:
-                row[k] = v
-        return row
-
-    @classmethod
-    def from_row(cls, row):
-        def conv(k, v):
-            if v in ("", None):
-                return None
-            if k in _FLOAT_FIELDS:
-                return float(v)
-            if k in _INT_FIELDS:
-                return int(v)
-            return v
-
-        data = {k: conv(k, row.get(k)) for k in REPORT_FIELDS}
-        params = {k: data[k] for k in ("k", "ell_c", "ell_b1", "ell_b2", "rho",
-                                       "R", "center_x", "center_y")
-                  if data[k] is not None}
-        extra = {k: data[k] for k in ("H_est", "straddling", "tris_smallest_ball",
-                                      "verdict", "threshold")
-                 if data[k] is not None}
-        return cls(name=data["name"], lhs=data["lhs"], rhs=data["rhs"],
-                   constant=data["constant"] if data["constant"] is not None else float("nan"),
-                   grid_n=data["grid_n"], integrand=data["integrand"] or "",
-                   params=params, extra=extra)
+        row = {"name": self.name, "lhs": self.lhs, "rhs": self.rhs, "ratio": self.ratio,
+               "constant": self.constant, "grid_n": self.grid_n,
+               "integrand": self.integrand, **self.fields}
+        return {k: row.get(k) for k in REPORT_FIELDS}
 
 
 # ---------------------------------------------------------------------------
@@ -104,12 +85,6 @@ def _ball_tris(mesh, center, radius):
     return inside
 
 
-# The radius of the largest ball each check reads, in units of its R: that
-# ball must lie in the domain, the rectangle and the mask's disk, which the
-# config checks before the solve.
-CHECK_BALL = {"caccioppoli": 1.0, "caccioppoli_l1": 2.0, "sobolev": 2.0, "lipschitz": 2.0}
-
-
 def _require_ball_inside(bounds, mask, center, radius):
     """Raise ValueError unless the ball lies in the rectangle ``bounds`` and
     in the disk ``mask`` = (center, radius), when there is one."""
@@ -125,15 +100,30 @@ def _require_ball_inside(bounds, mask, center, radius):
                              f"mask disk B_{r:g}({cx:g},{cy:g})")
 
 
+def _balls(solution, check, center, R, *radii):
+    """The triangles of each ball B_r(center), r in ``radii``, once the
+    largest ball ``check`` reads, of radius ``CHECKS[check][0] * R``, is
+    found to lie in the solution's domain."""
+    mesh = solution.mesh
+    _require_ball_inside(mesh.bounds, solution.problem.mask, center, CHECKS[check][0] * R)
+    return [_ball_tris(mesh, center, r) for r in radii]
+
+
+def _report(name, lhs, rhs, constant, solution, R, center, smallest_ball, **fields):
+    """The report ``name`` of a check on ``solution`` at ``center`` and scale
+    R, which also fills the triangle count of its smallest ball (the mask
+    ``smallest_ball``) and the check's own ``fields``."""
+    return VerificationReport(
+        name=name, lhs=float(lhs), rhs=float(rhs), constant=constant,
+        grid_n=solution.problem.n, integrand=solution.problem.integrand.describe(),
+        fields={"R": float(R), "center_x": float(center[0]), "center_y": float(center[1]),
+                "tris_smallest_ball": int(smallest_ball.sum()), **fields})
+
+
 def _ball_mean(mesh, mask, values):
     # the area of the ball's triangles as a sum of equal terms, not a product
     area = np.full(np.count_nonzero(mask), mesh.area).sum()
     return float((mesh.area * values[mask]).sum() / area)
-
-
-def _above_level(solution, ell_c, ell_b):
-    """Triangles where F(Du) >= ell(Du) = ell_c + (ell_b, Du)."""
-    return solution.energy_density >= ell_c + solution.du @ np.asarray(ell_b, dtype=float)
 
 
 def _straddling_count(mesh, member, region):
@@ -174,42 +164,26 @@ def caccioppoli_check(solution, ell, rho, R, center, H):
     if not rho < R:
         raise ValueError(f"need rho < R, got rho={rho}, R={R}")
     mesh = solution.mesh
-    _require_ball_inside(mesh.bounds, solution.problem.mask, center,
-                         CHECK_BALL["caccioppoli"] * R)
+    ball_rho, region = _balls(solution, "caccioppoli", center, R, rho, R)
     ell_c, ell_b = float(ell[0]), np.asarray(ell[1], dtype=float).reshape(2)
     dv = stress_field(solution)
 
-    member = _above_level(solution, ell_c, ell_b)
-    ball_rho = _ball_tris(mesh, center, rho)
-    region = _ball_tris(mesh, center, R)
+    member = solution.energy_density >= ell_c + solution.du @ ell_b  # F(Du) >= ell(Du)
     inner, outer = ball_rho & member, region & member
-    if not outer.any():
-        if inner.any():
-            raise RuntimeError("super-level nesting violated: A(ell, rho) nonempty "
-                               "with A(ell, R) empty (indexing bug)")
-        # both sides would be 0 and the ratio a vacuous 0
+    if not outer.any():  # both sides would be 0 and the ratio a vacuous 0
         raise ValueError(
             f"super-level set {{F(Du) >= {ell_c:g} + ({ell_b[0]:g}, {ell_b[1]:g}).Du}} "
             f"holds no triangle barycenter in B_{R:g}({center[0]:g},{center[1]:g}) "
             f"on the grid n={mesh.n}")
     dv2 = (dv**2).sum(axis=(1, 2))
-    lhs = float((mesh.area * dv2[inner]).sum())
+    lhs = (mesh.area * dv2[inner]).sum()
     const = (np.pi * H / (R - rho)) ** 2
-    vshift = solution.v - ell_b
-    v2 = (vshift**2).sum(axis=1)
+    v2 = ((solution.v - ell_b)**2).sum(axis=1)
     rhs = const * float((mesh.area * v2[outer]).sum())
-
-    return VerificationReport(
-        name="caccioppoli", lhs=lhs, rhs=rhs, constant=const,
-        grid_n=solution.problem.n,
-        integrand=solution.problem.integrand.describe(),
-        params={"ell_c": ell_c, "ell_b1": float(ell_b[0]), "ell_b2": float(ell_b[1]),
-                "rho": float(rho), "R": float(R),
-                "center_x": float(center[0]), "center_y": float(center[1])},
-        extra={"H_est": float(H),
-               "straddling": _straddling_count(mesh, member, region),
-               "tris_smallest_ball": int(ball_rho.sum())},
-    )
+    return _report("caccioppoli", lhs, rhs, const, solution, R, center, ball_rho,
+                   ell_c=ell_c, ell_b1=float(ell_b[0]), ell_b2=float(ell_b[1]),
+                   rho=float(rho), H_est=float(H),
+                   straddling=_straddling_count(mesh, member, region))
 
 
 def caccioppoli_l1_check(solution, R, center, H):
@@ -220,25 +194,15 @@ def caccioppoli_l1_check(solution, R, center, H):
     H is only reported.
     """
     mesh = solution.mesh
-    _require_ball_inside(mesh.bounds, solution.problem.mask, center,
-                         CHECK_BALL["caccioppoli_l1"] * R)
+    inner, outer = _balls(solution, "caccioppoli_l1", center, R, R, 2.0 * R)
     dv = stress_field(solution)
-    inner = _ball_tris(mesh, center, R)
-    outer = _ball_tris(mesh, center, 2.0 * R)
     dv2 = (dv**2).sum(axis=(1, 2))
-    lhs = float((mesh.area * dv2[inner]).sum())
+    lhs = (mesh.area * dv2[inner]).sum()
     v1 = np.hypot(solution.v[:, 0], solution.v[:, 1])
     const = R ** (-4.0)  # N + 2 = 4 in the plane
     rhs = const * float((mesh.area * v1[outer]).sum()) ** 2
-    return VerificationReport(
-        name="caccioppoli_l1", lhs=lhs, rhs=rhs, constant=const,
-        grid_n=solution.problem.n,
-        integrand=solution.problem.integrand.describe(),
-        params={"R": float(R), "center_x": float(center[0]),
-                "center_y": float(center[1])},
-        extra={"H_est": float(H),
-               "tris_smallest_ball": int(inner.sum())},
-    )
+    return _report("caccioppoli_l1", lhs, rhs, const, solution, R, center, inner,
+                   H_est=float(H))
 
 
 def sobolev_stress_check(solution, R, center, H):
@@ -251,33 +215,16 @@ def sobolev_stress_check(solution, R, center, H):
     measured ratios are the empirical constants.
     """
     mesh = solution.mesh
-    _require_ball_inside(mesh.bounds, solution.problem.mask, center,
-                         CHECK_BALL["sobolev"] * R)
+    inner, outer = _balls(solution, "sobolev", center, R, R, 2.0 * R)
     dv = stress_field(solution)
-    F = solution.problem.integrand
     prof = EtaProfile(H / (H + 1.0), 1.0 / (H + 1.0))
-    inner = _ball_tris(mesh, center, R)
-    outer = _ball_tris(mesh, center, 2.0 * R)
-    mean_energy = _ball_mean(mesh, outer, solution.energy_density)
-    core = prof(mean_energy)
-
-    dv2 = (dv**2).sum(axis=(1, 2))
-    lhs_dv = np.sqrt(_ball_mean(mesh, inner, dv2))
-    rhs_dv = core / R
-    v2 = (solution.v**2).sum(axis=1)
-    lhs_v = np.sqrt(_ball_mean(mesh, inner, v2))
-    rhs_v = core
-
-    common = dict(grid_n=solution.problem.n, integrand=F.describe(),
-                  params={"R": float(R), "center_x": float(center[0]),
-                          "center_y": float(center[1])},
-                  extra={"H_est": float(H), "tris_smallest_ball": int(inner.sum())})
-    return [
-        VerificationReport(name="sobolev_dv", lhs=float(lhs_dv), rhs=float(rhs_dv),
-                           constant=1.0 / R, **common),
-        VerificationReport(name="sobolev_v", lhs=float(lhs_v), rhs=float(rhs_v),
-                           constant=1.0, **common),
-    ]
+    core = prof(_ball_mean(mesh, outer, solution.energy_density))
+    lhs_dv = np.sqrt(_ball_mean(mesh, inner, (dv**2).sum(axis=(1, 2))))
+    lhs_v = np.sqrt(_ball_mean(mesh, inner, (solution.v**2).sum(axis=1)))
+    return [_report("sobolev_dv", lhs_dv, core / R, 1.0 / R, solution, R, center, inner,
+                    H_est=float(H)),
+            _report("sobolev_v", lhs_v, core, 1.0, solution, R, center, inner,
+                    H_est=float(H))]
 
 
 def lipschitz_check(solution, R, center):
@@ -286,24 +233,33 @@ def lipschitz_check(solution, R, center):
     The continuous estimate bounds the ratio by an unknown C(H, N);
     refinement stability of the measured ratio is the desk-scale proxy.
     """
-    mesh = solution.mesh
-    _require_ball_inside(mesh.bounds, solution.problem.mask, center,
-                         CHECK_BALL["lipschitz"] * R)
-    F = solution.problem.integrand
     fvals = solution.energy_density
-    inner = _ball_tris(mesh, center, 0.5 * R)
-    outer = _ball_tris(mesh, center, 2.0 * R)
+    inner, outer = _balls(solution, "lipschitz", center, R, 0.5 * R, 2.0 * R)
     lhs = float(fvals[inner].max())
-    rhs = _ball_mean(mesh, outer, fvals)
+    rhs = _ball_mean(solution.mesh, outer, fvals)
     if rhs == 0.0 and lhs > 0.0:
         raise RuntimeError("zero mean energy with nonzero sup (inconsistent fields)")
-    return VerificationReport(
-        name="lipschitz", lhs=lhs, rhs=rhs, constant=float("nan"),
-        grid_n=solution.problem.n, integrand=F.describe(),
-        params={"R": float(R), "center_x": float(center[0]),
-                "center_y": float(center[1])},
-        extra={"tris_smallest_ball": int(inner.sum())},
-    )
+    return _report("lipschitz", lhs, rhs, float("nan"), solution, R, center, inner)
+
+
+def run_check(spec, solution, H):
+    """The reports of one check, ``spec`` a check as the config converts it,
+    on ``solution`` (None for a check whose ball is None), with H the
+    ellipticity ratio of its integrand."""
+    name, center = spec["name"], spec.get("center")
+    if name == "caccioppoli":
+        ell = spec["ell"] if "ell" in spec else (spec["k"], np.zeros(2))
+        return [caccioppoli_check(solution, ell, spec["rho"], spec["R"], center, H=H)]
+    if name == "caccioppoli_l1":
+        return [caccioppoli_l1_check(solution, spec["R"], center, H=H)]
+    if name == "sobolev":
+        return sobolev_stress_check(solution, spec["R"], center, H=H)
+    if name == "lipschitz":
+        return [lipschitz_check(solution, spec["R"], center)]
+    if name == "degiorgi":
+        return [degiorgi_iterate(spec["X0"], spec["C"], spec["b"], spec["R"],
+                                 spec["N"]).to_report()]
+    raise ValueError(f"no check named {name!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -319,11 +275,8 @@ class DeGiorgiResult:
     steps: int
 
     def to_report(self):
-        return VerificationReport(
-            name="degiorgi", lhs=self.X0, rhs=self.threshold,
-            constant=self.threshold, integrand="",
-            extra={"verdict": self.verdict, "threshold": self.threshold},
-        )
+        return VerificationReport("degiorgi", self.X0, self.threshold, self.threshold,
+                                  fields={"verdict": self.verdict, "threshold": self.threshold})
 
 
 def degiorgi_threshold(C, b, R, N_dim):

@@ -948,11 +948,12 @@ class FiniteDifferenceIntegrand(Integrand):
     def _grad(self, z):
         h = 1e-6 * (1.0 + np.hypot(z[:, 0], z[:, 1]))
         out = np.empty_like(z)
-        for i in range(2):
-            e = np.zeros((1, 2))
-            e[0, i] = 1.0
-            step = h[:, None] * e
-            out[:, i] = (self.part._eval(z + step) - self.part._eval(z - step)) / (2.0 * h)
+        with _Samples():  # an inf value differences to a nan entry
+            for i in range(2):
+                e = np.zeros((1, 2))
+                e[0, i] = 1.0
+                step = h[:, None] * e
+                out[:, i] = (self.part._eval(z + step) - self.part._eval(z - step)) / (2.0 * h)
         return out
 
     def _hess(self, z):
@@ -960,14 +961,15 @@ class FiniteDifferenceIntegrand(Integrand):
         f0 = self.part._eval(z)
         out = np.empty((z.shape[0], 2, 2))
         eye = np.eye(2)
-        for i in range(2):
-            ei = h[:, None] * eye[i]
-            out[:, i, i] = (self.part._eval(z + ei) - 2.0 * f0
-                            + self.part._eval(z - ei)) / h**2
-        e0 = h[:, None] * eye[0]
-        e1 = h[:, None] * eye[1]
-        cross = (self.part._eval(z + e0 + e1) - self.part._eval(z + e0 - e1)
-                 - self.part._eval(z - e0 + e1) + self.part._eval(z - e0 - e1)) / (4.0 * h**2)
+        with _Samples():  # an inf value differences to a nan entry
+            for i in range(2):
+                ei = h[:, None] * eye[i]
+                out[:, i, i] = (self.part._eval(z + ei) - 2.0 * f0
+                                + self.part._eval(z - ei)) / h**2
+            e0 = h[:, None] * eye[0]
+            e1 = h[:, None] * eye[1]
+            cross = (self.part._eval(z + e0 + e1) - self.part._eval(z + e0 - e1)
+                     - self.part._eval(z - e0 + e1) + self.part._eval(z - e0 - e1)) / (4.0 * h**2)
         out[:, 0, 1] = cross
         out[:, 1, 0] = cross
         return out
@@ -1276,9 +1278,11 @@ class IsotropicEnvelope:
         z = t[:, None] * np.stack([np.cos(th), np.sin(th)], axis=1)
         fv = F._eval(z)
         av = self.A(t)
-        c_hi = float(np.max(fv / av))
-        c_lo = float(np.max(av / fv))
-        return {"C": max(c_hi, c_lo), "C_upper": c_hi, "C_lower": c_lo}
+        with _Samples():
+            c_hi = float(_Samples.worst(fv / av, True, data=(fv,))[0])
+            c_lo = float(_Samples.worst(av / fv, True, data=(fv,))[0])
+        C = float(_Samples.worst([c_hi, c_lo], True)[0])
+        return {"C": C, "C_upper": c_hi, "C_lower": c_lo}
 
     def check_doubling(self, H):
         """Empirical C in a(2t) <= C eta_H(2) a(t) over the table."""

@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 import quc
+from quc import cli, config
 from quc.csvio import read_csv, write_csv
-from quc.estimates import REPORT_FIELDS, VerificationReport, _straddling_count
+from quc.estimates import CHECKS, REPORT_FIELDS, VerificationReport, _straddling_count, run_check
 from quc.solver import Mesh
 
 
@@ -21,20 +22,47 @@ def test_report_csv_roundtrip(tmp_path):
     rep = VerificationReport(
         name="caccioppoli", lhs=np.pi, rhs=np.e, constant=987.6543210123456789,
         grid_n=65, integrand="power(p=3)",
-        params={"k": 0.1, "ell_c": 0.1, "ell_b1": 0.0, "ell_b2": 0.0,
-                "rho": 0.2, "R": 0.4, "center_x": 1.5, "center_y": 1.5},
-        extra={"H_est": 2.0, "straddling": 7, "tris_smallest_ball": 1029})
+        fields={"k": 0.1, "ell_c": 0.1, "ell_b1": 0.0, "ell_b2": 0.0,
+                "rho": 0.2, "R": 0.4, "center_x": 1.5, "center_y": 1.5,
+                "H_est": 2.0, "straddling": 7, "tris_smallest_ball": 1029})
     path = tmp_path / "rep.csv"
     write_csv(path, REPORT_FIELDS, [rep.to_row()], "prov=test")
     prov, fields, rows = read_csv(path)
     assert prov == "prov=test"
     assert fields == REPORT_FIELDS
-    back = VerificationReport.from_row(rows[0])
-    assert back.lhs == rep.lhs and back.rhs == rep.rhs
-    assert back.ratio == rep.ratio
-    assert back.params == rep.params
-    assert back.extra["straddling"] == 7
-    assert back.constant == rep.constant
+    (row,) = rows
+    reported = rep.to_row()
+    assert reported["ratio"] == rep.ratio
+    for key, value in reported.items():
+        if isinstance(value, float):  # 17 significant digits read back exactly
+            assert float(row[key]) == value, key
+        elif isinstance(value, int):
+            assert int(row[key]) == value, key
+        else:
+            assert row[key] == ("" if value is None else value), key
+    assert {k for k, v in reported.items() if isinstance(v, int)} == {
+        "grid_n", "straddling", "tris_smallest_ball"}
+
+
+# a valid value of every required key of a check, on the unit square at n=17
+_CHECK_VALUES = {"rho": 0.1, "R": 0.2, "center": [0.5, 0.5],
+                 "X0": 0.2, "C": 1.0, "b": 4.0, "N": 2}
+
+
+@pytest.mark.parametrize("name", list(CHECKS))
+def test_every_check_row_validates_runs_and_has_its_verify_choice(sol_harmonic, name):
+    ball, required, optional = CHECKS[name]
+    spec = {"name": name, **{key: _CHECK_VALUES[key] for key in required}}
+    if "k" in optional:  # caccioppoli needs one of k and ell
+        spec["k"] = 0.05
+    sol = sol_harmonic[17]
+    problem = {"n": 17, "bounds": sol.mesh.bounds, "mask": None}
+    check = config._validate_check(spec, "checks[0]", problem)
+    reps = run_check(check, sol if ball is not None else None, H=1.0)
+    expected = ["sobolev_dv", "sobolev_v"] if name == "sobolev" else [name]
+    assert [r.name for r in reps] == expected
+    assert (name in cli.VERIFY_CHECKS) == (ball is not None)
+    assert cli.VERIFY_CHECKS == tuple(c for c, row in CHECKS.items() if row[0] is not None)
 
 
 # ---------------------------------------------------------------------------
@@ -80,7 +108,7 @@ def test_caccioppoli_harmonic(sol_harmonic):
                                 (0.5, 0.5), H=1.0)
     assert rep.rhs > 0
     assert rep.ratio <= 1.2
-    assert rep.extra["tris_smallest_ball"] >= 200
+    assert rep.fields["tris_smallest_ball"] >= 200
 
 
 def test_caccioppoli_affine_level(sol_harmonic):
@@ -89,7 +117,7 @@ def test_caccioppoli_affine_level(sol_harmonic):
     rep = quc.caccioppoli_check(sol_harmonic[33], (0.9, np.array([0.2, 0.0])),
                                 0.2, 0.4, (0.5, 0.5), H=1.0)
     assert rep.ratio <= 1.2
-    assert 0 < rep.extra["straddling"]
+    assert 0 < rep.fields["straddling"]
 
 
 def test_caccioppoli_validates_geometry(sol_harmonic):

@@ -193,6 +193,28 @@ def test_an_inf_sample_is_the_worst_one_without_a_warning(sampler, rng):
     assert not np.isfinite(worst)
 
 
+def test_finite_differences_of_an_inf_value_are_nan_without_a_warning(rng):
+    # inf - inf in the central differences of F: a non-finite entry, not a
+    # RuntimeWarning from the leaf
+    F = quc.integrand.FiniteDifferenceIntegrand(InfPower())
+    z = rng.uniform(-10.0, 10.0, (500, 2))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        g, h = F._grad(z), F._hess(z)
+    assert not np.isfinite(g).all() and not np.isfinite(h).all()
+
+
+def test_envelope_C_of_an_inf_value_is_nan(rng):
+    # an inf F sample gives F/A = inf and A/F = 0: both sides read nan, as
+    # every other analyze row does, and so does C
+    F = InfPower()
+    env = quc.isotropic_envelope(quc.make_power(3.0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        rep = env.check_envelope(F, rng)
+    assert np.isnan(rep["C"]) and np.isnan(rep["C_upper"]) and np.isnan(rep["C_lower"])
+
+
 def test_eta_identities_worst_keeps_a_nan_violation(monkeypatch, rng):
     # the builtin max() of [1e-16, nan, 2e-16] is 2e-16
     report = quc.qc_analysis.EtaIdentityReport(

@@ -1,6 +1,7 @@
 import gc
 import math
 import tracemalloc
+import warnings
 import weakref
 
 import numpy as np
@@ -1325,6 +1326,23 @@ def test_rejects_nonfinite_boundary():
                            boundary=compile_boundary_expression("1/(x - y)"))
     with pytest.raises(SolverError, match="finite"):
         quc.solve(prob)
+
+
+def test_masked_solve_of_a_boundary_nan_outside_the_mask_has_no_warning():
+    # sqrt of a negative number at the square's corners, outside the mask
+    # disk and off its Dirichlet set: nan data, not a RuntimeWarning from the
+    # boundary expression.  The Coons start then reads nan, and the interior
+    # starts at the Dirichlet mean.
+    prob = quc.GridProblem(
+        integrand=quc.make_power(3.0), n=33,
+        boundary=compile_boundary_expression("sqrt(0.25 - (x-0.5)^2 - (y-0.5)^2)"),
+        mask=(np.array([0.5, 0.5]), 0.45))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        data = prob.boundary_values(prob.mesh())
+        sol = quc.solve(prob)
+    assert np.isnan(data).any() and np.isfinite(data[sol.mesh.dirichlet]).all()
+    assert sol.converged
 
 
 # ---------------------------------------------------------------------------
