@@ -22,7 +22,6 @@ Boundary data is a tiny arithmetic expression over x and y supporting
 from __future__ import annotations
 
 import ast
-import hashlib
 import json
 import os
 from contextlib import contextmanager
@@ -33,6 +32,15 @@ import numpy as np
 from . import estimates as est
 from . import integrand as ig
 from . import regularize as rg
+
+# hashlib would load OpenSSL's libcrypto, 3.4 MiB resident, for one digest
+try:
+    from _sha2 import sha256 as _sha256  # Python 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256 as _sha256  # Python 3.10-3.11
+    except ImportError:
+        from hashlib import sha256 as _sha256
 
 
 class ConfigError(ValueError):
@@ -360,7 +368,7 @@ class ExperimentConfig:
     source_text: str = ""
 
     def sha256(self):
-        return hashlib.sha256(self.source_text.encode()).hexdigest()[:16]
+        return _sha256(self.source_text.encode()).hexdigest()[:16]
 
 
 def _validate_check(spec, path, problem, index=0):

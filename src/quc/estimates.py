@@ -22,7 +22,7 @@ from .solver import stress_field
 
 REPORT_FIELDS = [
     "name", "lhs", "rhs", "ratio", "constant", "grid_n", "integrand",
-    "k", "ell_c", "ell_b1", "ell_b2", "rho", "R", "center_x", "center_y",
+    "ell_c", "ell_b1", "ell_b2", "rho", "R", "center_x", "center_y",
     "H_est", "straddling", "tris_smallest_ball", "verdict", "threshold",
 ]
 

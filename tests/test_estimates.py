@@ -22,7 +22,7 @@ def test_report_csv_roundtrip(tmp_path):
     rep = VerificationReport(
         name="caccioppoli", lhs=np.pi, rhs=np.e, constant=987.6543210123456789,
         grid_n=65, integrand="power(p=3)",
-        fields={"k": 0.1, "ell_c": 0.1, "ell_b1": 0.0, "ell_b2": 0.0,
+        fields={"ell_c": 0.1, "ell_b1": 0.0, "ell_b2": 0.0,
                 "rho": 0.2, "R": 0.4, "center_x": 1.5, "center_y": 1.5,
                 "H_est": 2.0, "straddling": 7, "tris_smallest_ball": 1029})
     path = tmp_path / "rep.csv"
@@ -63,6 +63,21 @@ def test_every_check_row_validates_runs_and_has_its_verify_choice(sol_harmonic, 
     assert [r.name for r in reps] == expected
     assert (name in cli.VERIFY_CHECKS) == (ball is not None)
     assert cli.VERIFY_CHECKS == tuple(c for c, row in CHECKS.items() if row[0] is not None)
+
+
+def test_every_report_column_is_filled_by_some_check(sol_harmonic):
+    # a column that no check fills is an empty cell in every report CSV
+    sol = sol_harmonic[17]
+    problem = {"n": 17, "bounds": sol.mesh.bounds, "mask": None}
+    filled = set()
+    for name, (ball, required, optional) in CHECKS.items():
+        spec = {"name": name, **{key: _CHECK_VALUES[key] for key in required}}
+        if "k" in optional:
+            spec["k"] = 0.05
+        check = config._validate_check(spec, "checks[0]", problem)
+        for rep in run_check(check, sol if ball is not None else None, H=1.0):
+            filled |= {key for key, value in rep.to_row().items() if value is not None}
+    assert [key for key in REPORT_FIELDS if key not in filled] == []
 
 
 # ---------------------------------------------------------------------------

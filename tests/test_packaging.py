@@ -1,4 +1,5 @@
 import ctypes
+import hashlib
 import importlib.util
 import json
 import os
@@ -8,6 +9,8 @@ import subprocess
 import sys
 
 import pytest
+
+from quc.config import ExperimentConfig
 
 tomllib = pytest.importorskip("tomllib")
 
@@ -80,6 +83,65 @@ def test_cli_path_does_not_import_scipy(tmp_path):
                _config(tmp_path, "disk34", 34, disk=True)]
     proc = _run(_IMPORT_GUARD, tmp_path, *configs)
     assert proc.returncode == 0, proc.stderr[-2000:]
+
+
+_SOLVE_GUARD = """
+import sys
+out_dir, cfg_paths = sys.argv[1], sys.argv[2:]
+UNUSED = ("numpy.random", "secrets", "hashlib", "_hashlib")
+
+def guard(step):
+    loaded = [m for m in UNUSED if m in sys.modules]
+    assert not loaded, step + " imported " + ", ".join(loaded)
+
+import quc.cli
+from quc.config import parse_config
+guard("import quc.cli")
+for cfg_path in cfg_paths:
+    parse_config(cfg_path)
+    guard("parse_config")
+    assert quc.cli.main(["--out-dir", out_dir, "solve", cfg_path]) == 0
+    guard("quc solve on " + cfg_path)
+"""
+
+
+def test_solve_loads_neither_numpy_random_nor_openssl(tmp_path):
+    # a solve draws no samples, and the config digest needs no libcrypto
+    power3 = {"kind": "power", "p": 3.0}
+    ladder = {"kind": "mollified", "eps": 0.25, "mu": 0.25,
+              "part": {"kind": "moreau", "delta": 0.25, "part": power3}}
+    configs = []
+    for name, integrand in (("power3", power3), ("ladder", ladder)):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps({
+            "integrand": integrand,
+            "problem": {"n": 9, "boundary": "x^2 - y^2"},
+        }))
+        configs.append(path)
+    proc = _run(_SOLVE_GUARD, tmp_path, *configs)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+
+
+# With the interpreter's own SHA-256 modules blocked, quc.config takes hashlib's.
+_DIGEST_FALLBACK = """
+import json, sys
+sys.modules["_sha2"] = sys.modules["_sha256"] = None
+from quc.config import ExperimentConfig
+assert "hashlib" in sys.modules
+texts = json.loads(sys.argv[1])
+print(json.dumps([ExperimentConfig(None, {}, None, [], source_text=t).sha256() for t in texts]))
+"""
+
+
+def test_config_digest_is_sha256_of_the_text_with_and_without_hashlib():
+    texts = ['{"integrand": {"kind": "power", "p": 3.0}, "seed": 7}\n',
+             '{"out_dir": "résultats/Ω₁", "problem": {"boundary": "x²"}}', ""]
+    reference = [hashlib.sha256(t.encode()).hexdigest()[:16] for t in texts]
+    assert [ExperimentConfig(None, {}, None, [], source_text=t).sha256()
+            for t in texts] == reference
+    proc = _run(_DIGEST_FALLBACK, json.dumps(texts))
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert json.loads(proc.stdout) == reference
 
 
 _FALLBACK = """
