@@ -33,7 +33,7 @@ from . import estimates as est
 from . import integrand as ig
 from . import regularize as rg
 
-# hashlib would load OpenSSL's libcrypto, 3.4 MiB resident, for one digest
+# hashlib would load OpenSSL's libcrypto, 3.5 MiB resident, for one digest
 try:
     from _sha2 import sha256 as _sha256  # Python 3.12+
 except ImportError:
